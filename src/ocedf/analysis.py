@@ -2,15 +2,16 @@
 and roll-up, event unfolding, and directly-follows graph discovery.
 
 Every operation is pure: it reads one log and returns a fresh value,
-leaving the input untouched. Traces order events by (time, event id),
-the same tie-break the core log uses.
+leaving the input untouched. Derived logs share the input's frozen
+instances and relations (see ``ocel.relabel``). Traces order events by
+(time, event id), the same tie-break the core log uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import SchemaError
 from .ocel import (
@@ -19,7 +20,7 @@ from .ocel import (
     EventTypeDef,
     ObjectTypeDef,
     OcedLog,
-    new_log,
+    relabel,
 )
 
 _ROLLUP_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -60,25 +61,7 @@ class Dfg:
     per_type: dict[str, TypeDfg]
 
 
-def _rebuild(object_type_defs: Iterable[ObjectTypeDef],
-             event_type_defs: Iterable[EventTypeDef],
-             objects,
-             events,
-             e2o,
-             o2o) -> OcedLog:
-    out = new_log(object_type_defs, event_type_defs)
-    for obj in objects:
-        out.add_object(obj)
-    for event in events:
-        out.add_event(event)
-    for rel in e2o:
-        out.relate_event_object(rel.event_id, rel.object_id, rel.qualifier)
-    for rel in o2o:
-        out.relate_objects(rel.source_object_id, rel.target_object_id, rel.qualifier)
-    return out
-
-
-def _check_declared(names: Iterable[str], declared: set[str], what: str) -> None:
+def _check_declared(names: Iterable[str], declared: Collection[str], what: str) -> None:
     for name in names:
         if name not in declared:
             raise SchemaError(f"unknown {what} {name!r}")
@@ -94,31 +77,19 @@ def filter_log(log: OcedLog,
     inclusive and either end may be None. Relations are pruned to
     surviving endpoints. Keeping everything returns a structural copy.
     """
-    if keep_event_types is not None:
-        _check_declared(keep_event_types, {td.name for td in log.event_type_defs}, "event type")
-    if keep_object_types is not None:
-        _check_declared(keep_object_types, {td.name for td in log.object_type_defs}, "object type")
+    _check_declared(keep_event_types or (), {td.name for td in log.event_type_defs}, "event type")
+    _check_declared(keep_object_types or (), {td.name for td in log.object_type_defs}, "object type")
 
     lo, hi = time_window if time_window else (None, None)
 
     def keep_event(e) -> bool:
-        if keep_event_types is not None and e.type not in keep_event_types:
-            return False
-        if lo is not None and e.time < lo:
-            return False
-        if hi is not None and e.time > hi:
-            return False
-        return True
+        return ((keep_event_types is None or e.type in keep_event_types)
+                and (lo is None or e.time >= lo) and (hi is None or e.time <= hi))
 
-    objects = [o for o in log.objects.values()
-               if keep_object_types is None or o.type in keep_object_types]
-    events = [e for e in log.events_in_order() if keep_event(e)]
-    object_ids = {o.id for o in objects}
-    event_ids = {e.id for e in events}
-    e2o = [r for r in log.e2o if r.event_id in event_ids and r.object_id in object_ids]
-    o2o = [r for r in log.o2o
-           if r.source_object_id in object_ids and r.target_object_id in object_ids]
-    return _rebuild(log.object_type_defs, log.event_type_defs, objects, events, e2o, o2o)
+    objects = {oid: o for oid, o in log.objects.items()
+               if keep_object_types is None or o.type in keep_object_types}
+    events = {e.id: e for e in log.events_in_order() if keep_event(e)}
+    return log._derived(objects, events)
 
 
 def flatten(log: OcedLog, object_type: str) -> FlatLog:
@@ -138,6 +109,19 @@ def flatten(log: OcedLog, object_type: str) -> FlatLog:
     return FlatLog(object_type, tuple(rows))
 
 
+def _with_labels(defs, labels: Iterable[str], attribute_defs, cls, collision: str) -> list:
+    """``defs`` plus a definition shaped ``attribute_defs`` for each new label,
+    in sorted order; a label declared already must have that shape."""
+    out = list(defs)
+    existing = {td.name: td for td in out}
+    for label in sorted(labels):
+        if label not in existing:
+            out.append(cls(label, attribute_defs))
+        elif existing[label].attribute_defs != attribute_defs:
+            raise SchemaError(collision.format(label))
+    return out
+
+
 def drill_down(log: OcedLog, supertype: str, discriminator_attr: str = "role") -> OcedLog:
     """Split a supertype into per-discriminator object types.
 
@@ -146,38 +130,23 @@ def drill_down(log: OcedLog, supertype: str, discriminator_attr: str = "role") -
     discriminator must be a declared string attribute of the supertype.
     """
     defs = {td.name: td for td in log.object_type_defs}
-    if supertype not in defs:
-        raise SchemaError(f"unknown object type {supertype!r}")
+    _check_declared([supertype], defs, "object type")
     sdef = defs[supertype]
     disc = next((ad for ad in sdef.attribute_defs if ad.name == discriminator_attr), None)
     if disc is None or disc.kind != "string":
         raise SchemaError(
             f"type {supertype!r} has no string discriminator attribute {discriminator_attr!r}")
 
-    relabeled = []
-    new_labels = []
+    labels = {}
     for obj in log.objects.values():
-        if obj.type != supertype:
-            relabeled.append(obj)
-            continue
-        value = obj.latest_value(discriminator_attr)
-        label = value if isinstance(value, str) and value else f"{supertype}:unknown"
-        if label not in new_labels:
-            new_labels.append(label)
-        relabeled.append(replace(obj, type=label))
+        if obj.type == supertype:
+            value = obj.latest_value(discriminator_attr)
+            labels[obj.id] = value if isinstance(value, str) and value else f"{supertype}:unknown"
 
-    out_defs = [td for td in log.object_type_defs if td.name != supertype]
-    existing = {td.name: td for td in out_defs}
-    for label in sorted(new_labels):
-        if label in existing:
-            if existing[label].attribute_defs != sdef.attribute_defs:
-                raise SchemaError(
-                    f"drill-down label {label!r} collides with a differently-shaped type")
-            continue
-        out_defs.append(ObjectTypeDef(label, sdef.attribute_defs))
-
-    return _rebuild(out_defs, log.event_type_defs, relabeled,
-                    log.events_in_order(), log.e2o, log.o2o)
+    out_defs = _with_labels([td for td in defs.values() if td.name != supertype],
+                            set(labels.values()), sdef.attribute_defs, ObjectTypeDef,
+                            "drill-down label {!r} collides with a differently-shaped type")
+    return relabel(log, out_defs, object_labels=labels)
 
 
 def roll_up(log: OcedLog, subtype_labels: set[str], into: str,
@@ -186,60 +155,35 @@ def roll_up(log: OcedLog, subtype_labels: set[str], into: str,
     discriminator attribute. Inverse of drill_down when every instance
     carries a discriminator value."""
     if not subtype_labels:
-        return filter_log(log)  # structural copy
+        return relabel(log)  # structural copy
 
     defs = {td.name: td for td in log.object_type_defs}
-    for label in sorted(subtype_labels):
-        if label not in defs:
-            raise SchemaError(f"unknown object type label {label!r}")
+    _check_declared(sorted(subtype_labels), defs, "object type label")
 
     # target def: reuse the declared one or merge the subtype defs
-    if into in defs:
-        target_attrs = list(defs[into].attribute_defs)
-    else:
-        target_attrs = []
-        for label in sorted(subtype_labels):
-            for ad in defs[label].attribute_defs:
-                if ad not in target_attrs:
-                    target_attrs.append(ad)
+    sources = [into] if into in defs else sorted(subtype_labels)
+    target_attrs = list(dict.fromkeys(ad for name in sources for ad in defs[name].attribute_defs))
     if discriminator_attr not in {ad.name for ad in target_attrs}:
         target_attrs.append(AttributeDef(discriminator_attr, "string"))
 
-    relabeled = []
+    labels, added = {}, {}
     for obj in log.objects.values():
         if obj.type not in subtype_labels:
-            relabeled.append(obj)
             continue
         current = obj.latest_value(discriminator_attr)
         if current is None:
-            values = (*obj.attribute_values,
-                      AttributeValue(discriminator_attr, _ROLLUP_EPOCH, obj.type))
-            relabeled.append(replace(obj, type=into, attribute_values=values))
+            added[obj.id] = (AttributeValue(discriminator_attr, _ROLLUP_EPOCH, obj.type),)
         elif current != obj.type:
             raise SchemaError(
                 f"object {obj.id!r}: discriminator says {current!r} but type label is {obj.type!r}")
-        else:
-            relabeled.append(replace(obj, type=into))
+        labels[obj.id] = into
 
-    out_defs = []
-    inserted = False
-    for td in log.object_type_defs:
-        if td.name in subtype_labels:
-            if not inserted:
-                out_defs.append(ObjectTypeDef(into, tuple(target_attrs)))
-                inserted = True
-            continue
-        if td.name == into:
-            if not inserted:
-                out_defs.append(ObjectTypeDef(into, tuple(target_attrs)))
-                inserted = True
-            continue
-        out_defs.append(td)
-    if not inserted:
-        out_defs.append(ObjectTypeDef(into, tuple(target_attrs)))
-
-    return _rebuild(out_defs, log.event_type_defs, relabeled,
-                    log.events_in_order(), log.e2o, log.o2o)
+    # the merged type takes the place of the first type it replaces
+    replaced = subtype_labels | {into}
+    first = next(i for i, name in enumerate(defs) if name in replaced)
+    out_defs = [td for td in defs.values() if td.name not in replaced]
+    out_defs.insert(first, ObjectTypeDef(into, tuple(target_attrs)))
+    return relabel(log, out_defs, object_labels=labels, added_values=added)
 
 
 def unfold_events(log: OcedLog, event_type: str, by_object_type: str,
@@ -253,20 +197,15 @@ def unfold_events(log: OcedLog, event_type: str, by_object_type: str,
     attributes are untouched.
     """
     event_defs = {td.name: td for td in log.event_type_defs}
-    if event_type not in event_defs:
-        raise SchemaError(f"unknown event type {event_type!r}")
+    _check_declared([event_type], event_defs, "event type")
     _check_declared([by_object_type], {td.name for td in log.object_type_defs}, "object type")
-    base = event_defs[event_type]
 
-    relabeled = []
-    new_labels = []
+    labels = {}
     for event in log.events_in_order():
         if event.type != event_type:
-            relabeled.append(event)
             continue
         related = [o for o in log.objects_of_event(event.id) if o.type == by_object_type]
         if not related:
-            relabeled.append(event)
             continue
         if len(related) > 1:
             raise SchemaError(
@@ -276,23 +215,12 @@ def unfold_events(log: OcedLog, event_type: str, by_object_type: str,
         if not isinstance(name, str) or not name:
             raise SchemaError(
                 f"object {related[0].id!r} has no string value for attribute {name_attribute!r}")
-        label = f"{event_type} {name}"
-        if label not in new_labels:
-            new_labels.append(label)
-        relabeled.append(replace(event, type=label))
+        labels[event.id] = f"{event_type} {name}"
 
-    out_defs = list(log.event_type_defs)
-    existing = {td.name: td for td in out_defs}
-    for label in sorted(new_labels):
-        if label in existing:
-            if existing[label].attribute_defs != base.attribute_defs:
-                raise SchemaError(
-                    f"unfolded label {label!r} collides with a differently-shaped event type")
-            continue
-        out_defs.append(EventTypeDef(label, base.attribute_defs))
-
-    return _rebuild(log.object_type_defs, out_defs, log.objects.values(),
-                    relabeled, log.e2o, log.o2o)
+    out_defs = _with_labels(
+        event_defs.values(), set(labels.values()), event_defs[event_type].attribute_defs,
+        EventTypeDef, "unfolded label {!r} collides with a differently-shaped event type")
+    return relabel(log, event_types=out_defs, event_labels=labels)
 
 
 def discover_dfg(log: OcedLog, object_types: Iterable[str]) -> Dfg:

@@ -149,6 +149,9 @@ def load_source(path: str | Path, table_name: str) -> SourceTable:
             except StopIteration:
                 raise DataError(f"{path}: empty file, expected a header row") from None
             header = [h.strip() for h in raw_header]
+            repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+            if repeated is not None:
+                raise DataError(f"{path}: column {repeated!r} appears twice in the header row")
             rows = []
             for i, row in enumerate(reader):
                 if len(row) != len(header):

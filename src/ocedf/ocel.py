@@ -5,14 +5,18 @@ values, untimed event attribute values, and qualified event-to-object and
 object-to-object relations. Logs are built once through the ``add_*`` /
 ``relate_*`` methods and treated as immutable afterwards; every query is
 pure, so a finished log is safe to share across threads.
+
+A derived log (``relabel``) shares its input's frozen instances and relations,
+re-checks only what it changes, and owns its containers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
@@ -145,6 +149,50 @@ def _conform_value(value: Any, kind: str, where: str) -> Any:
     raise SchemaError(f"{where}: value {value!r} does not match declared kind {kind!r}")
 
 
+def _with(instance, **changes):
+    """Copy of a normalized frozen instance with ``changes``; skips ``__post_init__``.
+    Fields are set one by one: touching ``__dict__`` would give the copy a real dict."""
+    out = object.__new__(type(instance))
+    for name in instance.__dataclass_fields__:
+        object.__setattr__(out, name, changes.get(name, getattr(instance, name)))
+    return out
+
+
+def _kinds(tdef) -> dict[str, str]:
+    return {ad.name: ad.kind for ad in tdef.attribute_defs}
+
+
+def _stored(inst, kinds: Mapping[str, str] | None,
+            known: Mapping[str, str] | None = None, trusted: int = 0):
+    """The object or event to store for ``inst`` under a type with attribute
+    ``kinds``: each value conformed to its declared kind, except among the
+    first ``trusted`` values, where ``known`` vouches for a kind already."""
+    is_object = isinstance(inst, ObjectInstance)
+    what = "object" if is_object else "event"
+    if kinds is None:
+        raise SchemaError(f"{what} {inst.id!r}: undeclared {what} type {inst.type!r}")
+    seen = set()
+    values = inst.attribute_values
+    for i, entry in enumerate(inst.attribute_values):
+        name, value = (entry.name, entry.value) if is_object else entry
+        kind = kinds.get(name)
+        if kind is None:
+            raise SchemaError(
+                f"{what} {inst.id!r}: attribute {name!r} not declared on type {inst.type!r}")
+        key = (name, entry.time) if is_object else name
+        if key in seen:
+            raise SchemaError(
+                f"object {inst.id!r}: attribute {name!r} has two values at {format_iso(entry.time)}"
+                if is_object else f"event {inst.id!r}: duplicate attribute {name!r}")
+        seen.add(key)
+        if i >= trusted or known.get(name) != kind:
+            conformed = _conform_value(value, kind, f"{what} {inst.id!r} attribute {name!r}")
+            if conformed is not value:
+                entry = _with(entry, value=conformed) if is_object else (name, conformed)
+                values = (*values[:i], entry, *values[i + 1:])
+    return inst if values is inst.attribute_values else _with(inst, attribute_values=values)
+
+
 class OcedLog:
     """Mutable while being built, then used as a read-only value."""
 
@@ -177,22 +225,7 @@ class OcedLog:
         if obj.id in self._objects:
             raise SchemaError(f"duplicate object id: {obj.id!r}")
         tdef = self._object_types.get(obj.type)
-        if tdef is None:
-            raise SchemaError(f"object {obj.id!r}: undeclared object type {obj.type!r}")
-        kinds = {ad.name: ad.kind for ad in tdef.attribute_defs}
-        seen: set[tuple[str, datetime]] = set()
-        normalized = []
-        for av in obj.attribute_values:
-            if av.name not in kinds:
-                raise SchemaError(
-                    f"object {obj.id!r}: attribute {av.name!r} not declared on type {obj.type!r}")
-            if (av.name, av.time) in seen:
-                raise SchemaError(
-                    f"object {obj.id!r}: attribute {av.name!r} has two values at {format_iso(av.time)}")
-            seen.add((av.name, av.time))
-            value = _conform_value(av.value, kinds[av.name], f"object {obj.id!r} attribute {av.name!r}")
-            normalized.append(AttributeValue(av.name, av.time, value))
-        self._objects[obj.id] = replace(obj, attribute_values=tuple(normalized))
+        self._objects[obj.id] = _stored(obj, None if tdef is None else _kinds(tdef))
 
     def add_event(self, event: EventInstance) -> None:
         if not event.id:
@@ -200,20 +233,7 @@ class OcedLog:
         if event.id in self._events:
             raise SchemaError(f"duplicate event id: {event.id!r}")
         tdef = self._event_types.get(event.type)
-        if tdef is None:
-            raise SchemaError(f"event {event.id!r}: undeclared event type {event.type!r}")
-        kinds = {ad.name: ad.kind for ad in tdef.attribute_defs}
-        seen: set[str] = set()
-        normalized = []
-        for name, value in event.attribute_values:
-            if name not in kinds:
-                raise SchemaError(
-                    f"event {event.id!r}: attribute {name!r} not declared on type {event.type!r}")
-            if name in seen:
-                raise SchemaError(f"event {event.id!r}: duplicate attribute {name!r}")
-            seen.add(name)
-            normalized.append((name, _conform_value(value, kinds[name], f"event {event.id!r} attribute {name!r}")))
-        self._events[event.id] = replace(event, attribute_values=tuple(normalized))
+        self._events[event.id] = _stored(event, None if tdef is None else _kinds(tdef))
 
     def relate_event_object(self, event_id: str, object_id: str, qualifier: str = "") -> None:
         if event_id not in self._events:
@@ -295,6 +315,32 @@ class OcedLog:
     def relations_of_event(self, event_id: str) -> list[E2ORelation]:
         return list(self._e2o_by_event.get(event_id, ()))
 
+    # -- derived logs ----------------------------------------------------
+
+    def _derived(self, objects: dict[str, ObjectInstance], events: dict[str, EventInstance],
+                 object_types: Mapping[str, ObjectTypeDef] | None = None,
+                 event_types: Mapping[str, EventTypeDef] | None = None) -> "OcedLog":
+        """A log over valid ``objects`` and ``events`` of this log (dicts it
+        takes over), checking nothing. It keeps the relations between them and
+        owns copies of every container, down to the E2O index lists."""
+        out = OcedLog.__new__(OcedLog)
+        out._object_types = dict(self._object_types if object_types is None else object_types)
+        out._event_types = dict(self._event_types if event_types is None else event_types)
+        out._objects, out._events = objects, events
+        if objects.keys() == self._objects.keys() and events.keys() == self._events.keys():
+            out._e2o, out._o2o = set(self._e2o), set(self._o2o)
+            out._e2o_by_event = {k: list(rels) for k, rels in self._e2o_by_event.items()}
+            out._e2o_by_object = {k: list(rels) for k, rels in self._e2o_by_object.items()}
+            return out
+        out._e2o_by_event = {k: kept for k, rels in self._e2o_by_event.items() if k in events
+                             and (kept := [r for r in rels if r.object_id in objects])}
+        out._e2o_by_object = {k: kept for k, rels in self._e2o_by_object.items() if k in objects
+                              and (kept := [r for r in rels if r.event_id in events])}
+        out._e2o = set(chain.from_iterable(out._e2o_by_event.values()))
+        out._o2o = {r for r in self._o2o
+                    if r.source_object_id in objects and r.target_object_id in objects}
+        return out
+
     # -- equality --------------------------------------------------------
 
     def structurally_equal(self, other: "OcedLog") -> bool:
@@ -318,6 +364,40 @@ def new_log(object_type_defs: Iterable[ObjectTypeDef] = (),
             event_type_defs: Iterable[EventTypeDef] = ()) -> OcedLog:
     """Create an empty log with a validated schema."""
     return OcedLog(object_type_defs, event_type_defs)
+
+
+def relabel(log: OcedLog,
+            object_types: Iterable[ObjectTypeDef] | None = None,
+            event_types: Iterable[EventTypeDef] | None = None, *,
+            object_labels: Mapping[str, str] | None = None,
+            event_labels: Mapping[str, str] | None = None,
+            added_values: Mapping[str, Iterable[AttributeValue]] | None = None) -> OcedLog:
+    """``log`` with new type definitions (None keeps them), instances moved to
+    the types ``object_labels``/``event_labels`` give by id, and
+    ``added_values`` appended to objects by id. Instances that move, gain values
+    or whose type definition changed are checked as ``add_*`` checks them, but
+    conformed again only where a value's declared kind changed; the rest is
+    shared. Objects keep their order; events are in (time, id) order."""
+    otypes = log._object_types if object_types is None else _checked_defs(object_types, "object type")
+    etypes = log._event_types if event_types is None else _checked_defs(event_types, "event type")
+    objects = _relabeled(log._objects.values(), log._object_types, otypes,
+                         object_labels or {}, added_values or {})
+    events = _relabeled(log.events_in_order(), log._event_types, etypes, event_labels or {}, {})
+    return log._derived(objects, events, otypes, etypes)
+
+
+def _relabeled(instances, old_types, new_types, labels, added) -> dict:
+    old_kinds = {name: _kinds(td) for name, td in old_types.items()}
+    new_kinds = {name: _kinds(td) for name, td in new_types.items()}
+    out = {}
+    for inst in instances:
+        label = labels.get(inst.id, inst.type)
+        extra = tuple(added.get(inst.id, ()))
+        if label != inst.type or extra or new_types.get(label) is not old_types[inst.type]:
+            moved = _with(inst, type=label, attribute_values=inst.attribute_values + extra)
+            inst = _stored(moved, new_kinds.get(label), old_kinds[inst.type], len(inst.attribute_values))
+        out[inst.id] = inst
+    return out
 
 
 # -- OCEL JSON interchange -------------------------------------------------
@@ -503,25 +583,16 @@ def ocel_from_dict(doc: Any) -> OcedLog:
             raise OcelDocumentError(str(exc), path) from None
 
     # Relationships resolve only after every instance is registered.
-    for i, entry in enumerate(doc["objects"]):
-        for j, rel in enumerate(entry.get("relationships", [])):
-            path = f"objects[{i}].relationships[{j}]"
-            if not isinstance(rel, dict) or "objectId" not in rel:
-                raise OcelDocumentError("relationship entries need 'objectId'", path)
-            try:
-                log.relate_objects(entry["id"], rel["objectId"], rel.get("qualifier", ""))
-            except SchemaError as exc:
-                raise OcelDocumentError(f"object {entry['id']!r}: {exc}", path) from None
-
-    for i, entry in enumerate(doc["events"]):
-        for j, rel in enumerate(entry.get("relationships", [])):
-            path = f"events[{i}].relationships[{j}]"
-            if not isinstance(rel, dict) or "objectId" not in rel:
-                raise OcelDocumentError("relationship entries need 'objectId'", path)
-            try:
-                log.relate_event_object(entry["id"], rel["objectId"], rel.get("qualifier", ""))
-            except SchemaError as exc:
-                raise OcelDocumentError(f"event {entry['id']!r}: {exc}", path) from None
+    for key, relate in (("objects", log.relate_objects), ("events", log.relate_event_object)):
+        for i, entry in enumerate(doc[key]):
+            for j, rel in enumerate(entry.get("relationships", [])):
+                path = f"{key}[{i}].relationships[{j}]"
+                if not isinstance(rel, dict) or "objectId" not in rel:
+                    raise OcelDocumentError("relationship entries need 'objectId'", path)
+                try:
+                    relate(entry["id"], rel["objectId"], rel.get("qualifier", ""))
+                except SchemaError as exc:
+                    raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}", path) from None
 
     return log
 

@@ -174,6 +174,13 @@ class TestDrillDown:
         with pytest.raises(SchemaError, match="unknown object type"):
             drill_down(user_page_log(), "Ghost", "role")
 
+    def test_label_colliding_with_differently_shaped_type(self):
+        log = new_log([ObjectTypeDef("User", (AttributeDef("role", "string"),)),
+                       ObjectTypeDef("Student", (AttributeDef("grade", "integer"),))], [])
+        log.add_object(ObjectInstance("u1", "User", (AttributeValue("role", T0, "Student"),)))
+        with pytest.raises(SchemaError, match="'Student' collides with a differently-shaped type"):
+            drill_down(log, "User", "role")
+
     def test_uses_latest_discriminator_value(self):
         log = user_page_log()
         values = (AttributeValue("role", T0, "Student"),
@@ -211,6 +218,15 @@ class TestRollUp:
         log.add_object(ObjectInstance("t1", "Teacher", (AttributeValue("role", T0, "Student"),)))
         with pytest.raises(SchemaError, match="discriminator"):
             roll_up(log, {"Teacher"}, "User", "role")
+
+    def test_into_existing_type_must_declare_the_subtype_attributes(self):
+        log = new_log([ObjectTypeDef("User", (AttributeDef("role", "string"),)),
+                       ObjectTypeDef("Student", (AttributeDef("role", "string"),
+                                                 AttributeDef("name", "string")))], [])
+        values = (AttributeValue("role", T0, "Student"), AttributeValue("name", T0, "Ada"))
+        log.add_object(ObjectInstance("s1", "Student", values))
+        with pytest.raises(SchemaError, match="attribute 'name' not declared on type 'User'"):
+            roll_up(log, {"Student"}, "User", "role")
 
     def test_labels_without_discriminator_get_one(self):
         log = new_log([ObjectTypeDef("Teacher", (AttributeDef("name", "string"),))], [])

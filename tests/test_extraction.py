@@ -83,6 +83,13 @@ class TestLoadSource:
         with pytest.raises(DataError, match="row 1"):
             load_source(p, "t")
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b, a\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(DataError, match="column 'a' appears twice") as err:
+            load_source(p, "t")
+        assert str(p) in str(err.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_source(tmp_path / "nope.csv", "nope")

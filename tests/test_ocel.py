@@ -141,6 +141,23 @@ class TestEvents:
         assert stored == datetime(2024, 9, 2, 10, 0, 0, 123000, tzinfo=timezone.utc)
 
 
+def test_stored_values_are_conformed_to_their_kind():
+    offset = timezone(timedelta(hours=2))
+    log = new_log([ObjectTypeDef("Item", (AttributeDef("price", "float"),
+                                          AttributeDef("due", "timestamp")))],
+                  [EventTypeDef("sell", (AttributeDef("amount", "float"),
+                                         AttributeDef("at", "timestamp")))])
+    local = datetime(2024, 9, 2, 12, 0, 0, 123999, tzinfo=offset)
+    log.add_object(ObjectInstance("i1", "Item", (AttributeValue("price", T0, 3),
+                                                 AttributeValue("due", T0, local))))
+    log.add_event(EventInstance("e1", "sell", T0, (("amount", 2), ("at", local))))
+    utc = datetime(2024, 9, 2, 10, 0, 0, 123000, tzinfo=timezone.utc)
+    price, due = log.objects["i1"].attribute_values
+    assert type(price.value) is float and due.value == utc and due.value.tzinfo == timezone.utc
+    amount, at = (value for _, value in log.events["e1"].attribute_values)
+    assert type(amount) is float and at == utc and at.tzinfo == timezone.utc
+
+
 class TestRelations:
     def test_e2o_reflected_in_queries(self):
         log = simple_log()
