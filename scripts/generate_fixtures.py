@@ -458,9 +458,9 @@ def self_check() -> None:
                 (result.violations[:3], result.warnings[:3])
 
 
-def main() -> None:
-    build_course(
-        ROOT / "fixtures" / "case_study",
+# build_course parameters of each bundled fixture, by directory name
+FIXTURE_PARAMS = {
+    "case_study": dict(
         seed=20240902,
         n_students=140,
         group_sizes=[6] * 19 + [5] * 4,  # 134 students in 23 groups
@@ -473,9 +473,8 @@ def main() -> None:
         exam_batches=[60, 60, 20],
         moodle_style_grading=True,
         resubmit_groups=8,
-    )
-    build_course(
-        ROOT / "fixtures" / "conformant",
+    ),
+    "conformant": dict(
         seed=411,
         n_students=12,
         group_sizes=[4, 4, 4],
@@ -489,7 +488,13 @@ def main() -> None:
         exam_batches=[8, 4],
         moodle_style_grading=False,
         resubmit_groups=1,
-    )
+    ),
+}
+
+
+def main() -> None:
+    for name, params in FIXTURE_PARAMS.items():
+        build_course(ROOT / "fixtures" / name, **params)
     self_check()
     print("fixtures OK")
 

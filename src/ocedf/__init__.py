@@ -22,12 +22,7 @@ from .analysis import (
 )
 from .errors import DataError, OcedfError, OcelDocumentError, SchemaError, SpecError
 from .extraction import (
-    E2ORule,
-    EventRule,
     ExtractionReport,
-    MappingRule,
-    O2ORule,
-    ObjectRule,
     SourceTable,
     extract,
     load_source,
@@ -52,8 +47,13 @@ from .ocel import (
 from .specmodel import (
     ConceptualSchema,
     Diagnostic,
+    E2ORule,
+    EventRule,
     ExtractionMatrix,
+    MappingRule,
     MultiplicityRange,
+    O2ORule,
+    ObjectRule,
     ProjectSpec,
     Q2OTMatrix,
     Question,

@@ -174,7 +174,7 @@ def _cmd_extract(args) -> int:
     Path(report_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"extracted {report.counts['object']} objects, {report.counts['event']} events, "
           f"{report.counts['e2o']} e2o, {report.counts['o2o']} o2o "
-          f"({len(report.skipped)} rows skipped) -> {args.out}")
+          f"({sum(r.rows_skipped for r in report.rule_runs)} rows skipped) -> {args.out}")
     return EXIT_OK
 
 

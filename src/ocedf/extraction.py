@@ -15,7 +15,7 @@ import logging
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from .errors import DataError
 from .ocel import (
@@ -28,10 +28,8 @@ from .ocel import (
     OcedLog,
     new_log,
 )
+from .specmodel import E2ORule, EventRule, O2ORule, ObjectRule, ProjectSpec
 from .timeutil import parse_iso, parse_with_format
-
-if TYPE_CHECKING:
-    from .specmodel import ProjectSpec
 
 log = logging.getLogger("ocedf.extraction")
 
@@ -45,58 +43,6 @@ class SourceTable:
     rows: list[dict[str, str]]
 
 
-@dataclass(frozen=True)
-class ObjectRule:
-    source_table: str
-    id_column: str
-    object_type: str
-    subtype_column: str | None = None
-    attribute_columns: Mapping[str, str] = field(default_factory=dict)
-    attribute_time_column: str | None = None
-    kind: str = "object"
-
-
-@dataclass(frozen=True)
-class EventRule:
-    source_table: str
-    time_column: str
-    time_format: str
-    activity: str | None = None          # constant activity ...
-    activity_column: str | None = None   # ... or taken from a column
-    id_column: str | None = None         # absent: synthesized from the row index
-    attribute_columns: Mapping[str, str] = field(default_factory=dict)
-    kind: str = "event"
-
-
-@dataclass(frozen=True)
-class O2ORule:
-    source_table: str
-    source_id_column: str
-    target_id_column: str
-    qualifier: str = ""
-    kind: str = "o2o"
-
-
-@dataclass(frozen=True)
-class E2ORule:
-    source_table: str
-    object_id_column: str
-    event_id_column: str | None = None   # absent: synthesized from the row index
-    qualifier: str = ""
-    kind: str = "e2o"
-
-
-MappingRule = ObjectRule | EventRule | O2ORule | E2ORule
-
-
-@dataclass
-class SkippedRow:
-    rule_index: int
-    source_table: str
-    row_index: int
-    reason: str
-
-
 @dataclass
 class RuleRun:
     rule_index: int
@@ -106,15 +52,20 @@ class RuleRun:
     rows_in: int = 0
     rows_loaded: int = 0
     rows_skipped: int = 0
+    skipped: dict[str, list[int]] = field(default_factory=dict)   # reason -> [rows, first row]
+
+    def skip(self, row_index: int, reason: str) -> None:
+        self.rows_skipped += 1
+        self.skipped.setdefault(reason, [0, row_index])[0] += 1
 
 
 @dataclass
 class ExtractionReport:
-    """Per-rule row accounting; rows_in == rows_loaded + rows_skipped."""
+    """Per-rule row accounting; rows_in == rows_loaded + rows_skipped, and
+    each rule counts its skipped rows per reason."""
 
     counts: dict[str, int] = field(default_factory=lambda: {"object": 0, "event": 0, "o2o": 0, "e2o": 0})
     rule_runs: list[RuleRun] = field(default_factory=list)
-    skipped: list[SkippedRow] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -122,12 +73,10 @@ class ExtractionReport:
             "counts": dict(self.counts),
             "rules": [
                 {"rule": r.rule_index, "phase": r.phase, "kind": r.kind, "source_table": r.source_table,
-                 "rows_in": r.rows_in, "rows_loaded": r.rows_loaded, "rows_skipped": r.rows_skipped}
+                 "rows_in": r.rows_in, "rows_loaded": r.rows_loaded, "rows_skipped": r.rows_skipped,
+                 "skipped": [{"reason": reason, "rows": rows, "first_row": first}
+                             for reason, (rows, first) in r.skipped.items()]}
                 for r in self.rule_runs
-            ],
-            "skipped_rows": [
-                {"rule": s.rule_index, "source_table": s.source_table, "row": s.row_index, "reason": s.reason}
-                for s in self.skipped
             ],
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -176,7 +125,7 @@ def _cell(row: dict[str, str], column: str) -> str:
 
 
 class _Pipeline:
-    def __init__(self, spec: "ProjectSpec", sources: Mapping[str, SourceTable], on_dangling: str):
+    def __init__(self, spec: ProjectSpec, sources: Mapping[str, SourceTable], on_dangling: str):
         if on_dangling not in ("skip", "fail"):
             raise DataError(f"unknown dangling policy {on_dangling!r}; use 'skip' or 'fail'")
         self.spec = spec
@@ -229,14 +178,10 @@ class _Pipeline:
             raise DataError(f"mappings[{rule_index}]: source table {rule.source_table!r} not provided")
         return table
 
-    def _skip(self, run: RuleRun, row_index: int, reason: str) -> None:
-        run.rows_skipped += 1
-        self.report.skipped.append(SkippedRow(run.rule_index, run.source_table, row_index, reason))
-
-    def _dangling(self, run: RuleRun, row_index: int, message: str) -> None:
+    def _dangling(self, run: RuleRun, row_index: int, reason: str, ref: str) -> None:
         if self.on_dangling == "fail":
-            raise DataError(f"mappings[{run.rule_index}] row {row_index}: {message}")
-        self._skip(run, row_index, message)
+            raise DataError(f"mappings[{run.rule_index}] row {row_index}: {reason} {ref!r}")
+        run.skip(row_index, reason)
 
     # -- phases ------------------------------------------------------------
 
@@ -295,7 +240,7 @@ class _Pipeline:
                     raise DataError(
                         f"mappings[{index}] row {i}: object {oid!r} already stored "
                         f"as {existing.type!r}, rule maps it to {stored!r}")
-                self._skip(run, i, f"duplicate object id {oid!r}; first writer wins")
+                run.skip(i, "duplicate object id; first writer wins")
                 continue
             when = self.spec.extraction_epoch
             if rule.attribute_time_column:
@@ -348,14 +293,14 @@ class _Pipeline:
             src = _cell(row, rule.source_id_column)
             tgt = _cell(row, rule.target_id_column)
             if not src or not tgt:
-                self._skip(run, i, "empty endpoint id")
+                run.skip(i, "empty endpoint id")
                 continue
             missing = [oid for oid in (src, tgt) if oid not in self.log.objects]
             if missing:
-                self._dangling(run, i, f"o2o references unknown object {missing[0]!r}")
+                self._dangling(run, i, "o2o references unknown object", missing[0])
                 continue
             if self.log.has_o2o(src, tgt, rule.qualifier):
-                self._skip(run, i, "duplicate o2o relation")
+                run.skip(i, "duplicate o2o relation")
                 continue
             self.log.relate_objects(src, tgt, rule.qualifier)
             run.rows_loaded += 1
@@ -367,33 +312,34 @@ class _Pipeline:
         for i, row in enumerate(table.rows):
             oid = _cell(row, rule.object_id_column)
             if not oid:
-                self._skip(run, i, "empty object id")
+                run.skip(i, "empty object id")
                 continue
             eid = _cell(row, rule.event_id_column) if rule.event_id_column \
                 else synthesize_event_id(table.name, i)
             if not eid:
-                self._skip(run, i, "empty event id")
+                run.skip(i, "empty event id")
                 continue
             if eid not in self.log.events:
-                self._dangling(run, i, f"e2o references unknown event {eid!r}")
+                self._dangling(run, i, "e2o references unknown event", eid)
                 continue
             if oid not in self.log.objects:
-                self._dangling(run, i, f"e2o references unknown object {oid!r}")
+                self._dangling(run, i, "e2o references unknown object", oid)
                 continue
             if self.log.has_e2o(eid, oid, rule.qualifier):
-                self._skip(run, i, "duplicate e2o relation")
+                run.skip(i, "duplicate e2o relation")
                 continue
             self.log.relate_event_object(eid, oid, rule.qualifier)
             run.rows_loaded += 1
 
 
-def extract(spec: "ProjectSpec", sources: Mapping[str, SourceTable],
+def extract(spec: ProjectSpec, sources: Mapping[str, SourceTable],
             on_dangling: str = "skip") -> tuple[OcedLog, ExtractionReport]:
     """Run the full pipeline over the given source tables.
 
     Deterministic: two runs over the same spec and sources yield
     structurally equal logs. Under the default ``skip`` policy, rows with
-    dangling references are recorded in the report instead of failing the
-    run; ``fail`` raises on first dangling reference.
+    dangling references are counted in the report, per rule and reason,
+    instead of failing the run; ``fail`` raises on the first dangling
+    reference and names it.
     """
     return _Pipeline(spec, sources, on_dangling).run()

@@ -16,10 +16,9 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, ClassVar, Mapping
 
 from .errors import SpecError
-from .extraction import E2ORule, EventRule, MappingRule, O2ORule, ObjectRule
 from .timeutil import parse_iso
 
 DEFAULT_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -132,9 +131,6 @@ class Q2OTMatrix:
     questions: tuple[Question, ...]
     marks: frozenset[tuple[str, str]]  # (question id, object type)
 
-    def types_for(self, question_id: str) -> set[str]:
-        return {t for q, t in self.marks if q == question_id}
-
 
 @dataclass
 class ExtractionMatrix:
@@ -151,6 +147,50 @@ class ExtractionMatrix:
 
     def cell(self, activity: str, column: str) -> MultiplicityRange | None:
         return self.cells.get((activity, column))
+
+
+@dataclass(frozen=True)
+class ObjectRule:
+    kind: ClassVar[str] = "object"
+    source_table: str
+    id_column: str
+    object_type: str
+    subtype_column: str | None = None
+    attribute_columns: Mapping[str, str] = field(default_factory=dict)
+    attribute_time_column: str | None = None
+
+
+@dataclass(frozen=True)
+class EventRule:
+    kind: ClassVar[str] = "event"
+    source_table: str
+    time_column: str
+    time_format: str
+    activity: str | None = None          # constant activity ...
+    activity_column: str | None = None   # ... or taken from a column
+    id_column: str | None = None         # absent: synthesized from the row index
+    attribute_columns: Mapping[str, str] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class O2ORule:
+    kind: ClassVar[str] = "o2o"
+    source_table: str
+    source_id_column: str
+    target_id_column: str
+    qualifier: str = ""
+
+
+@dataclass(frozen=True)
+class E2ORule:
+    kind: ClassVar[str] = "e2o"
+    source_table: str
+    object_id_column: str
+    event_id_column: str | None = None   # absent: synthesized from the row index
+    qualifier: str = ""
+
+
+MappingRule = ObjectRule | EventRule | O2ORule | E2ORule
 
 
 @dataclass
@@ -444,6 +484,7 @@ def validate_spec(spec: ProjectSpec) -> list[Diagnostic]:
         if activity not in spec.xmatrix.activities:
             out.append(Diagnostic("error", "plan", f"plan lists unknown activity {activity!r}"))
 
+    synthesizing: dict[str, int] = {}   # table -> first event rule that synthesizes its event ids
     for i, rule in enumerate(spec.mappings):
         path = f"mappings[{i}]"
         if isinstance(rule, ObjectRule):
@@ -455,10 +496,17 @@ def validate_spec(spec: ProjectSpec) -> list[Diagnostic]:
                 if needs_discriminator and root not in schema.discriminators:
                     out.append(Diagnostic("error", path,
                                           f"rule needs a discriminator on supertype {root!r}"))
-        elif isinstance(rule, EventRule) and rule.activity is not None:
-            if rule.activity not in spec.xmatrix.activities:
+        elif isinstance(rule, EventRule):
+            if rule.activity is not None and rule.activity not in spec.xmatrix.activities:
                 out.append(Diagnostic("error", path,
                                       f"event rule activity {rule.activity!r} is not an extraction matrix row"))
+            if rule.id_column is None:
+                first = synthesizing.setdefault(rule.source_table, i)
+                if first != i:
+                    out.append(Diagnostic(
+                        "error", path,
+                        f"event rule on table {rule.source_table!r} has no id_column, like "
+                        f"mappings[{first}]: both would synthesize the same event ids"))
 
     # warnings: leaf types no question ever asks about (candidates for the
     # next modeling iteration)

@@ -1,10 +1,12 @@
 """Deriving the observed event-type x object-type matrix and checking it.
 
 The derived matrix counts, per event, how many related objects fall into
-each extraction-matrix column; per-event counts are then checked against
-the declared multiplicity ranges. An object counts toward a subtype column
-when its discriminator attribute equals that subtype, and always toward
-its stored type's column and any ancestor column.
+each extraction-matrix column, and checks those counts against the
+declared multiplicity ranges as they are tallied: only the cell
+statistics and the violations are kept, never a per-event table. An
+object counts toward a subtype column when its discriminator attribute
+equals that subtype, and always toward its stored type's column and any
+ancestor column.
 
 Blank cells read as 0..0, except inside an is-a family: when a row pins
 the expectation at one level of the hierarchy (say Student = 1), the other
@@ -29,11 +31,13 @@ class CellStats:
     total_events_of_type: int = 0
 
 
-@dataclass
-class EventCounts:
+@dataclass(frozen=True)
+class Violation:
     event_id: str
     event_type: str
-    counts: dict[str, int]
+    object_type: str
+    observed: int
+    expected: MultiplicityRange
 
 
 @dataclass
@@ -43,22 +47,13 @@ class VerificationMatrix:
     rows: tuple[str, ...]      # extraction matrix rows first, then extra log event types
     columns: tuple[str, ...]
     cells: dict[tuple[str, str], CellStats]
-    per_event: list[EventCounts]
+    violations: list[Violation]                  # by event (time, id), then column order
     extra_event_types: tuple[str, ...]
     unmapped_types: dict[str, set[str]]          # event type -> object types outside all columns
     column_families: dict[str, str]              # column -> hierarchy root (only hierarchy columns)
 
     def cell(self, event_type: str, column: str) -> CellStats:
         return self.cells[(event_type, column)]
-
-
-@dataclass(frozen=True)
-class Violation:
-    event_id: str
-    event_type: str
-    object_type: str
-    observed: int
-    expected: MultiplicityRange
 
 
 @dataclass(frozen=True)
@@ -115,37 +110,67 @@ def _column_matchers(columns: tuple[str, ...], schema: ConceptualSchema):
     return always, discriminated
 
 
+def _effective_range(column_families: dict[str, str], xmatrix: ExtractionMatrix,
+                     event_type: str, column: str) -> MultiplicityRange | None:
+    """Declared range for a cell, or None when the cell is unchecked."""
+    cell = xmatrix.cell(event_type, column)
+    if cell is not None:
+        return cell
+    root = column_families.get(column)
+    if root is None:
+        return ZERO
+    family = [c for c, r in column_families.items() if r == root]
+    if any(xmatrix.cell(event_type, c) is not None for c in family):
+        return None  # expectation pinned at another level of this hierarchy
+    if column == root or root not in xmatrix.columns:
+        return ZERO
+    return None  # the root's 0..0 already forbids every subtype
+
+
 def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSchema) -> VerificationMatrix:
-    """Tally per-event object counts for every extraction-matrix column."""
+    """Tally per-event object counts for every extraction-matrix column and
+    check each event's counts against its row's effective ranges."""
     columns = xmatrix.columns
     always, discriminated = _column_matchers(columns, schema)
     discriminator_attr = {t: schema.discriminators.get(schema.root_of(t)) for t in schema.object_types}
 
+    families = {}
+    for c in columns:
+        root = schema.root_of(c)
+        if root != c or schema.subtypes_of(c):
+            families[c] = root
+
     extra = tuple(sorted({e.type for e in log.events.values()} - set(xmatrix.activities)))
     rows = tuple(xmatrix.activities) + extra
+    cells = {(r, c): CellStats() for r in rows for c in columns}
 
-    per_event: list[EventCounts] = []
+    # per row: its cells in column order, and the (column, range) pairs it checks
+    row_cells = {r: [cells[(r, c)] for c in columns] for r in rows}
+    ranges = {(a, c): _effective_range(families, xmatrix, a, c) for a in xmatrix.activities for c in columns}
+    checked = {r: [(c, ranges[(r, c)]) for c in columns if ranges.get((r, c)) is not None] for r in rows}
+
+    # per object: the columns it counts toward
+    counted: dict[str, list[str]] = {}
+    for obj in log.objects.values():
+        matched = list(always.get(obj.type, ()))
+        attr = discriminator_attr.get(obj.type)
+        if attr is not None:
+            label = obj.latest_value(attr)
+            if isinstance(label, str):
+                matched.extend(discriminated.get((obj.type, label), ()))
+        counted[obj.id] = matched
+
+    violations: list[Violation] = []
     unmapped: dict[str, set[str]] = {}
     for event in log.events_in_order():
         counts = {c: 0 for c in columns}
         for obj in log.objects_of_event(event.id):
-            matched = list(always.get(obj.type, ()))
-            attr = discriminator_attr.get(obj.type)
-            if attr is not None:
-                label = obj.latest_value(attr)
-                if isinstance(label, str):
-                    matched.extend(discriminated.get((obj.type, label), ()))
+            matched = counted[obj.id]
             if not matched:
                 unmapped.setdefault(event.type, set()).add(obj.type)
             for c in matched:
                 counts[c] += 1
-        per_event.append(EventCounts(event.id, event.type, counts))
-
-    cells = {(r, c): CellStats() for r in rows for c in columns}
-    for ec in per_event:
-        for c in columns:
-            stats = cells[(ec.event_type, c)]
-            n = ec.counts[c]
+        for stats, n in zip(row_cells[event.type], counts.values()):
             if stats.total_events_of_type == 0:
                 stats.observed_min = n
                 stats.observed_max = n
@@ -155,58 +180,24 @@ def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSch
             if n == 0:
                 stats.events_with_zero += 1
             stats.total_events_of_type += 1
+        for column, expected in checked[event.type]:
+            n = counts[column]
+            if not expected.contains(n):
+                violations.append(Violation(event.id, event.type, column, n, expected))
 
-    families = {}
-    for c in columns:
-        root = schema.root_of(c)
-        if root != c or schema.subtypes_of(c):
-            families[c] = root
-
-    return VerificationMatrix(rows, columns, cells, per_event, extra, unmapped, families)
-
-
-def _effective_range(matrix: VerificationMatrix, xmatrix: ExtractionMatrix,
-                     event_type: str, column: str) -> MultiplicityRange | None:
-    """Declared range for a cell, or None when the cell is unchecked."""
-    cell = xmatrix.cell(event_type, column)
-    if cell is not None:
-        return cell
-    root = matrix.column_families.get(column)
-    if root is None:
-        return ZERO
-    family = [c for c, r in matrix.column_families.items() if r == root]
-    if any(xmatrix.cell(event_type, c) is not None for c in family):
-        return None  # expectation pinned at another level of this hierarchy
-    if column == root or root not in matrix.columns:
-        return ZERO
-    return None  # the root's 0..0 already forbids every subtype
+    return VerificationMatrix(rows, columns, cells, violations, extra, unmapped, families)
 
 
 def check(matrix: VerificationMatrix, xmatrix: ExtractionMatrix) -> VerificationReport:
-    """Diff observed counts against the extraction matrix.
+    """Report the matrix's violations and the warnings against the extraction matrix.
 
-    Violations are per event. A (event type, object type) pair that is
-    declared with max > 0 but never observed produces a warning, not a
-    violation: ranges with min 0 are formally satisfied, yet the absence
-    usually signals a missing relation in the source system.
+    Violations are per event, and were found by :func:`derive_matrix`
+    against the extraction matrix given to it. A (event type, object type)
+    pair that is declared with max > 0 but never observed produces a
+    warning, not a violation: ranges with min 0 are formally satisfied, yet
+    the absence usually signals a missing relation in the source system.
     """
-    report = VerificationReport()
-
-    ranges: dict[tuple[str, str], MultiplicityRange | None] = {}
-    for event_type in xmatrix.activities:
-        for column in matrix.columns:
-            ranges[(event_type, column)] = _effective_range(matrix, xmatrix, event_type, column)
-
-    for ec in matrix.per_event:
-        if ec.event_type not in xmatrix.activities:
-            continue
-        for column in matrix.columns:
-            expected = ranges[(ec.event_type, column)]
-            if expected is None:
-                continue
-            n = ec.counts[column]
-            if not expected.contains(n):
-                report.violations.append(Violation(ec.event_id, ec.event_type, column, n, expected))
+    report = VerificationReport(violations=list(matrix.violations))
 
     for event_type in xmatrix.activities:
         for column in matrix.columns:

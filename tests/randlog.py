@@ -103,3 +103,23 @@ def random_log(rng: random.Random, max_events: int = 500, max_objects: int = 300
             log.relate_objects(src, tgt, qualifier)
 
     return log
+
+
+def clone_log(log: OcedLog, drop_e2o=None, add_e2o=None) -> OcedLog:
+    """A copy of ``log`` built through ``add_*``/``relate_*``, without the
+    ``drop_e2o`` relation triple and with the ``add_e2o`` one."""
+    out = new_log(log.object_type_defs, log.event_type_defs)
+    for obj in log.objects.values():
+        out.add_object(obj)
+    for event in log.events_in_order():
+        out.add_event(event)
+    for rel in log.e2o:
+        triple = (rel.event_id, rel.object_id, rel.qualifier)
+        if drop_e2o and triple == drop_e2o:
+            continue
+        out.relate_event_object(*triple)
+    for rel in log.o2o:
+        out.relate_objects(rel.source_object_id, rel.target_object_id, rel.qualifier)
+    if add_e2o:
+        out.relate_event_object(*add_e2o)
+    return out

@@ -17,7 +17,6 @@ from ocedf import (
     SpecError,
     analysis,
     extraction,
-    new_log,
     parse_multiplicity,
     read_ocel_json,
     verification,
@@ -25,25 +24,7 @@ from ocedf import (
 )
 from ocedf.cli import stats
 from conftest import load_fixture
-from randlog import random_log
-
-
-def clone_log(log, drop_e2o=None, add_e2o=None):
-    out = new_log(log.object_type_defs, log.event_type_defs)
-    for obj in log.objects.values():
-        out.add_object(obj)
-    for event in log.events_in_order():
-        out.add_event(event)
-    for rel in log.e2o:
-        triple = (rel.event_id, rel.object_id, rel.qualifier)
-        if drop_e2o and triple == drop_e2o:
-            continue
-        out.relate_event_object(*triple)
-    for rel in log.o2o:
-        out.relate_objects(rel.source_object_id, rel.target_object_id, rel.qualifier)
-    if add_e2o:
-        out.relate_event_object(*add_e2o)
-    return out
+from randlog import clone_log, random_log
 
 
 def stats_block(text, event_type):

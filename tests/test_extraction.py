@@ -65,6 +65,11 @@ def run_tiny(mappings=None, sources=None, **kwargs):
     return extract(spec, sources or BASE_SOURCES, **kwargs)
 
 
+def skips(report):
+    """Skip counts of every rule that skipped rows: rule -> {reason: [rows, first row]}."""
+    return {r.rule_index: r.skipped for r in report.rule_runs if r.skipped}
+
+
 class TestLoadSource:
     def test_empty_table(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -194,15 +199,25 @@ class TestExtract:
         b, _ = run_tiny()
         assert a.structurally_equal(b)
 
-    def test_report_conservation(self, case_study):
+    def test_report_conservation(self, case_study, conformant):
+        for _, _, report in (case_study, conformant):
+            for run in report.rule_runs:
+                assert run.rows_in == run.rows_loaded + run.rows_skipped
+                assert sum(rows for rows, _ in run.skipped.values()) == run.rows_skipped
+                assert all(rows > 0 and 0 <= first < run.rows_in for rows, first in run.skipped.values())
+            written = report.to_dict()["rules"]
+            assert [{s["reason"]: [s["rows"], s["first_row"]] for s in r["skipped"]} for r in written] == \
+                [run.skipped for run in report.rule_runs]
+            assert "skipped_rows" not in report.to_dict()
+
+    def test_case_study_skips_per_rule_and_reason(self, case_study):
         _, _, report = case_study
-        for run in report.rule_runs:
-            assert run.rows_in == run.rows_loaded + run.rows_skipped
-        by_rule = {}
-        for s in report.skipped:
-            by_rule[s.rule_index] = by_rule.get(s.rule_index, 0) + 1
-        for run in report.rule_runs:
-            assert by_rule.get(run.rule_index, 0) == run.rows_skipped
+        assert skips(report) == {
+            1: {"duplicate object id; first writer wins": [12, 0]},
+            21: {"empty object id": [7339, 1]},
+            22: {"empty object id": [2711, 0]},
+            23: {"empty object id": [6678, 0]},
+        }
 
     def test_counts_match_log_sizes(self):
         log, report = run_tiny()
@@ -221,12 +236,32 @@ class TestDanglingPolicy:
     def test_skip_records_row(self):
         log, report = run_tiny(sources=self.bad_sources())
         assert not log.has_e2o("events:0", "ghost", "actor")
-        reasons = [s.reason for s in report.skipped]
-        assert any("ghost" in r for r in reasons)
+        assert skips(report) == {4: {"e2o references unknown object": [1, 0]}}
 
     def test_fail_fast_raises(self):
-        with pytest.raises(DataError, match="ghost"):
+        with pytest.raises(DataError, match=r"^mappings\[4\] row 0: e2o references unknown object 'ghost'$"):
             run_tiny(sources=self.bad_sources(), on_dangling="fail")
+
+    def test_dangling_o2o_skip_reason_and_fail_message(self):
+        sources = dict(BASE_SOURCES)
+        sources["enrollments"] = table("enrollments", ["cid", "uid"], [["c1", "u1"], ["c1", "ghost"]])
+        _, report = run_tiny(sources=sources)
+        assert skips(report) == {2: {"o2o references unknown object": [1, 1]}}
+        with pytest.raises(DataError, match=r"^mappings\[2\] row 1: o2o references unknown object 'ghost'$"):
+            run_tiny(sources=sources, on_dangling="fail")
+
+    def test_dangling_event_skip_reason_and_fail_message(self):
+        mappings = list(BASE_MAPPINGS) + [
+            {"kind": "e2o", "source_table": "links", "event_id_column": "eid",
+             "object_id_column": "uid", "qualifier": "reader"},
+        ]
+        sources = dict(BASE_SOURCES)
+        sources["links"] = table("links", ["eid", "uid"],
+                                 [["events:0", "u1"], ["events:9", "u1"], ["events:8", "u2"]])
+        _, report = run_tiny(mappings, sources)
+        assert skips(report) == {6: {"e2o references unknown event": [2, 1]}}
+        with pytest.raises(DataError, match=r"^mappings\[6\] row 1: e2o references unknown event 'events:9'$"):
+            run_tiny(mappings, sources, on_dangling="fail")
 
     def test_unknown_policy(self):
         with pytest.raises(DataError, match="policy"):
@@ -238,7 +273,7 @@ class TestDanglingPolicy:
                                   [["2024-09-02 10:00:00", "view page", "u1", ""]])
         log, report = run_tiny(sources=sources, on_dangling="fail")
         assert len(log.events) == 1
-        assert any(s.reason == "empty object id" for s in report.skipped)
+        assert skips(report) == {5: {"empty object id": [1, 0]}}
 
 
 class TestDuplicates:
@@ -252,7 +287,7 @@ class TestDuplicates:
                                        [["u1", "Ann Other", "Student"]])
         log, report = run_tiny(mappings, sources)
         assert log.objects["u1"].latest_value("name") == "Ann"
-        assert any("first writer wins" in s.reason for s in report.skipped)
+        assert skips(report) == {6: {"duplicate object id; first writer wins": [1, 0]}}
 
     def test_conflicting_type_errors(self):
         mappings = list(BASE_MAPPINGS) + [
@@ -280,7 +315,29 @@ class TestDuplicates:
                                        [["c1", "u1"], ["c1", "u1"]])
         log, report = run_tiny(sources=sources)
         assert sum(1 for r in log.o2o if r.target_object_id == "u1") == 1
-        assert any(s.reason == "duplicate o2o relation" for s in report.skipped)
+        assert skips(report) == {2: {"duplicate o2o relation": [1, 1]}}
+
+    def test_each_skip_reason_counted_on_its_rule(self):
+        mappings = list(BASE_MAPPINGS) + [
+            {"kind": "e2o", "source_table": "links", "event_id_column": "eid",
+             "object_id_column": "uid", "qualifier": "reader"},
+        ]
+        sources = dict(BASE_SOURCES)
+        sources["enrollments"] = table("enrollments", ["cid", "uid"],
+                                       [["c1", "u1"], ["c1", ""], ["", "u2"]])
+        sources["links"] = table("links", ["eid", "uid"],
+                                 [["events:0", "u1"], ["events:0", "u1"], ["", "u1"],
+                                  ["events:1", "u2"], ["events:1", "u2"]])
+        _, report = run_tiny(mappings, sources)
+        assert skips(report) == {
+            2: {"empty endpoint id": [2, 1]},
+            6: {"duplicate e2o relation": [2, 1], "empty event id": [1, 2]},
+        }
+        rule = report.to_dict()["rules"][-1]
+        assert rule["rule"] == 6 and rule["skipped"] == [
+            {"reason": "duplicate e2o relation", "rows": 2, "first_row": 1},
+            {"reason": "empty event id", "rows": 1, "first_row": 2},
+        ]
 
 
 class TestRowErrors:
@@ -325,7 +382,8 @@ def test_case_study_extraction_shape(case_study):
                             "Group", "Course"}
     assert not any(o.type in ("Teacher", "Student") for o in log.objects.values())
     # grading-system users merged onto LMS users
-    assert any("first writer wins" in s.reason for s in report.skipped)
+    assert skips(report)[1] == {"duplicate object id; first writer wins": [12, 0]}
+    assert spec.mappings[1].source_table == "users_grading"
 
 
 def test_fixture_loads_from_disk_match_api(case_study):

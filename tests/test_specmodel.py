@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocedf import (
+    E2ORule,
+    EventRule,
     MultiplicityRange,
+    O2ORule,
+    ObjectRule,
     SpecError,
     extraction_order,
     parse_multiplicity,
@@ -111,8 +115,10 @@ class TestCaseStudySpec:
 
     def test_q2ot_marks_match_design(self):
         spec = parse_spec(case_study_doc())
-        assert spec.q2ot.types_for("Q1") == {"Student", "File", "Page", "Folder", "Course"}
-        assert spec.q2ot.types_for("Q3") == {"Student", "Assignment", "Group", "Course", "Exam"}
+        assert {t for q, t in spec.q2ot.marks if q == "Q1"} == \
+            {"Student", "File", "Page", "Folder", "Course"}
+        assert {t for q, t in spec.q2ot.marks if q == "Q3"} == \
+            {"Student", "Assignment", "Group", "Course", "Exam"}
 
     def test_extraction_order_follows_plan(self):
         spec = parse_spec(case_study_doc())
@@ -201,6 +207,24 @@ class TestValidation:
         with pytest.raises(SpecError, match="grade quiz"):
             parse_spec(doc)
 
+    def test_two_event_rules_synthesizing_ids_on_one_table(self):
+        doc = case_study_doc()
+        views = doc["mappings"][16]
+        assert views["kind"] == "event" and "id_column" not in views
+        doc["mappings"].insert(17, copy.deepcopy(views))
+        errors = [d for d in validate_spec(parse_spec_document(doc)) if d.severity == "error"]
+        assert [(d.path, "'views'" in d.message, "mappings[16]" in d.message) for d in errors] == \
+            [("mappings[17]", True, True)]
+        with pytest.raises(SpecError, match=r"mappings\[17\]: event rule on table 'views'"):
+            parse_spec(doc)
+
+    def test_second_event_rule_on_a_table_with_its_own_ids_is_accepted(self):
+        doc = case_study_doc()
+        views = copy.deepcopy(doc["mappings"][16])
+        views["id_column"] = "ts"
+        doc["mappings"].insert(17, views)
+        assert [d.severity for d in validate_spec(parse_spec_document(doc))] == ["warning"]
+
 
 class TestExtractionOrder:
     def test_empty_plan_uses_matrix_row_order(self):
@@ -244,3 +268,11 @@ def test_exclusivity_property_on_random_valid_matrices():
 def test_multiplicity_range_direct_construction():
     assert MultiplicityRange(0, None).contains(123)
     assert MultiplicityRange(2, 2).canonical() == "2"
+
+
+def test_rule_kind_is_fixed_by_the_class():
+    rules = [ObjectRule("t", "id", "User"), EventRule("t", "ts", "%Y"), O2ORule("t", "a", "b"),
+             E2ORule("t", "oid")]
+    assert [r.kind for r in rules] == ["object", "event", "o2o", "e2o"]
+    with pytest.raises(TypeError):
+        ObjectRule("t", "id", "User", kind="e2o")

@@ -1,6 +1,11 @@
 import random
 from datetime import datetime, timedelta, timezone
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_verification as ref
 from ocedf import (
     AttributeDef,
     AttributeValue,
@@ -16,6 +21,7 @@ from ocedf import (
     parse_multiplicity,
     render_matrix,
 )
+from randlog import clone_log, random_log
 
 T0 = datetime(2024, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
 
@@ -69,6 +75,123 @@ def single_view_file_log():
     return log
 
 
+def undiscriminated_user_log():
+    log = course_log()
+    log.add_object(ObjectInstance("u1", "User", ()))  # no role recorded
+    log.add_object(ObjectInstance("f1", "File", ()))
+    log.add_object(ObjectInstance("c1", "Course", ()))
+    log.add_event(EventInstance("e1", "view file", T0))
+    for oid in ("u1", "f1", "c1"):
+        log.relate_event_object("e1", oid)
+    return log
+
+
+def graded_without_group_log():
+    log = course_log()
+    add_user(log, "t1", "Teacher")
+    add_user(log, "s1", "Student")
+    log.add_object(ObjectInstance("a1", "Assignment", ()))
+    log.add_object(ObjectInstance("c1", "Course", ()))
+    log.add_object(ObjectInstance("f1", "File", ()))
+    for i in range(3):
+        eid = f"g{i}"
+        log.add_event(EventInstance(eid, "set assignment grade", T0 + timedelta(minutes=i)))
+        for oid in ("t1", "s1", "a1", "c1", "f1"):
+            log.relate_event_object(eid, oid)
+    return log
+
+
+def exam_grade_without_students_log():
+    log = course_log()
+    add_user(log, "t1", "Teacher")
+    log.add_object(ObjectInstance("x1", "Exam", ()))
+    log.add_object(ObjectInstance("c1", "Course", ()))
+    log.add_event(EventInstance("e1", "set exam grade", T0))
+    for oid in ("t1", "x1", "c1"):
+        log.relate_event_object("e1", oid)
+    return log
+
+
+def forbidden_page_log():
+    log = single_view_file_log()
+    log.add_object(ObjectInstance("p1", "Page", ()))
+    log.relate_event_object("e1", "p1")
+    return log
+
+
+def graded_with_group_log():
+    log = course_log()
+    add_user(log, "t1", "Teacher")
+    add_user(log, "s1", "Student")
+    log.add_object(ObjectInstance("a1", "Assignment", ()))
+    log.add_object(ObjectInstance("g1", "Group", ()))
+    log.add_object(ObjectInstance("c1", "Course", ()))
+    log.add_object(ObjectInstance("f1", "File", ()))
+    log.add_event(EventInstance("e1", "set assignment grade", T0))
+    for oid in ("t1", "s1", "a1", "g1", "c1", "f1"):
+        log.relate_event_object("e1", oid)
+    return log
+
+
+def teacher_views_file_log():
+    log = course_log()
+    add_user(log, "t1", "Teacher")
+    log.add_object(ObjectInstance("f1", "File", ()))
+    log.add_object(ObjectInstance("c1", "Course", ()))
+    log.add_event(EventInstance("e1", "view file", T0))
+    for oid in ("t1", "f1", "c1"):
+        log.relate_event_object("e1", oid)
+    return log
+
+
+def two_files_log():
+    log = single_view_file_log()
+    log.add_object(ObjectInstance("f2", "File", ()))
+    log.relate_event_object("e1", "f2")
+    return log
+
+
+def matrix_without_view_file():
+    xm = course_matrix()
+    return ExtractionMatrix(
+        xm.columns, tuple(a for a in xm.activities if a != "view file"),
+        {k: v for k, v in xm.cells.items() if k[0] != "view file"})
+
+
+def unmapped_course_case():
+    """(log, xmatrix, schema) where Course objects fall outside every column."""
+    schema = ConceptualSchema(object_types=("User", "Course"), discriminators={})
+    xm = ExtractionMatrix(("User",), ("ping",), {("ping", "User"): parse_multiplicity("1")})
+    log = new_log([ObjectTypeDef("User"), ObjectTypeDef("Course")], [EventTypeDef("ping")])
+    log.add_object(ObjectInstance("u1", "User", ()))
+    log.add_object(ObjectInstance("c1", "Course", ()))
+    log.add_event(EventInstance("e1", "ping", T0))
+    log.relate_event_object("e1", "u1")
+    log.relate_event_object("e1", "c1")
+    return log, xm, schema
+
+
+def _course(build):
+    return lambda: (build(), course_matrix(), course_schema())
+
+
+# every hand-built case of this module, as (log, xmatrix, schema)
+HAND_BUILT = {
+    "single view file": _course(single_view_file_log),
+    "undiscriminated user": _course(undiscriminated_user_log),
+    "empty log": _course(course_log),
+    "graded without group": _course(graded_without_group_log),
+    "exam grade without students": _course(exam_grade_without_students_log),
+    "forbidden page": _course(forbidden_page_log),
+    "graded with group": _course(graded_with_group_log),
+    "teacher views file": _course(teacher_views_file_log),
+    "two files": _course(two_files_log),
+    "view file outside the matrix": lambda: (single_view_file_log(), matrix_without_view_file(),
+                                             course_schema()),
+    "unmapped object type": unmapped_course_case,
+}
+
+
 class TestDeriveMatrix:
     def test_single_view_file_event(self):
         matrix = derive_matrix(single_view_file_log(), course_matrix(), course_schema())
@@ -81,13 +204,7 @@ class TestDeriveMatrix:
         assert matrix.cell("view file", "Student").observed_max == 1
 
     def test_single_event_with_undiscriminated_user(self):
-        log = course_log()
-        log.add_object(ObjectInstance("u1", "User", ()))  # no role recorded
-        log.add_object(ObjectInstance("f1", "File", ()))
-        log.add_object(ObjectInstance("c1", "Course", ()))
-        log.add_event(EventInstance("e1", "view file", T0))
-        for oid in ("u1", "f1", "c1"):
-            log.relate_event_object("e1", oid)
+        log = undiscriminated_user_log()
         matrix = derive_matrix(log, course_matrix(), course_schema())
         nonzero = {(r, c) for r in matrix.rows for c in matrix.columns
                    if matrix.cell(r, c).observed_max > 0}
@@ -115,7 +232,8 @@ class TestDeriveMatrix:
         matrix = derive_matrix(log, spec.xmatrix, spec.schema)
         rng = random.Random(4)
         events = rng.sample(sorted(log.events), k=200)
-        per_event = {ec.event_id: ec for ec in matrix.per_event}
+        per_event = {ec.event_id: ec
+                     for ec in ref.derive_matrix(log, spec.xmatrix, spec.schema).per_event}
         for eid in events:
             related = log.objects_of_event(eid)
             for col in matrix.columns:
@@ -130,8 +248,7 @@ class TestDeriveMatrix:
 
     def test_supertype_consistency(self, case_study):
         spec, log, _ = case_study
-        matrix = derive_matrix(log, spec.xmatrix, spec.schema)
-        for ec in matrix.per_event:
+        for ec in ref.derive_matrix(log, spec.xmatrix, spec.schema).per_event:
             unknown = sum(1 for o in log.objects_of_event(ec.event_id)
                           if o.type == "User" and o.latest_value("role") not in ("Teacher", "Student"))
             assert ec.counts["User"] == ec.counts["Teacher"] + ec.counts["Student"] + unknown
@@ -157,17 +274,7 @@ class TestCheck:
         assert all(w.event_type != "view file" for w in report.warnings)
 
     def test_group_never_observed_is_warning_not_violation(self):
-        log = course_log()
-        add_user(log, "t1", "Teacher")
-        add_user(log, "s1", "Student")
-        log.add_object(ObjectInstance("a1", "Assignment", ()))
-        log.add_object(ObjectInstance("c1", "Course", ()))
-        log.add_object(ObjectInstance("f1", "File", ()))
-        for i in range(3):
-            eid = f"g{i}"
-            log.add_event(EventInstance(eid, "set assignment grade", T0 + timedelta(minutes=i)))
-            for oid in ("t1", "s1", "a1", "c1", "f1"):
-                log.relate_event_object(eid, oid)
+        log = graded_without_group_log()
         matrix = derive_matrix(log, course_matrix(), course_schema())
         report = check(matrix, course_matrix())
         assert report.violations == []
@@ -176,13 +283,7 @@ class TestCheck:
             [("set assignment grade", "Group")]
 
     def test_exam_grade_without_students_is_violation(self):
-        log = course_log()
-        add_user(log, "t1", "Teacher")
-        log.add_object(ObjectInstance("x1", "Exam", ()))
-        log.add_object(ObjectInstance("c1", "Course", ()))
-        log.add_event(EventInstance("e1", "set exam grade", T0))
-        for oid in ("t1", "x1", "c1"):
-            log.relate_event_object("e1", oid)
+        log = exam_grade_without_students_log()
         matrix = derive_matrix(log, course_matrix(), course_schema())
         report = check(matrix, course_matrix())
         bad = [v for v in report.violations if v.object_type == "Student"]
@@ -191,9 +292,7 @@ class TestCheck:
         assert bad[0].expected.canonical() == "1..*"
 
     def test_forbidden_relation_is_violation(self):
-        log = single_view_file_log()
-        log.add_object(ObjectInstance("p1", "Page", ()))
-        log.relate_event_object("e1", "p1")
+        log = forbidden_page_log()
         matrix = derive_matrix(log, course_matrix(), course_schema())
         report = check(matrix, course_matrix())
         assert any(v.object_type == "Page" and v.event_id == "e1" for v in report.violations)
@@ -201,16 +300,7 @@ class TestCheck:
     def test_unchecked_supertype_level_when_subtypes_pinned(self):
         # grading events relate two Users (teacher + student); the blank
         # User cell must not read as 0..0 there
-        log = course_log()
-        add_user(log, "t1", "Teacher")
-        add_user(log, "s1", "Student")
-        log.add_object(ObjectInstance("a1", "Assignment", ()))
-        log.add_object(ObjectInstance("g1", "Group", ()))
-        log.add_object(ObjectInstance("c1", "Course", ()))
-        log.add_object(ObjectInstance("f1", "File", ()))
-        log.add_event(EventInstance("e1", "set assignment grade", T0))
-        for oid in ("t1", "s1", "a1", "g1", "c1", "f1"):
-            log.relate_event_object("e1", oid)
+        log = graded_with_group_log()
         matrix = derive_matrix(log, course_matrix(), course_schema())
         assert matrix.cell("set assignment grade", "User").observed_max == 2
         report = check(matrix, course_matrix())
@@ -219,21 +309,13 @@ class TestCheck:
     def test_subtype_levels_unchecked_when_supertype_pinned(self):
         # a teacher viewing a file satisfies User=1 even though the
         # Teacher column is blank on view rows
-        log = course_log()
-        add_user(log, "t1", "Teacher")
-        log.add_object(ObjectInstance("f1", "File", ()))
-        log.add_object(ObjectInstance("c1", "Course", ()))
-        log.add_event(EventInstance("e1", "view file", T0))
-        for oid in ("t1", "f1", "c1"):
-            log.relate_event_object("e1", oid)
+        log = teacher_views_file_log()
         matrix = derive_matrix(log, course_matrix(), course_schema())
         report = check(matrix, course_matrix())
         assert report.violations == []
 
     def test_wrong_multiplicity_detected(self):
-        log = single_view_file_log()
-        log.add_object(ObjectInstance("f2", "File", ()))
-        log.relate_event_object("e1", "f2")
+        log = two_files_log()
         matrix = derive_matrix(log, course_matrix(), course_schema())
         report = check(matrix, course_matrix())
         bad = [v for v in report.violations if v.object_type == "File"]
@@ -241,24 +323,14 @@ class TestCheck:
 
     def test_unknown_event_type_warns(self):
         log = single_view_file_log()
-        xm = course_matrix()
-        trimmed = ExtractionMatrix(
-            xm.columns, tuple(a for a in xm.activities if a != "view file"),
-            {k: v for k, v in xm.cells.items() if k[0] != "view file"})
+        trimmed = matrix_without_view_file()
         matrix = derive_matrix(log, trimmed, course_schema())
         report = check(matrix, trimmed)
         assert any(w.event_type == "view file" and "matrix" in w.message for w in report.warnings)
         assert not any(v.event_type == "view file" for v in report.violations)
 
     def test_unmapped_object_type_warns(self):
-        schema = ConceptualSchema(object_types=("User", "Course"), discriminators={})
-        xm = ExtractionMatrix(("User",), ("ping",), {("ping", "User"): parse_multiplicity("1")})
-        log = new_log([ObjectTypeDef("User"), ObjectTypeDef("Course")], [EventTypeDef("ping")])
-        log.add_object(ObjectInstance("u1", "User", ()))
-        log.add_object(ObjectInstance("c1", "Course", ()))
-        log.add_event(EventInstance("e1", "ping", T0))
-        log.relate_event_object("e1", "u1")
-        log.relate_event_object("e1", "c1")
+        log, xm, schema = unmapped_course_case()
         matrix = derive_matrix(log, xm, schema)
         report = check(matrix, xm)
         assert any(w.object_type == "Course" and "not counted" in w.message
@@ -281,7 +353,7 @@ class TestCheck:
                     return None
             return parse_multiplicity("0")
 
-        for ec in matrix.per_event:
+        for ec in ref.derive_matrix(log, spec.xmatrix, spec.schema).per_event:
             for col in matrix.columns:
                 rng = expected_range(ec.event_type, col)
                 should_flag = rng is not None and not rng.contains(ec.counts[col])
@@ -329,3 +401,69 @@ def test_report_to_dict_shape(case_study):
     assert doc["summary"] == {"violations": 0, "warnings": 1}
     assert doc["warnings"][0]["event_type"] == "set assignment grade"
     assert doc["warnings"][0]["object_type"] == "Group"
+
+
+def assert_same_as_reference(log, xmatrix, schema):
+    """The one-pass tally and check give what the two-pass reference gives."""
+    matrix = derive_matrix(log, xmatrix, schema)
+    report = check(matrix, xmatrix)
+    ref_matrix = ref.derive_matrix(log, xmatrix, schema)
+    ref_report = ref.check(ref_matrix, xmatrix)
+    assert (matrix.rows, matrix.columns, matrix.extra_event_types) == \
+        (ref_matrix.rows, ref_matrix.columns, ref_matrix.extra_event_types)
+    assert matrix.cells == ref_matrix.cells
+    assert matrix.unmapped_types == ref_matrix.unmapped_types
+    assert matrix.column_families == ref_matrix.column_families
+    assert report.violations == ref_report.violations
+    assert report.warnings == ref_report.warnings
+    assert render_matrix(matrix, report) == render_matrix(ref_matrix, ref_report)
+    return report
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name):
+        assert_same_as_reference(*HAND_BUILT[name]())
+
+    @pytest.mark.parametrize("fixture", ["case_study", "conformant"])
+    def test_fixtures(self, fixture, request):
+        spec, log, _ = request.getfixturevalue(fixture)
+        assert_same_as_reference(log, spec.xmatrix, spec.schema)
+
+    def test_e2o_mutations_of_case_study(self, case_study):
+        # add or drop one event-to-object relation, as acceptance criterion 3 does
+        spec, log, _ = case_study
+        rng = random.Random(1312)
+        events = log.events_in_order()
+        object_ids = sorted(log.objects)
+        found = 0
+        for i in range(12):
+            event = rng.choice(events)
+            if i % 2:
+                rel = rng.choice(log.relations_of_event(event.id))
+                mutated = clone_log(log, drop_e2o=(rel.event_id, rel.object_id, rel.qualifier))
+            else:
+                mutated = clone_log(log, add_e2o=(event.id, rng.choice(object_ids), "mutant"))
+            report = assert_same_as_reference(mutated, spec.xmatrix, spec.schema)
+            found += len(report.violations)
+        assert found > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_logs_and_matrices(self, seed):
+        rng = random.Random(seed)
+        log = random_log(rng, max_events=120, max_objects=40, with_user_hierarchy=True)
+        types = [td.name for td in log.object_type_defs]
+        schema = ConceptualSchema(
+            object_types=(*types, "Teacher", "Student"),
+            is_a=(("Teacher", "User"), ("Student", "User")),
+            discriminators={"User": "role"},
+        )
+        columns = tuple(rng.sample(schema.object_types, k=rng.randint(1, len(schema.object_types))))
+        activities = [td.name for td in log.event_type_defs]
+        activities = rng.sample(activities, k=rng.randint(0, len(activities)))
+        choices = ["0", "1", "0..1", "1..*", "0..*", "2"]
+        cells = {(a, c): parse_multiplicity(rng.choice(choices))
+                 for a in activities for c in columns if rng.random() < 0.5}
+        xmatrix = ExtractionMatrix(columns, tuple(activities), cells)
+        assert_same_as_reference(log, xmatrix, schema)
