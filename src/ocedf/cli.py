@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import analysis, extraction, specmodel, verification
 from .errors import DataError, OcedfError, OcelDocumentError, SchemaError, SpecError
+from .fileio import open_atomic
 from .ocel import OcedLog, read_ocel_json, write_ocel_json
 from .timeutil import format_iso
 
@@ -170,8 +171,8 @@ def _cmd_extract(args) -> int:
             sources[name] = extraction.load_source(source_dir / f"{name}.csv", name)
     oced_log, report = extraction.extract(spec, sources, on_dangling=args.on_dangling)
     write_ocel_json(oced_log, args.out)
-    report_path = f"{args.out}.report.json"
-    Path(report_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    with open_atomic(f"{args.out}.report.json") as fh:
+        fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
     print(f"extracted {report.counts['object']} objects, {report.counts['event']} events, "
           f"{report.counts['e2o']} e2o, {report.counts['o2o']} o2o "
           f"({sum(r.rows_skipped for r in report.rule_runs)} rows skipped) -> {args.out}")
@@ -194,7 +195,7 @@ def _cmd_verify(args) -> int:
 def _cmd_flatten(args) -> int:
     oced_log = read_ocel_json(args.log_path)
     flat = analysis.flatten(oced_log, args.object_type)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "activity", "timestamp", "event_id"])
         for row in flat.rows:
@@ -228,7 +229,8 @@ def _cmd_dfg(args) -> int:
         raise UsageError("--object-types needs at least one type name")
     dfg = analysis.discover_dfg(oced_log, types)
     text = analysis.to_dot(dfg, args.min_edge_freq)
-    Path(args.out).write_text(text, encoding="utf-8")
+    with open_atomic(args.out) as fh:
+        fh.write(text)
     edges = sum(len(g.edges) for g in dfg.per_type.values())
     print(f"discovered DFG over {', '.join(sorted(dfg.per_type))}: {edges} edge(s) -> {args.out}")
     return EXIT_OK

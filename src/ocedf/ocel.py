@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 from .errors import OcelDocumentError, SchemaError
+from .fileio import open_atomic
 from .timeutil import format_iso, parse_iso, to_utc_ms
 
 VALUE_KINDS = ("string", "integer", "float", "boolean", "timestamp")
@@ -34,13 +36,20 @@ class AttributeDef:
     kind: str
 
 
+def _set_defs(tdef) -> None:
+    """Freeze a type definition's attributes and build, once, the map from
+    attribute name to kind that every instance of the type is checked with."""
+    object.__setattr__(tdef, "attribute_defs", tuple(tdef.attribute_defs))
+    object.__setattr__(tdef, "_kinds", {ad.name: ad.kind for ad in tdef.attribute_defs})
+
+
 @dataclass(frozen=True)
 class ObjectTypeDef:
     name: str
     attribute_defs: tuple[AttributeDef, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "attribute_defs", tuple(self.attribute_defs))
+        _set_defs(self)
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,7 @@ class EventTypeDef:
     attribute_defs: tuple[AttributeDef, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "attribute_defs", tuple(self.attribute_defs))
+        _set_defs(self)
 
 
 @dataclass(frozen=True)
@@ -158,10 +167,6 @@ def _with(instance, **changes):
     return out
 
 
-def _kinds(tdef) -> dict[str, str]:
-    return {ad.name: ad.kind for ad in tdef.attribute_defs}
-
-
 def _stored(inst, kinds: Mapping[str, str] | None,
             known: Mapping[str, str] | None = None, trusted: int = 0):
     """The object or event to store for ``inst`` under a type with attribute
@@ -225,7 +230,7 @@ class OcedLog:
         if obj.id in self._objects:
             raise SchemaError(f"duplicate object id: {obj.id!r}")
         tdef = self._object_types.get(obj.type)
-        self._objects[obj.id] = _stored(obj, None if tdef is None else _kinds(tdef))
+        self._objects[obj.id] = _stored(obj, None if tdef is None else tdef._kinds)
 
     def add_event(self, event: EventInstance) -> None:
         if not event.id:
@@ -233,7 +238,7 @@ class OcedLog:
         if event.id in self._events:
             raise SchemaError(f"duplicate event id: {event.id!r}")
         tdef = self._event_types.get(event.type)
-        self._events[event.id] = _stored(event, None if tdef is None else _kinds(tdef))
+        self._events[event.id] = _stored(event, None if tdef is None else tdef._kinds)
 
     def relate_event_object(self, event_id: str, object_id: str, qualifier: str = "") -> None:
         if event_id not in self._events:
@@ -387,96 +392,120 @@ def relabel(log: OcedLog,
 
 
 def _relabeled(instances, old_types, new_types, labels, added) -> dict:
-    old_kinds = {name: _kinds(td) for name, td in old_types.items()}
-    new_kinds = {name: _kinds(td) for name, td in new_types.items()}
     out = {}
     for inst in instances:
         label = labels.get(inst.id, inst.type)
         extra = tuple(added.get(inst.id, ()))
-        if label != inst.type or extra or new_types.get(label) is not old_types[inst.type]:
+        old, new = old_types[inst.type], new_types.get(label)
+        if label != inst.type or extra or new is not old:
             moved = _with(inst, type=label, attribute_values=inst.attribute_values + extra)
-            inst = _stored(moved, new_kinds.get(label), old_kinds[inst.type], len(inst.attribute_values))
+            inst = _stored(moved, None if new is None else new._kinds, old._kinds,
+                           len(inst.attribute_values))
         out[inst.id] = inst
     return out
 
 
 # -- OCEL JSON interchange -------------------------------------------------
+#
+# Stored times and timestamp values are UTC with whole milliseconds (the
+# instances and _conform_value normalize them), so they are formatted as
+# they are.
 
 
 def _value_to_json(value: Any) -> Any:
-    if isinstance(value, datetime):
-        return format_iso(value)
-    return value
+    return value.isoformat(timespec="milliseconds") if isinstance(value, datetime) else value
+
+
+def _type_records(type_defs: Iterable) -> Iterator[dict]:
+    for td in type_defs:
+        yield {"name": td.name,
+               "attributes": [{"name": ad.name, "type": ad.kind} for ad in td.attribute_defs]}
+
+
+def _object_records(log: OcedLog) -> Iterator[dict]:
+    """One record per object, by id; attribute values by (name, time),
+    relationships by (target, qualifier)."""
+    o2o_by_source: dict[str, list[O2ORelation]] = {}
+    for rel in log._o2o:
+        o2o_by_source.setdefault(rel.source_object_id, []).append(rel)
+    for obj in sorted(log._objects.values(), key=lambda o: o.id):
+        rels = sorted(o2o_by_source.get(obj.id, ()), key=attrgetter("target_object_id", "qualifier"))
+        yield {
+            "id": obj.id,
+            "type": obj.type,
+            "attributes": [
+                {"name": av.name, "time": av.time.isoformat(timespec="milliseconds"),
+                 "value": _value_to_json(av.value)}
+                for av in sorted(obj.attribute_values, key=attrgetter("name", "time"))
+            ],
+            "relationships": [{"objectId": r.target_object_id, "qualifier": r.qualifier} for r in rels],
+        }
+
+
+def _event_records(log: OcedLog) -> Iterator[dict]:
+    """One record per event, by (time, id); attributes by name,
+    relationships by (object, qualifier)."""
+    for event in log.events_in_order():
+        rels = sorted(log._e2o_by_event.get(event.id, ()), key=attrgetter("object_id", "qualifier"))
+        yield {
+            "id": event.id,
+            "type": event.type,
+            "time": event.time.isoformat(timespec="milliseconds"),
+            "attributes": [{"name": name, "value": _value_to_json(value)}
+                           for name, value in sorted(event.attribute_values)],
+            "relationships": [{"objectId": r.object_id, "qualifier": r.qualifier} for r in rels],
+        }
+
+
+def _sections(log: OcedLog) -> tuple[tuple[str, Iterator[dict]], ...]:
+    """The document's top-level keys in order, each with its records, built lazily."""
+    return (("objectTypes", _type_records(log.object_type_defs)),
+            ("eventTypes", _type_records(log.event_type_defs)),
+            ("objects", _object_records(log)),
+            ("events", _event_records(log)))
 
 
 def ocel_to_dict(log: OcedLog) -> dict:
     """Render a log as the OCEL 2.0 JSON document structure.
 
     Collections are emitted in canonical order (objects by id, events by
-    time then id, relationships by target then qualifier) so that equal
-    logs serialize to identical bytes.
+    time then id, attribute values by name then time, relationships by
+    target then qualifier) so that equal logs serialize to identical bytes.
+    ``write_ocel_json`` writes the same records, built by the same code.
     """
-    o2o_by_source: dict[str, list[O2ORelation]] = {}
-    for rel in log.o2o:
-        o2o_by_source.setdefault(rel.source_object_id, []).append(rel)
-    e2o_by_event: dict[str, list[E2ORelation]] = {}
-    for rel in log.e2o:
-        e2o_by_event.setdefault(rel.event_id, []).append(rel)
+    return {key: list(records) for key, records in _sections(log)}
 
-    objects = []
-    for obj in sorted(log.objects.values(), key=lambda o: o.id):
-        rels = sorted(o2o_by_source.get(obj.id, ()), key=lambda r: (r.target_object_id, r.qualifier))
-        objects.append({
-            "id": obj.id,
-            "type": obj.type,
-            "attributes": [
-                {"name": av.name, "time": format_iso(av.time), "value": _value_to_json(av.value)}
-                for av in sorted(obj.attribute_values, key=lambda a: (a.name, a.time.isoformat()))
-            ],
-            "relationships": [
-                {"objectId": r.target_object_id, "qualifier": r.qualifier} for r in rels
-            ],
-        })
 
-    events = []
-    for event in log.events_in_order():
-        rels = sorted(e2o_by_event.get(event.id, ()), key=lambda r: (r.object_id, r.qualifier))
-        events.append({
-            "id": event.id,
-            "type": event.type,
-            "time": format_iso(event.time),
-            "attributes": [
-                {"name": name, "value": _value_to_json(value)}
-                for name, value in sorted(event.attribute_values)
-            ],
-            "relationships": [
-                {"objectId": r.object_id, "qualifier": r.qualifier} for r in rels
-            ],
-        })
-
-    return {
-        "objectTypes": [
-            {"name": td.name,
-             "attributes": [{"name": ad.name, "type": ad.kind} for ad in td.attribute_defs]}
-            for td in log.object_type_defs
-        ],
-        "eventTypes": [
-            {"name": td.name,
-             "attributes": [{"name": ad.name, "type": ad.kind} for ad in td.attribute_defs]}
-            for td in log.event_type_defs
-        ],
-        "objects": objects,
-        "events": events,
-    }
+def _document_chunks(log: OcedLog) -> Iterator[str]:
+    encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+    yield "{"
+    for i, (key, records) in enumerate(_sections(log)):
+        yield f'{"," if i else ""}\n"{key}": ['
+        separator = "\n"
+        for record in records:
+            yield separator + encode(record)
+            separator = ",\n"
+        yield "\n]"
+    yield "\n}\n"
 
 
 def write_ocel_json(log: OcedLog, destination: str | Path | IO[str]) -> None:
-    """Serialize to an OCEL 2.0 JSON document (UTF-8, canonical ordering)."""
-    text = json.dumps(ocel_to_dict(log), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    """Serialize to an OCEL 2.0 JSON document (UTF-8, canonical ordering).
+
+    The document is ``ocel_to_dict(log)``, laid out with each top-level key
+    on its own line and each type, object and event record on its own line
+    below it, so that a diff of two logs shows whole records. Records are
+    encoded one at a time as they are built and written straight away, so
+    the whole document is never held in memory. A path is replaced only once
+    the document is complete (``fileio.open_atomic``); an open file is
+    written directly.
+    """
+    chunks = _document_chunks(log)
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.writelines(chunks)
     else:
-        Path(destination).write_text(text, encoding="utf-8")
+        with open_atomic(destination) as fh:
+            fh.writelines(chunks)
 
 
 def _json_value(raw: Any, kind: str, path: str) -> Any:
@@ -490,6 +519,14 @@ def _json_value(raw: Any, kind: str, path: str) -> Any:
         raise OcelDocumentError(str(exc), path) from None
 
 
+def _list_at(entry: dict, key: str, path: str) -> list:
+    """``entry[key]``, which must be a list when present."""
+    value = entry.get(key, [])
+    if not isinstance(value, list):
+        raise OcelDocumentError(f"{key!r} must be a list", f"{path}.{key}")
+    return value
+
+
 def _parse_type_defs(entries: Any, cls, path: str):
     if not isinstance(entries, list):
         raise OcelDocumentError("expected a list", path)
@@ -498,20 +535,37 @@ def _parse_type_defs(entries: Any, cls, path: str):
         here = f"{path}[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise OcelDocumentError("type entry must carry a string 'name'", here)
-        attrs = entry.get("attributes", [])
-        if not isinstance(attrs, list):
-            raise OcelDocumentError("'attributes' must be a list", here)
         adefs = []
-        for j, a in enumerate(attrs):
-            if not isinstance(a, dict) or "name" not in a or "type" not in a:
-                raise OcelDocumentError("attribute entries need 'name' and 'type'", f"{here}.attributes[{j}]")
+        for j, a in enumerate(_list_at(entry, "attributes", here)):
+            if not isinstance(a, dict) or not isinstance(a.get("name"), str) \
+                    or not isinstance(a.get("type"), str):
+                raise OcelDocumentError("attribute entries need a string 'name' and 'type'",
+                                        f"{here}.attributes[{j}]")
             adefs.append(AttributeDef(a["name"], a["type"]))
         defs.append(cls(entry["name"], tuple(adefs)))
     return defs
 
 
+def _kinds_of(entry: dict, types: Mapping[str, Any], what: str, path: str) -> Mapping[str, str]:
+    """Attribute kinds of the declared type an object or event entry names."""
+    tdef = types.get(entry.get("type")) if isinstance(entry.get("type"), str) else None
+    if tdef is None:
+        raise OcelDocumentError(f"{what} {entry['id']!r} has undeclared type {entry.get('type')!r}", path)
+    return tdef._kinds
+
+
+def _declared(a: dict, kinds: Mapping[str, str], what: str, entry: dict, path: str) -> str:
+    """The kind of attribute entry ``a``, whose name must be declared on the type."""
+    if not isinstance(a["name"], str) or a["name"] not in kinds:
+        raise OcelDocumentError(f"{what} {entry['id']!r}: attribute {a['name']!r} not declared", path)
+    return kinds[a["name"]]
+
+
 def ocel_from_dict(doc: Any) -> OcedLog:
-    """Build and fully validate a log from an OCEL 2.0 JSON document."""
+    """Build and fully validate a log from an OCEL 2.0 JSON document.
+
+    Every defect of the document raises ``OcelDocumentError`` naming the
+    JSON path of the offending entry."""
     if not isinstance(doc, dict):
         raise OcelDocumentError("top level must be a JSON object")
     for key in ("objectTypes", "eventTypes", "objects", "events"):
@@ -524,8 +578,6 @@ def ocel_from_dict(doc: Any) -> OcedLog:
         log = new_log(otypes, etypes)
     except SchemaError as exc:
         raise OcelDocumentError(str(exc), "objectTypes/eventTypes") from None
-    okinds = {td.name: {ad.name: ad.kind for ad in td.attribute_defs} for td in otypes}
-    ekinds = {td.name: {ad.name: ad.kind for ad in td.attribute_defs} for td in etypes}
 
     if not isinstance(doc["objects"], list) or not isinstance(doc["events"], list):
         raise OcelDocumentError("'objects' and 'events' must be lists")
@@ -534,23 +586,19 @@ def ocel_from_dict(doc: Any) -> OcedLog:
         path = f"objects[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             raise OcelDocumentError("object entry must carry a string 'id'", path)
-        kinds = okinds.get(entry.get("type"))
-        if kinds is None:
-            raise OcelDocumentError(
-                f"object {entry['id']!r} has undeclared type {entry.get('type')!r}", path)
+        kinds = _kinds_of(entry, log._object_types, "object", path)
         values = []
-        for j, a in enumerate(entry.get("attributes", [])):
+        for j, a in enumerate(_list_at(entry, "attributes", path)):
             apath = f"{path}.attributes[{j}]"
             if not isinstance(a, dict) or "name" not in a or "time" not in a or "value" not in a:
                 raise OcelDocumentError("object attribute entries need 'name', 'time', 'value'", apath)
-            if a["name"] not in kinds:
-                raise OcelDocumentError(
-                    f"object {entry['id']!r}: attribute {a['name']!r} not declared", apath)
+            kind = _declared(a, kinds, "object", entry, apath)
             try:
                 when = parse_iso(a["time"])
             except Exception as exc:
                 raise OcelDocumentError(str(exc), apath) from None
-            values.append(AttributeValue(a["name"], when, _json_value(a["value"], kinds[a["name"]], apath)))
+            values.append(AttributeValue(a["name"], when, _json_value(a["value"], kind, apath)))
+        _list_at(entry, "relationships", path)
         try:
             log.add_object(ObjectInstance(entry["id"], entry["type"], tuple(values)))
         except SchemaError as exc:
@@ -560,51 +608,56 @@ def ocel_from_dict(doc: Any) -> OcedLog:
         path = f"events[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             raise OcelDocumentError("event entry must carry a string 'id'", path)
-        kinds = ekinds.get(entry.get("type"))
-        if kinds is None:
-            raise OcelDocumentError(
-                f"event {entry['id']!r} has undeclared type {entry.get('type')!r}", path)
+        kinds = _kinds_of(entry, log._event_types, "event", path)
         try:
             when = parse_iso(entry.get("time", ""))
         except Exception as exc:
             raise OcelDocumentError(f"event {entry['id']!r}: {exc}", path) from None
         attrs = []
-        for j, a in enumerate(entry.get("attributes", [])):
+        for j, a in enumerate(_list_at(entry, "attributes", path)):
             apath = f"{path}.attributes[{j}]"
             if not isinstance(a, dict) or "name" not in a or "value" not in a:
                 raise OcelDocumentError("event attribute entries need 'name' and 'value'", apath)
-            if a["name"] not in kinds:
-                raise OcelDocumentError(
-                    f"event {entry['id']!r}: attribute {a['name']!r} not declared", apath)
-            attrs.append((a["name"], _json_value(a["value"], kinds[a["name"]], apath)))
+            kind = _declared(a, kinds, "event", entry, apath)
+            attrs.append((a["name"], _json_value(a["value"], kind, apath)))
+        _list_at(entry, "relationships", path)
         try:
             log.add_event(EventInstance(entry["id"], entry["type"], when, tuple(attrs)))
         except SchemaError as exc:
             raise OcelDocumentError(str(exc), path) from None
 
-    # Relationships resolve only after every instance is registered.
+    # Relationships resolve only after every instance is registered. This loop
+    # runs once per relation, so a path is formatted only for an error.
     for key, relate in (("objects", log.relate_objects), ("events", log.relate_event_object)):
         for i, entry in enumerate(doc[key]):
-            for j, rel in enumerate(entry.get("relationships", [])):
-                path = f"{key}[{i}].relationships[{j}]"
-                if not isinstance(rel, dict) or "objectId" not in rel:
-                    raise OcelDocumentError("relationship entries need 'objectId'", path)
+            for j, rel in enumerate(entry.get("relationships", ())):
+                qualifier = rel.get("qualifier", "") if isinstance(rel, dict) else None
+                if not isinstance(qualifier, str) or not isinstance(rel.get("objectId"), str):
+                    raise OcelDocumentError("relationship entries need a string 'objectId' and, "
+                                            "if any, a string 'qualifier'", f"{key}[{i}].relationships[{j}]")
                 try:
-                    relate(entry["id"], rel["objectId"], rel.get("qualifier", ""))
+                    relate(entry["id"], rel["objectId"], qualifier)
                 except SchemaError as exc:
-                    raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}", path) from None
+                    raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}",
+                                            f"{key}[{i}].relationships[{j}]") from None
 
     return log
 
 
-def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
-    """Parse an OCEL 2.0 JSON document from a path or open file."""
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        raw = Path(source).read_text(encoding="utf-8")
+def _load_document(source: str | Path | IO[str]) -> Any:
+    """The parsed JSON of ``source``. Its text is released on return, before
+    the log is built."""
     try:
-        doc = json.loads(raw)
+        text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise OcelDocumentError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise OcelDocumentError(f"malformed JSON: {exc}") from None
-    return ocel_from_dict(doc)
+    except RecursionError:
+        raise OcelDocumentError("malformed JSON: nested too deeply") from None
+
+
+def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
+    """Parse an OCEL 2.0 JSON document from a path or open file."""
+    return ocel_from_dict(_load_document(source))

@@ -1,0 +1,78 @@
+"""The OCEL JSON writer as it was before records were streamed.
+
+``ocel_to_dict`` builds the whole document from the log's public relation
+sets, formatting every time through ``format_iso``, and ``write_text``
+renders it with ``json.dumps(indent=2)``. The differential tests in
+``test_ocel_json.py`` require the streaming writer to give the same
+document.
+"""
+
+import json
+from datetime import datetime
+
+from ocedf import E2ORelation, O2ORelation, OcedLog
+from ocedf.timeutil import format_iso
+
+
+def _value_to_json(value):
+    return format_iso(value) if isinstance(value, datetime) else value
+
+
+def ocel_to_dict(log: OcedLog) -> dict:
+    o2o_by_source: dict[str, list[O2ORelation]] = {}
+    for rel in log.o2o:
+        o2o_by_source.setdefault(rel.source_object_id, []).append(rel)
+    e2o_by_event: dict[str, list[E2ORelation]] = {}
+    for rel in log.e2o:
+        e2o_by_event.setdefault(rel.event_id, []).append(rel)
+
+    objects = []
+    for obj in sorted(log.objects.values(), key=lambda o: o.id):
+        rels = sorted(o2o_by_source.get(obj.id, ()), key=lambda r: (r.target_object_id, r.qualifier))
+        objects.append({
+            "id": obj.id,
+            "type": obj.type,
+            "attributes": [
+                {"name": av.name, "time": format_iso(av.time), "value": _value_to_json(av.value)}
+                for av in sorted(obj.attribute_values, key=lambda a: (a.name, a.time.isoformat()))
+            ],
+            "relationships": [
+                {"objectId": r.target_object_id, "qualifier": r.qualifier} for r in rels
+            ],
+        })
+
+    events = []
+    for event in log.events_in_order():
+        rels = sorted(e2o_by_event.get(event.id, ()), key=lambda r: (r.object_id, r.qualifier))
+        events.append({
+            "id": event.id,
+            "type": event.type,
+            "time": format_iso(event.time),
+            "attributes": [
+                {"name": name, "value": _value_to_json(value)}
+                for name, value in sorted(event.attribute_values)
+            ],
+            "relationships": [
+                {"objectId": r.object_id, "qualifier": r.qualifier} for r in rels
+            ],
+        })
+
+    return {
+        "objectTypes": [
+            {"name": td.name,
+             "attributes": [{"name": ad.name, "type": ad.kind} for ad in td.attribute_defs]}
+            for td in log.object_type_defs
+        ],
+        "eventTypes": [
+            {"name": td.name,
+             "attributes": [{"name": ad.name, "type": ad.kind} for ad in td.attribute_defs]}
+            for td in log.event_type_defs
+        ],
+        "objects": objects,
+        "events": events,
+    }
+
+
+def write_text(log: OcedLog) -> str:
+    """The whole document as the old ``write_ocel_json`` wrote it."""
+    return json.dumps(ocel_to_dict(log), indent=2, ensure_ascii=False, allow_nan=False) + "\n"

@@ -58,6 +58,22 @@ class TestExitCodes:
         p.write_text("{", encoding="utf-8")
         assert run(["stats", "--log", str(p)]) == 3
 
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: doc["events"][0].update(relationships=5), "events[0].relationships"),
+        (lambda doc: doc["objects"][0].update(type=["User"]), "objects[0]"),
+        (lambda doc: doc["events"][0]["relationships"][0].update(objectId=[]),
+         "events[0].relationships[0]"),
+        (lambda doc: doc["events"][0]["relationships"][0].update(qualifier=1),
+         "events[0].relationships[0]"),
+    ], ids=["relationships-not-a-list", "unhashable-type", "unhashable-object-id", "integer-qualifier"])
+    def test_malformed_log_document(self, extracted, tmp_path, capsys, edit, path):
+        doc = json.loads(extracted[1].read_text(encoding="utf-8"))
+        edit(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["verify", "--spec", CONF_SPEC, "--log", str(p)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_invalid_spec(self, tmp_path):
         doc = json.loads((FIXTURES / "case_study" / "spec.json").read_text())
         doc["schema"]["is_a"].append(["User", "Student"])
@@ -160,6 +176,17 @@ class TestFileOutputs:
         assert report["counts"]["event"] > 8000
         for rule in report["rules"]:
             assert rule["rows_in"] == rule["rows_loaded"] + rule["rows_skipped"]
+
+    def test_outputs_leave_no_temporary_files(self, extracted, tmp_path):
+        case, conf = extracted
+        assert sorted(p.name for p in case.parent.iterdir()) == [
+            "case.ocel.json", "case.ocel.json.report.json", "conf.ocel.json", "conf.ocel.json.report.json"]
+        for args in (["flatten", "--log", str(conf), "--object-type", "Group", "--out", "f.csv"],
+                     ["drill-down", "--log", str(conf), "--type", "User", "--out", "d.json"],
+                     ["dfg", "--log", str(conf), "--object-types", "User", "--out", "g.dot"]):
+            args[-1] = str(tmp_path / args[-1])
+            assert run(args) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "f.csv", "g.dot"]
 
     def test_flatten_csv(self, extracted, tmp_path):
         case, _ = extracted

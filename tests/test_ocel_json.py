@@ -1,0 +1,388 @@
+"""The OCEL JSON writer against the whole-document writer it replaced, its
+one-record-per-line layout, atomic output, and the reader on broken documents.
+"""
+
+import copy
+import io
+import json
+import os
+import random
+import stat
+import threading
+from datetime import datetime, timedelta, timezone
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_ocel as ref
+from ocedf import (
+    AttributeDef,
+    AttributeValue,
+    EventInstance,
+    EventTypeDef,
+    ObjectInstance,
+    ObjectTypeDef,
+    OcedfError,
+    OcelDocumentError,
+    drill_down,
+    filter_log,
+    new_log,
+    ocel,
+    ocel_from_dict,
+    ocel_to_dict,
+    read_ocel_json,
+    unfold_events,
+    write_ocel_json,
+)
+from ocedf.fileio import open_atomic
+from randlog import random_log
+
+T0 = datetime(2024, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
+KINDS = (("s", "string"), ("i", "integer"), ("f", "float"), ("b", "boolean"), ("t", "timestamp"))
+
+
+def _text(log) -> str:
+    out = io.StringIO()
+    write_ocel_json(log, out)
+    return out.getvalue()
+
+
+def assert_same_document(log):
+    """The streamed document parses to the reference writer's document and
+    to ``ocel_to_dict``, with the same keys in the same order and the same
+    JSON types (``json.dumps`` of the parsed documents must be equal too)."""
+    got = json.loads(_text(log))
+    want = json.loads(ref.write_text(log))
+    assert got == want == ocel_to_dict(log)
+    assert json.dumps(got) == json.dumps(want) == json.dumps(ocel_to_dict(log))
+    assert ref.ocel_to_dict(log) == ocel_to_dict(log)
+
+
+def awkward_log():
+    """Non-ASCII and escaped strings, non-UTC and sub-millisecond inputs,
+    years before 1000, timestamp values, and times with and without a
+    fractional part under one attribute name."""
+    plus = timezone(timedelta(hours=5, minutes=30))
+    minus = timezone(timedelta(hours=-8))
+    attrs = tuple(AttributeDef(n, k) for n, k in KINDS)
+    log = new_log([ObjectTypeDef("Ünïcødé ✓", attrs), ObjectTypeDef("日本", ())],
+                  [EventTypeDef("vue «page»", attrs), EventTypeDef('q"uote\\', ())])
+    values = [
+        AttributeValue("s", T0 + timedelta(milliseconds=500), "line\nbreak\t\u2028 \"é\""),
+        AttributeValue("s", T0, "zéro"),
+        AttributeValue("s", T0 + timedelta(seconds=1), "un"),
+        AttributeValue("s", datetime(999, 3, 4, 5, 6, 7, 891234, tzinfo=minus), "ancien"),
+        AttributeValue("i", datetime(2024, 9, 2, 15, 30, 0, 999, tzinfo=plus), 2**70),
+        AttributeValue("f", T0, -0.0),
+        AttributeValue("f", T0 + timedelta(microseconds=1500), 1e-7),
+        AttributeValue("b", T0, False),
+        AttributeValue("t", datetime(2024, 9, 2, 12, 0, 0, 123999), datetime(5, 1, 1, 1, tzinfo=plus)),
+        AttributeValue("t", T0, datetime(2024, 1, 1, 23, 59, 59, 999999, tzinfo=minus)),
+    ]
+    log.add_object(ObjectInstance("ø-1", "Ünïcødé ✓", tuple(values)))
+    log.add_object(ObjectInstance("東京", "日本", ()))
+    log.add_object(ObjectInstance("a", "日本", ()))
+    log.add_event(EventInstance("é1", "vue «page»", datetime(2024, 9, 2, 12, 0, 0, 123999, tzinfo=plus),
+                                (("t", datetime(999, 12, 31, 23, 59, 59, 999999)), ("f", 1e22),
+                                 ("s", "→"), ("i", -1), ("b", True))))
+    log.add_event(EventInstance("e0", 'q"uote\\', datetime(812, 6, 1, 0, 0, 0, 1)))
+    log.add_event(EventInstance("e2", 'q"uote\\', datetime(2024, 9, 2, 10, 0, 0, 123456)))
+    for eid, oid, qualifier in [("é1", "東京", "où"), ("é1", "ø-1", ""), ("é1", "ø-1", "b"),
+                                ("é1", "a", "z"), ("e0", "a", "")]:
+        log.relate_event_object(eid, oid, qualifier)
+    for source, target, qualifier in [("ø-1", "東京", "∈"), ("ø-1", "a", ""), ("a", "a", "self"),
+                                      ("ø-1", "a", "aa")]:
+        log.relate_objects(source, target, qualifier)
+    return log
+
+
+class TestAgainstReference:
+    def test_fixtures(self, case_study, conformant):
+        for _, log, _ in (case_study, conformant):
+            assert_same_document(log)
+
+    def test_awkward_values(self):
+        assert_same_document(awkward_log())
+
+    def test_empty_log(self):
+        assert_same_document(new_log([], []))
+
+    def test_derived_logs(self, case_study):
+        _, log, _ = case_study
+        assert_same_document(drill_down(log, "User"))
+        assert_same_document(unfold_events(log, "view page", "Page", "code"))
+        assert_same_document(filter_log(log, keep_object_types={"User", "Page"}))
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_random_logs(self, seed):
+        rng = random.Random(seed)
+        log = random_log(rng, max_events=40, max_objects=20, with_user_hierarchy=rng.random() < 0.5)
+        assert_same_document(log)
+        assert_same_document(filter_log(log, time_window=(None, max(
+            (e.time for e in log.events.values()), default=T0))))
+
+
+class TestLayout:
+    def test_exact_text(self):
+        log = new_log([ObjectTypeDef("User", (AttributeDef("role", "string"),)), ObjectTypeDef("Course")],
+                      [EventTypeDef("view", ())])
+        log.add_object(ObjectInstance("u1", "User", (AttributeValue("role", T0, "Student"),)))
+        log.add_object(ObjectInstance("c1", "Course"))
+        log.add_event(EventInstance("e1", "view", T0))
+        log.relate_event_object("e1", "u1", "viewer")
+        log.relate_objects("c1", "u1", "contains")
+        assert _text(log) == (
+            '{\n'
+            '"objectTypes": [\n'
+            '{"name": "User", "attributes": [{"name": "role", "type": "string"}]},\n'
+            '{"name": "Course", "attributes": []}\n'
+            '],\n'
+            '"eventTypes": [\n'
+            '{"name": "view", "attributes": []}\n'
+            '],\n'
+            '"objects": [\n'
+            '{"id": "c1", "type": "Course", "attributes": [], '
+            '"relationships": [{"objectId": "u1", "qualifier": "contains"}]},\n'
+            '{"id": "u1", "type": "User", "attributes": [{"name": "role", '
+            '"time": "2024-09-02T10:00:00.000+00:00", "value": "Student"}], "relationships": []}\n'
+            '],\n'
+            '"events": [\n'
+            '{"id": "e1", "type": "view", "time": "2024-09-02T10:00:00.000+00:00", "attributes": [], '
+            '"relationships": [{"objectId": "u1", "qualifier": "viewer"}]}\n'
+            ']\n'
+            '}\n')
+
+    def test_empty_sections(self):
+        assert _text(new_log([], [])) == \
+            '{\n"objectTypes": [\n],\n"eventTypes": [\n],\n"objects": [\n],\n"events": [\n]\n}\n'
+
+    @pytest.mark.parametrize("which", ["case_study", "awkward"])
+    def test_one_record_per_line(self, which, request, tmp_path):
+        log = awkward_log() if which == "awkward" else request.getfixturevalue("case_study")[1]
+        text = _text(log)
+        path = tmp_path / "log.json"
+        write_ocel_json(log, path)
+        assert path.read_bytes() == text.encode("utf-8")
+
+        doc = ocel_to_dict(log)
+        lines = text.split("\n")   # not splitlines(): a raw U+2028 inside a string is no line break
+        assert lines.pop() == ""
+        assert [line for line in lines if not line.startswith("{\"")] == [
+            "{", '"objectTypes": [', "],", '"eventTypes": [', "],",
+            '"objects": [', "],", '"events": [', "]", "}"]
+        records = [json.loads(line.removesuffix(",")) for line in lines if line.startswith("{\"")]
+        assert records == doc["objectTypes"] + doc["eventTypes"] + doc["objects"] + doc["events"]
+        assert len(lines) == len(records) + 10
+
+
+class TestAtomicOutput:
+    def _old_file(self, tmp_path):
+        path = tmp_path / "log.json"
+        path.write_bytes(b"old contents\n")
+        return path
+
+    def test_encoder_failing_mid_stream(self, case_study, tmp_path, monkeypatch):
+        _, log, _ = case_study
+        path = self._old_file(tmp_path)
+        calls = []
+
+        class FailingEncoder(json.JSONEncoder):
+            def encode(self, o):
+                calls.append(1)
+                if len(calls) > 300:
+                    raise ValueError("encoder failed")
+                return super().encode(o)
+
+        monkeypatch.setattr(ocel.json, "JSONEncoder", FailingEncoder)
+        with pytest.raises(ValueError, match="encoder failed"):
+            write_ocel_json(log, path)
+        assert len(calls) == 301
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["log.json"]
+
+    def test_unencodable_text_mid_stream(self, tmp_path):
+        log = awkward_log()
+        log.add_event(EventInstance("e3", "vue «page»", T0, (("s", "lone \udc80 surrogate"),)))
+        path = self._old_file(tmp_path)
+        with pytest.raises(UnicodeEncodeError):
+            write_ocel_json(log, path)
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["log.json"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_ocel_json(new_log([], []), tmp_path / "log.json")
+            with open_atomic(tmp_path / "out.csv", newline="") as fh:
+                fh.write("a\r\n")
+        finally:
+            os.umask(old)
+        for name in ("log.json", "out.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640
+        assert (tmp_path / "out.csv").read_bytes() == b"a\r\n"
+        assert sorted(os.listdir(tmp_path)) == ["log.json", "out.csv"]
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = self._old_file(tmp_path)
+        write_ocel_json(new_log([], []), path)
+        assert read_ocel_json(path).structurally_equal(new_log([], []))
+        assert os.listdir(tmp_path) == ["log.json"]
+
+    def test_symlink_is_kept_and_its_target_replaced(self, tmp_path):
+        target = self._old_file(tmp_path)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        with open_atomic(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "log.json"]
+
+    def test_fifo_is_written_directly(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            with open_atomic(fifo) as fh:
+                fh.write("through the pipe\n")
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"through the pipe\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+# -- the reader on broken documents -----------------------------------------------
+
+
+def _base_document():
+    log = new_log([ObjectTypeDef("O", tuple(AttributeDef(n, k) for n, k in KINDS))],
+                  [EventTypeDef("E", tuple(AttributeDef(n, k) for n, k in KINDS))])
+    values = {"s": "x", "i": 1, "f": 1.5, "b": True, "t": T0}
+    log.add_object(ObjectInstance("o1", "O", tuple(AttributeValue(n, T0, values[n]) for n, _ in KINDS)))
+    log.add_object(ObjectInstance("o2", "O"))
+    log.add_event(EventInstance("e1", "E", T0, tuple((n, values[n]) for n, _ in KINDS)))
+    log.relate_event_object("e1", "o1", "q")
+    log.relate_objects("o1", "o2", "r")
+    return ocel_to_dict(log)
+
+
+BASE_DOCUMENT = _base_document()
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+# Non-list containers and non-string or unhashable names, types and ids, with
+# the JSON path the reader must name.
+BROKEN = {
+    "object attributes not a list": (_set(["objects", 0, "attributes"], 5), "objects[0].attributes"),
+    "event relationships not a list": (_set(["events", 0, "relationships"], 5), "events[0].relationships"),
+    "object relationships not a list": (_set(["objects", 0, "relationships"], None),
+                                        "objects[0].relationships"),
+    "type attributes not a list": (_set(["objectTypes", 0, "attributes"], 5), "objectTypes[0].attributes"),
+    "unhashable object type": (_set(["objects", 0, "type"], ["O"]), "objects[0]"),
+    "unhashable event type": (_set(["events", 0, "type"], {"E": 1}), "events[0]"),
+    "unhashable attribute name": (_set(["objects", 0, "attributes", 0, "name"], ["s"]),
+                                  "objects[0].attributes[0]"),
+    "unhashable event attribute name": (_set(["events", 0, "attributes", 0, "name"], {}),
+                                        "events[0].attributes[0]"),
+    "unhashable objectId": (_set(["events", 0, "relationships", 0, "objectId"], ["o1"]),
+                            "events[0].relationships[0]"),
+    "integer objectId": (_set(["objects", 0, "relationships", 0, "objectId"], 2),
+                         "objects[0].relationships[0]"),
+    "integer qualifier": (_set(["events", 0, "relationships", 0, "qualifier"], 7),
+                          "events[0].relationships[0]"),
+    "integer attribute definition name": (_set(["eventTypes", 0, "attributes", 0, "name"], 3),
+                                          "eventTypes[0].attributes[0]"),
+    "unhashable attribute definition name": (_set(["objectTypes", 0, "attributes", 1, "name"], ["i"]),
+                                             "objectTypes[0].attributes[1]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_broken_document_names_its_path(name):
+    edit, path = BROKEN[name]
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    edit(doc)
+    with pytest.raises(OcelDocumentError) as err:
+        ocel_from_dict(doc)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "\"\\ud800\" 1", ""],
+                         ids=["nested-too-deeply", "trailing-data", "empty"])
+def test_unreadable_text(text):
+    with pytest.raises(OcelDocumentError, match="malformed JSON"):
+        read_ocel_json(io.StringIO(text))
+
+
+def test_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"objectTypes": [{"name": "Café"}]}'.encode("latin-1"))
+    with pytest.raises(OcelDocumentError, match="UTF-8"):
+        read_ocel_json(path)
+
+
+def test_base_document_reads():
+    assert ocel_to_dict(ocel_from_dict(copy.deepcopy(BASE_DOCUMENT))) == BASE_DOCUMENT
+
+
+def _slots(node, out):
+    """Every (container, key) pair inside a parsed document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out.append((node, key))
+        _slots(child, out)
+    return out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    | st.sampled_from(["o1", "o2", "e1", "O", "E", "s", "t", "", "2024-01-01T00:00:00Z"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children,
+                                                                       max_size=3),
+    max_leaves=6)
+
+
+def _only_ocedf_errors(read, arg):
+    try:
+        read(arg)
+    except OcedfError:
+        pass
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_raise_only_ocedf_errors(data):
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        if data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(JSON_VALUES)
+    _only_ocedf_errors(ocel_from_dict, doc)
+    text = json.dumps(doc)
+    _only_ocedf_errors(read_ocel_json, io.StringIO(text[:data.draw(st.integers(0, len(text)))]))
+
+
+@given(seed=st.integers(0, 10_000), cut=st.floats(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_truncated_documents_raise_only_ocedf_errors(seed, cut):
+    text = _text(random_log(random.Random(seed), max_events=10, max_objects=6))
+    _only_ocedf_errors(read_ocel_json, io.StringIO(text[:int(len(text) * cut)]))
+
