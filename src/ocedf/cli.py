@@ -145,11 +145,7 @@ def _configure_logging(args) -> None:
 
 
 def _cmd_validate_spec(args) -> int:
-    try:
-        doc = json.loads(Path(args.spec_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"malformed JSON: {exc}") from None
-    spec = specmodel.parse_spec_document(doc)
+    spec = specmodel.parse_spec_document(specmodel.load_spec_document(args.spec_path))
     diagnostics = specmodel.validate_spec(spec)
     for d in diagnostics:
         print(d)

@@ -110,6 +110,8 @@ def load_source(path: str | Path, table_name: str) -> SourceTable:
                 rows.append(dict(zip(header, row)))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     return SourceTable(table_name, header, rows)
 
 
@@ -298,6 +300,9 @@ class _Pipeline:
             missing = [oid for oid in (src, tgt) if oid not in self.log.objects]
             if missing:
                 self._dangling(run, i, "o2o references unknown object", missing[0])
+                continue
+            if src == tgt and not rule.qualifier:
+                run.skip(i, "self o2o relation without qualifier")
                 continue
             if self.log.has_o2o(src, tgt, rule.qualifier):
                 run.skip(i, "duplicate o2o relation")

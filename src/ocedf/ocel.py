@@ -19,7 +19,7 @@ from datetime import datetime
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import OcelDocumentError, SchemaError
 from .fileio import open_atomic
@@ -103,15 +103,19 @@ class EventInstance:
         object.__setattr__(self, "attribute_values", tuple(tuple(p) for p in self.attribute_values))
 
 
-@dataclass(frozen=True)
-class E2ORelation:
+class E2ORelation(NamedTuple):
+    """A qualified event-to-object relation. It is a tuple, hashed in C, and
+    equals the plain tuple ``(event_id, object_id, qualifier)``."""
+
     event_id: str
     object_id: str
     qualifier: str = ""
 
 
-@dataclass(frozen=True)
-class O2ORelation:
+class O2ORelation(NamedTuple):
+    """A qualified object-to-object relation. It is a tuple, hashed in C, and
+    equals the plain tuple ``(source_object_id, target_object_id, qualifier)``."""
+
     source_object_id: str
     target_object_id: str
     qualifier: str = ""
@@ -145,7 +149,10 @@ def _conform_value(value: Any, kind: str, where: str) -> Any:
             return value
     elif kind == "float":
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:   # an int beyond the float range
+                value = math.inf
             if not math.isfinite(value):
                 raise SchemaError(f"{where}: non-finite float value")
             return value
@@ -167,11 +174,10 @@ def _with(instance, **changes):
     return out
 
 
-def _stored(inst, kinds: Mapping[str, str] | None,
-            known: Mapping[str, str] | None = None, trusted: int = 0):
+def _stored(inst, kinds: Mapping[str, str] | None):
     """The object or event to store for ``inst`` under a type with attribute
-    ``kinds``: each value conformed to its declared kind, except among the
-    first ``trusted`` values, where ``known`` vouches for a kind already."""
+    ``kinds``: each value conformed to its declared kind. A value that
+    conforms already is kept, so is ``inst`` when all of its values do."""
     is_object = isinstance(inst, ObjectInstance)
     what = "object" if is_object else "event"
     if kinds is None:
@@ -190,11 +196,10 @@ def _stored(inst, kinds: Mapping[str, str] | None,
                 f"object {inst.id!r}: attribute {name!r} has two values at {format_iso(entry.time)}"
                 if is_object else f"event {inst.id!r}: duplicate attribute {name!r}")
         seen.add(key)
-        if i >= trusted or known.get(name) != kind:
-            conformed = _conform_value(value, kind, f"{what} {inst.id!r} attribute {name!r}")
-            if conformed is not value:
-                entry = _with(entry, value=conformed) if is_object else (name, conformed)
-                values = (*values[:i], entry, *values[i + 1:])
+        conformed = _conform_value(value, kind, f"{what} {inst.id!r} attribute {name!r}")
+        if conformed is not value:
+            entry = _with(entry, value=conformed) if is_object else (name, conformed)
+            values = (*values[:i], entry, *values[i + 1:])
     return inst if values is inst.attribute_values else _with(inst, attribute_values=values)
 
 
@@ -241,24 +246,30 @@ class OcedLog:
         self._events[event.id] = _stored(event, None if tdef is None else tdef._kinds)
 
     def relate_event_object(self, event_id: str, object_id: str, qualifier: str = "") -> None:
-        if event_id not in self._events:
+        """Relate a stored event to a stored object. The relation holds the
+        instances' own id strings, whatever equal strings are passed in."""
+        event, obj = self._events.get(event_id), self._objects.get(object_id)
+        if event is None:
             raise SchemaError(f"e2o relation references unknown event {event_id!r}")
-        if object_id not in self._objects:
+        if obj is None:
             raise SchemaError(f"e2o relation references unknown object {object_id!r}")
-        rel = E2ORelation(event_id, object_id, qualifier)
+        rel = E2ORelation(event.id, obj.id, qualifier)
         if rel in self._e2o:
             raise SchemaError(f"duplicate e2o relation {(event_id, object_id, qualifier)!r}")
         self._e2o.add(rel)
-        self._e2o_by_event.setdefault(event_id, []).append(rel)
-        self._e2o_by_object.setdefault(object_id, []).append(rel)
+        self._e2o_by_event.setdefault(event.id, []).append(rel)
+        self._e2o_by_object.setdefault(obj.id, []).append(rel)
 
     def relate_objects(self, source_id: str, target_id: str, qualifier: str = "") -> None:
-        for oid in (source_id, target_id):
-            if oid not in self._objects:
+        """Relate two stored objects; like ``relate_event_object``, the relation
+        holds the objects' own id strings."""
+        source, target = self._objects.get(source_id), self._objects.get(target_id)
+        for oid, obj in ((source_id, source), (target_id, target)):
+            if obj is None:
                 raise SchemaError(f"o2o relation references unknown object {oid!r}")
         if source_id == target_id and not qualifier:
             raise SchemaError(f"self o2o relation on {source_id!r} requires a non-empty qualifier")
-        rel = O2ORelation(source_id, target_id, qualifier)
+        rel = O2ORelation(source.id, target.id, qualifier)
         if rel in self._o2o:
             raise SchemaError(f"duplicate o2o relation {(source_id, target_id, qualifier)!r}")
         self._o2o.add(rel)
@@ -380,8 +391,8 @@ def relabel(log: OcedLog,
     """``log`` with new type definitions (None keeps them), instances moved to
     the types ``object_labels``/``event_labels`` give by id, and
     ``added_values`` appended to objects by id. Instances that move, gain values
-    or whose type definition changed are checked as ``add_*`` checks them, but
-    conformed again only where a value's declared kind changed; the rest is
+    or whose type definition changed are checked as ``add_*`` checks them; a
+    value that conforms to its kind stays the same object, and the rest is
     shared. Objects keep their order; events are in (time, id) order."""
     otypes = log._object_types if object_types is None else _checked_defs(object_types, "object type")
     etypes = log._event_types if event_types is None else _checked_defs(event_types, "event type")
@@ -396,20 +407,20 @@ def _relabeled(instances, old_types, new_types, labels, added) -> dict:
     for inst in instances:
         label = labels.get(inst.id, inst.type)
         extra = tuple(added.get(inst.id, ()))
-        old, new = old_types[inst.type], new_types.get(label)
-        if label != inst.type or extra or new is not old:
+        new = new_types.get(label)
+        if label != inst.type or extra or new is not old_types[inst.type]:
             moved = _with(inst, type=label, attribute_values=inst.attribute_values + extra)
-            inst = _stored(moved, None if new is None else new._kinds, old._kinds,
-                           len(inst.attribute_values))
+            inst = _stored(moved, None if new is None else new._kinds)
         out[inst.id] = inst
     return out
 
 
 # -- OCEL JSON interchange -------------------------------------------------
 #
-# Stored times and timestamp values are UTC with whole milliseconds (the
-# instances and _conform_value normalize them), so they are formatted as
-# they are.
+# Stored times and timestamp values are UTC with whole milliseconds, so they
+# are formatted as they are. The reader checks the JSON shape and parses
+# timestamp strings; each value's declaration and kind is then checked once,
+# by add_object/add_event, and to_utc_ms keeps the parsed times as they are.
 
 
 def _value_to_json(value: Any) -> Any:
@@ -508,15 +519,16 @@ def write_ocel_json(log: OcedLog, destination: str | Path | IO[str]) -> None:
             fh.writelines(chunks)
 
 
-def _json_value(raw: Any, kind: str, path: str) -> Any:
+def _json_time(raw: Any, path: str) -> datetime:
     try:
-        if kind == "timestamp":
-            if not isinstance(raw, str):
-                raise SchemaError("timestamp values must be ISO-8601 strings")
-            return parse_iso(raw)
-        return _conform_value(raw, kind, path)
+        return parse_iso(raw)
     except Exception as exc:
         raise OcelDocumentError(str(exc), path) from None
+
+
+def _json_value(raw: Any, kind: str | None, path: str) -> Any:
+    """A JSON attribute value, with a string of a timestamp kind parsed."""
+    return _json_time(raw, path) if kind == "timestamp" and isinstance(raw, str) else raw
 
 
 def _list_at(entry: dict, key: str, path: str) -> list:
@@ -546,26 +558,12 @@ def _parse_type_defs(entries: Any, cls, path: str):
     return defs
 
 
-def _kinds_of(entry: dict, types: Mapping[str, Any], what: str, path: str) -> Mapping[str, str]:
-    """Attribute kinds of the declared type an object or event entry names."""
-    tdef = types.get(entry.get("type")) if isinstance(entry.get("type"), str) else None
-    if tdef is None:
-        raise OcelDocumentError(f"{what} {entry['id']!r} has undeclared type {entry.get('type')!r}", path)
-    return tdef._kinds
-
-
-def _declared(a: dict, kinds: Mapping[str, str], what: str, entry: dict, path: str) -> str:
-    """The kind of attribute entry ``a``, whose name must be declared on the type."""
-    if not isinstance(a["name"], str) or a["name"] not in kinds:
-        raise OcelDocumentError(f"{what} {entry['id']!r}: attribute {a['name']!r} not declared", path)
-    return kinds[a["name"]]
-
-
 def ocel_from_dict(doc: Any) -> OcedLog:
     """Build and fully validate a log from an OCEL 2.0 JSON document.
 
     Every defect of the document raises ``OcelDocumentError`` naming the
-    JSON path of the offending entry."""
+    JSON path of the offending entry. The entries' shape is checked here; the
+    types, attributes and value kinds they name are checked by ``add_*``."""
     if not isinstance(doc, dict):
         raise OcelDocumentError("top level must be a JSON object")
     for key in ("objectTypes", "eventTypes", "objects", "events"):
@@ -584,20 +582,20 @@ def ocel_from_dict(doc: Any) -> OcedLog:
 
     for i, entry in enumerate(doc["objects"]):
         path = f"objects[{i}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            raise OcelDocumentError("object entry must carry a string 'id'", path)
-        kinds = _kinds_of(entry, log._object_types, "object", path)
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
+                or not isinstance(entry.get("type"), str):
+            raise OcelDocumentError("object entry must carry a string 'id' and 'type'", path)
+        # An undeclared type has no kinds here; add_object rejects it below.
+        kinds = getattr(log._object_types.get(entry["type"]), "_kinds", {})
         values = []
         for j, a in enumerate(_list_at(entry, "attributes", path)):
             apath = f"{path}.attributes[{j}]"
-            if not isinstance(a, dict) or "name" not in a or "time" not in a or "value" not in a:
-                raise OcelDocumentError("object attribute entries need 'name', 'time', 'value'", apath)
-            kind = _declared(a, kinds, "object", entry, apath)
-            try:
-                when = parse_iso(a["time"])
-            except Exception as exc:
-                raise OcelDocumentError(str(exc), apath) from None
-            values.append(AttributeValue(a["name"], when, _json_value(a["value"], kind, apath)))
+            if not isinstance(a, dict) or not isinstance(a.get("name"), str) \
+                    or "time" not in a or "value" not in a:
+                raise OcelDocumentError("object attribute entries need a string 'name', "
+                                        "'time' and 'value'", apath)
+            values.append(AttributeValue(a["name"], _json_time(a["time"], apath),
+                                         _json_value(a["value"], kinds.get(a["name"]), apath)))
         _list_at(entry, "relationships", path)
         try:
             log.add_object(ObjectInstance(entry["id"], entry["type"], tuple(values)))
@@ -606,9 +604,10 @@ def ocel_from_dict(doc: Any) -> OcedLog:
 
     for i, entry in enumerate(doc["events"]):
         path = f"events[{i}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            raise OcelDocumentError("event entry must carry a string 'id'", path)
-        kinds = _kinds_of(entry, log._event_types, "event", path)
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
+                or not isinstance(entry.get("type"), str):
+            raise OcelDocumentError("event entry must carry a string 'id' and 'type'", path)
+        kinds = getattr(log._event_types.get(entry["type"]), "_kinds", {})
         try:
             when = parse_iso(entry.get("time", ""))
         except Exception as exc:
@@ -616,10 +615,10 @@ def ocel_from_dict(doc: Any) -> OcedLog:
         attrs = []
         for j, a in enumerate(_list_at(entry, "attributes", path)):
             apath = f"{path}.attributes[{j}]"
-            if not isinstance(a, dict) or "name" not in a or "value" not in a:
-                raise OcelDocumentError("event attribute entries need 'name' and 'value'", apath)
-            kind = _declared(a, kinds, "event", entry, apath)
-            attrs.append((a["name"], _json_value(a["value"], kind, apath)))
+            if not isinstance(a, dict) or not isinstance(a.get("name"), str) or "value" not in a:
+                raise OcelDocumentError("event attribute entries need a string 'name' and 'value'",
+                                        apath)
+            attrs.append((a["name"], _json_value(a["value"], kinds.get(a["name"]), apath)))
         _list_at(entry, "relationships", path)
         try:
             log.add_event(EventInstance(entry["id"], entry["type"], when, tuple(attrs)))

@@ -523,20 +523,27 @@ def validate_spec(spec: ProjectSpec) -> list[Diagnostic]:
     return out
 
 
+def load_spec_document(source: str | Path | IO[str]) -> Any:
+    """The parsed JSON of a spec file path or open file, not yet checked.
+
+    Text that is not UTF-8 raises SpecError naming the file, and text that
+    is not JSON raises SpecError too."""
+    try:
+        raw = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+        return json.loads(raw)
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"not UTF-8 text: {exc}", str(getattr(source, "name", source))) from None
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"malformed JSON: {exc}") from None
+
+
 def parse_spec(document: dict | str | Path | IO[str]) -> ProjectSpec:
     """Parse and fully cross-validate a project spec.
 
     ``document`` may be an already-loaded dict, a filesystem path, or an
     open text file. Raises SpecError carrying the first failure's path.
     """
-    if isinstance(document, dict):
-        doc = document
-    else:
-        raw = document.read() if hasattr(document, "read") else Path(document).read_text(encoding="utf-8")
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"malformed JSON: {exc}") from None
+    doc = document if isinstance(document, dict) else load_spec_document(document)
     spec = parse_spec_document(doc)
     errors = [d for d in validate_spec(spec) if d.severity == "error"]
     if errors:

@@ -14,12 +14,17 @@ ISO_MS = "%Y-%m-%dT%H:%M:%S.%f"
 
 
 def to_utc_ms(dt: datetime) -> datetime:
-    """Normalize to UTC and truncate microseconds to whole milliseconds."""
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    else:
+    """Normalize to UTC and truncate microseconds to whole milliseconds.
+
+    A datetime that is already normalized is returned as it is, so normalizing
+    a stored time again costs no copy."""
+    tz = dt.tzinfo
+    if tz is not None and tz is not timezone.utc:
         dt = dt.astimezone(timezone.utc)
-    return dt.replace(microsecond=(dt.microsecond // 1000) * 1000)
+    sub_ms = dt.microsecond % 1000
+    if tz is None or sub_ms:
+        return dt.replace(tzinfo=timezone.utc, microsecond=dt.microsecond - sub_ms)
+    return dt
 
 
 def parse_iso(text: str) -> datetime:

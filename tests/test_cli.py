@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -86,6 +87,29 @@ class TestExitCodes:
         p = tmp_path / "spec.json"
         p.write_text("{oops", encoding="utf-8")
         assert run(["validate-spec", str(p)]) == 1
+
+    @pytest.mark.parametrize("command", ["validate-spec", "extract", "verify"])
+    def test_spec_not_utf8(self, extracted, tmp_path, capsys, command):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes((FIXTURES / "conformant" / "spec.json").read_bytes().replace(b"{", b"{\xe9", 1))
+        args = {"validate-spec": [str(spec)],
+                "extract": ["--spec", str(spec), "--source-dir", CONF_SOURCES,
+                            "--out", str(tmp_path / "o.json")],
+                "verify": ["--spec", str(spec), "--log", str(extracted[1])]}[command]
+        assert run([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: not UTF-8 text: ") and err.count("\n") == 1
+
+    def test_source_not_utf8(self, tmp_path, capsys):
+        sources = tmp_path / "sources"
+        shutil.copytree(CONF_SOURCES, sources)
+        users = sources / "users.csv"
+        users.write_bytes(users.read_bytes().replace(b"\n", b"\n\xe9", 1))
+        out = tmp_path / "o.json"
+        assert run(["extract", "--spec", CONF_SPEC, "--source-dir", str(sources), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {users}: not UTF-8 text: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_negative_edge_threshold(self, tmp_path):
         assert run(["dfg", "--log", "x.json", "--object-types", "User",

@@ -8,14 +8,27 @@ raise the same error.
 
 import io
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_analysis as ref
-from ocedf import EventInstance, drill_down, filter_log, roll_up, unfold_events, write_ocel_json
+from ocedf import (
+    AttributeDef,
+    AttributeValue,
+    EventInstance,
+    EventTypeDef,
+    ObjectInstance,
+    ObjectTypeDef,
+    drill_down,
+    filter_log,
+    new_log,
+    roll_up,
+    unfold_events,
+    write_ocel_json,
+)
 from randlog import BASE, random_log
 
 
@@ -130,3 +143,49 @@ def test_building_onto_a_derived_log_leaves_its_input_alone(operation):
                 derived.relate_event_object(eid, oid, "probe")
     assert _snapshot(log) == before
     assert "isolation-probe" not in log.events
+
+
+def test_relabelling_keeps_conforming_values_as_they_are():
+    """drill_down and roll_up check the objects they move as add_object does.
+    A value whose declared kind did not change comes out as the same object,
+    timestamps included, and so does every instance they do not move; a
+    value whose kind changed is conformed to it."""
+    user_attrs = (AttributeDef("role", "string"), AttributeDef("since", "timestamp"),
+                  AttributeDef("score", "float"))
+    log = new_log([ObjectTypeDef("User", user_attrs),
+                   ObjectTypeDef("Course", (AttributeDef("opened", "timestamp"),)),
+                   ObjectTypeDef("Guest", (AttributeDef("score", "integer"),)),
+                   ObjectTypeDef("Member", (AttributeDef("score", "float"), AttributeDef("role", "string")))],
+                  [EventTypeDef("view", (AttributeDef("at", "timestamp"),))])
+    plus_two = timezone(timedelta(hours=2))
+    log.add_object(ObjectInstance("u1", "User", (
+        AttributeValue("role", BASE, "Student"), AttributeValue("since", BASE, BASE + timedelta(days=1)),
+        AttributeValue("score", BASE, 1.5))))
+    log.add_object(ObjectInstance("u2", "User", (
+        AttributeValue("role", BASE, "Teacher"),
+        AttributeValue("since", BASE, datetime(2024, 3, 1, 12, 0, 0, 250999, tzinfo=plus_two)))))
+    log.add_object(ObjectInstance("c1", "Course", (AttributeValue("opened", BASE, BASE),)))
+    log.add_object(ObjectInstance("g1", "Guest", (AttributeValue("score", BASE, 3),)))
+    log.add_event(EventInstance("e1", "view", BASE, (("at", BASE + timedelta(hours=1)),)))
+    log.relate_event_object("e1", "u1", "viewer")
+
+    drilled = drill_down(log, "User")
+    rolled = roll_up(drilled, {"Student", "Teacher"}, "User")
+    assert rolled.structurally_equal(log)
+    for derived, moved in ((drilled, {"u1": "Student", "u2": "Teacher"}),
+                           (rolled, {"u1": "User", "u2": "User"})):
+        assert derived.events["e1"] is log.events["e1"]
+        for oid, obj in derived.objects.items():
+            if oid not in moved:
+                assert obj is log.objects[oid]
+                continue
+            assert obj.type == moved[oid]
+            assert len(obj.attribute_values) == len(log.objects[oid].attribute_values)
+            for got, stored in zip(obj.attribute_values, log.objects[oid].attribute_values):
+                assert got is stored
+
+    merged = roll_up(log, {"Guest"}, "Member")
+    score, role = merged.objects["g1"].attribute_values
+    assert score.value == 3.0 and isinstance(score.value, float)
+    assert score.time is log.objects["g1"].attribute_values[0].time
+    assert (role.name, role.value) == ("role", "Guest")

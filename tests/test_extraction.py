@@ -317,6 +317,21 @@ class TestDuplicates:
         assert sum(1 for r in log.o2o if r.target_object_id == "u1") == 1
         assert skips(report) == {2: {"duplicate o2o relation": [1, 1]}}
 
+    @pytest.mark.parametrize("on_dangling", ["skip", "fail"])
+    def test_self_link_without_qualifier_skipped(self, on_dangling):
+        mappings = list(BASE_MAPPINGS) + [
+            {"kind": "o2o", "source_table": "links", "source_id_column": "src",
+             "target_id_column": "tgt"},
+        ]
+        sources = dict(BASE_SOURCES)
+        sources["links"] = table("links", ["src", "tgt"], [["u1", "u2"], ["u1", "u1"], ["u2", "u2"]])
+        log, report = run_tiny(mappings, sources, on_dangling=on_dangling)
+        assert log.has_o2o("u1", "u2") and not log.has_o2o("u1", "u1")
+        assert skips(report) == {6: {"self o2o relation without qualifier": [2, 1]}}
+        assert all(r.rows_in == r.rows_loaded + r.rows_skipped for r in report.rule_runs)
+        run = next(r for r in report.rule_runs if r.rule_index == 6)
+        assert (run.rows_in, run.rows_loaded, run.rows_skipped) == (3, 1, 2)
+
     def test_each_skip_reason_counted_on_its_rule(self):
         mappings = list(BASE_MAPPINGS) + [
             {"kind": "e2o", "source_table": "links", "event_id_column": "eid",
@@ -390,3 +405,16 @@ def test_fixture_loads_from_disk_match_api(case_study):
     spec, sources = load_fixture("case_study")
     log2, _ = extract(spec, sources)
     assert case_study[1].structurally_equal(log2)
+
+
+def test_relations_hold_the_stored_instances_ids(case_study):
+    """Relations are built from the stored instances' own id strings, not
+    from the equal strings read from the CSV rows."""
+    _, log, _ = case_study
+    assert log.e2o and log.o2o
+    for rel in log.e2o:
+        assert rel.event_id is log.events[rel.event_id].id
+        assert rel.object_id is log.objects[rel.object_id].id
+    for rel in log.o2o:
+        assert rel.source_object_id is log.objects[rel.source_object_id].id
+        assert rel.target_object_id is log.objects[rel.target_object_id].id

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ocedf import (
     AttributeDef,
     AttributeValue,
+    E2ORelation,
     EventInstance,
     EventTypeDef,
     ObjectInstance,
@@ -403,3 +404,17 @@ def test_json_document_layout():
     event = doc["events"][0]
     assert event["time"].endswith("+00:00")
     assert event["relationships"] == [{"objectId": "stu-1", "qualifier": "viewer"}]
+
+
+def test_relations_are_tuples_of_the_stored_ids():
+    log = simple_log()
+    log.add_event(EventInstance("e1", "view page", T0))
+    event_id, student_id = "".join(["e", "1"]), "".join(["stu-", "1"])   # equal, not the stored strings
+    log.relate_event_object(event_id, student_id, "viewer")
+    log.relate_objects("crs-1", student_id, "contains")
+    (e2o,), (o2o,) = log.e2o, log.o2o
+    assert e2o == ("e1", "stu-1", "viewer") and hash(e2o) == hash(("e1", "stu-1", "viewer"))
+    assert o2o == ("crs-1", "stu-1", "contains")
+    assert e2o.event_id is log.events["e1"].id and e2o.object_id is log.objects["stu-1"].id
+    assert o2o.target_object_id is log.objects["stu-1"].id
+    assert E2ORelation("e1", "stu-1") == ("e1", "stu-1", "")

@@ -386,3 +386,23 @@ def test_truncated_documents_raise_only_ocedf_errors(seed, cut):
     text = _text(random_log(random.Random(seed), max_events=10, max_objects=6))
     _only_ocedf_errors(read_ocel_json, io.StringIO(text[:int(len(text) * cut)]))
 
+
+
+@pytest.mark.parametrize("section, name, value, message", [
+    ("objects", "i", 2.5, "value 2.5 does not match declared kind 'integer'"),
+    ("events", "i", "7", "value '7' does not match declared kind 'integer'"),
+    ("objects", "f", float("nan"), "non-finite float value"),
+    ("events", "f", float("inf"), "non-finite float value"),
+    ("objects", "f", 10**400, "non-finite float value"),
+    ("events", "t", 5, "value 5 does not match declared kind 'timestamp'"),
+], ids=["object-kind", "event-kind", "object-nan", "event-inf", "int-beyond-float", "timestamp-kind"])
+def test_value_errors_name_their_path_once(section, name, value, message):
+    """add_object/add_event check each value once; the reader reports their
+    error at the instance's path, which the message holds once."""
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    next(a for a in doc[section][0]["attributes"] if a["name"] == name)["value"] = value
+    with pytest.raises(OcelDocumentError) as err:
+        ocel_from_dict(doc)
+    what = section[:-1]
+    assert err.value.path == f"{section}[0]"
+    assert str(err.value) == f"{section}[0]: {what} '{what[0]}1' attribute {name!r}: {message}"
