@@ -99,14 +99,10 @@ def flatten(log: OcedLog, object_type: str) -> FlatLog:
     (divergence by duplication); events touching none are dropped.
     """
     _check_declared([object_type], {td.name for td in log.object_type_defs}, "object type")
-    rows = []
-    for obj in log.objects.values():
-        if obj.type != object_type:
-            continue
-        for event in log.events_of_object(obj.id):
-            rows.append(FlatRow(obj.id, event.type, event.time, event.id))
-    rows.sort(key=lambda r: (r.case_id, r.time, r.event_id))
-    return FlatLog(object_type, tuple(rows))
+    # cases by id, each trace by (time, event id): rows by (case, time, event)
+    cases = sorted(oid for oid, obj in log.objects.items() if obj.type == object_type)
+    return FlatLog(object_type, tuple(FlatRow(oid, event.type, event.time, event.id)
+                                      for oid in cases for event in log.events_of_object(oid)))
 
 
 def _with_labels(defs, labels: Iterable[str], attribute_defs, cls, collision: str) -> list:
@@ -238,16 +234,16 @@ def discover_dfg(log: OcedLog, object_types: Iterable[str]) -> Dfg:
         if obj.type not in per_type:
             continue
         graph = per_type[obj.type]
-        trace = log.events_of_object(obj.id)
+        trace = [event.type for event in log.events_of_object(obj.id)]
         if not trace:
             continue
-        for event in trace:
-            graph.nodes[event.type] = graph.nodes.get(event.type, 0) + 1
-        for a, b in zip(trace, trace[1:]):
-            key = (a.type, b.type)
-            graph.edges[key] = graph.edges.get(key, 0) + 1
-        graph.start_frequencies[trace[0].type] = graph.start_frequencies.get(trace[0].type, 0) + 1
-        graph.end_frequencies[trace[-1].type] = graph.end_frequencies.get(trace[-1].type, 0) + 1
+        nodes, edges = graph.nodes, graph.edges
+        for label in trace:
+            nodes[label] = nodes.get(label, 0) + 1
+        for key in zip(trace, trace[1:]):
+            edges[key] = edges.get(key, 0) + 1
+        graph.start_frequencies[trace[0]] = graph.start_frequencies.get(trace[0], 0) + 1
+        graph.end_frequencies[trace[-1]] = graph.end_frequencies.get(trace[-1], 0) + 1
     return Dfg(per_type)
 
 

@@ -3,11 +3,14 @@
 A log holds typed events, typed objects, timestamped object attribute
 values, untimed event attribute values, and qualified event-to-object and
 object-to-object relations. Logs are built once through the ``add_*`` /
-``relate_*`` methods and treated as immutable afterwards; every query is
-pure, so a finished log is safe to share across threads.
+``relate_*`` methods and treated as read-only afterwards. The first query
+for the event order or the object traces builds that index and caches it
+on the log; ``add_*``/``relate_*`` drop the indexes they change. Two threads
+making that first query at once compute equal values, so a finished log is
+safe to share across threads.
 
-A derived log (``relabel``) shares its input's frozen instances and relations,
-re-checks only what it changes, and owns its containers.
+A derived log (``relabel``) shares its input's frozen instances, relations and
+indexes, re-checks only what it changes, and owns its containers.
 """
 
 from __future__ import annotations
@@ -204,7 +207,14 @@ def _stored(inst, kinds: Mapping[str, str] | None):
 
 
 class OcedLog:
-    """Mutable while being built, then used as a read-only value."""
+    """Mutable while being built, then used as a read-only value.
+
+    Each event's relations are kept as a tuple, which is replaced, never
+    changed, when one is added. The event order (a tuple of event ids by
+    time, then id) and the object traces (per object id, a tuple of its
+    distinct event ids in that order) are built on first use and rebound to
+    None by the methods that change them, so a derived log may hold the very
+    tuples of its input."""
 
     def __init__(self, object_type_defs: Iterable[ObjectTypeDef] = (),
                  event_type_defs: Iterable[EventTypeDef] = ()):
@@ -214,8 +224,9 @@ class OcedLog:
         self._events: dict[str, EventInstance] = {}
         self._e2o: set[E2ORelation] = set()
         self._o2o: set[O2ORelation] = set()
-        self._e2o_by_event: dict[str, list[E2ORelation]] = {}
-        self._e2o_by_object: dict[str, list[E2ORelation]] = {}
+        self._e2o_by_event: dict[str, tuple[E2ORelation, ...]] = {}
+        self._order: tuple[str, ...] | None = None
+        self._traces: dict[str, tuple[str, ...]] | None = None
 
     # -- schema ----------------------------------------------------------
 
@@ -244,6 +255,7 @@ class OcedLog:
             raise SchemaError(f"duplicate event id: {event.id!r}")
         tdef = self._event_types.get(event.type)
         self._events[event.id] = _stored(event, None if tdef is None else tdef._kinds)
+        self._order = self._traces = None
 
     def relate_event_object(self, event_id: str, object_id: str, qualifier: str = "") -> None:
         """Relate a stored event to a stored object. The relation holds the
@@ -257,8 +269,8 @@ class OcedLog:
         if rel in self._e2o:
             raise SchemaError(f"duplicate e2o relation {(event_id, object_id, qualifier)!r}")
         self._e2o.add(rel)
-        self._e2o_by_event.setdefault(event.id, []).append(rel)
-        self._e2o_by_object.setdefault(obj.id, []).append(rel)
+        self._e2o_by_event[event.id] = self._e2o_by_event.get(event.id, ()) + (rel,)
+        self._traces = None
 
     def relate_objects(self, source_id: str, target_id: str, qualifier: str = "") -> None:
         """Relate two stored objects; like ``relate_event_object``, the relation
@@ -298,38 +310,53 @@ class OcedLog:
     def has_o2o(self, source_id: str, target_id: str, qualifier: str = "") -> bool:
         return O2ORelation(source_id, target_id, qualifier) in self._o2o
 
+    def _event_order(self) -> tuple[str, ...]:
+        """Event ids by (time, id), sorted once per change of the events."""
+        if self._order is None:
+            self._order = tuple(e.id for e in sorted(self._events.values(),
+                                                     key=lambda e: (e.time, e.id)))
+        return self._order
+
+    def _object_traces(self) -> dict[str, tuple[str, ...]]:
+        """Per related object id, its distinct event ids by (time, id): one
+        walk of the event order, with no sort. An event related to an object
+        under two qualifiers comes twice in a row and is kept once."""
+        if self._traces is None:
+            traces: dict[str, list[str]] = {}
+            by_event = self._e2o_by_event
+            for eid in self._event_order():
+                for _, oid, _ in by_event.get(eid, ()):
+                    trace = traces.get(oid)
+                    if trace is None:
+                        traces[oid] = [eid]
+                    elif trace[-1] is not eid:
+                        trace.append(eid)
+            self._traces = {oid: tuple(trace) for oid, trace in traces.items()}
+        return self._traces
+
     def events_in_order(self) -> list[EventInstance]:
         """All events sorted by (time, event id); ties break on the id."""
-        return sorted(self._events.values(), key=lambda e: (e.time, e.id))
+        events = self._events
+        return [events[eid] for eid in self._event_order()]
 
     def events_of_object(self, object_id: str) -> list[EventInstance]:
         """Events related to the object, sorted by (time, event id)."""
         if object_id not in self._objects:
             raise SchemaError(f"unknown object id {object_id!r}")
-        seen: set[str] = set()
-        out = []
-        for rel in self._e2o_by_object.get(object_id, ()):
-            if rel.event_id not in seen:
-                seen.add(rel.event_id)
-                out.append(self._events[rel.event_id])
-        out.sort(key=lambda e: (e.time, e.id))
-        return out
+        events = self._events
+        return [events[eid] for eid in self._object_traces().get(object_id, ())]
 
     def objects_of_event(self, event_id: str) -> list[ObjectInstance]:
         """Distinct objects related to the event, sorted by object id."""
         if event_id not in self._events:
             raise SchemaError(f"unknown event id {event_id!r}")
-        seen: set[str] = set()
-        out = []
-        for rel in self._e2o_by_event.get(event_id, ()):
-            if rel.object_id not in seen:
-                seen.add(rel.object_id)
-                out.append(self._objects[rel.object_id])
-        out.sort(key=lambda o: o.id)
+        objects = self._objects
+        out, last = [], None
+        for _, oid, _ in sorted(self._e2o_by_event.get(event_id, ())):   # by (object, qualifier)
+            if oid != last:
+                out.append(objects[oid])
+                last = oid
         return out
-
-    def relations_of_event(self, event_id: str) -> list[E2ORelation]:
-        return list(self._e2o_by_event.get(event_id, ()))
 
     # -- derived logs ----------------------------------------------------
 
@@ -337,24 +364,27 @@ class OcedLog:
                  object_types: Mapping[str, ObjectTypeDef] | None = None,
                  event_types: Mapping[str, EventTypeDef] | None = None) -> "OcedLog":
         """A log over valid ``objects`` and ``events`` of this log (dicts it
-        takes over), checking nothing. It keeps the relations between them and
-        owns copies of every container, down to the E2O index lists."""
+        takes over), checking nothing. The instances keep this log's ids and
+        times, which is what lets the derived log reuse this log's event
+        order, and its object traces too when no id is dropped. It keeps the
+        relations between them, shares the immutable per-event tuples and
+        indexes, and owns every container."""
         out = OcedLog.__new__(OcedLog)
         out._object_types = dict(self._object_types if object_types is None else object_types)
         out._event_types = dict(self._event_types if event_types is None else event_types)
         out._objects, out._events = objects, events
         if objects.keys() == self._objects.keys() and events.keys() == self._events.keys():
             out._e2o, out._o2o = set(self._e2o), set(self._o2o)
-            out._e2o_by_event = {k: list(rels) for k, rels in self._e2o_by_event.items()}
-            out._e2o_by_object = {k: list(rels) for k, rels in self._e2o_by_object.items()}
+            out._e2o_by_event = dict(self._e2o_by_event)
+            out._order, out._traces = self._order, self._traces
             return out
         out._e2o_by_event = {k: kept for k, rels in self._e2o_by_event.items() if k in events
-                             and (kept := [r for r in rels if r.object_id in objects])}
-        out._e2o_by_object = {k: kept for k, rels in self._e2o_by_object.items() if k in objects
-                              and (kept := [r for r in rels if r.event_id in events])}
+                             and (kept := tuple(r for r in rels if r[1] in objects))}   # r[1]: object id
         out._e2o = set(chain.from_iterable(out._e2o_by_event.values()))
         out._o2o = {r for r in self._o2o
                     if r.source_object_id in objects and r.target_object_id in objects}
+        out._order = tuple(eid for eid in self._event_order() if eid in events)
+        out._traces = None
         return out
 
     # -- equality --------------------------------------------------------
@@ -440,7 +470,7 @@ def _object_records(log: OcedLog) -> Iterator[dict]:
     for rel in log._o2o:
         o2o_by_source.setdefault(rel.source_object_id, []).append(rel)
     for obj in sorted(log._objects.values(), key=lambda o: o.id):
-        rels = sorted(o2o_by_source.get(obj.id, ()), key=attrgetter("target_object_id", "qualifier"))
+        rels = sorted(o2o_by_source.get(obj.id, ()))   # one source: by (target, qualifier)
         yield {
             "id": obj.id,
             "type": obj.type,
@@ -449,7 +479,8 @@ def _object_records(log: OcedLog) -> Iterator[dict]:
                  "value": _value_to_json(av.value)}
                 for av in sorted(obj.attribute_values, key=attrgetter("name", "time"))
             ],
-            "relationships": [{"objectId": r.target_object_id, "qualifier": r.qualifier} for r in rels],
+            "relationships": [{"objectId": target, "qualifier": qualifier}
+                              for _, target, qualifier in rels],
         }
 
 
@@ -457,14 +488,15 @@ def _event_records(log: OcedLog) -> Iterator[dict]:
     """One record per event, by (time, id); attributes by name,
     relationships by (object, qualifier)."""
     for event in log.events_in_order():
-        rels = sorted(log._e2o_by_event.get(event.id, ()), key=attrgetter("object_id", "qualifier"))
+        rels = sorted(log._e2o_by_event.get(event.id, ()))   # one event: by (object, qualifier)
         yield {
             "id": event.id,
             "type": event.type,
             "time": event.time.isoformat(timespec="milliseconds"),
             "attributes": [{"name": name, "value": _value_to_json(value)}
                            for name, value in sorted(event.attribute_values)],
-            "relationships": [{"objectId": r.object_id, "qualifier": r.qualifier} for r in rels],
+            "relationships": [{"objectId": oid, "qualifier": qualifier}
+                              for _, oid, qualifier in rels],
         }
 
 
@@ -649,9 +681,9 @@ def _load_document(source: str | Path | IO[str]) -> Any:
     try:
         text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
         return json.loads(text)
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:   # a ValueError too, so it comes first
         raise OcelDocumentError(f"not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer literal beyond the digit limit
         raise OcelDocumentError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise OcelDocumentError("malformed JSON: nested too deeply") from None

@@ -221,6 +221,19 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise SpecError(message, path)
 
 
+def _list_of(raw: dict, key: str, path: str) -> list:
+    """``raw[key]``, which must be a list when present."""
+    value = raw.get(key, [])
+    _require(isinstance(value, (list, tuple)), f"{key} must be a list", path)
+    return value
+
+
+def _strings(value: Any, length: int | None = None) -> bool:
+    """Whether ``value`` is a list of strings, of ``length`` items if given."""
+    return (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+            and (length is None or len(value) == length))
+
+
 def _parse_schema(raw: Any) -> ConceptualSchema:
     _require(isinstance(raw, dict), "schema section must be an object", "schema")
     types = raw.get("object_types", [])
@@ -232,26 +245,29 @@ def _parse_schema(raw: Any) -> ConceptualSchema:
         seen.add(t)
 
     is_a = []
-    for i, edge in enumerate(raw.get("is_a", [])):
-        _require(isinstance(edge, (list, tuple)) and len(edge) == 2,
-                 "is_a edges are [subtype, supertype] pairs", f"schema.is_a[{i}]")
+    for i, edge in enumerate(_list_of(raw, "is_a", "schema.is_a")):
+        _require(_strings(edge, 2), "is_a edges are [subtype, supertype] pairs of strings",
+                 f"schema.is_a[{i}]")
         is_a.append((edge[0], edge[1]))
 
     o2o = []
-    for i, entry in enumerate(raw.get("o2o_types", [])):
-        _require(isinstance(entry, (list, tuple)) and len(entry) == 3,
-                 "o2o_types entries are [source, target, qualifier]", f"schema.o2o_types[{i}]")
+    for i, entry in enumerate(_list_of(raw, "o2o_types", "schema.o2o_types")):
+        _require(_strings(entry, 3), "o2o_types entries are [source, target, qualifier] strings",
+                 f"schema.o2o_types[{i}]")
         o2o.append((entry[0], entry[1], entry[2]))
 
     disc = raw.get("discriminators", {})
-    _require(isinstance(disc, dict), "discriminators must map supertype to attribute name", "schema.discriminators")
+    _require(isinstance(disc, dict) and all(isinstance(a, str) for a in disc.values()),
+             "discriminators must map supertype to attribute name", "schema.discriminators")
     return ConceptualSchema(tuple(types), tuple(is_a), tuple(o2o), dict(disc))
 
 
 def _parse_questions(raw: Any) -> tuple[Question, ...]:
     out = []
     seen = set()
-    for i, entry in enumerate(raw or []):
+    raw = raw or []
+    _require(isinstance(raw, list), "questions must be a list", "questions")
+    for i, entry in enumerate(raw):
         path = f"questions[{i}]"
         _require(isinstance(entry, dict), "question entries must be objects", path)
         qid = entry.get("id")
@@ -269,7 +285,7 @@ def _parse_q2ot(raw: Any, questions: tuple[Question, ...]) -> Q2OTMatrix:
     raw = raw or {}
     _require(isinstance(raw, dict), "q2ot must map question id to a list of object types", "q2ot")
     for qid, types in raw.items():
-        _require(isinstance(types, list), "q2ot entries must be lists of object type names", f"q2ot.{qid}")
+        _require(_strings(types), "q2ot entries must be lists of object type names", f"q2ot.{qid}")
         for t in types:
             marks.add((qid, t))
     return Q2OTMatrix(questions, frozenset(marks))
@@ -278,7 +294,8 @@ def _parse_q2ot(raw: Any, questions: tuple[Question, ...]) -> Q2OTMatrix:
 def _parse_xmatrix(raw: Any) -> ExtractionMatrix:
     _require(isinstance(raw, dict), "extraction_matrix section must be an object", "extraction_matrix")
     columns = raw.get("columns", [])
-    _require(isinstance(columns, list) and columns, "columns must be a non-empty list", "extraction_matrix.columns")
+    _require(_strings(columns) and columns, "columns must be a non-empty list of strings",
+             "extraction_matrix.columns")
     _require(len(set(columns)) == len(columns), "duplicate column names", "extraction_matrix.columns")
     rows = raw.get("rows", {})
     _require(isinstance(rows, dict) and rows, "rows must map activity to cell ranges", "extraction_matrix.rows")
@@ -383,7 +400,7 @@ def parse_spec_document(doc: Any) -> ProjectSpec:
     q2ot = _parse_q2ot(doc.get("q2ot"), questions)
     xmatrix = _parse_xmatrix(doc["extraction_matrix"])
     plan = _parse_plan(doc.get("plan"))
-    mappings = tuple(_parse_mapping(m, i) for i, m in enumerate(doc.get("mappings", [])))
+    mappings = tuple(_parse_mapping(m, i) for i, m in enumerate(_list_of(doc, "mappings", "mappings")))
 
     epoch = DEFAULT_EPOCH
     if doc.get("extraction_epoch"):
@@ -531,10 +548,12 @@ def load_spec_document(source: str | Path | IO[str]) -> Any:
     try:
         raw = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
         return json.loads(raw)
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:   # a ValueError too, so it comes first
         raise SpecError(f"not UTF-8 text: {exc}", str(getattr(source, "name", source))) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer literal beyond the digit limit
         raise SpecError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise SpecError("malformed JSON: nested too deeply") from None
 
 
 def parse_spec(document: dict | str | Path | IO[str]) -> ProjectSpec:

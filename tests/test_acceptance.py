@@ -92,8 +92,8 @@ def test_criterion_03_conformance_and_mutation_detection(conformant):
         if pool and rng.random() < 0.5:
             mutated = clone_log(log, add_e2o=(event.id, rng.choice(pool), "mutant"))
         else:
-            rels = [r for r in log.relations_of_event(event.id)
-                    if r.object_id == related[0].id]
+            rels = sorted(r for r in log.e2o
+                          if r.event_id == event.id and r.object_id == related[0].id)
             mutated = clone_log(log, drop_e2o=(event.id, rels[0].object_id, rels[0].qualifier))
         result = verification.check(
             verification.derive_matrix(mutated, spec.xmatrix, spec.schema), spec.xmatrix)

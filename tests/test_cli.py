@@ -100,6 +100,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {spec}: not UTF-8 text: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, code", [("verify", 3), ("validate-spec", 1)])
+    @pytest.mark.parametrize("text", ['{"objectTypes": ' + "1" * 5000 + "}", "[" * 100_000],
+                             ids=["beyond-the-digit-limit", "nested-too-deeply"])
+    def test_json_that_json_loads_rejects_without_a_decode_error(self, tmp_path, capsys, command,
+                                                                 code, text):
+        # a ValueError for an integer literal of more than 4,300 digits, a RecursionError for nesting
+        doc = tmp_path / "doc.json"
+        doc.write_text(text, encoding="utf-8")
+        args = {"verify": ["--spec", CONF_SPEC, "--log", str(doc)],
+                "validate-spec": [str(doc)]}[command]
+        assert run([command, *args]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed JSON: " in err and err.count("\n") == 1
+
     def test_source_not_utf8(self, tmp_path, capsys):
         sources = tmp_path / "sources"
         shutil.copytree(CONF_SOURCES, sources)

@@ -111,9 +111,11 @@ def test_derived_logs_match_the_rebuild(seed):
 
 
 def _snapshot(log):
-    return (dict(log.events), log.e2o,
+    e2o = log.e2o
+    return (dict(log.events), e2o,
             {oid: log.events_of_object(oid) for oid in log.objects},
-            {eid: log.relations_of_event(eid) for eid in log.events})
+            {eid: sorted(r for r in e2o if r.event_id == eid) for eid in log.events},
+            {eid: log.objects_of_event(eid) for eid in log.events})
 
 
 @pytest.mark.parametrize("operation", [

@@ -320,8 +320,9 @@ def test_broken_document_names_its_path(name):
     assert err.value.path == path
 
 
-@pytest.mark.parametrize("text", ["[" * 100_000, "\"\\ud800\" 1", ""],
-                         ids=["nested-too-deeply", "trailing-data", "empty"])
+@pytest.mark.parametrize("text", ["[" * 100_000, "\"\\ud800\" 1", "",
+                                  '{"objectTypes": ' + "1" * 5000 + "}"],
+                         ids=["nested-too-deeply", "trailing-data", "empty", "beyond-the-digit-limit"])
 def test_unreadable_text(text):
     with pytest.raises(OcelDocumentError, match="malformed JSON"):
         read_ocel_json(io.StringIO(text))

@@ -13,6 +13,7 @@ from ocedf import (
     MultiplicityRange,
     O2ORule,
     ObjectRule,
+    OcedfError,
     SpecError,
     extraction_order,
     parse_multiplicity,
@@ -276,3 +277,66 @@ def test_rule_kind_is_fixed_by_the_class():
     assert [r.kind for r in rules] == ["object", "event", "o2o", "e2o"]
     with pytest.raises(TypeError):
         ObjectRule("t", "id", "User", kind="e2o")
+
+
+def _set(path, value):
+    """An edit of a spec document that sets the item at ``path`` to ``value``."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_set(["schema", "is_a"], 7), "schema.is_a"),
+    (_set(["schema", "is_a", 0], [{"a": 1}, "User"]), "schema.is_a[0]"),
+    (_set(["schema", "is_a", 0], [7, "User"]), "schema.is_a[0]"),
+    (_set(["schema", "o2o_types"], None), "schema.o2o_types"),
+    (_set(["schema", "o2o_types", 0], [{}, "Student", "member"]), "schema.o2o_types[0]"),
+    (_set(["schema", "discriminators", "User"], [1]), "schema.discriminators"),
+    (_set(["questions"], 7), "questions"),
+    (_set(["q2ot", "Q1"], [["User"]]), "q2ot.Q1"),
+    (_set(["q2ot", "Q1"], [2.5]), "q2ot.Q1"),
+    (_set(["extraction_matrix", "columns", 0], ["User"]), "extraction_matrix.columns"),
+    (_set(["mappings"], {}), "mappings"),
+], ids=["is_a-not-a-list", "is_a-unhashable", "is_a-not-a-string", "o2o_types-not-a-list",
+        "o2o_types-unhashable", "discriminator-not-a-string", "questions-not-a-list",
+        "q2ot-unhashable", "q2ot-not-a-string", "column-unhashable", "mappings-not-a-list"])
+def test_wrong_typed_values_name_their_path(edit, path):
+    doc = case_study_doc()
+    edit(doc)
+    with pytest.raises(SpecError) as err:
+        validate_spec(parse_spec_document(doc))
+    assert err.value.path == path
+
+
+def _slots(node, out):
+    """Every (container, key) pair inside a parsed document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out.append((node, key))
+        _slots(child, out)
+    return out
+
+
+WRONG_VALUES = st.sampled_from([None, 0, 7, 2.5, True, False, [], {}, [1], "", "User", ["User"]])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_specs_raise_only_ocedf_errors(data):
+    """Keys deleted or values replaced anywhere in the case study's spec:
+    parsing and validating raise nothing but OcedfError subclasses."""
+    doc = case_study_doc()
+    for _ in range(data.draw(st.integers(1, 3))):
+        container, key = data.draw(st.sampled_from(_slots(doc, [])))
+        if data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(data.draw(WRONG_VALUES))
+    try:
+        validate_spec(parse_spec_document(doc))
+    except OcedfError:
+        pass

@@ -436,11 +436,12 @@ class TestAgainstReference:
         rng = random.Random(1312)
         events = log.events_in_order()
         object_ids = sorted(log.objects)
+        e2o = sorted(log.e2o)
         found = 0
         for i in range(12):
             event = rng.choice(events)
             if i % 2:
-                rel = rng.choice(log.relations_of_event(event.id))
+                rel = rng.choice([r for r in e2o if r.event_id == event.id])
                 mutated = clone_log(log, drop_e2o=(rel.event_id, rel.object_id, rel.qualifier))
             else:
                 mutated = clone_log(log, add_e2o=(event.id, rng.choice(object_ids), "mutant"))
