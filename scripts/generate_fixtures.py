@@ -420,8 +420,7 @@ def stats_block(text: str, event_type: str) -> str:
 
 
 def self_check() -> None:
-    from ocedf import analysis, extraction, specmodel, verification
-    from ocedf.cli import stats
+    from ocedf import analysis, extraction, specmodel, stats, verification
 
     for name in ("case_study", "conformant"):
         base = ROOT / "fixtures" / name

@@ -17,6 +17,7 @@ from .analysis import (
     filter_log,
     flatten,
     roll_up,
+    stats,
     to_dot,
     unfold_events,
 )
@@ -86,7 +87,7 @@ __all__ = [
     "WarningEntry", "check", "derive_matrix", "discover_dfg", "drill_down",
     "extract", "extraction_order", "filter_log", "flatten", "load_source",
     "new_log", "ocel_from_dict", "ocel_to_dict", "parse_multiplicity", "parse_spec",
-    "parse_spec_document", "read_ocel_json", "render_matrix", "roll_up",
+    "parse_spec_document", "read_ocel_json", "render_matrix", "roll_up", "stats",
     "synthesize_event_id", "to_dot", "unfold_events", "validate_spec",
     "write_ocel_json",
 ]

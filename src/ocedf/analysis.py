@@ -1,5 +1,6 @@
 """Log-level analysis primitives: filtering, flattening, is-a drill-down
-and roll-up, event unfolding, and directly-follows graph discovery.
+and roll-up, event unfolding, directly-follows graph discovery, and the
+object/event tallies of ``stats``.
 
 Every operation is pure: it reads one log and returns a fresh value,
 leaving the input untouched. Derived logs share the input's frozen
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import SchemaError
 from .ocel import (
@@ -22,6 +23,7 @@ from .ocel import (
     OcedLog,
     relabel,
 )
+from .timeutil import as_utc
 
 _ROLLUP_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -30,8 +32,7 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-@dataclass(frozen=True)
-class FlatRow:
+class FlatRow(NamedTuple):
     case_id: str
     activity: str
     time: datetime
@@ -74,13 +75,14 @@ def filter_log(log: OcedLog,
     """Project the log onto selected event/object types and a time window.
 
     ``None`` keeps everything for that dimension; the window bounds are
-    inclusive and either end may be None. Relations are pruned to
-    surviving endpoints. Keeping everything returns a structural copy.
+    inclusive, either end may be None, and a naive bound is read as UTC.
+    Relations are pruned to surviving endpoints. Keeping everything returns
+    a structural copy.
     """
     _check_declared(keep_event_types or (), {td.name for td in log.event_type_defs}, "event type")
     _check_declared(keep_object_types or (), {td.name for td in log.object_type_defs}, "object type")
 
-    lo, hi = time_window if time_window else (None, None)
+    lo, hi = (None if t is None else as_utc(t) for t in time_window or (None, None))
 
     def keep_event(e) -> bool:
         return ((keep_event_types is None or e.type in keep_event_types)
@@ -103,6 +105,47 @@ def flatten(log: OcedLog, object_type: str) -> FlatLog:
     cases = sorted(oid for oid, obj in log.objects.items() if obj.type == object_type)
     return FlatLog(object_type, tuple(FlatRow(oid, event.type, event.time, event.id)
                                       for oid in cases for event in log.events_of_object(oid)))
+
+
+def stats(log: OcedLog, discriminator_attr: str = "role") -> str:
+    """Human-readable object/event tallies.
+
+    Lists object counts per type and, per event type, the event count and
+    the number of distinct related objects per type. Objects carrying the
+    discriminator attribute are additionally bucketed by its latest value,
+    e.g. ``User: 24 distinct (Student: 23, Teacher: 1)``.
+    """
+    object_counts: dict[str, int] = {}
+    for obj in log.objects.values():
+        object_counts[obj.type] = object_counts.get(obj.type, 0) + 1
+
+    per_event_type: dict[str, dict[str, set[str]]] = {}
+    event_counts: dict[str, int] = {}
+    for event in log.events_in_order():
+        event_counts[event.type] = event_counts.get(event.type, 0) + 1
+        buckets = per_event_type.setdefault(event.type, {})
+        for obj in log.objects_of_event(event.id):
+            buckets.setdefault(obj.type, set()).add(obj.id)
+
+    lines = [f"objects: {len(log.objects)} total"]
+    for otype in sorted(object_counts):
+        lines.append(f"  {otype}: {object_counts[otype]}")
+    lines.append(f"events: {len(log.events)} total")
+    for etype in sorted(event_counts):
+        lines.append(f"  {etype}: {event_counts[etype]}")
+        for otype in sorted(per_event_type.get(etype, ())):
+            ids = per_event_type[etype][otype]
+            labels: dict[str, int] = {}
+            for oid in ids:
+                value = log.objects[oid].latest_value(discriminator_attr)
+                if isinstance(value, str) and value:
+                    labels[value] = labels.get(value, 0) + 1
+            suffix = ""
+            if labels:
+                inner = ", ".join(f"{k}: {v}" for k, v in sorted(labels.items()))
+                suffix = f" ({inner})"
+            lines.append(f"    {otype}: {len(ids)} distinct{suffix}")
+    return "\n".join(lines) + "\n"
 
 
 def _with_labels(defs, labels: Iterable[str], attribute_defs, cls, collision: str) -> list:

@@ -18,9 +18,10 @@ import sys
 from pathlib import Path
 
 from . import analysis, extraction, specmodel, verification
+from .analysis import stats
 from .errors import DataError, OcedfError, OcelDocumentError, SchemaError, SpecError
 from .fileio import open_atomic
-from .ocel import OcedLog, read_ocel_json, write_ocel_json
+from .ocel import read_ocel_json, write_ocel_json
 from .timeutil import format_iso
 
 log = logging.getLogger("ocedf.cli")
@@ -40,47 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
-
-
-def stats(oced_log: OcedLog, discriminator_attr: str = "role") -> str:
-    """Human-readable object/event tallies.
-
-    Lists object counts per type and, per event type, the event count and
-    the number of distinct related objects per type. Objects carrying the
-    discriminator attribute are additionally bucketed by its latest value,
-    e.g. ``User: 24 distinct (Student: 23, Teacher: 1)``.
-    """
-    object_counts: dict[str, int] = {}
-    for obj in oced_log.objects.values():
-        object_counts[obj.type] = object_counts.get(obj.type, 0) + 1
-
-    per_event_type: dict[str, dict[str, set[str]]] = {}
-    event_counts: dict[str, int] = {}
-    for event in oced_log.events_in_order():
-        event_counts[event.type] = event_counts.get(event.type, 0) + 1
-        buckets = per_event_type.setdefault(event.type, {})
-        for obj in oced_log.objects_of_event(event.id):
-            buckets.setdefault(obj.type, set()).add(obj.id)
-
-    lines = [f"objects: {len(oced_log.objects)} total"]
-    for otype in sorted(object_counts):
-        lines.append(f"  {otype}: {object_counts[otype]}")
-    lines.append(f"events: {len(oced_log.events)} total")
-    for etype in sorted(event_counts):
-        lines.append(f"  {etype}: {event_counts[etype]}")
-        for otype in sorted(per_event_type.get(etype, ())):
-            ids = per_event_type[etype][otype]
-            labels: dict[str, int] = {}
-            for oid in ids:
-                value = oced_log.objects[oid].latest_value(discriminator_attr)
-                if isinstance(value, str) and value:
-                    labels[value] = labels.get(value, 0) + 1
-            suffix = ""
-            if labels:
-                inner = ", ".join(f"{k}: {v}" for k, v in sorted(labels.items()))
-                suffix = f" ({inner})"
-            lines.append(f"    {otype}: {len(ids)} distinct{suffix}")
-    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> _Parser:

@@ -212,8 +212,8 @@ class _Pipeline:
         self.report.counts = {
             "object": len(self.log.objects),
             "event": len(self.log.events),
-            "e2o": len(self.log._e2o),   # counted without copying the relation sets
-            "o2o": len(self.log._o2o),
+            "e2o": sum(map(len, self.log._e2o_by_event.values())),   # no relation copied
+            "o2o": sum(map(len, self.log._o2o_by_source.values())),
         }
         self.report.elapsed_seconds = _time.perf_counter() - started
         return self.log, self.report

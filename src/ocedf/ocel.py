@@ -3,7 +3,9 @@
 A log holds typed events, typed objects, timestamped object attribute
 values, untimed event attribute values, and qualified event-to-object and
 object-to-object relations. Logs are built once through the ``add_*`` /
-``relate_*`` methods and treated as read-only afterwards. The first query
+``relate_*`` methods and treated as read-only afterwards. Each relation is
+held once: under its event (E2O) or its source object (O2O), in a tuple
+sorted by (object, qualifier), the order OCEL JSON emits it in. The first query
 for the event order or the object traces builds that index and caches it
 on the log; ``add_*``/``relate_*`` drop the indexes they change. Two threads
 making that first query at once compute equal values, so a finished log is
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain
@@ -168,6 +171,24 @@ def _conform_value(value: Any, kind: str, where: str) -> Any:
     raise SchemaError(f"{where}: value {value!r} does not match declared kind {kind!r}")
 
 
+def _insert(by_key: dict[str, tuple], key: str, rel: tuple, kind: str) -> None:
+    """Replace ``by_key[key]`` with a sorted tuple that holds ``rel`` too."""
+    if not isinstance(rel.qualifier, str):
+        raise SchemaError(f"{kind} relation {tuple(rel)!r}: qualifier must be a string")
+    rels = by_key.get(key, ())
+    i = bisect_left(rels, rel)
+    if i < len(rels) and rels[i] == rel:
+        raise SchemaError(f"duplicate {kind} relation {tuple(rel)!r}")
+    by_key[key] = rels[:i] + (rel,) + rels[i:]
+
+
+def _pruned(by_key: dict[str, tuple], keys, ends) -> dict[str, tuple]:
+    """``by_key`` restricted to ``keys``, each tuple to the relations whose
+    second id is in ``ends``; a pruned sorted tuple is still sorted."""
+    return {k: kept for k, rels in by_key.items()
+            if k in keys and (kept := tuple(r for r in rels if r[1] in ends))}
+
+
 def _with(instance, **changes):
     """Copy of a normalized frozen instance with ``changes``; skips ``__post_init__``.
     Fields are set one by one: touching ``__dict__`` would give the copy a real dict."""
@@ -209,12 +230,15 @@ def _stored(inst, kinds: Mapping[str, str] | None):
 class OcedLog:
     """Mutable while being built, then used as a read-only value.
 
-    Each event's relations are kept as a tuple, which is replaced, never
-    changed, when one is added. The event order (a tuple of event ids by
-    time, then id) and the object traces (per object id, a tuple of its
-    distinct event ids in that order) are built on first use and rebound to
-    None by the methods that change them, so a derived log may hold the very
-    tuples of its input."""
+    Each relation is stored once: an E2O relation in its event's tuple,
+    sorted by (object, qualifier), and an O2O relation in its source
+    object's tuple, sorted by (target, qualifier). That is the order the
+    readers and the OCEL JSON writer want, so none of them sorts. A tuple is
+    replaced, never changed, when a relation is added. The event order (a
+    tuple of event ids by time, then id) and the object traces (per object
+    id, a tuple of its distinct event ids in that order) are built on first
+    use and rebound to None by the methods that change them, so a derived
+    log may hold the very tuples of its input."""
 
     def __init__(self, object_type_defs: Iterable[ObjectTypeDef] = (),
                  event_type_defs: Iterable[EventTypeDef] = ()):
@@ -222,9 +246,8 @@ class OcedLog:
         self._event_types = _checked_defs(event_type_defs, "event type")
         self._objects: dict[str, ObjectInstance] = {}
         self._events: dict[str, EventInstance] = {}
-        self._e2o: set[E2ORelation] = set()
-        self._o2o: set[O2ORelation] = set()
         self._e2o_by_event: dict[str, tuple[E2ORelation, ...]] = {}
+        self._o2o_by_source: dict[str, tuple[O2ORelation, ...]] = {}
         self._order: tuple[str, ...] | None = None
         self._traces: dict[str, tuple[str, ...]] | None = None
 
@@ -265,11 +288,7 @@ class OcedLog:
             raise SchemaError(f"e2o relation references unknown event {event_id!r}")
         if obj is None:
             raise SchemaError(f"e2o relation references unknown object {object_id!r}")
-        rel = E2ORelation(event.id, obj.id, qualifier)
-        if rel in self._e2o:
-            raise SchemaError(f"duplicate e2o relation {(event_id, object_id, qualifier)!r}")
-        self._e2o.add(rel)
-        self._e2o_by_event[event.id] = self._e2o_by_event.get(event.id, ()) + (rel,)
+        _insert(self._e2o_by_event, event.id, E2ORelation(event.id, obj.id, qualifier), "e2o")
         self._traces = None
 
     def relate_objects(self, source_id: str, target_id: str, qualifier: str = "") -> None:
@@ -281,10 +300,7 @@ class OcedLog:
                 raise SchemaError(f"o2o relation references unknown object {oid!r}")
         if source_id == target_id and not qualifier:
             raise SchemaError(f"self o2o relation on {source_id!r} requires a non-empty qualifier")
-        rel = O2ORelation(source.id, target.id, qualifier)
-        if rel in self._o2o:
-            raise SchemaError(f"duplicate o2o relation {(source_id, target_id, qualifier)!r}")
-        self._o2o.add(rel)
+        _insert(self._o2o_by_source, source.id, O2ORelation(source.id, target.id, qualifier), "o2o")
 
     # -- queries ---------------------------------------------------------
 
@@ -298,17 +314,17 @@ class OcedLog:
 
     @property
     def e2o(self) -> frozenset[E2ORelation]:
-        return frozenset(self._e2o)
+        return frozenset(chain.from_iterable(self._e2o_by_event.values()))
 
     @property
     def o2o(self) -> frozenset[O2ORelation]:
-        return frozenset(self._o2o)
+        return frozenset(chain.from_iterable(self._o2o_by_source.values()))
 
     def has_e2o(self, event_id: str, object_id: str, qualifier: str = "") -> bool:
-        return E2ORelation(event_id, object_id, qualifier) in self._e2o
+        return (event_id, object_id, qualifier) in self._e2o_by_event.get(event_id, ())
 
     def has_o2o(self, source_id: str, target_id: str, qualifier: str = "") -> bool:
-        return O2ORelation(source_id, target_id, qualifier) in self._o2o
+        return (source_id, target_id, qualifier) in self._o2o_by_source.get(source_id, ())
 
     def _event_order(self) -> tuple[str, ...]:
         """Event ids by (time, id), sorted once per change of the events."""
@@ -352,7 +368,7 @@ class OcedLog:
             raise SchemaError(f"unknown event id {event_id!r}")
         objects = self._objects
         out, last = [], None
-        for _, oid, _ in sorted(self._e2o_by_event.get(event_id, ())):   # by (object, qualifier)
+        for _, oid, _ in self._e2o_by_event.get(event_id, ()):   # by (object, qualifier)
             if oid != last:
                 out.append(objects[oid])
                 last = oid
@@ -367,22 +383,19 @@ class OcedLog:
         takes over), checking nothing. The instances keep this log's ids and
         times, which is what lets the derived log reuse this log's event
         order, and its object traces too when no id is dropped. It keeps the
-        relations between them, shares the immutable per-event tuples and
+        relations between them, shares the immutable relation tuples and
         indexes, and owns every container."""
         out = OcedLog.__new__(OcedLog)
         out._object_types = dict(self._object_types if object_types is None else object_types)
         out._event_types = dict(self._event_types if event_types is None else event_types)
         out._objects, out._events = objects, events
         if objects.keys() == self._objects.keys() and events.keys() == self._events.keys():
-            out._e2o, out._o2o = set(self._e2o), set(self._o2o)
             out._e2o_by_event = dict(self._e2o_by_event)
+            out._o2o_by_source = dict(self._o2o_by_source)
             out._order, out._traces = self._order, self._traces
             return out
-        out._e2o_by_event = {k: kept for k, rels in self._e2o_by_event.items() if k in events
-                             and (kept := tuple(r for r in rels if r[1] in objects))}   # r[1]: object id
-        out._e2o = set(chain.from_iterable(out._e2o_by_event.values()))
-        out._o2o = {r for r in self._o2o
-                    if r.source_object_id in objects and r.target_object_id in objects}
+        out._e2o_by_event = _pruned(self._e2o_by_event, events, objects)
+        out._o2o_by_source = _pruned(self._o2o_by_source, objects, objects)
         out._order = tuple(eid for eid in self._event_order() if eid in events)
         out._traces = None
         return out
@@ -466,11 +479,7 @@ def _type_records(type_defs: Iterable) -> Iterator[dict]:
 def _object_records(log: OcedLog) -> Iterator[dict]:
     """One record per object, by id; attribute values by (name, time),
     relationships by (target, qualifier)."""
-    o2o_by_source: dict[str, list[O2ORelation]] = {}
-    for rel in log._o2o:
-        o2o_by_source.setdefault(rel.source_object_id, []).append(rel)
     for obj in sorted(log._objects.values(), key=lambda o: o.id):
-        rels = sorted(o2o_by_source.get(obj.id, ()))   # one source: by (target, qualifier)
         yield {
             "id": obj.id,
             "type": obj.type,
@@ -480,7 +489,7 @@ def _object_records(log: OcedLog) -> Iterator[dict]:
                 for av in sorted(obj.attribute_values, key=attrgetter("name", "time"))
             ],
             "relationships": [{"objectId": target, "qualifier": qualifier}
-                              for _, target, qualifier in rels],
+                              for _, target, qualifier in log._o2o_by_source.get(obj.id, ())],
         }
 
 
@@ -488,7 +497,6 @@ def _event_records(log: OcedLog) -> Iterator[dict]:
     """One record per event, by (time, id); attributes by name,
     relationships by (object, qualifier)."""
     for event in log.events_in_order():
-        rels = sorted(log._e2o_by_event.get(event.id, ()))   # one event: by (object, qualifier)
         yield {
             "id": event.id,
             "type": event.type,
@@ -496,7 +504,7 @@ def _event_records(log: OcedLog) -> Iterator[dict]:
             "attributes": [{"name": name, "value": _value_to_json(value)}
                            for name, value in sorted(event.attribute_values)],
             "relationships": [{"objectId": oid, "qualifier": qualifier}
-                              for _, oid, qualifier in rels],
+                              for _, oid, qualifier in log._e2o_by_event.get(event.id, ())],
         }
 
 

@@ -27,6 +27,12 @@ def to_utc_ms(dt: datetime) -> datetime:
     return dt
 
 
+def as_utc(dt: datetime) -> datetime:
+    """``dt`` with a naive time read as UTC. Unlike ``to_utc_ms`` it keeps the
+    precision, so a bound compares exactly with stored times."""
+    return dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt
+
+
 def parse_iso(text: str) -> datetime:
     """Parse an ISO-8601 timestamp; a trailing ``Z`` is accepted for UTC."""
     cleaned = text.strip()

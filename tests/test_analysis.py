@@ -84,6 +84,25 @@ class TestFilter:
         out = filter_log(log, time_window=(at(1), at(2)))
         assert set(out.events) == {"e1", "e2"}
 
+    def test_naive_time_bounds_read_as_utc(self):
+        log = user_page_log()
+        for i in range(4):
+            log.add_event(EventInstance(f"e{i}", "view page", at(i)))
+        for window in [(at(1), at(2)), (at(1), None), (None, at(2))]:
+            naive = tuple(None if t is None else t.replace(tzinfo=None) for t in window)
+            assert set(filter_log(log, time_window=naive).events) == \
+                set(filter_log(log, time_window=window).events), window
+
+    def test_sub_millisecond_bound_is_not_truncated(self):
+        log = user_page_log()
+        for i in range(4):
+            log.add_event(EventInstance(f"e{i}", "view page", at(i)))
+        bound = at(1) + timedelta(microseconds=500)   # after e1, which is stored at whole ms
+        for lo in (bound, bound.replace(tzinfo=None)):
+            assert set(filter_log(log, time_window=(lo, None)).events) == {"e2", "e3"}
+        assert set(filter_log(log, time_window=(None, bound.replace(tzinfo=None))).events) == \
+            {"e0", "e1"}
+
     def test_unknown_type(self):
         with pytest.raises(SchemaError, match="unknown event type"):
             filter_log(user_page_log(), keep_event_types={"ghost"})

@@ -206,6 +206,10 @@ class TestStats:
         for otype, n in type_counts.items():
             assert f"  {otype}: {n}" in text
 
+    def test_stats_lives_in_analysis(self):
+        import ocedf
+        assert stats is ocedf.analysis.stats is ocedf.stats
+
 
 class TestFileOutputs:
     def test_extract_writes_log_and_report(self, extracted):

@@ -1,16 +1,20 @@
-"""The log's cached indexes against a brute force over ``events`` and ``e2o``.
+"""The log's cached indexes and relation tuples against a brute force over
+``events``, ``e2o`` and ``o2o``.
 
 ``OcedLog`` builds its event order and object traces on the first query and
 drops them when a change makes them stale; derived logs reuse their input's
-indexes. Every answer of ``events_in_order``, ``events_of_object`` and
-``objects_of_event`` must equal what a scan of the log's events and
-relations gives, while the log grows between queries and after a derived log
-that shares the input's indexes grows.
+indexes. It stores each relation once, in its event's or source object's
+tuple, kept sorted as each relation is added. Every answer of
+``events_in_order``, ``events_of_object`` and ``objects_of_event``, each
+relation tuple, ``has_e2o``/``has_o2o`` and the duplicate check must agree
+with a scan of the log's events and relations, while the log grows between
+queries and after a derived log that shares the input's tuples grows.
 """
 
 import random
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,14 +47,36 @@ def _answers(log):
             {eid: log.objects_of_event(eid) for eid in log.events})
 
 
+def _assert_relations_right(log):
+    """Each relation sits once in its key's tuple, sorted by (object,
+    qualifier); ``has_*`` and re-adding a stored relation agree with a scan."""
+    for kind, rels, by_key, keys, has, relate in (
+            ("e2o", log.e2o, log._e2o_by_event, log.events, log.has_e2o, log.relate_event_object),
+            ("o2o", log.o2o, log._o2o_by_source, log.objects, log.has_o2o, log.relate_objects)):
+        grouped = {}
+        for rel in rels:
+            grouped.setdefault(rel[0], []).append(rel)
+        assert by_key == {key: tuple(sorted(group)) for key, group in grouped.items()}, kind
+        probes = {(key, oid, q) for key, oid, _ in rels for q in QUALIFIERS}
+        probes |= {(key, oid, "") for key in keys for oid in sorted(log.objects)[:2]}
+        for probe in probes:
+            assert has(*probe) == (probe in rels), (kind, probe)
+        for rel in rels:
+            before = by_key[rel[0]]
+            with pytest.raises(SchemaError, match=f"duplicate {kind} relation"):
+                relate(*rel)
+            assert by_key[rel[0]] is before
+
+
 def _assert_indexes_right(log):
     assert _answers(log) == _brute_force(log)
+    _assert_relations_right(log)
 
 
 def _grow(log, rng, step):
     """One change to ``log``: an event (sometimes before every stored one),
-    an object, or an e2o relation."""
-    kind = rng.choice(["event", "object", "relate", "relate"])
+    an object, or an e2o or o2o relation."""
+    kind = rng.choice(["event", "object", "relate", "relate", "relate_objects"])
     if kind == "event":
         times = [e.time for e in log.events.values()]
         early = not times or rng.random() < 0.5
@@ -62,6 +88,11 @@ def _grow(log, rng, step):
         values = (AttributeValue("role", BASE, rng.choice(["Student", "Teacher"])),) \
             if tdef.name == "User" else ()
         log.add_object(ObjectInstance(f"grown-o{step}", tdef.name, values))
+    elif kind == "relate_objects":
+        src, tgt = rng.choice(sorted(log.objects)), rng.choice(sorted(log.objects))
+        qualifier = rng.choice(QUALIFIERS)
+        if (src != tgt or qualifier) and not log.has_o2o(src, tgt, qualifier):
+            log.relate_objects(src, tgt, qualifier)
     elif log.events and log.objects:
         eid, oid = rng.choice(sorted(log.events)), rng.choice(sorted(log.objects))
         qualifier = rng.choice(QUALIFIERS)
@@ -104,11 +135,12 @@ def _derived_logs(log, rng):
 def test_derived_logs_share_indexes_without_sharing_changes(seed):
     rng = random.Random(seed)
     log = random_log(rng, max_events=40, max_objects=15, with_user_hierarchy=True)
-    before = _answers(log)   # fills the input's caches, which derived logs may take over
+    before = _answers(log), log.e2o, log.o2o   # fills the caches derived logs may take over
     for name, derived in _derived_logs(log, rng).items():
         _assert_indexes_right(derived)
         # an event before every other, related to an object, plus one more
-        # relation on an event the derived log shares with its input
+        # relation on an event and one on an object the derived log shares
+        # with its input
         times = [e.time for e in derived.events.values()]
         derived.add_event(EventInstance("probe", derived.event_type_defs[0].name,
                                         min(times, default=BASE) - timedelta(seconds=1)))
@@ -118,6 +150,9 @@ def test_derived_logs_share_indexes_without_sharing_changes(seed):
             shared = rng.choice(sorted(derived.events))
             if not derived.has_e2o(shared, oid, "probe"):
                 derived.relate_event_object(shared, oid, "probe")
+            source = rng.choice(sorted(derived.objects))
+            if not derived.has_o2o(source, oid, "probe"):
+                derived.relate_objects(source, oid, "probe")
         _assert_indexes_right(derived)
-        assert _answers(log) == before, name
+        assert (_answers(log), log.e2o, log.o2o) == before, name
     _assert_indexes_right(log)

@@ -216,6 +216,17 @@ class TestRelations:
             log.relate_objects("stu-1", "stu-1")
         log.relate_objects("stu-1", "stu-1", "self")
 
+    def test_qualifier_must_be_a_string(self):
+        log = simple_log()
+        log.add_event(EventInstance("e1", "view page", T0))
+        log.relate_event_object("e1", "stu-1", "viewer")
+        log.relate_objects("crs-1", "stu-1", "contains")
+        for relate, ids in ((log.relate_event_object, ("e1", "stu-1")),
+                            (log.relate_objects, ("crs-1", "stu-1"))):
+            with pytest.raises(SchemaError, match="qualifier must be a string"):
+                relate(*ids, None)
+        assert len(log.e2o) == len(log.o2o) == 1
+
 
 class TestEventsOfObject:
     def test_no_relations(self):
