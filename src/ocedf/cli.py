@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import analysis, extraction, specmodel, verification
@@ -135,11 +136,26 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _log_stage(stage: str, events: int, started: float) -> float:
+    """Log one info line with ``stage``'s seconds since ``started`` and its
+    rate in events per second; return the time now, the next stage's start."""
+    now = time.perf_counter()
+    seconds = now - started
+    log.info("%s: %.3f s, %d events, %.0f events/s",
+             stage, seconds, events, events / seconds if seconds > 0 else 0)
+    return now
+
+
 def _cmd_verify(args) -> int:
     spec = specmodel.parse_spec(args.spec)
+    started = time.perf_counter()
     oced_log = read_ocel_json(args.log_path)
+    events = len(oced_log.events)
+    started = _log_stage("read", events, started)
     matrix = verification.derive_matrix(oced_log, spec.xmatrix, spec.schema)
+    started = _log_stage("derive_matrix", events, started)
     report = verification.check(matrix, spec.xmatrix)
+    _log_stage("check", events, started)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -17,6 +17,7 @@ indexes, re-checks only what it changes, and owns its containers.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from bisect import bisect_left
@@ -603,7 +604,34 @@ def ocel_from_dict(doc: Any) -> OcedLog:
 
     Every defect of the document raises ``OcelDocumentError`` naming the
     JSON path of the offending entry. The entries' shape is checked here; the
-    types, attributes and value kinds they name are checked by ``add_*``."""
+    types, attributes and value kinds they name are checked by ``add_*``.
+
+    Relationships resolve once every object and event is stored. Each
+    record's owner is resolved once, and its relations are built, sorted and
+    stored as its tuple in one step. A record with any defect is replayed
+    through ``relate_*``, so the first defect in document order is reported
+    with the message and path that relation by relation would give."""
+    log = _log_without_relations(doc)
+    objects = log._objects
+    for key, owners, by_key, make, relate in (
+            ("objects", objects, log._o2o_by_source, O2ORelation, log.relate_objects),
+            ("events", log._events, log._e2o_by_event, E2ORelation, log.relate_event_object)):
+        for i, entry in enumerate(doc[key]):
+            rels = entry.get("relationships")
+            if not rels:
+                continue
+            owner = owners[entry["id"]].id
+            built = _record_relations(owner, rels, objects, make)
+            if built is None:
+                _replay_relations(key, i, entry, relate)
+            else:
+                by_key[owner] = built
+    return log
+
+
+def _log_without_relations(doc: Any) -> OcedLog:
+    """The log of ``doc``'s types, objects and events, with each record's
+    ``relationships`` checked to be a list but not yet related."""
     if not isinstance(doc, dict):
         raise OcelDocumentError("top level must be a JSON object")
     for key in ("objectTypes", "eventTypes", "objects", "events"):
@@ -665,22 +693,41 @@ def ocel_from_dict(doc: Any) -> OcedLog:
         except SchemaError as exc:
             raise OcelDocumentError(str(exc), path) from None
 
-    # Relationships resolve only after every instance is registered. This loop
-    # runs once per relation, so a path is formatted only for an error.
-    for key, relate in (("objects", log.relate_objects), ("events", log.relate_event_object)):
-        for i, entry in enumerate(doc[key]):
-            for j, rel in enumerate(entry.get("relationships", ())):
-                qualifier = rel.get("qualifier", "") if isinstance(rel, dict) else None
-                if not isinstance(qualifier, str) or not isinstance(rel.get("objectId"), str):
-                    raise OcelDocumentError("relationship entries need a string 'objectId' and, "
-                                            "if any, a string 'qualifier'", f"{key}[{i}].relationships[{j}]")
-                try:
-                    relate(entry["id"], rel["objectId"], qualifier)
-                except SchemaError as exc:
-                    raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}",
-                                            f"{key}[{i}].relationships[{j}]") from None
-
     return log
+
+
+def _record_relations(owner: str, rels: list, objects: Mapping[str, ObjectInstance],
+                      make) -> tuple | None:
+    """The relations of one record, made by the relation class ``make``, as
+    its sorted tuple; or None when one is malformed, names an unknown object
+    or a self O2O relation without a qualifier, or comes twice."""
+    built = []
+    for rel in rels:
+        if not isinstance(rel, dict):
+            return None
+        qualifier, target = rel.get("qualifier", ""), rel.get("objectId")
+        if not isinstance(qualifier, str) or not isinstance(target, str) or target not in objects:
+            return None
+        built.append(make(owner, objects[target].id, qualifier))
+    built.sort()
+    if len(set(built)) < len(built) or (make is O2ORelation and (owner, owner, "") in built):
+        return None
+    return tuple(built)
+
+
+def _replay_relations(key: str, i: int, entry: dict, relate) -> None:
+    """Relate a record's relations one by one, raising at the first defect
+    with its JSON path."""
+    for j, rel in enumerate(entry["relationships"]):
+        qualifier = rel.get("qualifier", "") if isinstance(rel, dict) else None
+        if not isinstance(qualifier, str) or not isinstance(rel.get("objectId"), str):
+            raise OcelDocumentError("relationship entries need a string 'objectId' and, "
+                                    "if any, a string 'qualifier'", f"{key}[{i}].relationships[{j}]")
+        try:
+            relate(entry["id"], rel["objectId"], qualifier)
+        except SchemaError as exc:
+            raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}",
+                                    f"{key}[{i}].relationships[{j}]") from None
 
 
 def _load_document(source: str | Path | IO[str]) -> Any:
@@ -698,5 +745,18 @@ def _load_document(source: str | Path | IO[str]) -> Any:
 
 
 def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
-    """Parse an OCEL 2.0 JSON document from a path or open file."""
-    return ocel_from_dict(_load_document(source))
+    """Parse an OCEL 2.0 JSON document from a path or open file.
+
+    The cyclic garbage collector is paused while the text is parsed and the
+    log is built: both only allocate, and a collection pass over the growing
+    document and log would find nothing to free. The pause is process-wide,
+    so other threads' objects go uncollected during the read as well. The
+    caller's state is restored when the read returns or raises, so a caller
+    that had disabled the collector keeps it disabled."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return ocel_from_dict(_load_document(source))
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,11 +2,18 @@
 
 The derived matrix counts, per event, how many related objects fall into
 each extraction-matrix column, and checks those counts against the
-declared multiplicity ranges as they are tallied: only the cell
-statistics and the violations are kept, never a per-event table. An
-object counts toward a subtype column when its discriminator attribute
-equals that subtype, and always toward its stored type's column and any
-ancestor column.
+declared multiplicity ranges. An object counts toward a subtype column when
+its discriminator attribute equals that subtype, and always toward its
+stored type's column and any ancestor column.
+
+Events are tallied by signature: the event type plus the column class of
+each distinct related object, where the class is the tuple of columns the
+object counts toward (or its type, when it counts toward none). Events of
+one signature have the same counts, so only the first event of a signature
+counts and range-checks; each later one adds one to its signature's events
+and repeats its violations under its own id. The cell statistics and the
+unmapped types are folded once per signature at the end. Only those and the
+violations are kept, never a per-event table.
 
 Blank cells read as 0..0, except inside an is-a family: when a row pins
 the expectation at one level of the hierarchy (say Student = 1), the other
@@ -127,9 +134,36 @@ def _effective_range(column_families: dict[str, str], xmatrix: ExtractionMatrix,
     return None  # the root's 0..0 already forbids every subtype
 
 
+class _Tally:
+    """The events of one signature: their number, their shared counts per
+    column, and the (column, count, range) checks those counts fail."""
+
+    __slots__ = ("events", "counts", "violated")
+
+    def __init__(self, signature: tuple, columns: tuple[str, ...],
+                 ranges: dict[tuple[str, str], MultiplicityRange | None]):
+        event_type, *event_classes = signature
+        self.events = 0
+        self.counts = dict.fromkeys(columns, 0)
+        for cls in event_classes:
+            if not isinstance(cls, str):
+                for c in cls:
+                    self.counts[c] += 1
+        self.violated = [(c, n, expected) for c, n in self.counts.items()
+                         if (expected := ranges.get((event_type, c))) is not None
+                         and not expected.contains(n)]
+
+
 def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSchema) -> VerificationMatrix:
     """Tally per-event object counts for every extraction-matrix column and
-    check each event's counts against its row's effective ranges."""
+    check each event's counts against its row's effective ranges.
+
+    Events are read by (time, id) and grouped by signature, so counting
+    and checking cost once per signature, and each further event one tuple
+    of its objects' classes and one lookup. The classes come in object id
+    order, so two events whose classes differ only in order have separate
+    signatures with equal counts. Violations are in event (time, id) order,
+    then column order, as one count per event would give them."""
     columns = xmatrix.columns
     always, discriminated = _column_matchers(columns, schema)
     discriminator_attr = {t: schema.discriminators.get(schema.root_of(t)) for t in schema.object_types}
@@ -144,46 +178,47 @@ def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSch
     rows = tuple(xmatrix.activities) + extra
     cells = {(r, c): CellStats() for r in rows for c in columns}
 
-    # per row: its cells in column order, and the (column, range) pairs it checks
-    row_cells = {r: [cells[(r, c)] for c in columns] for r in rows}
-    ranges = {(a, c): _effective_range(families, xmatrix, a, c) for a in xmatrix.activities for c in columns}
-    checked = {r: [(c, ranges[(r, c)]) for c in columns if ranges.get((r, c)) is not None] for r in rows}
-
-    # per object: the columns it counts toward
-    counted: dict[str, list[str]] = {}
+    # per object: its column class, the tuple of columns it counts toward, or
+    # its type when it counts toward none
+    classes: dict[str, tuple[str, ...] | str] = {}
     for obj in log.objects.values():
-        matched = list(always.get(obj.type, ()))
+        matched = tuple(always.get(obj.type, ()))
         attr = discriminator_attr.get(obj.type)
         if attr is not None:
             label = obj.latest_value(attr)
             if isinstance(label, str):
-                matched.extend(discriminated.get((obj.type, label), ()))
-        counted[obj.id] = matched
+                matched += tuple(discriminated.get((obj.type, label), ()))
+        classes[obj.id] = matched or obj.type
 
+    # per signature (event type, column class of each distinct related object):
+    # its number of events, its counts and the violations those counts make
+    ranges = {(a, c): _effective_range(families, xmatrix, a, c) for a in xmatrix.activities for c in columns}
+    tallies: dict[tuple, _Tally] = {}
     violations: list[Violation] = []
-    unmapped: dict[str, set[str]] = {}
     for event in log.events_in_order():
-        counts = {c: 0 for c in columns}
-        for obj in log.objects_of_event(event.id):
-            matched = counted[obj.id]
-            if not matched:
-                unmapped.setdefault(event.type, set()).add(obj.type)
-            for c in matched:
-                counts[c] += 1
-        for stats, n in zip(row_cells[event.type], counts.values()):
+        signature = (event.type, *[classes[obj.id] for obj in log.objects_of_event(event.id)])
+        tally = tallies.get(signature)
+        if tally is None:
+            tally = tallies[signature] = _Tally(signature, columns, ranges)
+        tally.events += 1
+        for column, n, expected in tally.violated:
+            violations.append(Violation(event.id, event.type, column, n, expected))
+
+    unmapped: dict[str, set[str]] = {}
+    for (event_type, *event_classes), tally in tallies.items():
+        for cls in event_classes:
+            if isinstance(cls, str):
+                unmapped.setdefault(event_type, set()).add(cls)
+        for column, n in tally.counts.items():
+            stats = cells[(event_type, column)]
             if stats.total_events_of_type == 0:
-                stats.observed_min = n
-                stats.observed_max = n
+                stats.observed_min = stats.observed_max = n
             else:
                 stats.observed_min = min(stats.observed_min, n)
                 stats.observed_max = max(stats.observed_max, n)
             if n == 0:
-                stats.events_with_zero += 1
-            stats.total_events_of_type += 1
-        for column, expected in checked[event.type]:
-            n = counts[column]
-            if not expected.contains(n):
-                violations.append(Violation(event.id, event.type, column, n, expected))
+                stats.events_with_zero += tally.events
+            stats.total_events_of_type += tally.events
 
     return VerificationMatrix(rows, columns, cells, violations, extra, unmapped, families)
 

@@ -1,16 +1,18 @@
-"""The OCEL JSON writer as it was before records were streamed.
+"""The OCEL JSON writer as it was before records were streamed, and the
+reader as it was before each record's relations were stored in one step.
 
 ``ocel_to_dict`` builds the whole document from the log's public relation
 sets, formatting every time through ``format_iso``, and ``write_text``
-renders it with ``json.dumps(indent=2)``. The differential tests in
+renders it with ``json.dumps(indent=2)``. ``ocel_from_dict`` relates every
+relation through ``relate_*``, one at a time. The differential tests in
 ``test_ocel_json.py`` require the streaming writer to give the same
-document.
+document, and the reader the same log or the same error.
 """
 
 import json
 from datetime import datetime
 
-from ocedf import E2ORelation, O2ORelation, OcedLog
+from ocedf import E2ORelation, O2ORelation, OcedLog, OcelDocumentError, SchemaError, ocel
 from ocedf.timeutil import format_iso
 
 
@@ -76,3 +78,21 @@ def ocel_to_dict(log: OcedLog) -> dict:
 def write_text(log: OcedLog) -> str:
     """The whole document as the old ``write_ocel_json`` wrote it."""
     return json.dumps(ocel_to_dict(log), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def ocel_from_dict(doc) -> OcedLog:
+    """The log of ``doc``, each relation checked and related on its own."""
+    log = ocel._log_without_relations(doc)
+    for key, relate in (("objects", log.relate_objects), ("events", log.relate_event_object)):
+        for i, entry in enumerate(doc[key]):
+            for j, rel in enumerate(entry.get("relationships", ())):
+                qualifier = rel.get("qualifier", "") if isinstance(rel, dict) else None
+                if not isinstance(qualifier, str) or not isinstance(rel.get("objectId"), str):
+                    raise OcelDocumentError("relationship entries need a string 'objectId' and, "
+                                            "if any, a string 'qualifier'", f"{key}[{i}].relationships[{j}]")
+                try:
+                    relate(entry["id"], rel["objectId"], qualifier)
+                except SchemaError as exc:
+                    raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}",
+                                            f"{key}[{i}].relationships[{j}]") from None
+    return log

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import shutil
 import subprocess
 import sys
@@ -179,6 +181,20 @@ class TestVerify:
         assert run(["verify", "--spec", CASE_SPEC, "--log", str(case), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"] == {"violations": 0, "warnings": 1}
+
+    def test_info_logs_one_line_per_stage(self, extracted, capsys, caplog):
+        case, _ = extracted
+        args = ["verify", "--spec", CASE_SPEC, "--log", str(case)]
+        assert run(args) == 0
+        plain = capsys.readouterr().out
+        caplog.set_level(logging.INFO, logger="ocedf.cli")
+        assert run(["--log-level", "info", *args]) == 0
+        assert capsys.readouterr().out == plain
+        events = len(read_ocel_json(case).events)
+        lines = [r.getMessage() for r in caplog.records if r.name == "ocedf.cli"]
+        assert [line.split(":")[0] for line in lines] == ["read", "derive_matrix", "check"]
+        for line in lines:
+            assert re.fullmatch(rf"\w+: \d+\.\d{{3}} s, {events} events, \d+ events/s", line)
 
 
 class TestStats:

@@ -3,6 +3,7 @@ one-record-per-line layout, atomic output, and the reader on broken documents.
 """
 
 import copy
+import gc
 import io
 import json
 import os
@@ -407,3 +408,156 @@ def test_value_errors_name_their_path_once(section, name, value, message):
     what = section[:-1]
     assert err.value.path == f"{section}[0]"
     assert str(err.value) == f"{section}[0]: {what} '{what[0]}1' attribute {name!r}: {message}"
+
+
+# -- the reader against the reference that relates one relation at a time ----------
+
+
+def assert_reads_as_reference(doc):
+    """``ocel_from_dict`` gives the reference reader's relations, stored in
+    the same order and holding the stored instances' id strings, or raises
+    the reference's error with the same message and path."""
+    try:
+        want = ref.ocel_from_dict(copy.deepcopy(doc))
+    except Exception as exc:
+        with pytest.raises(Exception) as err:
+            ocel_from_dict(doc)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        assert getattr(err.value, "path", None) == getattr(exc, "path", None)
+        return False
+    got = ocel_from_dict(doc)
+    assert (got.e2o, got.o2o) == (want.e2o, want.o2o)
+    assert (got._e2o_by_event, got._o2o_by_source) == (want._e2o_by_event, want._o2o_by_source)
+    for eid in want.events:
+        assert got.objects_of_event(eid) == want.objects_of_event(eid)
+    for rels in (*got._e2o_by_event.values(), *got._o2o_by_source.values()):
+        for owner, target, _ in rels:
+            assert target is got.objects[target].id
+            assert owner is (got.events.get(owner) or got.objects[owner]).id
+    return True
+
+
+RELATION_EDITS = ("duplicate", "dangling", "self without qualifier", "self with qualifier",
+                  "malformed", "bad qualifier", "new", "shuffle")
+
+
+def _edit_relationships(doc, data):
+    """Apply one to four edits to the relationships of random records, or
+    all of them to one record."""
+    records = [*doc["objects"], *doc["events"]]
+    object_ids = [entry["id"] for entry in doc["objects"]]
+    one_record = data.draw(st.booleans())
+    entry = data.draw(st.sampled_from(records))
+    for _ in range(data.draw(st.integers(1, 4))):
+        if not one_record:
+            entry = data.draw(st.sampled_from(records))
+        rels = entry.setdefault("relationships", [])
+        edit = data.draw(st.sampled_from(RELATION_EDITS))
+        qualifier = data.draw(st.sampled_from(["", "q", "r"]))
+        if edit == "shuffle":
+            rels[:] = data.draw(st.permutations(rels))
+            continue
+        if edit == "duplicate":
+            if not rels:
+                continue
+            new = copy.deepcopy(data.draw(st.sampled_from(rels)))
+        elif edit == "dangling":
+            new = {"objectId": "missing", "qualifier": qualifier}
+        elif edit == "self without qualifier":
+            new = data.draw(st.sampled_from([{"objectId": entry["id"]},
+                                             {"objectId": entry["id"], "qualifier": ""}]))
+        elif edit == "self with qualifier":
+            new = {"objectId": entry["id"], "qualifier": "self"}
+        elif edit == "malformed":
+            new = data.draw(st.sampled_from([5, None, "o1", [], ["objectId"], {"qualifier": "q"}]))
+        elif edit == "bad qualifier":
+            new = {"objectId": data.draw(st.sampled_from(object_ids)),
+                   "qualifier": data.draw(st.sampled_from([7, None, ["q"]]))}
+        else:
+            new = {"objectId": data.draw(st.sampled_from(object_ids)), "qualifier": qualifier}
+        rels.insert(data.draw(st.integers(0, len(rels))), new)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_reference_on_edited_relationships(data):
+    if data.draw(st.booleans()):
+        doc = copy.deepcopy(BASE_DOCUMENT)
+    else:
+        log = random_log(random.Random(data.draw(st.integers(0, 10_000))), max_events=8, max_objects=5)
+        doc = ocel_to_dict(log)
+    _edit_relationships(doc, data)
+    assert_reads_as_reference(json.loads(json.dumps(doc)))   # ids in new strings, as read
+
+
+def _relationships(*rels, record=("events", 0)):
+    """BASE_DOCUMENT with ``rels`` as the relationships of ``record``."""
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    key, i = record
+    doc[key][i]["relationships"] = list(rels)
+    return doc
+
+
+# Defective records, with the path and message the first defect in each gives.
+RECORD_DEFECTS = {
+    "dangling before malformed": (
+        _relationships({"objectId": "o2"}, {"objectId": "nope"}, 5),
+        "events[0].relationships[1]", "unknown object 'nope'"),
+    "malformed before dangling": (
+        _relationships({"objectId": "o2"}, {"objectId": "o1", "qualifier": 7}, {"objectId": "nope"}),
+        "events[0].relationships[1]", "need a string 'objectId'"),
+    "duplicate before dangling": (
+        _relationships({"objectId": "o1"}, {"objectId": "o1", "qualifier": ""}, {"objectId": "nope"}),
+        "events[0].relationships[1]", "duplicate e2o relation"),
+    "self without qualifier": (
+        _relationships({"objectId": "o1", "qualifier": "x"}, {"objectId": "o2"}, record=("objects", 1)),
+        "objects[1].relationships[1]", "requires a non-empty qualifier"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_DEFECTS))
+def test_first_defect_of_a_record_is_reported(name):
+    doc, path, message = RECORD_DEFECTS[name]
+    assert not assert_reads_as_reference(doc)
+    with pytest.raises(OcelDocumentError, match=message) as err:
+        ocel_from_dict(doc)
+    assert err.value.path == path
+
+
+# -- the collector is paused during a read, and the caller's state restored --------
+
+
+class TestGcPause:
+    def test_paused_during_the_read(self, monkeypatch):
+        seen = []
+        build = ocel.ocel_from_dict
+
+        def spy(doc):
+            seen.append(gc.isenabled())
+            return build(doc)
+
+        monkeypatch.setattr(ocel, "ocel_from_dict", spy)
+        read_ocel_json(io.StringIO(json.dumps(BASE_DOCUMENT)))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("text", ["{", json.dumps(_relationships({"objectId": "nope"}))],
+                             ids=["malformed JSON", "bad relationship"])
+    def test_enabled_again_after_a_failed_read(self, text):
+        with pytest.raises(OcelDocumentError) as err:
+            read_ocel_json(io.StringIO(text))
+        assert gc.isenabled()
+        if "nope" in text:
+            assert err.value.path == "events[0].relationships[0]"
+
+    def test_stays_disabled_when_the_caller_disabled_it(self):
+        gc.disable()
+        try:
+            read_ocel_json(io.StringIO(json.dumps(BASE_DOCUMENT)))
+            assert not gc.isenabled()
+            with pytest.raises(OcelDocumentError):
+                read_ocel_json(io.StringIO("{"))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

@@ -171,6 +171,36 @@ def unmapped_course_case():
     return log, xm, schema
 
 
+def interleaved_signatures_case():
+    """(log, xmatrix, schema) where two signatures of "set exam grade" take
+    turns in time and both violate. One event relates a Room, a type outside
+    every column, under two qualifiers. A "set assignment grade" event relates
+    the objects of one of those signatures, so only its event type tells them
+    apart; two teachers and a teacher with a student differ only in role."""
+    defs = [ObjectTypeDef("User", (AttributeDef("role", "string"),)), ObjectTypeDef("Room")]
+    defs += [ObjectTypeDef(n) for n in COLUMNS if n not in ("User", "Teacher", "Student")]
+    log = new_log(defs, [EventTypeDef(n) for n in course_matrix().activities])
+    add_user(log, "t1", "Teacher")
+    add_user(log, "t2", "Teacher")
+    add_user(log, "s1", "Student")
+    for oid, otype in (("c1", "Course"), ("r1", "Room"), ("x1", "Exam")):
+        log.add_object(ObjectInstance(oid, otype, ()))
+    events = [
+        ("g0", "set exam grade", ("c1", "s1", "t1", "x1")),      # conformant
+        ("g1", "set exam grade", ("c1", "t1", "t2", "x1")),      # two teachers, no student
+        ("g2", "set exam grade", ("t1", "x1")),                  # no student, no course
+        ("g3", "set exam grade", ("c1", "t2", "t1", "x1")),
+        ("g4", "set exam grade", ("r1", "t1", "x1")),
+        ("g5", "set assignment grade", ("c1", "t1", "t2", "x1")),
+    ]
+    for i, (eid, etype, oids) in enumerate(events):
+        log.add_event(EventInstance(eid, etype, T0 + timedelta(minutes=i)))
+        for oid in oids:
+            log.relate_event_object(eid, oid)
+    log.relate_event_object("g4", "r1", "venue")
+    return log, course_matrix(), course_schema()
+
+
 def _course(build):
     return lambda: (build(), course_matrix(), course_schema())
 
@@ -189,6 +219,7 @@ HAND_BUILT = {
     "view file outside the matrix": lambda: (single_view_file_log(), matrix_without_view_file(),
                                              course_schema()),
     "unmapped object type": unmapped_course_case,
+    "interleaved signatures": interleaved_signatures_case,
 }
 
 
@@ -252,6 +283,21 @@ class TestDeriveMatrix:
             unknown = sum(1 for o in log.objects_of_event(ec.event_id)
                           if o.type == "User" and o.latest_value("role") not in ("Teacher", "Student"))
             assert ec.counts["User"] == ec.counts["Teacher"] + ec.counts["Student"] + unknown
+
+    def test_violations_of_interleaved_signatures_in_event_order(self):
+        log, xmatrix, schema = interleaved_signatures_case()
+        matrix = derive_matrix(log, xmatrix, schema)
+        assert [(v.event_id, v.object_type, v.observed) for v in matrix.violations] == [
+            ("g1", "Teacher", 2), ("g1", "Student", 0),
+            ("g2", "Student", 0), ("g2", "Course", 0),
+            ("g3", "Teacher", 2), ("g3", "Student", 0),
+            ("g4", "Student", 0), ("g4", "Course", 0),
+            ("g5", "Teacher", 2), ("g5", "Student", 0), ("g5", "Exam", 1), ("g5", "Assignment", 0),
+        ]
+        assert matrix.unmapped_types == {"set exam grade": {"Room"}}
+        stats = matrix.cell("set exam grade", "Teacher")
+        assert (stats.observed_min, stats.observed_max, stats.total_events_of_type) == (1, 2, 5)
+        assert matrix.cell("set exam grade", "Course").events_with_zero == 2
 
     def test_monotonicity_under_added_relation(self):
         log = single_view_file_log()
