@@ -6,6 +6,19 @@ relations. Objects mapped to a subtype are stored under their hierarchy
 root with the discriminator attribute carrying the subtype label
 (single-table inheritance), which keeps referential integrity and enables
 drill-down later.
+
+Rules run one after the other, each over all of its table's rows, and each
+phase stores its relations once. Every row resolves its event and objects
+once and builds the relation from the stored instances' own ids. Phase 2
+collects each source object's O2O relations in a list and finds duplicates
+in one set of the phase's relations. Phase 3 grows each event's E2O tuple in
+the log, a relation already in it being a duplicate. At the end of its
+phase, each key's relations are sorted once and stored as its tuple
+(``OcedLog._store_relations``, as the OCEL JSON reader stores a record's),
+so the log holds them as ``relate_*`` would have. A table's synthesized
+event ids are built once, for its event rule and its E2O rules to share.
+With ``--log-level info`` each rule logs one line with its row counts,
+seconds and rows per second.
 """
 
 from __future__ import annotations
@@ -13,16 +26,19 @@ from __future__ import annotations
 import csv
 import logging
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DataError
+from .errors import DataError, SchemaError
 from .ocel import (
     AttributeDef,
     AttributeValue,
+    E2ORelation,
     EventInstance,
     EventTypeDef,
+    O2ORelation,
     ObjectInstance,
     ObjectTypeDef,
     OcedLog,
@@ -122,8 +138,15 @@ def _require_columns(rule_index: int, rule, table: SourceTable, columns: list[st
                 f"mappings[{rule_index}]: table {table.name!r} has no column {col!r}")
 
 
-def _cell(row: dict[str, str], column: str) -> str:
-    return row.get(column, "").strip()
+def _reads_synthesized_ids(rule) -> bool:
+    """Whether the rule names each row's event by its synthesized id."""
+    return isinstance(rule, EventRule) and not rule.id_column or \
+        isinstance(rule, E2ORule) and not rule.event_id_column
+
+
+def _require_string_qualifier(rule_index: int, qualifier) -> None:
+    if not isinstance(qualifier, str):
+        raise SchemaError(f"mappings[{rule_index}]: qualifier {qualifier!r} must be a string")
 
 
 class _Pipeline:
@@ -135,6 +158,10 @@ class _Pipeline:
         self.on_dangling = on_dangling
         self.report = ExtractionReport()
         self.log = new_log(self._object_type_defs(), self._event_type_defs())
+        self._ids: dict[str, list[str]] = {}   # source table -> its synthesized event ids
+        self._id_readers = Counter(r.source_table for r in spec.mappings if _reads_synthesized_ids(r))
+        self._o2o: dict[str, list[O2ORelation]] = {}   # phase 2: source id -> its relations
+        self._o2o_seen: set[O2ORelation] = set()
 
     # -- schema synthesis ------------------------------------------------
 
@@ -180,6 +207,16 @@ class _Pipeline:
             raise DataError(f"mappings[{rule_index}]: source table {rule.source_table!r} not provided")
         return table
 
+    def _synthesized_ids(self, rule, table: SourceTable) -> list[str]:
+        """The event id of each row of ``table`` without an id column, built
+        once per table: its event rule and its E2O rules share them, and the
+        stored events and relations hold the same strings."""
+        ids = self._ids.get(rule.source_table)
+        if ids is None:
+            ids = self._ids[rule.source_table] = [
+                synthesize_event_id(table.name, i) for i in range(len(table.rows))]
+        return ids
+
     def _dangling(self, run: RuleRun, row_index: int, reason: str, ref: str) -> None:
         if self.on_dangling == "fail":
             raise DataError(f"mappings[{run.rule_index}] row {row_index}: {reason} {ref!r}")
@@ -189,54 +226,77 @@ class _Pipeline:
 
     def run(self) -> tuple[OcedLog, ExtractionReport]:
         started = _time.perf_counter()
-        phases = (
-            (1, lambda r: isinstance(r, ObjectRule)),
-            (2, lambda r: isinstance(r, (O2ORule, EventRule))),
-            (3, lambda r: isinstance(r, E2ORule)),
-        )
-        for phase, selects in phases:
+        oced_log = self.log
+        for phase, kinds in ((1, ObjectRule), (2, (O2ORule, EventRule)), (3, E2ORule)):
             log.info("extraction phase %d", phase)
             for index, rule in enumerate(self.spec.mappings):
-                if not selects(rule):
-                    continue
-                run = RuleRun(index, phase, rule.kind, rule.source_table)
-                if isinstance(rule, ObjectRule):
-                    self._run_object_rule(index, rule, run)
-                elif isinstance(rule, EventRule):
-                    self._run_event_rule(index, rule, run)
-                elif isinstance(rule, O2ORule):
-                    self._run_o2o_rule(index, rule, run)
-                else:
-                    self._run_e2o_rule(index, rule, run)
-                self.report.rule_runs.append(run)
+                if isinstance(rule, kinds):
+                    self._run_rule(index, phase, rule)
+            self._end_phase(phase)
         self.report.counts = {
-            "object": len(self.log.objects),
-            "event": len(self.log.events),
-            "e2o": sum(map(len, self.log._e2o_by_event.values())),   # no relation copied
-            "o2o": sum(map(len, self.log._o2o_by_source.values())),
+            "object": len(oced_log.objects),
+            "event": len(oced_log.events),
+            "e2o": sum(map(len, oced_log._e2o_by_event.values())),   # no relation copied
+            "o2o": sum(map(len, oced_log._o2o_by_source.values())),
         }
         self.report.elapsed_seconds = _time.perf_counter() - started
-        return self.log, self.report
+        return oced_log, self.report
 
-    def _run_object_rule(self, index: int, rule: ObjectRule, run: RuleRun) -> None:
+    def _end_phase(self, phase: int) -> None:
+        """Store the relations that ``phase`` checked row by row in the log,
+        each key's sorted once."""
+        oced_log = self.log
+        if phase == 2:
+            by_source = oced_log._o2o_by_source
+            for source, rels in self._o2o.items():
+                oced_log._store_relations(by_source, source, rels)
+            self._o2o, self._o2o_seen = {}, set()   # freed before phase 3 grows the E2O tuples
+        elif phase == 3:   # each event's tuple, grown in the log, is replaced in place
+            by_event = oced_log._e2o_by_event
+            for eid, rels in by_event.items():
+                oced_log._store_relations(by_event, eid, rels)
+
+    def _run_rule(self, index: int, phase: int, rule) -> None:
+        """Run one rule over its table's rows, count them and log one line."""
         table = self._table(index, rule)
+        run = RuleRun(index, phase, rule.kind, rule.source_table, rows_in=len(table.rows))
+        started = _time.perf_counter()
+        if isinstance(rule, ObjectRule):
+            self._run_object_rule(index, rule, table, run)
+        elif isinstance(rule, EventRule):
+            self._run_event_rule(index, rule, table, run)
+        elif isinstance(rule, O2ORule):
+            self._run_o2o_rule(index, rule, table, run)
+        else:
+            self._run_e2o_rule(index, rule, table, run)
+        seconds = _time.perf_counter() - started
+        if _reads_synthesized_ids(rule):   # free a table's ids once its last reader has run
+            self._id_readers[rule.source_table] -= 1
+            if not self._id_readers[rule.source_table]:
+                self._ids.pop(rule.source_table, None)
+        run.rows_loaded = run.rows_in - run.rows_skipped   # a row neither loaded nor skipped raised
+        self.report.rule_runs.append(run)
+        log.info("rule %d (%s, table %s): %d rows in, %d loaded, %d skipped, %.3f s, %.0f rows/s",
+                 index, run.kind, run.source_table, run.rows_in, run.rows_loaded,
+                 run.rows_skipped, seconds, run.rows_in / seconds if seconds > 0 else 0)
+
+    def _run_object_rule(self, index: int, rule: ObjectRule, table: SourceTable, run: RuleRun) -> None:
         schema = self.spec.schema
+        id_col, subtype_col, time_col = rule.id_column, rule.subtype_column, rule.attribute_time_column
         _require_columns(index, rule, table,
-                         [rule.id_column, rule.subtype_column or "", rule.attribute_time_column or "",
-                          *rule.attribute_columns.values()])
+                         [id_col, subtype_col or "", time_col or "", *rule.attribute_columns.values()])
+        attr_items = tuple(rule.attribute_columns.items())
         stored = schema.root_of(rule.object_type)
         discriminator = schema.discriminators.get(stored)
-        run.rows_in = len(table.rows)
+        fixed_label = "" if subtype_col or rule.object_type == stored else rule.object_type
+        epoch = self.spec.extraction_epoch
+        objects, add_object = self.log._objects, self.log.add_object
         for i, row in enumerate(table.rows):
-            oid = _cell(row, rule.id_column)
+            oid = row.get(id_col, "").strip()
             if not oid:
                 raise DataError(f"mappings[{index}] row {i}: empty object id")
-            label = ""
-            if rule.subtype_column:
-                label = _cell(row, rule.subtype_column)
-            elif rule.object_type != stored:
-                label = rule.object_type
-            existing = self.log.objects.get(oid)
+            label = row.get(subtype_col, "").strip() if subtype_col else fixed_label
+            existing = objects.get(oid)
             if existing is not None:
                 if existing.type != stored:
                     raise DataError(
@@ -244,97 +304,102 @@ class _Pipeline:
                         f"as {existing.type!r}, rule maps it to {stored!r}")
                 run.skip(i, "duplicate object id; first writer wins")
                 continue
-            when = self.spec.extraction_epoch
-            if rule.attribute_time_column:
-                raw = _cell(row, rule.attribute_time_column)
+            when = epoch
+            if time_col:
+                raw = row.get(time_col, "").strip()
                 if raw:
                     when = parse_iso(raw)
-            values = []
-            for attr, col in rule.attribute_columns.items():
-                raw = _cell(row, col)
-                if raw:
-                    values.append(AttributeValue(attr, when, raw))
+            values = [AttributeValue(attr, when, raw)
+                      for attr, col in attr_items if (raw := row.get(col, "").strip())]
             if label and discriminator:
                 values.append(AttributeValue(discriminator, when, label))
-            self.log.add_object(ObjectInstance(oid, stored, tuple(values)))
-            run.rows_loaded += 1
+            add_object(ObjectInstance(oid, stored, tuple(values)))
 
-    def _run_event_rule(self, index: int, rule: EventRule, run: RuleRun) -> None:
-        table = self._table(index, rule)
+    def _run_event_rule(self, index: int, rule: EventRule, table: SourceTable, run: RuleRun) -> None:
+        activity_col, id_col, time_col, fmt = \
+            rule.activity_column, rule.id_column, rule.time_column, rule.time_format
         _require_columns(index, rule, table,
-                         [rule.time_column, rule.activity_column or "", rule.id_column or "",
-                          *rule.attribute_columns.values()])
+                         [time_col, activity_col or "", id_col or "", *rule.attribute_columns.values()])
+        attr_items = tuple(rule.attribute_columns.items())
         activities = set(self.spec.xmatrix.activities)
-        run.rows_in = len(table.rows)
+        ids = None if id_col else self._synthesized_ids(rule, table)
+        events, add_event = self.log._events, self.log.add_event
         for i, row in enumerate(table.rows):
-            activity = rule.activity or _cell(row, rule.activity_column)
+            activity = rule.activity or row.get(activity_col, "").strip()
             if not activity:
                 raise DataError(f"mappings[{index}] row {i}: empty activity")
             if activity not in activities:
                 raise DataError(
                     f"mappings[{index}] row {i}: activity {activity!r} is not an extraction matrix row")
-            eid = _cell(row, rule.id_column) if rule.id_column else synthesize_event_id(table.name, i)
+            eid = row.get(id_col, "").strip() if id_col else ids[i]
             if not eid:
                 raise DataError(f"mappings[{index}] row {i}: empty event id")
-            if eid in self.log.events:
+            if eid in events:
                 raise DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
-            when = parse_with_format(_cell(row, rule.time_column), rule.time_format)
-            attrs = []
-            for attr, col in rule.attribute_columns.items():
-                raw = _cell(row, col)
-                if raw:
-                    attrs.append((attr, raw))
-            self.log.add_event(EventInstance(eid, activity, when, tuple(attrs)))
-            run.rows_loaded += 1
+            when = parse_with_format(row.get(time_col, "").strip(), fmt)
+            attrs = tuple((attr, raw) for attr, col in attr_items if (raw := row.get(col, "").strip()))
+            add_event(EventInstance(eid, activity, when, attrs))
 
-    def _run_o2o_rule(self, index: int, rule: O2ORule, run: RuleRun) -> None:
-        table = self._table(index, rule)
-        _require_columns(index, rule, table, [rule.source_id_column, rule.target_id_column])
-        run.rows_in = len(table.rows)
+    def _run_o2o_rule(self, index: int, rule: O2ORule, table: SourceTable, run: RuleRun) -> None:
+        """Collect the rule's relations under their source object; a set of
+        the phase's relations finds duplicates, within a rule and across rules."""
+        source_col, target_col, qualifier = rule.source_id_column, rule.target_id_column, rule.qualifier
+        _require_columns(index, rule, table, [source_col, target_col])
+        _require_string_qualifier(index, qualifier)
+        objects, seen, by_source = self.log._objects, self._o2o_seen, self._o2o
         for i, row in enumerate(table.rows):
-            src = _cell(row, rule.source_id_column)
-            tgt = _cell(row, rule.target_id_column)
+            src = row.get(source_col, "").strip()
+            tgt = row.get(target_col, "").strip()
             if not src or not tgt:
                 run.skip(i, "empty endpoint id")
                 continue
-            missing = [oid for oid in (src, tgt) if oid not in self.log.objects]
-            if missing:
-                self._dangling(run, i, "o2o references unknown object", missing[0])
+            source, target = objects.get(src), objects.get(tgt)
+            if source is None or target is None:
+                self._dangling(run, i, "o2o references unknown object", src if source is None else tgt)
                 continue
-            if src == tgt and not rule.qualifier:
+            if src == tgt and not qualifier:
                 run.skip(i, "self o2o relation without qualifier")
                 continue
-            if self.log.has_o2o(src, tgt, rule.qualifier):
+            rel = O2ORelation(source.id, target.id, qualifier)
+            if rel in seen:
                 run.skip(i, "duplicate o2o relation")
                 continue
-            self.log.relate_objects(src, tgt, rule.qualifier)
-            run.rows_loaded += 1
+            seen.add(rel)
+            by_source.setdefault(source.id, []).append(rel)
 
-    def _run_e2o_rule(self, index: int, rule: E2ORule, run: RuleRun) -> None:
-        table = self._table(index, rule)
-        _require_columns(index, rule, table, [rule.object_id_column, rule.event_id_column or ""])
-        run.rows_in = len(table.rows)
+    def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
+        """Grow each event's relation tuple in the log, unsorted until the
+        phase ends; a relation already in it is a duplicate."""
+        object_col, event_col, qualifier = rule.object_id_column, rule.event_id_column, rule.qualifier
+        _require_columns(index, rule, table, [object_col, event_col or ""])
+        _require_string_qualifier(index, qualifier)
+        ids = None if event_col else self._synthesized_ids(rule, table)
+        events, objects = self.log._events, self.log._objects
+        by_event = self.log._e2o_by_event
         for i, row in enumerate(table.rows):
-            oid = _cell(row, rule.object_id_column)
+            oid = row.get(object_col, "").strip()
             if not oid:
                 run.skip(i, "empty object id")
                 continue
-            eid = _cell(row, rule.event_id_column) if rule.event_id_column \
-                else synthesize_event_id(table.name, i)
+            eid = row.get(event_col, "").strip() if event_col else ids[i]
             if not eid:
                 run.skip(i, "empty event id")
                 continue
-            if eid not in self.log.events:
+            event = events.get(eid)
+            if event is None:
                 self._dangling(run, i, "e2o references unknown event", eid)
                 continue
-            if oid not in self.log.objects:
+            obj = objects.get(oid)
+            if obj is None:
                 self._dangling(run, i, "e2o references unknown object", oid)
                 continue
-            if self.log.has_e2o(eid, oid, rule.qualifier):
+            eid = event.id
+            rel = E2ORelation(eid, obj.id, qualifier)
+            rels = by_event.get(eid, ())
+            if rel in rels:
                 run.skip(i, "duplicate e2o relation")
                 continue
-            self.log.relate_event_object(eid, oid, rule.qualifier)
-            run.rows_loaded += 1
+            by_event[eid] = rels + (rel,)
 
 
 def extract(spec: ProjectSpec, sources: Mapping[str, SourceTable],

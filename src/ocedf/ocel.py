@@ -303,6 +303,15 @@ class OcedLog:
             raise SchemaError(f"self o2o relation on {source_id!r} requires a non-empty qualifier")
         _insert(self._o2o_by_source, source.id, O2ORelation(source.id, target.id, qualifier), "o2o")
 
+    def _store_relations(self, by_key: dict[str, tuple], key: str, rels: Iterable[tuple]) -> None:
+        """Store all of ``key``'s relations in ``by_key`` (``_e2o_by_event`` or
+        ``_o2o_by_source``) in one step, as one tuple sorted as OCEL JSON emits
+        them. The caller has checked them as ``relate_*`` would: each comes
+        once and holds the stored instances' own ids. The reader and
+        ``extract`` store relations this way; ``relate_*`` add one at a time."""
+        by_key[key] = tuple(sorted(rels))
+        self._traces = None
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -625,7 +634,7 @@ def ocel_from_dict(doc: Any) -> OcedLog:
             if built is None:
                 _replay_relations(key, i, entry, relate)
             else:
-                by_key[owner] = built
+                log._store_relations(by_key, owner, built)
     return log
 
 
@@ -697,10 +706,10 @@ def _log_without_relations(doc: Any) -> OcedLog:
 
 
 def _record_relations(owner: str, rels: list, objects: Mapping[str, ObjectInstance],
-                      make) -> tuple | None:
-    """The relations of one record, made by the relation class ``make``, as
-    its sorted tuple; or None when one is malformed, names an unknown object
-    or a self O2O relation without a qualifier, or comes twice."""
+                      make) -> list | None:
+    """The relations of one record, made by the relation class ``make``; or
+    None when one is malformed, names an unknown object or a self O2O
+    relation without a qualifier, or comes twice."""
     built = []
     for rel in rels:
         if not isinstance(rel, dict):
@@ -709,10 +718,9 @@ def _record_relations(owner: str, rels: list, objects: Mapping[str, ObjectInstan
         if not isinstance(qualifier, str) or not isinstance(target, str) or target not in objects:
             return None
         built.append(make(owner, objects[target].id, qualifier))
-    built.sort()
     if len(set(built)) < len(built) or (make is O2ORelation and (owner, owner, "") in built):
         return None
-    return tuple(built)
+    return built
 
 
 def _replay_relations(key: str, i: int, entry: dict, relate) -> None:

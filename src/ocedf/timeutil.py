@@ -6,11 +6,16 @@ to millisecond precision. Naive inputs are assumed to be UTC.
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 from .errors import DataError
 
 ISO_MS = "%Y-%m-%dT%H:%M:%S.%f"
+
+# The format most sources use, and the one shape of it parsed without strptime.
+_PLAIN_SECONDS = "%Y-%m-%d %H:%M:%S"
+_PLAIN_SECONDS_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 
 
 def to_utc_ms(dt: datetime) -> datetime:
@@ -45,9 +50,21 @@ def parse_iso(text: str) -> datetime:
 
 
 def parse_with_format(text: str, fmt: str) -> datetime:
-    """Parse with a strftime pattern; naive results are assumed UTC."""
+    """Parse with a strftime pattern; naive results are assumed UTC.
+
+    Fast path: with ``fmt`` ``%Y-%m-%d %H:%M:%S`` and a stripped ``text`` of
+    exactly that shape in ASCII digits (``2024-09-02 10:00:00``), the time is
+    read as UTC by ``datetime.fromisoformat``, which gives what ``strptime``
+    gives there. Any other text, and a field out of range on the fast path,
+    falls back to ``strptime``, so every error carries its message."""
+    cleaned = text.strip()
+    if fmt == _PLAIN_SECONDS and _PLAIN_SECONDS_SHAPE.fullmatch(cleaned):
+        try:   # the offset makes the result aware, so to_utc_ms has nothing to copy
+            return to_utc_ms(datetime.fromisoformat(cleaned + "+00:00"))
+        except ValueError:
+            pass
     try:
-        return to_utc_ms(datetime.strptime(text.strip(), fmt))
+        return to_utc_ms(datetime.strptime(cleaned, fmt))
     except ValueError as exc:
         raise DataError(f"unparseable timestamp {text!r} for format {fmt!r}: {exc}") from None
 

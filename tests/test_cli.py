@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,25 @@ class TestFileOutputs:
         assert report["counts"]["event"] > 8000
         for rule in report["rules"]:
             assert rule["rows_in"] == rule["rows_loaded"] + rule["rows_skipped"]
+
+    def test_extract_info_logs_one_line_per_rule(self, extracted, tmp_path, capsys, caplog):
+        case, _ = extracted
+        out = tmp_path / "case.ocel.json"
+        caplog.set_level(logging.INFO, logger="ocedf.extraction")
+        assert run(["--log-level", "info", "extract", "--spec", CASE_SPEC,
+                    "--source-dir", CASE_SOURCES, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"-> {out}\n")
+        assert out.read_bytes() == case.read_bytes()
+        report = json.loads((tmp_path / "case.ocel.json.report.json").read_text())
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "ocedf.extraction" and r.getMessage().startswith("rule ")]
+        mappings = json.loads(Path(CASE_SPEC).read_text(encoding="utf-8"))["mappings"]
+        assert len(lines) == len(report["rules"]) == len(mappings)
+        for line, rule in zip(lines, report["rules"]):
+            assert re.fullmatch(
+                rf"rule {rule['rule']} \({rule['kind']}, table {rule['source_table']}\): "
+                rf"{rule['rows_in']} rows in, {rule['rows_loaded']} loaded, "
+                rf"{rule['rows_skipped']} skipped, \d+\.\d{{3}} s, \d+ rows/s", line)
 
     def test_outputs_leave_no_temporary_files(self, extracted, tmp_path):
         case, conf = extracted

@@ -1,14 +1,23 @@
+import dataclasses
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocedf import (
     DataError,
+    SchemaError,
     SourceTable,
     extract,
     load_source,
     parse_spec,
     synthesize_event_id,
+    write_ocel_json,
 )
+from ocedf.specmodel import E2ORule, O2ORule
 from conftest import FIXTURES, load_fixture
+from reference_extraction import reference_extract
 
 
 def tiny_spec_doc(mappings):
@@ -317,6 +326,26 @@ class TestDuplicates:
         assert sum(1 for r in log.o2o if r.target_object_id == "u1") == 1
         assert skips(report) == {2: {"duplicate o2o relation": [1, 1]}}
 
+    def test_same_o2o_relation_from_two_rules_skipped_on_the_later(self):
+        mappings = list(BASE_MAPPINGS) + [
+            {"kind": "o2o", "source_table": "rosters", "source_id_column": "course",
+             "target_id_column": "member", "qualifier": "enrolls"},
+        ]
+        sources = dict(BASE_SOURCES)
+        sources["rosters"] = table("rosters", ["course", "member"],
+                                   [["c1", "u2"], [" c1 ", "u1"], ["c1", "u1"]])
+        log, report = run_tiny(mappings, sources)
+        assert sorted(log.o2o) == [("c1", "u1", "enrolls"), ("c1", "u2", "enrolls")]
+        assert skips(report) == {6: {"duplicate o2o relation": [3, 0]}}
+
+    @pytest.mark.parametrize("rule", [E2ORule("events", "uid", qualifier=None),
+                                      O2ORule("enrollments", "cid", "uid", qualifier=1)])
+    def test_non_string_qualifier_rejected(self, rule):
+        spec = parse_spec(tiny_spec_doc(BASE_MAPPINGS))
+        spec = dataclasses.replace(spec, mappings=(*spec.mappings, rule))
+        with pytest.raises(SchemaError, match=r"^mappings\[6\]: qualifier .* must be a string$"):
+            extract(spec, BASE_SOURCES)
+
     @pytest.mark.parametrize("on_dangling", ["skip", "fail"])
     def test_self_link_without_qualifier_skipped(self, on_dangling):
         mappings = list(BASE_MAPPINGS) + [
@@ -418,3 +447,135 @@ def test_relations_hold_the_stored_instances_ids(case_study):
     for rel in log.o2o:
         assert rel.source_object_id is log.objects[rel.source_object_id].id
         assert rel.target_object_id is log.objects[rel.target_object_id].id
+
+
+# -- differential test against the rule runners as they were ---------------------
+
+# Cells are drawn from small pools, so ids repeat, pad, go empty and dangle.
+# "rows:N" is the event synthesized from row N of table "rows".
+ENDPOINTS = ["u1", "u2", "u3", "c1", "c2", " u1 ", ""]
+EVENT_REFS = ["e1", "e2", "e3", "rows:0", "rows:1", " rows:2", ""]
+PLAIN = "%Y-%m-%d %H:%M:%S"
+GOOD_TIMES = {   # format -> times it reads; the plain format's include its fast-path shape
+    PLAIN: ["2024-09-02 10:00:00", "2024-09-02 09:15:00", " 2024-09-03 08:30:00 ",
+            "2024-9-2 8:08:00", "2024-09-02\t10:00:00"],
+    "%Y-%m-%dT%H:%M:%S": ["2024-09-02T10:00:00", "2024-09-02T09:15:00"],
+    "%d/%m/%Y %H:%M": ["02/09/2024 10:00", "2/9/2024 09:15"],
+}
+BAD_TIMES = ["2024-02-30 10:00:00", "2024-09-02 24:00:00", "2024-09-02 10:00:60",
+             "2024-09-02 10:00:00Z", "yesterday", ""]
+
+OBJECT_RULES = [
+    {"kind": "object", "source_table": "users", "id_column": "uid", "object_type": "User",
+     "subtype_column": "role", "attributes": {"name": "name"}},
+    {"kind": "object", "source_table": "users", "id_column": "uid", "object_type": "Teacher",
+     "attributes": {"name": "name"}},
+    {"kind": "object", "source_table": "courses", "id_column": "cid", "object_type": "Course",
+     "attributes": {"name": "name"}},
+]
+O2O_RULES = [
+    {"kind": "o2o", "source_table": table, "source_id_column": src, "target_id_column": tgt,
+     "qualifier": qualifier}
+    for table, src, tgt, qualifier in [("rows", "a", "b", "enrolls"), ("rows", "a", "b", ""),
+                                       ("rows", "b", "a", "q"), ("links", "a", "b", "enrolls"),
+                                       ("links", "a", "a", ""), ("links", "a", "a", "q")]
+]
+E2O_RULES = [
+    {"kind": "e2o", "source_table": table, "object_id_column": column, "qualifier": qualifier,
+     **({"event_id_column": "eid"} if explicit else {})}
+    for table, explicit, column, qualifier in [("rows", False, "a", "actor"), ("rows", False, "b", "actor"),
+                                               ("rows", True, "a", "actor"), ("rows", False, "b", ""),
+                                               ("links", True, "a", "q"), ("links", True, "b", "q")]
+]
+
+
+def _fresh(cell: str) -> str:
+    """An equal string that is not the same object, as a CSV reader gives."""
+    return (" " + cell)[1:]
+
+
+def _table_of(name, header, rows):
+    return SourceTable(name, header, [{h: _fresh(c) for h, c in zip(header, r)} for r in rows])
+
+
+@st.composite
+def extraction_cases(draw):
+    """(mappings, sources, policy): every rule kind, repeated rules, and
+    tables with repeated, empty, padded and dangling ids, in a random rule
+    order. A clean case has no row that makes extract raise, but for a
+    dangling id under ``fail``; dangling ids come in some cases only."""
+    clean, dangling = draw(st.booleans()), draw(st.booleans())
+    endpoints = ENDPOINTS + ["ghost"] * dangling
+    event_refs = EVENT_REFS + ["nope"] * dangling
+    fmt = draw(st.sampled_from(list(GOOD_TIMES)))
+    times = GOOD_TIMES[fmt] if clean else [t for ts in GOOD_TIMES.values() for t in ts] + BAD_TIMES
+    actions = ["view page", "submit assignment"] + ([] if clean else ["", "login"])
+
+    def rows_of(*pools, min_size=0):
+        return draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=min_size, max_size=6))
+
+    def repeating(rows):   # rows drawn again and again from a few
+        return draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+
+    users = [[uid, "Ann", role] for uid, role in zip(draw(st.permutations(["u1", "u2", "u3"])),
+                                                     draw(st.permutations(["Student", "Teacher", ""])))]
+    users += rows_of([" u2 ", "u1"] + ([] if clean else ["", "c1"]), ["Ann", ""], ["Student", ""])
+    rows = rows_of(endpoints, endpoints, times, actions, min_size=1)
+    event_ids = [f"e{i + 1}" for i in range(len(rows))]
+    if not clean:
+        event_ids = draw(st.permutations(event_ids + ["e1", ""]))
+    sources = {
+        "users": _table_of("users", ["uid", "name", "role"], users),
+        "courses": _table_of("courses", ["cid", "name"],
+                             [["c1", "Modeling"], ["c2", ""]] + rows_of([" c1", "c2"], ["Other"])),
+        "rows": _table_of("rows", ["a", "b", "ts", "action", "eid"],
+                          [[*row, eid] for row, eid in zip(rows, event_ids)]),
+        "links": _table_of("links", ["eid", "a", "b"], repeating(rows_of(event_refs, endpoints, endpoints))),
+    }
+    event_rules = [
+        {"kind": "event", "source_table": "rows", "activity_column": "action",
+         "time_column": "ts", "time_format": fmt},
+        {"kind": "event", "source_table": "rows", "activity": "view page", "id_column": "eid",
+         "time_column": "ts", "time_format": fmt, "attributes": {"who": "a"}},
+    ]
+    mappings = [draw(st.sampled_from(OBJECT_RULES[:2])), OBJECT_RULES[2]]
+    mappings += draw(st.lists(st.sampled_from(OBJECT_RULES), max_size=1))
+    mappings += draw(st.lists(st.sampled_from(event_rules), min_size=1, max_size=2, unique_by=id))
+    mappings += draw(st.lists(st.sampled_from(O2O_RULES), max_size=3))
+    mappings += draw(st.lists(st.sampled_from(E2O_RULES), min_size=2, max_size=5))
+    return draw(st.permutations(mappings)), sources, draw(st.sampled_from(["skip", "fail"]))
+
+
+def _outcome(run, spec, sources, policy):
+    """What one extraction gives, its OCEL JSON and its report without
+    timings or its exception's class and message, and its log if any."""
+    try:
+        log, report = run(spec, sources, on_dangling=policy)
+    except (DataError, SchemaError) as exc:
+        return (type(exc), str(exc)), None
+    out = io.StringIO()
+    write_ocel_json(log, out)
+    written = report.to_dict()
+    del written["elapsed_seconds"]
+    return (out.getvalue(), written), log
+
+
+@given(case=extraction_cases())
+@settings(max_examples=300, deadline=None)
+def test_extract_matches_the_reference_runners(case):
+    mappings, sources, policy = case
+    spec = parse_spec(tiny_spec_doc(mappings))
+    got, log = _outcome(extract, spec, sources, policy)
+    assert got == _outcome(reference_extract, spec, sources, policy)[0]
+    if log is None:
+        return
+    for rels in log._e2o_by_event.values():
+        assert list(rels) == sorted(set(rels))
+        for rel in rels:
+            assert rel.event_id is log.events[rel.event_id].id
+            assert rel.object_id is log.objects[rel.object_id].id
+    for rels in log._o2o_by_source.values():
+        assert list(rels) == sorted(set(rels))
+        for rel in rels:
+            assert rel.source_object_id is log.objects[rel.source_object_id].id
+            assert rel.target_object_id is log.objects[rel.target_object_id].id

@@ -1,11 +1,16 @@
-"""``to_utc_ms`` against the two-step normalization it replaced."""
+"""``to_utc_ms`` against the two-step normalization it replaced, and
+``parse_with_format`` against ``strptime`` alone."""
 
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocedf.timeutil import to_utc_ms
+from ocedf import DataError, timeutil
+from ocedf.timeutil import parse_with_format, to_utc_ms
+from reference_extraction import parse_with_format as reference_parse
 
 
 def reference_to_utc_ms(dt: datetime) -> datetime:
@@ -49,3 +54,73 @@ def test_normalized_input_is_returned_as_it_is():
     for other in (dt.replace(tzinfo=None), dt.replace(microsecond=123456),
                   dt.astimezone(timezone(timedelta(hours=2)))):
         assert to_utc_ms(other) is not other and normalized(to_utc_ms(other))
+
+
+# -- parse_with_format's fast path against strptime ---------------------------
+
+PLAIN = "%Y-%m-%d %H:%M:%S"
+# Formats other than the plain one, some matching its shape with other fields.
+OTHER_FORMATS = ["%Y-%d-%m %H:%M:%S", "%Y-%m-%d %M:%H:%S", "%Y-%m-%dT%H:%M:%S",
+                 "%Y-%m-%d %H:%M:%S%z", "%Y-%m-%d %H:%M", "%d/%m/%Y %H:%M:%S"]
+# ASCII digits, and digits of other scripts that strptime's \\d matches.
+DIGITS = st.sampled_from("0123456789") | st.sampled_from("\u0661\u0664\u0669\uff10\uff15\u096b")
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", "\u3000"])
+
+
+def _field(width: int):
+    """A number printed in ``width`` digits, or unpadded, or with any digits."""
+    return (st.integers(0, 10 ** width - 1).map(lambda n: f"{n:0{width}d}")
+            | st.integers(0, 10 ** width - 1).map(str)
+            | st.lists(DIGITS, min_size=1, max_size=width + 1).map("".join))
+
+
+@st.composite
+def timestamps(draw):
+    """Text of about the plain shape: out-of-range, unpadded and non-ASCII
+    fields, surrounding whitespace, and a trailing ``Z``, offset or fraction."""
+    y, mo, d, h, mi, sec = (draw(_field(w)) for w in (4, 2, 2, 2, 2, 2))
+    suffix = draw(st.sampled_from(["", "", "", "Z", "+00:00", "+02:00", ".5", ":00"]))
+    return f"{draw(SPACES)}{y}-{mo}-{d} {h}:{mi}:{sec}{suffix}{draw(SPACES)}"
+
+
+def _parse_outcome(parse, text: str, fmt: str):
+    try:
+        return parse(text, fmt)
+    except DataError as exc:
+        return str(exc)
+
+
+@given(text=timestamps(), fmt=st.sampled_from([PLAIN, PLAIN, PLAIN, *OTHER_FORMATS]))
+@example(text="2024-13-01 10:00:00", fmt=PLAIN)
+@example(text="2023-02-29 10:00:00", fmt=PLAIN)
+@example(text="2024-02-30 10:00:00", fmt=PLAIN)
+@example(text="2024-09-02 24:00:00", fmt=PLAIN)
+@example(text="2024-09-02 10:00:60", fmt=PLAIN)
+@example(text="2024-09-02 10:00:61", fmt=PLAIN)
+@example(text="0000-01-01 00:00:00", fmt=PLAIN)
+@example(text="2024-9-2 8:08:00", fmt=PLAIN)
+@example(text="\uff12\uff10\uff12\uff14-09-02 10:00:00", fmt=PLAIN)
+@example(text=" 2024-09-02 10:00:00\n", fmt=PLAIN)
+@example(text="2024-09-02 10:00:00Z", fmt=PLAIN)
+@example(text="2024-09-02 10:00:00+02:00", fmt=PLAIN)
+@example(text="2024-09-02 10:00:00", fmt="%Y-%d-%m %H:%M:%S")
+@settings(max_examples=600, deadline=None)
+def test_parse_with_format_matches_strptime(text, fmt):
+    got = _parse_outcome(parse_with_format, text, fmt)
+    assert got == _parse_outcome(reference_parse, text, fmt)
+    if isinstance(got, datetime):
+        assert got.tzinfo is timezone.utc and got.microsecond % 1000 == 0
+
+
+@pytest.mark.parametrize("text, fmt, fast, slow", [
+    ("2024-09-02 10:00:00", PLAIN, True, False),
+    ("  2024-09-02 10:00:00 ", PLAIN, True, False),
+    ("2024-02-30 10:00:00", PLAIN, True, True),    # the fast path fails, strptime words the error
+    ("2024-9-2 8:08:00", PLAIN, False, True),
+    ("2024-09-02 10:00:00", "%Y-%d-%m %H:%M:%S", False, True),
+    ("2024-09-02T10:00:00", "%Y-%m-%dT%H:%M:%S", False, True),
+])
+def test_fast_path_taken_only_for_the_plain_shape(text, fmt, fast, slow):
+    with mock.patch.object(timeutil, "datetime", wraps=datetime) as spy:
+        _parse_outcome(parse_with_format, text, fmt)
+    assert (spy.fromisoformat.called, spy.strptime.called) == (fast, slow)
