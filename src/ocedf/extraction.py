@@ -14,7 +14,7 @@ collects each source object's O2O relations in a list and finds duplicates
 in one set of the phase's relations. Phase 3 grows each event's E2O tuple in
 the log, a relation already in it being a duplicate. At the end of its
 phase, each key's relations are sorted once and stored as its tuple
-(``OcedLog._store_relations``, as the OCEL JSON reader stores a record's),
+(``ocel._store_sorted``, as the OCEL JSON reader stores a record's),
 so the log holds them as ``relate_*`` would have. A table's synthesized
 event ids are built once, for its event rule and its E2O rules to share.
 With ``--log-level info`` each rule logs one line with its row counts,
@@ -42,6 +42,7 @@ from .ocel import (
     ObjectInstance,
     ObjectTypeDef,
     OcedLog,
+    _store_sorted,
     new_log,
 )
 from .specmodel import E2ORule, EventRule, O2ORule, ObjectRule, ProjectSpec
@@ -249,12 +250,13 @@ class _Pipeline:
         if phase == 2:
             by_source = oced_log._o2o_by_source
             for source, rels in self._o2o.items():
-                oced_log._store_relations(by_source, source, rels)
+                _store_sorted(by_source, source, rels)
             self._o2o, self._o2o_seen = {}, set()   # freed before phase 3 grows the E2O tuples
         elif phase == 3:   # each event's tuple, grown in the log, is replaced in place
             by_event = oced_log._e2o_by_event
             for eid, rels in by_event.items():
-                oced_log._store_relations(by_event, eid, rels)
+                _store_sorted(by_event, eid, [*rels])
+            oced_log._traces = None
 
     def _run_rule(self, index: int, phase: int, rule) -> None:
         """Run one rule over its table's rows, count them and log one line."""

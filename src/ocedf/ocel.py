@@ -183,6 +183,16 @@ def _insert(by_key: dict[str, tuple], key: str, rel: tuple, kind: str) -> None:
     by_key[key] = rels[:i] + (rel,) + rels[i:]
 
 
+def _store_sorted(by_key: dict[str, tuple], key: str, rels: list) -> None:
+    """Store ``rels``, all of ``key``'s relations, in one step, sorted in place
+    and kept as ``by_key[key]`` in the order OCEL JSON emits them. The caller
+    has checked them as ``relate_*`` would: each comes once and holds the
+    stored instances' own ids. The reader and ``extract`` store relations
+    this way; ``relate_*`` add them one at a time through ``_insert``."""
+    rels.sort()
+    by_key[key] = tuple(rels)
+
+
 def _pruned(by_key: dict[str, tuple], keys, ends) -> dict[str, tuple]:
     """``by_key`` restricted to ``keys``, each tuple to the relations whose
     second id is in ``ends``; a pruned sorted tuple is still sorted."""
@@ -302,15 +312,6 @@ class OcedLog:
         if source_id == target_id and not qualifier:
             raise SchemaError(f"self o2o relation on {source_id!r} requires a non-empty qualifier")
         _insert(self._o2o_by_source, source.id, O2ORelation(source.id, target.id, qualifier), "o2o")
-
-    def _store_relations(self, by_key: dict[str, tuple], key: str, rels: Iterable[tuple]) -> None:
-        """Store all of ``key``'s relations in ``by_key`` (``_e2o_by_event`` or
-        ``_o2o_by_source``) in one step, as one tuple sorted as OCEL JSON emits
-        them. The caller has checked them as ``relate_*`` would: each comes
-        once and holds the stored instances' own ids. The reader and
-        ``extract`` store relations this way; ``relate_*`` add one at a time."""
-        by_key[key] = tuple(sorted(rels))
-        self._traces = None
 
     # -- queries ---------------------------------------------------------
 
@@ -634,7 +635,7 @@ def ocel_from_dict(doc: Any) -> OcedLog:
             if built is None:
                 _replay_relations(key, i, entry, relate)
             else:
-                log._store_relations(by_key, owner, built)
+                _store_sorted(by_key, owner, built)
     return log
 
 
