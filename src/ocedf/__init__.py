@@ -39,7 +39,6 @@ from .ocel import (
     ObjectInstance,
     ObjectTypeDef,
     OcedLog,
-    new_log,
     ocel_from_dict,
     ocel_to_dict,
     read_ocel_json,
@@ -86,7 +85,7 @@ __all__ = [
     "SpecError", "TypeDfg", "VerificationMatrix", "VerificationReport", "Violation",
     "WarningEntry", "check", "derive_matrix", "discover_dfg", "drill_down",
     "extract", "extraction_order", "filter_log", "flatten", "load_source",
-    "new_log", "ocel_from_dict", "ocel_to_dict", "parse_multiplicity", "parse_spec",
+    "ocel_from_dict", "ocel_to_dict", "parse_multiplicity", "parse_spec",
     "parse_spec_document", "read_ocel_json", "render_matrix", "roll_up", "stats",
     "synthesize_event_id", "to_dot", "unfold_events", "validate_spec",
     "write_ocel_json",

@@ -43,7 +43,6 @@ from .ocel import (
     ObjectTypeDef,
     OcedLog,
     _store_sorted,
-    new_log,
 )
 from .specmodel import E2ORule, EventRule, O2ORule, ObjectRule, ProjectSpec
 from .timeutil import parse_iso, parse_with_format
@@ -158,7 +157,7 @@ class _Pipeline:
         self.sources = sources
         self.on_dangling = on_dangling
         self.report = ExtractionReport()
-        self.log = new_log(self._object_type_defs(), self._event_type_defs())
+        self.log = OcedLog(self._object_type_defs(), self._event_type_defs())
         self._ids: dict[str, list[str]] = {}   # source table -> its synthesized event ids
         self._id_readers = Counter(r.source_table for r in spec.mappings if _reads_synthesized_ids(r))
         self._o2o: dict[str, list[O2ORelation]] = {}   # phase 2: source id -> its relations

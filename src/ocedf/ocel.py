@@ -3,7 +3,10 @@
 A log holds typed events, typed objects, timestamped object attribute
 values, untimed event attribute values, and qualified event-to-object and
 object-to-object relations. Logs are built once through the ``add_*`` /
-``relate_*`` methods and treated as read-only afterwards. Each relation is
+``relate_*`` methods and treated as read-only afterwards. Instances and
+relations are immutable ``NamedTuple``s (``_replace`` copies one with
+changes); an instance holds what it was given until ``add_*`` normalizes
+and checks it once, as it stores it. Each relation is
 held once: under its event (E2O) or its source object (O2O), in a tuple
 sorted by (object, qualifier), the order OCEL JSON emits it in. The first query
 for the event order or the object traces builds that index and caches it
@@ -24,7 +27,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -68,26 +70,18 @@ class EventTypeDef:
         _set_defs(self)
 
 
-@dataclass(frozen=True)
-class AttributeValue:
+class AttributeValue(NamedTuple):
     """One timestamped value of an object attribute (values may vary over time)."""
 
     name: str
     time: datetime
     value: Any
 
-    def __post_init__(self):
-        object.__setattr__(self, "time", to_utc_ms(self.time))
 
-
-@dataclass(frozen=True)
-class ObjectInstance:
+class ObjectInstance(NamedTuple):
     id: str
     type: str
     attribute_values: tuple[AttributeValue, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "attribute_values", tuple(self.attribute_values))
 
     def latest_value(self, attribute: str) -> Any:
         """Most recent value of ``attribute``, or None when never set."""
@@ -98,16 +92,11 @@ class ObjectInstance:
         return best.value if best is not None else None
 
 
-@dataclass(frozen=True)
-class EventInstance:
+class EventInstance(NamedTuple):
     id: str
     type: str
     time: datetime
     attribute_values: tuple[tuple[str, Any], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "time", to_utc_ms(self.time))
-        object.__setattr__(self, "attribute_values", tuple(tuple(p) for p in self.attribute_values))
 
 
 class E2ORelation(NamedTuple):
@@ -200,42 +189,61 @@ def _pruned(by_key: dict[str, tuple], keys, ends) -> dict[str, tuple]:
             if k in keys and (kept := tuple(r for r in rels if r[1] in ends))}
 
 
-def _with(instance, **changes):
-    """Copy of a normalized frozen instance with ``changes``; skips ``__post_init__``.
-    Fields are set one by one: touching ``__dict__`` would give the copy a real dict."""
-    out = object.__new__(type(instance))
-    for name in instance.__dataclass_fields__:
-        object.__setattr__(out, name, changes.get(name, getattr(instance, name)))
-    return out
-
-
-def _stored(inst, kinds: Mapping[str, str] | None):
-    """The object or event to store for ``inst`` under a type with attribute
-    ``kinds``: each value conformed to its declared kind. A value that
-    conforms already is kept, so is ``inst`` when all of its values do."""
-    is_object = isinstance(inst, ObjectInstance)
-    what = "object" if is_object else "event"
-    if kinds is None:
-        raise SchemaError(f"{what} {inst.id!r}: undeclared {what} type {inst.type!r}")
-    seen = set()
-    values = inst.attribute_values
-    for i, entry in enumerate(inst.attribute_values):
-        name, value = (entry.name, entry.value) if is_object else entry
-        kind = kinds.get(name)
+def _stored_object(obj: ObjectInstance, tdef: ObjectTypeDef | None) -> ObjectInstance:
+    """The object to store for ``obj`` under its type (None if undeclared): its
+    values a tuple, each time normalized by ``to_utc_ms`` and each value
+    conformed to its kind. Entries, and ``obj``, with nothing to change are kept."""
+    if tdef is None:
+        raise SchemaError(f"object {obj.id!r}: undeclared object type {obj.type!r}")
+    seen, out = set(), None
+    values = tuple(obj.attribute_values)   # the very tuple when it is one already
+    for i, entry in enumerate(values):
+        name, value = entry.name, entry.value
+        kind = tdef._kinds.get(name)
         if kind is None:
-            raise SchemaError(
-                f"{what} {inst.id!r}: attribute {name!r} not declared on type {inst.type!r}")
-        key = (name, entry.time) if is_object else name
+            raise SchemaError(f"object {obj.id!r}: attribute {name!r} not declared on type {obj.type!r}")
+        where = f"object {obj.id!r} attribute {name!r}"
+        if not isinstance(entry.time, datetime):
+            raise SchemaError(f"{where}: time {entry.time!r} is not a datetime")
+        when = to_utc_ms(entry.time)
+        key = (name, when)
         if key in seen:
-            raise SchemaError(
-                f"object {inst.id!r}: attribute {name!r} has two values at {format_iso(entry.time)}"
-                if is_object else f"event {inst.id!r}: duplicate attribute {name!r}")
+            raise SchemaError(f"object {obj.id!r}: attribute {name!r} has two values at {format_iso(when)}")
         seen.add(key)
-        conformed = _conform_value(value, kind, f"{what} {inst.id!r} attribute {name!r}")
-        if conformed is not value:
-            entry = _with(entry, value=conformed) if is_object else (name, conformed)
-            values = (*values[:i], entry, *values[i + 1:])
-    return inst if values is inst.attribute_values else _with(inst, attribute_values=values)
+        conformed = _conform_value(value, kind, where)
+        if when is not entry.time or conformed is not value:
+            out = out or list(values)
+            out[i] = entry._replace(time=when, value=conformed)
+    if out is None and values is obj.attribute_values:
+        return obj
+    return obj._replace(attribute_values=values if out is None else tuple(out))
+
+
+def _stored_event(event: EventInstance, tdef: EventTypeDef | None) -> EventInstance:
+    """The event to store for ``event`` under its type (None if undeclared): its
+    time normalized by ``to_utc_ms``, its values a tuple of (name, value) tuples,
+    each conformed to its kind. Pairs, and ``event``, with nothing to change are kept."""
+    if tdef is None:
+        raise SchemaError(f"event {event.id!r}: undeclared event type {event.type!r}")
+    if not isinstance(event.time, datetime):
+        raise SchemaError(f"event {event.id!r}: time {event.time!r} is not a datetime")
+    when, seen, out = to_utc_ms(event.time), set(), None
+    values = tuple(event.attribute_values)
+    for i, entry in enumerate(values):
+        name, value = pair = tuple(entry)
+        kind = tdef._kinds.get(name)
+        if kind is None:
+            raise SchemaError(f"event {event.id!r}: attribute {name!r} not declared on type {event.type!r}")
+        if name in seen:
+            raise SchemaError(f"event {event.id!r}: duplicate attribute {name!r}")
+        seen.add(name)
+        conformed = _conform_value(value, kind, f"event {event.id!r} attribute {name!r}")
+        if conformed is not value or pair is not entry:
+            out = out or list(values)
+            out[i] = (name, conformed)
+    if out is None and when is event.time and values is event.attribute_values:
+        return event
+    return event._replace(time=when, attribute_values=values if out is None else tuple(out))
 
 
 class OcedLog:
@@ -279,16 +287,14 @@ class OcedLog:
             raise SchemaError("empty object id")
         if obj.id in self._objects:
             raise SchemaError(f"duplicate object id: {obj.id!r}")
-        tdef = self._object_types.get(obj.type)
-        self._objects[obj.id] = _stored(obj, None if tdef is None else tdef._kinds)
+        self._objects[obj.id] = _stored_object(obj, self._object_types.get(obj.type))
 
     def add_event(self, event: EventInstance) -> None:
         if not event.id:
             raise SchemaError("empty event id")
         if event.id in self._events:
             raise SchemaError(f"duplicate event id: {event.id!r}")
-        tdef = self._event_types.get(event.type)
-        self._events[event.id] = _stored(event, None if tdef is None else tdef._kinds)
+        self._events[event.id] = _stored_event(event, self._event_types.get(event.type))
         self._order = self._traces = None
 
     def relate_event_object(self, event_id: str, object_id: str, qualifier: str = "") -> None:
@@ -422,18 +428,11 @@ def _canonical(log: OcedLog):
     return (
         {td.name: td.attribute_defs for td in log.object_type_defs},
         {td.name: td.attribute_defs for td in log.event_type_defs},
-        {o.id: (o.type, tuple(sorted(o.attribute_values, key=lambda a: (a.name, a.time.isoformat()))))
-         for o in log.objects.values()},
+        {o.id: (o.type, tuple(sorted(o.attribute_values))) for o in log.objects.values()},
         {e.id: (e.type, e.time, tuple(sorted(e.attribute_values))) for e in log.events.values()},
         log.e2o,
         log.o2o,
     )
-
-
-def new_log(object_type_defs: Iterable[ObjectTypeDef] = (),
-            event_type_defs: Iterable[EventTypeDef] = ()) -> OcedLog:
-    """Create an empty log with a validated schema."""
-    return OcedLog(object_type_defs, event_type_defs)
 
 
 def relabel(log: OcedLog,
@@ -451,20 +450,21 @@ def relabel(log: OcedLog,
     otypes = log._object_types if object_types is None else _checked_defs(object_types, "object type")
     etypes = log._event_types if event_types is None else _checked_defs(event_types, "event type")
     objects = _relabeled(log._objects.values(), log._object_types, otypes,
-                         object_labels or {}, added_values or {})
-    events = _relabeled(log.events_in_order(), log._event_types, etypes, event_labels or {}, {})
+                         object_labels or {}, added_values or {}, _stored_object)
+    events = _relabeled(log.events_in_order(), log._event_types, etypes, event_labels or {}, {},
+                        _stored_event)
     return log._derived(objects, events, otypes, etypes)
 
 
-def _relabeled(instances, old_types, new_types, labels, added) -> dict:
+def _relabeled(instances, old_types, new_types, labels, added, stored) -> dict:
     out = {}
     for inst in instances:
         label = labels.get(inst.id, inst.type)
         extra = tuple(added.get(inst.id, ()))
         new = new_types.get(label)
         if label != inst.type or extra or new is not old_types[inst.type]:
-            moved = _with(inst, type=label, attribute_values=inst.attribute_values + extra)
-            inst = _stored(moved, None if new is None else new._kinds)
+            moved = inst._replace(type=label, attribute_values=inst.attribute_values + extra)
+            inst = stored(moved, new)
         out[inst.id] = inst
     return out
 
@@ -497,7 +497,7 @@ def _object_records(log: OcedLog) -> Iterator[dict]:
             "attributes": [
                 {"name": av.name, "time": av.time.isoformat(timespec="milliseconds"),
                  "value": _value_to_json(av.value)}
-                for av in sorted(obj.attribute_values, key=attrgetter("name", "time"))
+                for av in sorted(obj.attribute_values)   # by (name, time), unique per object
             ],
             "relationships": [{"objectId": target, "qualifier": qualifier}
                               for _, target, qualifier in log._o2o_by_source.get(obj.id, ())],
@@ -651,7 +651,7 @@ def _log_without_relations(doc: Any) -> OcedLog:
     otypes = _parse_type_defs(doc["objectTypes"], ObjectTypeDef, "objectTypes")
     etypes = _parse_type_defs(doc["eventTypes"], EventTypeDef, "eventTypes")
     try:
-        log = new_log(otypes, etypes)
+        log = OcedLog(otypes, etypes)
     except SchemaError as exc:
         raise OcelDocumentError(str(exc), "objectTypes/eventTypes") from None
 

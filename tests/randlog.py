@@ -11,7 +11,6 @@ from ocedf import (
     ObjectInstance,
     ObjectTypeDef,
     OcedLog,
-    new_log,
 )
 
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "kappa", "sigma", "tau"]
@@ -58,7 +57,7 @@ def random_log(rng: random.Random, max_events: int = 500, max_objects: int = 300
         user_attrs = (AttributeDef("role", "string"), AttributeDef("name", "string"))
         object_defs.append(ObjectTypeDef("User", user_attrs))
 
-    log = new_log(object_defs, event_defs)
+    log = OcedLog(object_defs, event_defs)
 
     n_objects = rng.randint(1, max_objects)
     for i in range(n_objects):
@@ -108,7 +107,7 @@ def random_log(rng: random.Random, max_events: int = 500, max_objects: int = 300
 def clone_log(log: OcedLog, drop_e2o=None, add_e2o=None) -> OcedLog:
     """A copy of ``log`` built through ``add_*``/``relate_*``, without the
     ``drop_e2o`` relation triple and with the ``add_e2o`` one."""
-    out = new_log(log.object_type_defs, log.event_type_defs)
+    out = OcedLog(log.object_type_defs, log.event_type_defs)
     for obj in log.objects.values():
         out.add_object(obj)
     for event in log.events_in_order():

@@ -7,11 +7,10 @@ Kept as the reference for the differential tests in ``test_derived_logs.py``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Iterable
 
-from ocedf import AttributeDef, AttributeValue, EventTypeDef, ObjectTypeDef, OcedLog, SchemaError, new_log
+from ocedf import AttributeDef, AttributeValue, EventTypeDef, ObjectTypeDef, OcedLog, SchemaError
 
 _ROLLUP_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -22,7 +21,7 @@ def _rebuild(object_type_defs: Iterable[ObjectTypeDef],
              events,
              e2o,
              o2o) -> OcedLog:
-    out = new_log(object_type_defs, event_type_defs)
+    out = OcedLog(object_type_defs, event_type_defs)
     for obj in objects:
         out.add_object(obj)
     for event in events:
@@ -103,7 +102,7 @@ def drill_down(log: OcedLog, supertype: str, discriminator_attr: str = "role") -
         label = value if isinstance(value, str) and value else f"{supertype}:unknown"
         if label not in new_labels:
             new_labels.append(label)
-        relabeled.append(replace(obj, type=label))
+        relabeled.append(obj._replace(type=label))
 
     out_defs = [td for td in log.object_type_defs if td.name != supertype]
     existing = {td.name: td for td in out_defs}
@@ -153,12 +152,12 @@ def roll_up(log: OcedLog, subtype_labels: set[str], into: str,
         if current is None:
             values = (*obj.attribute_values,
                       AttributeValue(discriminator_attr, _ROLLUP_EPOCH, obj.type))
-            relabeled.append(replace(obj, type=into, attribute_values=values))
+            relabeled.append(obj._replace(type=into, attribute_values=values))
         elif current != obj.type:
             raise SchemaError(
                 f"object {obj.id!r}: discriminator says {current!r} but type label is {obj.type!r}")
         else:
-            relabeled.append(replace(obj, type=into))
+            relabeled.append(obj._replace(type=into))
 
     out_defs = []
     inserted = False
@@ -218,7 +217,7 @@ def unfold_events(log: OcedLog, event_type: str, by_object_type: str,
         label = f"{event_type} {name}"
         if label not in new_labels:
             new_labels.append(label)
-        relabeled.append(replace(event, type=label))
+        relabeled.append(event._replace(type=label))
 
     out_defs = list(log.event_type_defs)
     existing = {td.name: td for td in out_defs}

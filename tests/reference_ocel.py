@@ -1,19 +1,21 @@
-"""The OCEL JSON writer as it was before records were streamed, and the
-reader as it was before each record's relations were stored in one step.
+"""The OCEL JSON writer as it was before records were streamed, the reader
+as it was before each record's relations were stored in one step, and what
+``add_*`` stored while instances normalized themselves when built.
 
 ``ocel_to_dict`` builds the whole document from the log's public relation
 sets, formatting every time through ``format_iso``, and ``write_text``
 renders it with ``json.dumps(indent=2)``. ``ocel_from_dict`` relates every
 relation through ``relate_*``, one at a time. The differential tests in
 ``test_ocel_json.py`` require the streaming writer to give the same
-document, and the reader the same log or the same error.
+document, and the reader the same log or the same error. ``stored`` is the
+oracle for the differential test of ``add_*`` in ``test_ocel.py``.
 """
 
 import json
 from datetime import datetime
 
-from ocedf import E2ORelation, O2ORelation, OcedLog, OcelDocumentError, SchemaError, ocel
-from ocedf.timeutil import format_iso
+from ocedf import E2ORelation, O2ORelation, ObjectInstance, OcedLog, OcelDocumentError, SchemaError, ocel
+from ocedf.timeutil import format_iso, to_utc_ms
 
 
 def _value_to_json(value):
@@ -96,3 +98,39 @@ def ocel_from_dict(doc) -> OcedLog:
                     raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}",
                                             f"{key}[{i}].relationships[{j}]") from None
     return log
+
+
+def stored(inst, kinds):
+    """The instance ``add_object``/``add_event`` stored for ``inst`` under a
+    type with attribute ``kinds`` when building an instance normalized it:
+    every time through ``to_utc_ms`` and every container made a tuple. Then
+    each value was checked and conformed to its declared kind."""
+    is_object = isinstance(inst, ObjectInstance)
+    if is_object:
+        inst = inst._replace(attribute_values=tuple(
+            av._replace(time=to_utc_ms(av.time)) for av in inst.attribute_values))
+    else:
+        inst = inst._replace(time=to_utc_ms(inst.time),
+                             attribute_values=tuple(tuple(p) for p in inst.attribute_values))
+    what = "object" if is_object else "event"
+    if kinds is None:
+        raise SchemaError(f"{what} {inst.id!r}: undeclared {what} type {inst.type!r}")
+    seen = set()
+    values = inst.attribute_values
+    for i, entry in enumerate(inst.attribute_values):
+        name, value = (entry.name, entry.value) if is_object else entry
+        kind = kinds.get(name)
+        if kind is None:
+            raise SchemaError(
+                f"{what} {inst.id!r}: attribute {name!r} not declared on type {inst.type!r}")
+        key = (name, entry.time) if is_object else name
+        if key in seen:
+            raise SchemaError(
+                f"object {inst.id!r}: attribute {name!r} has two values at {format_iso(entry.time)}"
+                if is_object else f"event {inst.id!r}: duplicate attribute {name!r}")
+        seen.add(key)
+        conformed = ocel._conform_value(value, kind, f"{what} {inst.id!r} attribute {name!r}")
+        if conformed is not value:
+            entry = entry._replace(value=conformed) if is_object else (name, conformed)
+            values = (*values[:i], entry, *values[i + 1:])
+    return inst if values is inst.attribute_values else inst._replace(attribute_values=values)

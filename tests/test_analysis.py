@@ -10,12 +10,12 @@ from ocedf import (
     EventTypeDef,
     ObjectInstance,
     ObjectTypeDef,
+    OcedLog,
     SchemaError,
     discover_dfg,
     drill_down,
     filter_log,
     flatten,
-    new_log,
     roll_up,
     to_dot,
     unfold_events,
@@ -26,7 +26,7 @@ T0 = datetime(2024, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
 
 
 def user_page_log():
-    log = new_log(
+    log = OcedLog(
         [ObjectTypeDef("User", (AttributeDef("role", "string"), AttributeDef("name", "string"))),
          ObjectTypeDef("Page", (AttributeDef("code", "string"),))],
         [EventTypeDef("view page"), EventTypeDef("submit assignment")],
@@ -171,7 +171,7 @@ class TestDrillDown:
         assert out.has_o2o("u3", "u1", "teaches")
 
     def test_supertype_with_zero_instances(self):
-        log = new_log([ObjectTypeDef("User", (AttributeDef("role", "string"),)),
+        log = OcedLog([ObjectTypeDef("User", (AttributeDef("role", "string"),)),
                        ObjectTypeDef("Page")], [])
         log.add_object(ObjectInstance("p1", "Page", ()))
         out = drill_down(log, "User", "role")
@@ -185,7 +185,7 @@ class TestDrillDown:
         assert out.objects["u4"].type == "User:unknown"
 
     def test_no_discriminator_configured(self):
-        log = new_log([ObjectTypeDef("Group")], [])
+        log = OcedLog([ObjectTypeDef("Group")], [])
         with pytest.raises(SchemaError, match="discriminator"):
             drill_down(log, "Group", "role")
 
@@ -194,7 +194,7 @@ class TestDrillDown:
             drill_down(user_page_log(), "Ghost", "role")
 
     def test_label_colliding_with_differently_shaped_type(self):
-        log = new_log([ObjectTypeDef("User", (AttributeDef("role", "string"),)),
+        log = OcedLog([ObjectTypeDef("User", (AttributeDef("role", "string"),)),
                        ObjectTypeDef("Student", (AttributeDef("grade", "integer"),))], [])
         log.add_object(ObjectInstance("u1", "User", (AttributeValue("role", T0, "Student"),)))
         with pytest.raises(SchemaError, match="'Student' collides with a differently-shaped type"):
@@ -233,13 +233,13 @@ class TestRollUp:
             roll_up(user_page_log(), {"Ghost"}, "User", "role")
 
     def test_discriminator_collision(self):
-        log = new_log([ObjectTypeDef("Teacher", (AttributeDef("role", "string"),))], [])
+        log = OcedLog([ObjectTypeDef("Teacher", (AttributeDef("role", "string"),))], [])
         log.add_object(ObjectInstance("t1", "Teacher", (AttributeValue("role", T0, "Student"),)))
         with pytest.raises(SchemaError, match="discriminator"):
             roll_up(log, {"Teacher"}, "User", "role")
 
     def test_into_existing_type_must_declare_the_subtype_attributes(self):
-        log = new_log([ObjectTypeDef("User", (AttributeDef("role", "string"),)),
+        log = OcedLog([ObjectTypeDef("User", (AttributeDef("role", "string"),)),
                        ObjectTypeDef("Student", (AttributeDef("role", "string"),
                                                  AttributeDef("name", "string")))], [])
         values = (AttributeValue("role", T0, "Student"), AttributeValue("name", T0, "Ada"))
@@ -248,7 +248,7 @@ class TestRollUp:
             roll_up(log, {"Student"}, "User", "role")
 
     def test_labels_without_discriminator_get_one(self):
-        log = new_log([ObjectTypeDef("Teacher", (AttributeDef("name", "string"),))], [])
+        log = OcedLog([ObjectTypeDef("Teacher", (AttributeDef("name", "string"),))], [])
         log.add_object(ObjectInstance("t1", "Teacher", (AttributeValue("name", T0, "Bo"),)))
         rolled = roll_up(log, {"Teacher"}, "User", "role")
         assert rolled.objects["t1"].type == "User"
@@ -304,7 +304,7 @@ class TestUnfold:
 
 class TestDiscoverDfg:
     def trace_log(self, sequence):
-        log = new_log([ObjectTypeDef("Case")],
+        log = OcedLog([ObjectTypeDef("Case")],
                       [EventTypeDef(t) for t in sorted(set(sequence))])
         log.add_object(ObjectInstance("c1", "Case", ()))
         for i, etype in enumerate(sequence):
@@ -389,7 +389,7 @@ class TestToDot:
         assert to_dot(dfg, min_edge_frequency=0).count("->") == 3
 
     def test_quotes_escaped(self):
-        log = new_log([ObjectTypeDef("Case")], [EventTypeDef('say "hi"')])
+        log = OcedLog([ObjectTypeDef("Case")], [EventTypeDef('say "hi"')])
         log.add_object(ObjectInstance("c1", "Case", ()))
         log.add_event(EventInstance("e0", 'say "hi"', at(0)))
         log.relate_event_object("e0", "c1")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ocedf import new_log, read_ocel_json, write_ocel_json
+from ocedf import OcedLog, read_ocel_json, write_ocel_json
 from ocedf.cli import run, stats
 from conftest import FIXTURES
 
@@ -201,7 +201,7 @@ class TestVerify:
 class TestStats:
     def test_empty_log(self, tmp_path, capsys):
         p = tmp_path / "empty.json"
-        write_ocel_json(new_log([], []), p)
+        write_ocel_json(OcedLog([], []), p)
         assert run(["stats", "--log", str(p)]) == 0
         out = capsys.readouterr().out
         assert "objects: 0 total" in out and "events: 0 total" in out
@@ -315,5 +315,5 @@ def test_console_entry_point_help():
 def test_env_var_log_level(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OCEDF_LOG", "debug")
     p = tmp_path / "empty.json"
-    write_ocel_json(new_log([], []), p)
+    write_ocel_json(OcedLog([], []), p)
     assert run(["stats", "--log", str(p)]) == 0

@@ -22,9 +22,9 @@ from ocedf import (
     EventTypeDef,
     ObjectInstance,
     ObjectTypeDef,
+    OcedLog,
     drill_down,
     filter_log,
-    new_log,
     roll_up,
     unfold_events,
     write_ocel_json,
@@ -154,7 +154,7 @@ def test_relabelling_keeps_conforming_values_as_they_are():
     value whose kind changed is conformed to it."""
     user_attrs = (AttributeDef("role", "string"), AttributeDef("since", "timestamp"),
                   AttributeDef("score", "float"))
-    log = new_log([ObjectTypeDef("User", user_attrs),
+    log = OcedLog([ObjectTypeDef("User", user_attrs),
                    ObjectTypeDef("Course", (AttributeDef("opened", "timestamp"),)),
                    ObjectTypeDef("Guest", (AttributeDef("score", "integer"),)),
                    ObjectTypeDef("Member", (AttributeDef("score", "float"), AttributeDef("role", "string")))],

@@ -1,11 +1,12 @@
 import io
 import random
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ocel as ref
 from ocedf import (
     AttributeDef,
     AttributeValue,
@@ -14,9 +15,9 @@ from ocedf import (
     EventTypeDef,
     ObjectInstance,
     ObjectTypeDef,
+    OcedLog,
     OcelDocumentError,
     SchemaError,
-    new_log,
     ocel_from_dict,
     ocel_to_dict,
     read_ocel_json,
@@ -32,7 +33,7 @@ CASE_EVENT_TYPES = ["view file", "view page", "view folder", "submit assignment"
 
 
 def simple_log():
-    log = new_log(
+    log = OcedLog(
         [ObjectTypeDef("User", (AttributeDef("role", "string"),)),
          ObjectTypeDef("Course", ())],
         [EventTypeDef("view page", ()), EventTypeDef("submit assignment", ())],
@@ -44,29 +45,29 @@ def simple_log():
 
 class TestSchema:
     def test_empty_log(self):
-        log = new_log([], [])
+        log = OcedLog([], [])
         assert log.object_type_defs == ()
         assert log.event_type_defs == ()
         assert not log.objects and not log.events
 
     def test_case_study_schema(self):
-        log = new_log([ObjectTypeDef(n) for n in CASE_OBJECT_TYPES],
+        log = OcedLog([ObjectTypeDef(n) for n in CASE_OBJECT_TYPES],
                       [EventTypeDef(n) for n in CASE_EVENT_TYPES])
         assert [td.name for td in log.object_type_defs] == CASE_OBJECT_TYPES
         assert [td.name for td in log.event_type_defs] == CASE_EVENT_TYPES
 
     def test_duplicate_type_name(self):
         with pytest.raises(SchemaError, match="duplicate"):
-            new_log([ObjectTypeDef("A"), ObjectTypeDef("A")], [])
+            OcedLog([ObjectTypeDef("A"), ObjectTypeDef("A")], [])
 
     def test_duplicate_attribute_name(self):
         bad = ObjectTypeDef("A", (AttributeDef("x", "string"), AttributeDef("x", "integer")))
         with pytest.raises(SchemaError, match="duplicate attribute"):
-            new_log([bad], [])
+            OcedLog([bad], [])
 
     def test_unknown_value_kind(self):
         with pytest.raises(SchemaError, match="kind"):
-            new_log([ObjectTypeDef("A", (AttributeDef("x", "text"),))], [])
+            OcedLog([ObjectTypeDef("A", (AttributeDef("x", "text"),))], [])
 
 
 class TestObjects:
@@ -100,6 +101,16 @@ class TestObjects:
         with pytest.raises(SchemaError, match="two values"):
             log.add_object(ObjectInstance("u2", "User", values))
 
+    def test_time_must_be_a_datetime(self):
+        log = simple_log()
+        for bad in ("2024-09-02", 5, date(2024, 9, 2), None):
+            value = AttributeValue("role", bad, "Student")   # held as given until stored
+            assert value.time is bad
+            with pytest.raises(SchemaError) as err:
+                log.add_object(ObjectInstance("u2", "User", (value,)))
+            assert str(err.value) == f"object 'u2' attribute 'role': time {bad!r} is not a datetime"
+        assert "u2" not in log.objects
+
     def test_latest_value_uses_newest_timestamp(self):
         log = simple_log()
         values = (AttributeValue("role", T0, "Student"),
@@ -125,6 +136,16 @@ class TestEvents:
         with pytest.raises(SchemaError, match="undeclared"):
             log.add_event(EventInstance("e1", "login", T0))
 
+    def test_time_must_be_a_datetime(self):
+        log = simple_log()
+        for bad in ("2024-09-02", 5, date(2024, 9, 2), None):
+            event = EventInstance("e1", "view page", bad)   # held as given until stored
+            assert event.time is bad
+            with pytest.raises(SchemaError) as err:
+                log.add_event(event)
+            assert str(err.value) == f"event 'e1': time {bad!r} is not a datetime"
+        assert not log.events
+
     def test_time_order_with_id_tiebreak(self):
         log = simple_log()
         log.add_event(EventInstance("b", "view page", T0))
@@ -144,7 +165,7 @@ class TestEvents:
 
 def test_stored_values_are_conformed_to_their_kind():
     offset = timezone(timedelta(hours=2))
-    log = new_log([ObjectTypeDef("Item", (AttributeDef("price", "float"),
+    log = OcedLog([ObjectTypeDef("Item", (AttributeDef("price", "float"),
                                           AttributeDef("due", "timestamp")))],
                   [EventTypeDef("sell", (AttributeDef("amount", "float"),
                                          AttributeDef("at", "timestamp")))])
@@ -157,6 +178,85 @@ def test_stored_values_are_conformed_to_their_kind():
     assert type(price.value) is float and due.value == utc and due.value.tzinfo == timezone.utc
     amount, at = (value for _, value in log.events["e1"].attribute_values)
     assert type(amount) is float and at == utc and at.tzinfo == timezone.utc
+
+
+KINDS = {"s": "string", "i": "integer", "f": "float", "b": "boolean", "t": "timestamp"}
+DEFS = tuple(AttributeDef(n, k) for n, k in KINDS.items())
+
+
+def _given(instant, tz):
+    """``instant`` as shown in the offset ``tz``, or naive in UTC when None."""
+    return instant.astimezone(tz) if tz else instant.replace(tzinfo=None)
+
+
+# A few instants, each given as stored, naive (read as UTC), in UTC or in another
+# offset, and with sub-millisecond noise, so one instant often comes in two forms.
+INSTANTS = [T0, T0 + timedelta(milliseconds=1), T0 + timedelta(days=1)]
+OFFSETS = [None, timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-9, minutes=-30))]
+TIMES = st.one_of(
+    st.sampled_from(INSTANTS),
+    st.builds(lambda t, tz, us: _given(t, tz) + timedelta(microseconds=us),
+              st.sampled_from(INSTANTS), st.sampled_from(OFFSETS), st.sampled_from([0, 0, 1, 999])),
+    st.datetimes(datetime(1970, 1, 2), datetime(2100, 1, 1), timezones=st.sampled_from(OFFSETS)))
+VALUES = {"string": st.text(max_size=2), "integer": st.integers(),
+          "float": st.integers() | st.floats(), "boolean": st.booleans(), "timestamp": TIMES}
+
+
+@st.composite
+def instances(draw):
+    """An object or event of type "T" (or of an undeclared type) with values
+    of the declared kind or of any kind, under declared names or one that is
+    not, in a list or a tuple."""
+    def value(name):
+        kind = KINDS.get(name, "string") if draw(st.integers(0, 7)) else draw(st.sampled_from(list(VALUES)))
+        return draw(VALUES[kind])
+
+    names = draw(st.lists(st.sampled_from([*KINDS, *KINDS, "x"]), max_size=4))
+    containers = st.sampled_from([tuple, tuple, list])
+    container = draw(containers)
+    type_ = "Ghost" if draw(st.integers(0, 7)) == 0 else "T"
+    if draw(st.booleans()):
+        return ObjectInstance("o", type_, container(AttributeValue(n, draw(TIMES), value(n)) for n in names))
+    pairs = container(draw(containers)((n, value(n))) for n in names)
+    return EventInstance("e", type_, draw(TIMES), pairs)
+
+
+def _exact(value):
+    """``value`` with each part tagged by its type and each time by its offset,
+    so that 3 and 3.0, or one instant in two offsets, differ."""
+    if isinstance(value, tuple):
+        return type(value).__name__, tuple(_exact(v) for v in value)
+    return type(value).__name__, value.isoformat() if isinstance(value, datetime) else value
+
+
+def _add(inst):
+    """The instance a log of type "T" stores for ``inst``."""
+    log = OcedLog([ObjectTypeDef("T", DEFS)], [EventTypeDef("T", DEFS)])
+    if isinstance(inst, ObjectInstance):
+        log.add_object(inst)
+        return log.objects[inst.id]
+    log.add_event(inst)
+    return log.events[inst.id]
+
+
+@given(inst=instances())
+@settings(max_examples=400, deadline=None)
+def test_add_stores_what_normalizing_at_construction_stored(inst):
+    """``add_*`` normalizes times and containers where building an instance
+    once did: the stored instance has the same fields, each part of the same
+    type and each time in UTC, or the same error is raised."""
+    try:
+        expected = ref.stored(inst, KINDS if inst.type == "T" else None)
+    except Exception as exc:
+        with pytest.raises(Exception) as err:
+            _add(inst)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    stored = _add(inst)
+    assert _exact(stored) == _exact(expected)
+    assert _add(stored) is stored   # a normalized instance is stored as it is
+    if _exact(inst) == _exact(expected):
+        assert stored is inst
 
 
 class TestRelations:
@@ -185,7 +285,7 @@ class TestRelations:
         log.relate_event_object("e1", "stu-1", "actor")
 
     def test_submit_event_relates_four_objects(self):
-        log = new_log(
+        log = OcedLog(
             [ObjectTypeDef(n, (AttributeDef("role", "string"),) if n == "User" else ())
              for n in CASE_OBJECT_TYPES],
             [EventTypeDef(n) for n in CASE_EVENT_TYPES])
@@ -286,7 +386,7 @@ class TestStructuralEquality:
 
 class TestJsonRoundTrip:
     def test_empty_log(self):
-        log = new_log([], [])
+        log = OcedLog([], [])
         doc = ocel_to_dict(log)
         assert doc == {"objectTypes": [], "eventTypes": [], "objects": [], "events": []}
         assert ocel_from_dict(doc).structurally_equal(log)
@@ -294,7 +394,7 @@ class TestJsonRoundTrip:
     def test_all_value_kinds(self):
         kinds = [("s", "string"), ("i", "integer"), ("f", "float"),
                  ("b", "boolean"), ("t", "timestamp")]
-        log = new_log([ObjectTypeDef("Thing", tuple(AttributeDef(n, k) for n, k in kinds))],
+        log = OcedLog([ObjectTypeDef("Thing", tuple(AttributeDef(n, k) for n, k in kinds))],
                       [EventTypeDef("act", tuple(AttributeDef(n, k) for n, k in kinds))])
         values = {"s": "text", "i": -3, "f": 2.5, "b": True, "t": T0}
         log.add_object(ObjectInstance(

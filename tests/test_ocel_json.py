@@ -24,11 +24,11 @@ from ocedf import (
     EventTypeDef,
     ObjectInstance,
     ObjectTypeDef,
+    OcedLog,
     OcedfError,
     OcelDocumentError,
     drill_down,
     filter_log,
-    new_log,
     ocel,
     ocel_from_dict,
     ocel_to_dict,
@@ -67,7 +67,7 @@ def awkward_log():
     plus = timezone(timedelta(hours=5, minutes=30))
     minus = timezone(timedelta(hours=-8))
     attrs = tuple(AttributeDef(n, k) for n, k in KINDS)
-    log = new_log([ObjectTypeDef("Ünïcødé ✓", attrs), ObjectTypeDef("日本", ())],
+    log = OcedLog([ObjectTypeDef("Ünïcødé ✓", attrs), ObjectTypeDef("日本", ())],
                   [EventTypeDef("vue «page»", attrs), EventTypeDef('q"uote\\', ())])
     values = [
         AttributeValue("s", T0 + timedelta(milliseconds=500), "line\nbreak\t\u2028 \"é\""),
@@ -107,7 +107,7 @@ class TestAgainstReference:
         assert_same_document(awkward_log())
 
     def test_empty_log(self):
-        assert_same_document(new_log([], []))
+        assert_same_document(OcedLog([], []))
 
     def test_derived_logs(self, case_study):
         _, log, _ = case_study
@@ -127,7 +127,7 @@ class TestAgainstReference:
 
 class TestLayout:
     def test_exact_text(self):
-        log = new_log([ObjectTypeDef("User", (AttributeDef("role", "string"),)), ObjectTypeDef("Course")],
+        log = OcedLog([ObjectTypeDef("User", (AttributeDef("role", "string"),)), ObjectTypeDef("Course")],
                       [EventTypeDef("view", ())])
         log.add_object(ObjectInstance("u1", "User", (AttributeValue("role", T0, "Student"),)))
         log.add_object(ObjectInstance("c1", "Course"))
@@ -156,7 +156,7 @@ class TestLayout:
             '}\n')
 
     def test_empty_sections(self):
-        assert _text(new_log([], [])) == \
+        assert _text(OcedLog([], [])) == \
             '{\n"objectTypes": [\n],\n"eventTypes": [\n],\n"objects": [\n],\n"events": [\n]\n}\n'
 
     @pytest.mark.parametrize("which", ["case_study", "awkward"])
@@ -215,7 +215,7 @@ class TestAtomicOutput:
     def test_new_file_mode_follows_the_umask(self, tmp_path):
         old = os.umask(0o027)
         try:
-            write_ocel_json(new_log([], []), tmp_path / "log.json")
+            write_ocel_json(OcedLog([], []), tmp_path / "log.json")
             with open_atomic(tmp_path / "out.csv", newline="") as fh:
                 fh.write("a\r\n")
         finally:
@@ -227,8 +227,8 @@ class TestAtomicOutput:
 
     def test_replaces_an_existing_file(self, tmp_path):
         path = self._old_file(tmp_path)
-        write_ocel_json(new_log([], []), path)
-        assert read_ocel_json(path).structurally_equal(new_log([], []))
+        write_ocel_json(OcedLog([], []), path)
+        assert read_ocel_json(path).structurally_equal(OcedLog([], []))
         assert os.listdir(tmp_path) == ["log.json"]
 
     def test_symlink_is_kept_and_its_target_replaced(self, tmp_path):
@@ -260,7 +260,7 @@ class TestAtomicOutput:
 
 
 def _base_document():
-    log = new_log([ObjectTypeDef("O", tuple(AttributeDef(n, k) for n, k in KINDS))],
+    log = OcedLog([ObjectTypeDef("O", tuple(AttributeDef(n, k) for n, k in KINDS))],
                   [EventTypeDef("E", tuple(AttributeDef(n, k) for n, k in KINDS))])
     values = {"s": "x", "i": 1, "f": 1.5, "b": True, "t": T0}
     log.add_object(ObjectInstance("o1", "O", tuple(AttributeValue(n, T0, values[n]) for n, _ in KINDS)))

@@ -15,9 +15,9 @@ from ocedf import (
     ExtractionMatrix,
     ObjectInstance,
     ObjectTypeDef,
+    OcedLog,
     check,
     derive_matrix,
-    new_log,
     parse_multiplicity,
     render_matrix,
 )
@@ -57,7 +57,7 @@ def course_matrix():
 def course_log():
     defs = [ObjectTypeDef("User", (AttributeDef("role", "string"),))]
     defs += [ObjectTypeDef(n) for n in COLUMNS if n not in ("User", "Teacher", "Student")]
-    return new_log(defs, [EventTypeDef(n) for n in course_matrix().activities])
+    return OcedLog(defs, [EventTypeDef(n) for n in course_matrix().activities])
 
 
 def add_user(log, oid, role):
@@ -162,7 +162,7 @@ def unmapped_course_case():
     """(log, xmatrix, schema) where Course objects fall outside every column."""
     schema = ConceptualSchema(object_types=("User", "Course"), discriminators={})
     xm = ExtractionMatrix(("User",), ("ping",), {("ping", "User"): parse_multiplicity("1")})
-    log = new_log([ObjectTypeDef("User"), ObjectTypeDef("Course")], [EventTypeDef("ping")])
+    log = OcedLog([ObjectTypeDef("User"), ObjectTypeDef("Course")], [EventTypeDef("ping")])
     log.add_object(ObjectInstance("u1", "User", ()))
     log.add_object(ObjectInstance("c1", "Course", ()))
     log.add_event(EventInstance("e1", "ping", T0))
@@ -179,7 +179,7 @@ def interleaved_signatures_case():
     apart; two teachers and a teacher with a student differ only in role."""
     defs = [ObjectTypeDef("User", (AttributeDef("role", "string"),)), ObjectTypeDef("Room")]
     defs += [ObjectTypeDef(n) for n in COLUMNS if n not in ("User", "Teacher", "Student")]
-    log = new_log(defs, [EventTypeDef(n) for n in course_matrix().activities])
+    log = OcedLog(defs, [EventTypeDef(n) for n in course_matrix().activities])
     add_user(log, "t1", "Teacher")
     add_user(log, "t2", "Teacher")
     add_user(log, "s1", "Student")
