@@ -122,8 +122,9 @@ def stats(log: OcedLog, discriminator_attr: str = "role") -> str:
     per_event_type: dict[str, dict[str, set[str]]] = {}
     event_counts: dict[str, int] = {}
     for event in log.events_in_order():
-        event_counts[event.type] = event_counts.get(event.type, 0) + 1
-        buckets = per_event_type.setdefault(event.type, {})
+        etype = event.type
+        event_counts[etype] = event_counts.get(etype, 0) + 1
+        buckets = per_event_type.setdefault(etype, {})
         for obj in log.objects_of_event(event.id):
             buckets.setdefault(obj.type, set()).add(obj.id)
 
@@ -274,9 +275,9 @@ def discover_dfg(log: OcedLog, object_types: Iterable[str]) -> Dfg:
 
     per_type: dict[str, TypeDfg] = {t: TypeDfg() for t in requested}
     for obj in log.objects.values():
-        if obj.type not in per_type:
+        graph = per_type.get(obj.type)
+        if graph is None:
             continue
-        graph = per_type[obj.type]
         trace = [event.type for event in log.events_of_object(obj.id)]
         if not trace:
             continue

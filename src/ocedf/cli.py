@@ -22,7 +22,7 @@ from . import analysis, extraction, specmodel, verification
 from .analysis import stats
 from .errors import DataError, OcedfError, OcelDocumentError, SchemaError, SpecError
 from .fileio import open_atomic
-from .ocel import read_ocel_json, write_ocel_json
+from .ocel import OcedLog, read_ocel_json, write_ocel_json
 from .timeutil import format_iso
 
 log = logging.getLogger("ocedf.cli")
@@ -121,37 +121,50 @@ def _cmd_validate_spec(args) -> int:
 def _cmd_extract(args) -> int:
     spec = specmodel.parse_spec(args.spec)
     source_dir = Path(args.source_dir)
+    started = time.perf_counter()
     sources = {}
     for rule in spec.mappings:
         name = rule.source_table
         if name not in sources:
             sources[name] = extraction.load_source(source_dir / f"{name}.csv", name)
+    started = _log_stage("load", sum(len(t.rows) for t in sources.values()), started, "rows")
     oced_log, report = extraction.extract(spec, sources, on_dangling=args.on_dangling)
+    events = len(oced_log.events)
+    started = _log_stage("extract", events, started)
     write_ocel_json(oced_log, args.out)
+    started = _log_stage("write", events, started)
     with open_atomic(f"{args.out}.report.json") as fh:
         fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    _log_stage("report", events, started)
     print(f"extracted {report.counts['object']} objects, {report.counts['event']} events, "
           f"{report.counts['e2o']} e2o, {report.counts['o2o']} o2o "
           f"({sum(r.rows_skipped for r in report.rule_runs)} rows skipped) -> {args.out}")
     return EXIT_OK
 
 
-def _log_stage(stage: str, events: int, started: float) -> float:
+def _log_stage(stage: str, count: int, started: float, unit: str = "events") -> float:
     """Log one info line with ``stage``'s seconds since ``started`` and its
-    rate in events per second; return the time now, the next stage's start."""
+    rate in ``unit`` (events, or rows) per second; return the time now, the
+    next stage's start."""
     now = time.perf_counter()
     seconds = now - started
-    log.info("%s: %.3f s, %d events, %.0f events/s",
-             stage, seconds, events, events / seconds if seconds > 0 else 0)
+    log.info("%s: %.3f s, %d %s, %.0f %s/s",
+             stage, seconds, count, unit, count / seconds if seconds > 0 else 0, unit)
     return now
+
+
+def _read_log(path: str) -> tuple[OcedLog, int, float]:
+    """The log at ``path``, its event count and the time its read stage was
+    logged, the next stage's start."""
+    started = time.perf_counter()
+    oced_log = read_ocel_json(path)
+    events = len(oced_log.events)
+    return oced_log, events, _log_stage("read", events, started)
 
 
 def _cmd_verify(args) -> int:
     spec = specmodel.parse_spec(args.spec)
-    started = time.perf_counter()
-    oced_log = read_ocel_json(args.log_path)
-    events = len(oced_log.events)
-    started = _log_stage("read", events, started)
+    oced_log, events, started = _read_log(args.log_path)
     matrix = verification.derive_matrix(oced_log, spec.xmatrix, spec.schema)
     started = _log_stage("derive_matrix", events, started)
     report = verification.check(matrix, spec.xmatrix)
@@ -165,29 +178,35 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
-    oced_log = read_ocel_json(args.log_path)
+    oced_log, events, started = _read_log(args.log_path)
     flat = analysis.flatten(oced_log, args.object_type)
+    started = _log_stage("flatten", events, started)
     with open_atomic(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "activity", "timestamp", "event_id"])
         for row in flat.rows:
             writer.writerow([row.case_id, row.activity, format_iso(row.time), row.event_id])
+    _log_stage("write", events, started)
     print(f"flattened {len(flat.rows)} rows onto {args.object_type!r} -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_drill_down(args) -> int:
-    oced_log = read_ocel_json(args.log_path)
+    oced_log, events, started = _read_log(args.log_path)
     out = analysis.drill_down(oced_log, args.object_type, args.discriminator_attr)
+    started = _log_stage("drill_down", events, started)
     write_ocel_json(out, args.out)
+    _log_stage("write", events, started)
     print(f"drilled down {args.object_type!r} -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_unfold(args) -> int:
-    oced_log = read_ocel_json(args.log_path)
+    oced_log, events, started = _read_log(args.log_path)
     out = analysis.unfold_events(oced_log, args.event_type, args.by_object_type, args.name_attr)
+    started = _log_stage("unfold_events", events, started)
     write_ocel_json(out, args.out)
+    _log_stage("write", events, started)
     print(f"unfolded {args.event_type!r} by {args.by_object_type!r} -> {args.out}")
     return EXIT_OK
 
@@ -195,22 +214,26 @@ def _cmd_unfold(args) -> int:
 def _cmd_dfg(args) -> int:
     if args.min_edge_freq < 0:
         raise UsageError("--min-edge-freq must be >= 0")
-    oced_log = read_ocel_json(args.log_path)
+    oced_log, events, started = _read_log(args.log_path)
     types = [t.strip() for t in args.object_types.split(",") if t.strip()]
     if not types:
         raise UsageError("--object-types needs at least one type name")
     dfg = analysis.discover_dfg(oced_log, types)
+    started = _log_stage("discover_dfg", events, started)
     text = analysis.to_dot(dfg, args.min_edge_freq)
     with open_atomic(args.out) as fh:
         fh.write(text)
+    _log_stage("write", events, started)
     edges = sum(len(g.edges) for g in dfg.per_type.values())
     print(f"discovered DFG over {', '.join(sorted(dfg.per_type))}: {edges} edge(s) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    oced_log = read_ocel_json(args.log_path)
-    print(stats(oced_log, args.discriminator_attr), end="")
+    oced_log, events, started = _read_log(args.log_path)
+    text = stats(oced_log, args.discriminator_attr)
+    _log_stage("stats", events, started)
+    print(text, end="")
     return EXIT_OK
 
 

@@ -15,7 +15,9 @@ making that first query at once compute equal values, so a finished log is
 safe to share across threads.
 
 A derived log (``relabel``) shares its input's frozen instances, relations and
-indexes, re-checks only what it changes, and owns its containers.
+indexes, re-checks only what it changes, and owns its containers. The OCEL
+JSON writer joins each record's line from encoded parts; ``ocel_to_dict``
+parses that text, so one record builder serves both.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain
+from functools import cache
+from itertools import chain, starmap
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -487,80 +491,73 @@ def _type_records(type_defs: Iterable) -> Iterator[dict]:
                "attributes": [{"name": ad.name, "type": ad.kind} for ad in td.attribute_defs]}
 
 
-def _object_records(log: OcedLog) -> Iterator[dict]:
-    """One record per object, by id; attribute values by (name, time),
-    relationships by (target, qualifier)."""
-    for obj in sorted(log._objects.values(), key=lambda o: o.id):
-        yield {
-            "id": obj.id,
-            "type": obj.type,
-            "attributes": [
-                {"name": av.name, "time": av.time.isoformat(timespec="milliseconds"),
-                 "value": _value_to_json(av.value)}
-                for av in sorted(obj.attribute_values)   # by (name, time), unique per object
-            ],
-            "relationships": [{"objectId": target, "qualifier": qualifier}
-                              for _, target, qualifier in log._o2o_by_source.get(obj.id, ())],
-        }
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(100))
+_THREE_DIGITS = tuple(f"{i:03d}" for i in range(1000))
 
 
-def _event_records(log: OcedLog) -> Iterator[dict]:
-    """One record per event, by (time, id); attributes by name,
-    relationships by (object, qualifier)."""
-    for event in log.events_in_order():
-        yield {
-            "id": event.id,
-            "type": event.type,
-            "time": event.time.isoformat(timespec="milliseconds"),
-            "attributes": [{"name": name, "value": _value_to_json(value)}
-                           for name, value in sorted(event.attribute_values)],
-            "relationships": [{"objectId": oid, "qualifier": qualifier}
-                              for _, oid, qualifier in log._e2o_by_event.get(event.id, ())],
-        }
+def _object_attributes(values: tuple[AttributeValue, ...]) -> list[dict]:
+    return [{"name": av.name, "time": av.time.isoformat(timespec="milliseconds"),
+             "value": _value_to_json(av.value)} for av in sorted(values)]   # by (name, time)
 
 
-def _sections(log: OcedLog) -> tuple[tuple[str, Iterator[dict]], ...]:
-    """The document's top-level keys in order, each with its records, built lazily."""
-    return (("objectTypes", _type_records(log.object_type_defs)),
-            ("eventTypes", _type_records(log.event_type_defs)),
-            ("objects", _object_records(log)),
-            ("events", _event_records(log)))
-
-
-def ocel_to_dict(log: OcedLog) -> dict:
-    """Render a log as the OCEL 2.0 JSON document structure.
-
-    Collections are emitted in canonical order (objects by id, events by
-    time then id, attribute values by name then time, relationships by
-    target then qualifier) so that equal logs serialize to identical bytes.
-    ``write_ocel_json`` writes the same records, built by the same code.
-    """
-    return {key: list(records) for key, records in _sections(log)}
+def _event_attributes(values: tuple[tuple[str, Any], ...]) -> list[dict]:
+    return [{"name": name, "value": _value_to_json(value)} for name, value in sorted(values)]
 
 
 def _document_chunks(log: OcedLog) -> Iterator[str]:
+    """The document in pieces, one record per line. An object or event line is
+    the text ``encode`` gives its dict, joined from encoded parts. A type name
+    or a relationship ``{"objectId", "qualifier"}`` is encoded on first use
+    only: a log has few, shared by E2O and O2O. An event time is UTC in whole
+    ms, so its ``isoformat(timespec="milliseconds")`` is built from fields."""
     encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+    type_name = cache(encode)
+    relationship = cache(lambda oid, qualifier: encode({"objectId": oid, "qualifier": qualifier}))
+    date = cache(lambda year, month, day: f"{year:04d}-{month:02d}-{day:02d}")
+    other_end, two, three = itemgetter(1, 2), _TWO_DIGITS, _THREE_DIGITS
+
+    def record_lines(instances, relations, attributes, timed: bool) -> Iterator[str]:
+        for inst in instances:
+            values, t = inst.attribute_values, inst.time if timed else None
+            time = (f'"time": "{date(t.year, t.month, t.day)}T{two[t.hour]}:{two[t.minute]}:'
+                    f'{two[t.second]}.{three[t.microsecond // 1000]}+00:00", ') if timed else ""
+            rels = ", ".join(starmap(relationship, map(other_end, relations.get(inst.id, ()))))
+            yield (f'{{"id": {encode(inst.id)}, "type": {type_name(inst.type)}, {time}"attributes": '
+                   f'{encode(attributes(values)) if values else "[]"}, "relationships": [{rels}]}}')
+
+    objects = sorted(log._objects.values(), key=lambda o: o.id)
+    sections = (("objectTypes", map(encode, _type_records(log.object_type_defs))),
+                ("eventTypes", map(encode, _type_records(log.event_type_defs))),
+                ("objects", record_lines(objects, log._o2o_by_source, _object_attributes, False)),
+                ("events", record_lines(log.events_in_order(), log._e2o_by_event, _event_attributes, True)))
     yield "{"
-    for i, (key, records) in enumerate(_sections(log)):
+    for i, (key, lines) in enumerate(sections):
         yield f'{"," if i else ""}\n"{key}": ['
         separator = "\n"
-        for record in records:
-            yield separator + encode(record)
+        for line in lines:
+            yield separator + line
             separator = ",\n"
         yield "\n]"
     yield "\n}\n"
 
 
+def ocel_to_dict(log: OcedLog) -> dict:
+    """Render a log as the OCEL 2.0 JSON document structure: the parsed text
+    ``write_ocel_json`` writes. Collections are in canonical order (objects by
+    id, events by time then id, attribute values by name then time,
+    relationships by target then qualifier), so equal logs give equal bytes."""
+    return json.loads("".join(_document_chunks(log)))
+
+
 def write_ocel_json(log: OcedLog, destination: str | Path | IO[str]) -> None:
     """Serialize to an OCEL 2.0 JSON document (UTF-8, canonical ordering).
 
-    The document is ``ocel_to_dict(log)``, laid out with each top-level key
-    on its own line and each type, object and event record on its own line
-    below it, so that a diff of two logs shows whole records. Records are
-    encoded one at a time as they are built and written straight away, so
-    the whole document is never held in memory. A path is replaced only once
-    the document is complete (``fileio.open_atomic``); an open file is
-    written directly.
+    Each top-level key is on its own line, and each type, object and event
+    record on its own line below it, so that a diff of two logs shows whole
+    records. Each line is built from the record's encoded parts and written
+    straight away, so the whole document is never held in memory. A path is
+    replaced only once the document is complete (``fileio.open_atomic``); an
+    open file is written directly.
     """
     chunks = _document_chunks(log)
     if hasattr(destination, "write"):

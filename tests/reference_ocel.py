@@ -1,14 +1,17 @@
-"""The OCEL JSON writer as it was before records were streamed, the reader
-as it was before each record's relations were stored in one step, and what
-``add_*`` stored while instances normalized themselves when built.
+"""The OCEL JSON writer as it was before records were streamed and while it
+streamed one dict per record, the reader as it was before each record's
+relations were stored in one step, and what ``add_*`` stored while instances
+normalized themselves when built.
 
 ``ocel_to_dict`` builds the whole document from the log's public relation
 sets, formatting every time through ``format_iso``, and ``write_text``
-renders it with ``json.dumps(indent=2)``. ``ocel_from_dict`` relates every
-relation through ``relate_*``, one at a time. The differential tests in
-``test_ocel_json.py`` require the streaming writer to give the same
-document, and the reader the same log or the same error. ``stored`` is the
-oracle for the differential test of ``add_*`` in ``test_ocel.py``.
+renders it with ``json.dumps(indent=2)``. ``write_streamed_text`` lays the
+same records out one per line, each encoded whole by ``json.JSONEncoder``.
+``ocel_from_dict`` relates every relation through ``relate_*``, one at a
+time. The differential tests in ``test_ocel_json.py`` require the writer to
+give the same document, and the very bytes of ``write_streamed_text``, and
+the reader the same log or the same error. ``stored`` is the oracle for the
+differential test of ``add_*`` in ``test_ocel.py``.
 """
 
 import json
@@ -80,6 +83,26 @@ def ocel_to_dict(log: OcedLog) -> dict:
 def write_text(log: OcedLog) -> str:
     """The whole document as the old ``write_ocel_json`` wrote it."""
     return json.dumps(ocel_to_dict(log), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def write_streamed_text(log: OcedLog) -> str:
+    """The document as the writer streamed it while it built one dict per
+    record: each top-level key on its own line, and below it each record of
+    ``ocel_to_dict`` encoded whole, on its own line."""
+    return "".join(_streamed_chunks(ocel_to_dict(log)))
+
+
+def _streamed_chunks(doc: dict):
+    encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+    yield "{"
+    for i, (key, records) in enumerate(doc.items()):
+        yield f'{"," if i else ""}\n"{key}": ['
+        separator = "\n"
+        for record in records:
+            yield separator + encode(record)
+            separator = ",\n"
+        yield "\n]"
+    yield "\n}\n"
 
 
 def ocel_from_dict(doc) -> OcedLog:

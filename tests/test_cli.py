@@ -255,6 +255,35 @@ class TestFileOutputs:
                 rf"{rule['rows_in']} rows in, {rule['rows_loaded']} loaded, "
                 rf"{rule['rows_skipped']} skipped, \d+\.\d{{3}} s, \d+ rows/s", line)
 
+    @pytest.mark.parametrize("args, stages", [
+        (["extract", "--spec", CONF_SPEC, "--source-dir", CONF_SOURCES, "--out", "out"],
+         ["load", "extract", "write", "report"]),
+        (["flatten", "--object-type", "Group", "--out", "out"], ["read", "flatten", "write"]),
+        (["drill-down", "--type", "User", "--out", "out"], ["read", "drill_down", "write"]),
+        (["unfold", "--event-type", "view page", "--by", "Page", "--name-attr", "code", "--out", "out"],
+         ["read", "unfold_events", "write"]),
+        (["dfg", "--object-types", "User,Group", "--out", "out"], ["read", "discover_dfg", "write"]),
+        (["stats"], ["read", "stats"]),
+    ])
+    def test_info_logs_one_line_per_stage(self, extracted, tmp_path, capsys, caplog, args, stages):
+        _, conf = extracted
+        out = tmp_path / "out"
+        args = [str(out) if a == "out" else a for a in args]
+        if args[0] != "extract":
+            args[1:1] = ["--log", str(conf)]
+        assert run(args) == 0
+        plain, written = capsys.readouterr().out, out.exists() and out.read_bytes()
+        caplog.set_level(logging.INFO, logger="ocedf.cli")
+        assert run(["--log-level", "info", *args]) == 0
+        assert capsys.readouterr().out == plain
+        assert (out.exists() and out.read_bytes()) == written
+        events = len(read_ocel_json(conf).events)
+        lines = [r.getMessage() for r in caplog.records if r.name == "ocedf.cli"]
+        assert [line.split(":")[0] for line in lines] == stages
+        for line in lines:
+            count, unit = (r"\d+", "rows") if line.startswith("load:") else (events, "events")
+            assert re.fullmatch(rf"\w+: \d+\.\d{{3}} s, {count} {unit}, \d+ {unit}/s", line)
+
     def test_outputs_leave_no_temporary_files(self, extracted, tmp_path):
         case, conf = extracted
         assert sorted(p.name for p in case.parent.iterdir()) == [

@@ -37,6 +37,8 @@ from ocedf import (
     write_ocel_json,
 )
 from ocedf.fileio import open_atomic
+from ocedf.ocel import VALUE_KINDS
+from ocedf.timeutil import to_utc_ms
 from randlog import random_log
 
 T0 = datetime(2024, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
@@ -50,10 +52,13 @@ def _text(log) -> str:
 
 
 def assert_same_document(log):
-    """The streamed document parses to the reference writer's document and
+    """The streamed document is the very text of the writer that encoded
+    one dict per record, and parses to the reference writer's document and
     to ``ocel_to_dict``, with the same keys in the same order and the same
     JSON types (``json.dumps`` of the parsed documents must be equal too)."""
-    got = json.loads(_text(log))
+    text = _text(log)
+    assert text == ref.write_streamed_text(log)
+    got = json.loads(text)
     want = json.loads(ref.write_text(log))
     assert got == want == ocel_to_dict(log)
     assert json.dumps(got) == json.dumps(want) == json.dumps(ocel_to_dict(log))
@@ -98,6 +103,58 @@ def awkward_log():
     return log
 
 
+# Characters JSON escapes or that are easy to get wrong: quote, backslash,
+# control characters, the line separators JavaScript does not allow in a
+# string, and non-ASCII text up to the astral planes.
+_AWKWARD = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028",
+                                    "\u2029", "/", "a", "é", "東", "\U0001F600"])
+                   | st.characters(codec="utf-8"), max_size=5)
+_TIMES = st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31),
+                      timezones=st.none() | st.sampled_from(
+                          [timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                           timezone(timedelta(hours=-8))]))
+_VALUES = {"string": _AWKWARD, "integer": st.integers(), "boolean": st.booleans(),
+           "float": st.floats(allow_nan=False, allow_infinity=False), "timestamp": _TIMES}
+
+
+@st.composite
+def awkward_logs(draw):
+    """A small log whose type names, attribute names, ids, qualifiers and
+    string values come from ``_AWKWARD``: empty qualifiers and self O2O
+    relations included, events with and without attributes, and values of
+    every kind, timestamps too."""
+    def type_defs(cls):
+        names = draw(st.lists(_AWKWARD.filter(bool), min_size=1, max_size=3, unique=True))
+        return [cls(name, tuple(AttributeDef(a, draw(st.sampled_from(VALUE_KINDS)))
+                                for a in draw(st.lists(_AWKWARD, max_size=3, unique=True))))
+                for name in names]
+
+    otypes, etypes = type_defs(ObjectTypeDef), type_defs(EventTypeDef)
+    log = OcedLog(otypes, etypes)
+    for oid in draw(st.lists(_AWKWARD.filter(bool), min_size=1, max_size=6, unique=True)):
+        tdef = draw(st.sampled_from(otypes))
+        values = {}
+        for ad in tdef.attribute_defs:
+            for when in draw(st.lists(_TIMES, max_size=2)):
+                values[ad.name, to_utc_ms(when)] = AttributeValue(ad.name, when, draw(_VALUES[ad.kind]))
+        log.add_object(ObjectInstance(oid, tdef.name, tuple(values.values())))
+    for eid in draw(st.lists(_AWKWARD.filter(bool), max_size=8, unique=True)):
+        tdef = draw(st.sampled_from(etypes))
+        attrs = tuple((ad.name, draw(_VALUES[ad.kind])) for ad in tdef.attribute_defs if draw(st.booleans()))
+        log.add_event(EventInstance(eid, tdef.name, draw(_TIMES), attrs))
+    oids, eids = list(log.objects), list(log.events)
+    qualifiers = st.just("") | _AWKWARD
+    for eid, oid, qualifier in draw(st.lists(st.tuples(
+            st.sampled_from(eids or [None]), st.sampled_from(oids), qualifiers), max_size=12)):
+        if eid is not None and not log.has_e2o(eid, oid, qualifier):
+            log.relate_event_object(eid, oid, qualifier)
+    for source, target, qualifier in draw(st.lists(st.tuples(
+            st.sampled_from(oids), st.sampled_from(oids), qualifiers), max_size=6)):
+        if (source != target or qualifier) and not log.has_o2o(source, target, qualifier):
+            log.relate_objects(source, target, qualifier)
+    return log
+
+
 class TestAgainstReference:
     def test_fixtures(self, case_study, conformant):
         for _, log, _ in (case_study, conformant):
@@ -119,10 +176,18 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_random_logs(self, seed):
         rng = random.Random(seed)
-        log = random_log(rng, max_events=40, max_objects=20, with_user_hierarchy=rng.random() < 0.5)
+        users = rng.random() < 0.5
+        log = random_log(rng, max_events=40, max_objects=20, with_user_hierarchy=users)
         assert_same_document(log)
         assert_same_document(filter_log(log, time_window=(None, max(
             (e.time for e in log.events.values()), default=T0))))
+        if users:
+            assert_same_document(drill_down(log, "User"))
+
+    @given(log=awkward_logs())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_awkward_logs(self, log):
+        assert_same_document(log)
 
 
 class TestLayout:
