@@ -119,14 +119,13 @@ def stats(log: OcedLog, discriminator_attr: str = "role") -> str:
     for obj in log.objects.values():
         object_counts[obj.type] = object_counts.get(obj.type, 0) + 1
 
-    per_event_type: dict[str, dict[str, set[str]]] = {}
     event_counts: dict[str, int] = {}
-    for event in log.events_in_order():
-        etype = event.type
-        event_counts[etype] = event_counts.get(etype, 0) + 1
-        buckets = per_event_type.setdefault(etype, {})
-        for obj in log.objects_of_event(event.id):
-            buckets.setdefault(obj.type, set()).add(obj.id)
+    for event in log.events.values():
+        event_counts[event.type] = event_counts.get(event.type, 0) + 1
+    per_event_type: dict[str, dict[str, list[str]]] = {}   # each object once per event type
+    for oid, obj in log.objects.items():
+        for etype in {event.type for event in log.events_of_object(oid)}:
+            per_event_type.setdefault(etype, {}).setdefault(obj.type, []).append(oid)
 
     lines = [f"objects: {len(log.objects)} total"]
     for otype in sorted(object_counts):

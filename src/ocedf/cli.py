@@ -23,7 +23,6 @@ from .analysis import stats
 from .errors import DataError, OcedfError, OcelDocumentError, SchemaError, SpecError
 from .fileio import open_atomic
 from .ocel import OcedLog, read_ocel_json, write_ocel_json
-from .timeutil import format_iso
 
 log = logging.getLogger("ocedf.cli")
 
@@ -184,8 +183,9 @@ def _cmd_flatten(args) -> int:
     with open_atomic(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "activity", "timestamp", "event_id"])
-        for row in flat.rows:
-            writer.writerow([row.case_id, row.activity, format_iso(row.time), row.event_id])
+        for row in flat.rows:   # stored times: UTC with whole milliseconds
+            writer.writerow([row.case_id, row.activity, row.time.isoformat(timespec="milliseconds"),
+                             row.event_id])
     _log_stage("write", events, started)
     print(f"flattened {len(flat.rows)} rows onto {args.object_type!r} -> {args.out}")
     return EXIT_OK

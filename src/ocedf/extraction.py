@@ -9,11 +9,11 @@ drill-down later.
 
 Rules run one after the other, each over all of its table's rows, and each
 phase stores its relations once. Every row resolves its event and objects
-once and builds the relation from the stored instances' own ids. Phase 2
-collects each source object's O2O relations in a list and finds duplicates
-in one set of the phase's relations. Phase 3 grows each event's E2O tuple in
-the log, a relation already in it being a duplicate. At the end of its
-phase, each key's relations are sorted once and stored as its tuple
+once and builds the relation as the log stores it, an (other id, qualifier)
+pair of the stored instances' own ids. Phase 2 collects each source object's
+O2O pairs in a set, a pair already in it being a duplicate. Phase 3 grows
+each event's E2O tuple in the log, likewise. At the end of its
+phase, each key's pairs are sorted once and stored as its tuple
 (``ocel._store_sorted``, as the OCEL JSON reader stores a record's),
 so the log holds them as ``relate_*`` would have. A table's synthesized
 event ids are built once, for its event rule and its E2O rules to share.
@@ -35,10 +35,8 @@ from .errors import DataError, SchemaError
 from .ocel import (
     AttributeDef,
     AttributeValue,
-    E2ORelation,
     EventInstance,
     EventTypeDef,
-    O2ORelation,
     ObjectInstance,
     ObjectTypeDef,
     OcedLog,
@@ -160,8 +158,7 @@ class _Pipeline:
         self.log = OcedLog(self._object_type_defs(), self._event_type_defs())
         self._ids: dict[str, list[str]] = {}   # source table -> its synthesized event ids
         self._id_readers = Counter(r.source_table for r in spec.mappings if _reads_synthesized_ids(r))
-        self._o2o: dict[str, list[O2ORelation]] = {}   # phase 2: source id -> its relations
-        self._o2o_seen: set[O2ORelation] = set()
+        self._o2o: dict[str, set[tuple[str, str]]] = {}   # phase 2: source id -> its pairs
 
     # -- schema synthesis ------------------------------------------------
 
@@ -249,8 +246,8 @@ class _Pipeline:
         if phase == 2:
             by_source = oced_log._o2o_by_source
             for source, rels in self._o2o.items():
-                _store_sorted(by_source, source, rels)
-            self._o2o, self._o2o_seen = {}, set()   # freed before phase 3 grows the E2O tuples
+                _store_sorted(by_source, source, [*rels])
+            self._o2o = {}   # freed before phase 3 grows the E2O tuples
         elif phase == 3:   # each event's tuple, grown in the log, is replaced in place
             by_event = oced_log._e2o_by_event
             for eid, rels in by_event.items():
@@ -342,12 +339,12 @@ class _Pipeline:
             add_event(EventInstance(eid, activity, when, attrs))
 
     def _run_o2o_rule(self, index: int, rule: O2ORule, table: SourceTable, run: RuleRun) -> None:
-        """Collect the rule's relations under their source object; a set of
-        the phase's relations finds duplicates, within a rule and across rules."""
+        """Collect the rule's pairs in their source object's set, which finds
+        duplicates within a rule and across rules."""
         source_col, target_col, qualifier = rule.source_id_column, rule.target_id_column, rule.qualifier
         _require_columns(index, rule, table, [source_col, target_col])
         _require_string_qualifier(index, qualifier)
-        objects, seen, by_source = self.log._objects, self._o2o_seen, self._o2o
+        objects, by_source = self.log._objects, self._o2o
         for i, row in enumerate(table.rows):
             src = row.get(source_col, "").strip()
             tgt = row.get(target_col, "").strip()
@@ -361,16 +358,15 @@ class _Pipeline:
             if src == tgt and not qualifier:
                 run.skip(i, "self o2o relation without qualifier")
                 continue
-            rel = O2ORelation(source.id, target.id, qualifier)
-            if rel in seen:
+            rel, rels = (target.id, qualifier), by_source.setdefault(source.id, set())
+            if rel in rels:
                 run.skip(i, "duplicate o2o relation")
                 continue
-            seen.add(rel)
-            by_source.setdefault(source.id, []).append(rel)
+            rels.add(rel)
 
     def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
-        """Grow each event's relation tuple in the log, unsorted until the
-        phase ends; a relation already in it is a duplicate."""
+        """Grow each event's tuple of pairs in the log, unsorted until the
+        phase ends; a pair already in it is a duplicate."""
         object_col, event_col, qualifier = rule.object_id_column, rule.event_id_column, rule.qualifier
         _require_columns(index, rule, table, [object_col, event_col or ""])
         _require_string_qualifier(index, qualifier)
@@ -394,8 +390,7 @@ class _Pipeline:
             if obj is None:
                 self._dangling(run, i, "e2o references unknown object", oid)
                 continue
-            eid = event.id
-            rel = E2ORelation(eid, obj.id, qualifier)
+            eid, rel = event.id, (obj.id, qualifier)
             rels = by_event.get(eid, ())
             if rel in rels:
                 run.skip(i, "duplicate e2o relation")

@@ -3,12 +3,13 @@
 A log holds typed events, typed objects, timestamped object attribute
 values, untimed event attribute values, and qualified event-to-object and
 object-to-object relations. Logs are built once through the ``add_*`` /
-``relate_*`` methods and treated as read-only afterwards. Instances and
-relations are immutable ``NamedTuple``s (``_replace`` copies one with
-changes); an instance holds what it was given until ``add_*`` normalizes
-and checks it once, as it stores it. Each relation is
-held once: under its event (E2O) or its source object (O2O), in a tuple
-sorted by (object, qualifier), the order OCEL JSON emits it in. The first query
+``relate_*`` methods and treated as read-only afterwards. Instances are
+immutable ``NamedTuple``s (``_replace`` copies one with changes); an
+instance holds what it was given until ``add_*`` normalizes and checks it
+once, as it stores it. Each relation is held once, as a plain ``(other id,
+qualifier)`` pair under its event (E2O) or its source object (O2O), in a
+tuple sorted as OCEL JSON emits it; ``E2ORelation`` and ``O2ORelation`` are
+built only by the ``e2o``/``o2o`` properties. The first query
 for the event order or the object traces builds that index and caches it
 on the log; ``add_*``/``relate_*`` drop the indexes they change. Two threads
 making that first query at once compute equal values, so a finished log is
@@ -29,8 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cache
-from itertools import chain, starmap
-from operator import itemgetter
+from itertools import starmap
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -165,32 +165,33 @@ def _conform_value(value: Any, kind: str, where: str) -> Any:
     raise SchemaError(f"{where}: value {value!r} does not match declared kind {kind!r}")
 
 
-def _insert(by_key: dict[str, tuple], key: str, rel: tuple, kind: str) -> None:
-    """Replace ``by_key[key]`` with a sorted tuple that holds ``rel`` too."""
-    if not isinstance(rel.qualifier, str):
-        raise SchemaError(f"{kind} relation {tuple(rel)!r}: qualifier must be a string")
-    rels = by_key.get(key, ())
-    i = bisect_left(rels, rel)
-    if i < len(rels) and rels[i] == rel:
-        raise SchemaError(f"duplicate {kind} relation {tuple(rel)!r}")
-    by_key[key] = rels[:i] + (rel,) + rels[i:]
+def _insert(by_key: dict[str, tuple], key: str, other: str, qualifier: str, kind: str) -> None:
+    """Replace ``by_key[key]`` with a sorted tuple that holds ``(other, qualifier)`` too."""
+    if not isinstance(qualifier, str):
+        raise SchemaError(f"{kind} relation {(key, other, qualifier)!r}: qualifier must be a string")
+    rels, pair = by_key.get(key, ()), (other, qualifier)
+    i = bisect_left(rels, pair)
+    if i < len(rels) and rels[i] == pair:
+        raise SchemaError(f"duplicate {kind} relation {(key, other, qualifier)!r}")
+    by_key[key] = rels[:i] + (pair,) + rels[i:]
 
 
 def _store_sorted(by_key: dict[str, tuple], key: str, rels: list) -> None:
-    """Store ``rels``, all of ``key``'s relations, in one step, sorted in place
-    and kept as ``by_key[key]`` in the order OCEL JSON emits them. The caller
-    has checked them as ``relate_*`` would: each comes once and holds the
-    stored instances' own ids. The reader and ``extract`` store relations
-    this way; ``relate_*`` add them one at a time through ``_insert``."""
+    """Store ``rels``, all of ``key``'s (other id, qualifier) pairs, in one
+    step, sorted in place and kept as ``by_key[key]`` in the order OCEL JSON
+    emits them. The caller has checked them as ``relate_*`` would: each comes
+    once and holds the stored instances' own ids. The reader and ``extract``
+    store relations this way; ``relate_*`` add them one at a time through
+    ``_insert``."""
     rels.sort()
     by_key[key] = tuple(rels)
 
 
 def _pruned(by_key: dict[str, tuple], keys, ends) -> dict[str, tuple]:
-    """``by_key`` restricted to ``keys``, each tuple to the relations whose
-    second id is in ``ends``; a pruned sorted tuple is still sorted."""
+    """``by_key`` restricted to ``keys``, each tuple to the pairs whose other
+    id is in ``ends``; a pruned sorted tuple is still sorted."""
     return {k: kept for k, rels in by_key.items()
-            if k in keys and (kept := tuple(r for r in rels if r[1] in ends))}
+            if k in keys and (kept := tuple(r for r in rels if r[0] in ends))}
 
 
 def _stored_object(obj: ObjectInstance, tdef: ObjectTypeDef | None) -> ObjectInstance:
@@ -253,11 +254,14 @@ def _stored_event(event: EventInstance, tdef: EventTypeDef | None) -> EventInsta
 class OcedLog:
     """Mutable while being built, then used as a read-only value.
 
-    Each relation is stored once: an E2O relation in its event's tuple,
-    sorted by (object, qualifier), and an O2O relation in its source
-    object's tuple, sorted by (target, qualifier). That is the order the
-    readers and the OCEL JSON writer want, so none of them sorts. A tuple is
-    replaced, never changed, when a relation is added. The event order (a
+    Each relation is stored once, as a plain pair of strings under its key:
+    an E2O relation as ``(object id, qualifier)`` in its event's tuple, and
+    an O2O relation as ``(target id, qualifier)`` in its source object's
+    tuple, each tuple sorted and never empty. That is the order the readers
+    and the OCEL JSON writer want, so none of them sorts. The cyclic GC
+    stops tracking a pair at its first collection, and the key's tuple by
+    the next; it never does so for a ``NamedTuple``. A tuple is replaced,
+    never changed, when a relation is added. The event order (a
     tuple of event ids by time, then id) and the object traces (per object
     id, a tuple of its distinct event ids in that order) are built on first
     use and rebound to None by the methods that change them, so a derived
@@ -269,8 +273,8 @@ class OcedLog:
         self._event_types = _checked_defs(event_type_defs, "event type")
         self._objects: dict[str, ObjectInstance] = {}
         self._events: dict[str, EventInstance] = {}
-        self._e2o_by_event: dict[str, tuple[E2ORelation, ...]] = {}
-        self._o2o_by_source: dict[str, tuple[O2ORelation, ...]] = {}
+        self._e2o_by_event: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._o2o_by_source: dict[str, tuple[tuple[str, str], ...]] = {}
         self._order: tuple[str, ...] | None = None
         self._traces: dict[str, tuple[str, ...]] | None = None
 
@@ -309,7 +313,7 @@ class OcedLog:
             raise SchemaError(f"e2o relation references unknown event {event_id!r}")
         if obj is None:
             raise SchemaError(f"e2o relation references unknown object {object_id!r}")
-        _insert(self._e2o_by_event, event.id, E2ORelation(event.id, obj.id, qualifier), "e2o")
+        _insert(self._e2o_by_event, event.id, obj.id, qualifier, "e2o")
         self._traces = None
 
     def relate_objects(self, source_id: str, target_id: str, qualifier: str = "") -> None:
@@ -321,7 +325,7 @@ class OcedLog:
                 raise SchemaError(f"o2o relation references unknown object {oid!r}")
         if source_id == target_id and not qualifier:
             raise SchemaError(f"self o2o relation on {source_id!r} requires a non-empty qualifier")
-        _insert(self._o2o_by_source, source.id, O2ORelation(source.id, target.id, qualifier), "o2o")
+        _insert(self._o2o_by_source, source.id, target.id, qualifier, "o2o")
 
     # -- queries ---------------------------------------------------------
 
@@ -335,17 +339,19 @@ class OcedLog:
 
     @property
     def e2o(self) -> frozenset[E2ORelation]:
-        return frozenset(chain.from_iterable(self._e2o_by_event.values()))
+        return frozenset(E2ORelation(eid, oid, qualifier)
+                         for eid, rels in self._e2o_by_event.items() for oid, qualifier in rels)
 
     @property
     def o2o(self) -> frozenset[O2ORelation]:
-        return frozenset(chain.from_iterable(self._o2o_by_source.values()))
+        return frozenset(O2ORelation(sid, tid, qualifier)
+                         for sid, rels in self._o2o_by_source.items() for tid, qualifier in rels)
 
     def has_e2o(self, event_id: str, object_id: str, qualifier: str = "") -> bool:
-        return (event_id, object_id, qualifier) in self._e2o_by_event.get(event_id, ())
+        return (object_id, qualifier) in self._e2o_by_event.get(event_id, ())
 
     def has_o2o(self, source_id: str, target_id: str, qualifier: str = "") -> bool:
-        return (source_id, target_id, qualifier) in self._o2o_by_source.get(source_id, ())
+        return (target_id, qualifier) in self._o2o_by_source.get(source_id, ())
 
     def _event_order(self) -> tuple[str, ...]:
         """Event ids by (time, id), sorted once per change of the events."""
@@ -362,7 +368,7 @@ class OcedLog:
             traces: dict[str, list[str]] = {}
             by_event = self._e2o_by_event
             for eid in self._event_order():
-                for _, oid, _ in by_event.get(eid, ()):
+                for oid, _ in by_event.get(eid, ()):
                     trace = traces.get(oid)
                     if trace is None:
                         traces[oid] = [eid]
@@ -389,7 +395,7 @@ class OcedLog:
             raise SchemaError(f"unknown event id {event_id!r}")
         objects = self._objects
         out, last = [], None
-        for _, oid, _ in self._e2o_by_event.get(event_id, ()):   # by (object, qualifier)
+        for oid, _ in self._e2o_by_event.get(event_id, ()):   # by (object, qualifier)
             if oid != last:
                 out.append(objects[oid])
                 last = oid
@@ -429,13 +435,15 @@ class OcedLog:
 
 
 def _canonical(log: OcedLog):
+    """Each key's relation tuple is sorted, free of duplicates and never
+    empty, so equal relations mean equal stored dicts."""
     return (
         {td.name: td.attribute_defs for td in log.object_type_defs},
         {td.name: td.attribute_defs for td in log.event_type_defs},
         {o.id: (o.type, tuple(sorted(o.attribute_values))) for o in log.objects.values()},
         {e.id: (e.type, e.time, tuple(sorted(e.attribute_values))) for e in log.events.values()},
-        log.e2o,
-        log.o2o,
+        log._e2o_by_event,
+        log._o2o_by_source,
     )
 
 
@@ -514,14 +522,14 @@ def _document_chunks(log: OcedLog) -> Iterator[str]:
     type_name = cache(encode)
     relationship = cache(lambda oid, qualifier: encode({"objectId": oid, "qualifier": qualifier}))
     date = cache(lambda year, month, day: f"{year:04d}-{month:02d}-{day:02d}")
-    other_end, two, three = itemgetter(1, 2), _TWO_DIGITS, _THREE_DIGITS
+    two, three = _TWO_DIGITS, _THREE_DIGITS
 
     def record_lines(instances, relations, attributes, timed: bool) -> Iterator[str]:
         for inst in instances:
             values, t = inst.attribute_values, inst.time if timed else None
             time = (f'"time": "{date(t.year, t.month, t.day)}T{two[t.hour]}:{two[t.minute]}:'
                     f'{two[t.second]}.{three[t.microsecond // 1000]}+00:00", ') if timed else ""
-            rels = ", ".join(starmap(relationship, map(other_end, relations.get(inst.id, ()))))
+            rels = ", ".join(starmap(relationship, relations.get(inst.id, ())))
             yield (f'{{"id": {encode(inst.id)}, "type": {type_name(inst.type)}, {time}"attributes": '
                    f'{encode(attributes(values)) if values else "[]"}, "relationships": [{rels}]}}')
 
@@ -620,16 +628,16 @@ def ocel_from_dict(doc: Any) -> OcedLog:
     with the message and path that relation by relation would give."""
     log = _log_without_relations(doc)
     objects = log._objects
-    for key, owners, by_key, make, relate in (
-            ("objects", objects, log._o2o_by_source, O2ORelation, log.relate_objects),
-            ("events", log._events, log._e2o_by_event, E2ORelation, log.relate_event_object)):
+    for key, owners, by_key, relate in (
+            ("objects", objects, log._o2o_by_source, log.relate_objects),
+            ("events", log._events, log._e2o_by_event, log.relate_event_object)):
         for i, entry in enumerate(doc[key]):
             rels = entry.get("relationships")
             if not rels:
                 continue
             owner = owners[entry["id"]].id
-            built = _record_relations(owner, rels, objects, make)
-            if built is None:
+            built = _record_relations(rels, objects)
+            if built is None or (owners is objects and (owner, "") in built):   # self O2O, unqualified
                 _replay_relations(key, i, entry, relate)
             else:
                 _store_sorted(by_key, owner, built)
@@ -703,11 +711,9 @@ def _log_without_relations(doc: Any) -> OcedLog:
     return log
 
 
-def _record_relations(owner: str, rels: list, objects: Mapping[str, ObjectInstance],
-                      make) -> list | None:
-    """The relations of one record, made by the relation class ``make``; or
-    None when one is malformed, names an unknown object or a self O2O
-    relation without a qualifier, or comes twice."""
+def _record_relations(rels: list, objects: Mapping[str, ObjectInstance]) -> list | None:
+    """The (object id, qualifier) pairs of one record's relationships; or None
+    when one is malformed, names an unknown object, or comes twice."""
     built = []
     for rel in rels:
         if not isinstance(rel, dict):
@@ -715,10 +721,8 @@ def _record_relations(owner: str, rels: list, objects: Mapping[str, ObjectInstan
         qualifier, target = rel.get("qualifier", ""), rel.get("objectId")
         if not isinstance(qualifier, str) or not isinstance(target, str) or target not in objects:
             return None
-        built.append(make(owner, objects[target].id, qualifier))
-    if len(set(built)) < len(built) or (make is O2ORelation and (owner, owner, "") in built):
-        return None
-    return built
+        built.append((objects[target].id, qualifier))
+    return None if len(set(built)) < len(built) else built
 
 
 def _replay_relations(key: str, i: int, entry: dict, relate) -> None:

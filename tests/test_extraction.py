@@ -569,13 +569,10 @@ def test_extract_matches_the_reference_runners(case):
     assert got == _outcome(reference_extract, spec, sources, policy)[0]
     if log is None:
         return
-    for rels in log._e2o_by_event.values():
-        assert list(rels) == sorted(set(rels))
-        for rel in rels:
-            assert rel.event_id is log.events[rel.event_id].id
-            assert rel.object_id is log.objects[rel.object_id].id
-    for rels in log._o2o_by_source.values():
-        assert list(rels) == sorted(set(rels))
-        for rel in rels:
-            assert rel.source_object_id is log.objects[rel.source_object_id].id
-            assert rel.target_object_id is log.objects[rel.target_object_id].id
+    for by_key, owners in ((log._e2o_by_event, log.events), (log._o2o_by_source, log.objects)):
+        for key, rels in by_key.items():
+            assert key is owners[key].id
+            assert type(rels) is tuple and list(rels) == sorted(set(rels))
+            for pair in rels:
+                other, _ = pair
+                assert type(pair) is tuple and other is log.objects[other].id

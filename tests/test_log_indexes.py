@@ -48,15 +48,19 @@ def _answers(log):
 
 
 def _assert_relations_right(log):
-    """Each relation sits once in its key's tuple, sorted by (object,
-    qualifier); ``has_*`` and re-adding a stored relation agree with a scan."""
+    """Each relation sits once in its key's tuple as an (other id, qualifier)
+    pair of the stored instances' ids, sorted; ``has_*`` and re-adding a
+    stored relation agree with a scan."""
     for kind, rels, by_key, keys, has, relate in (
             ("e2o", log.e2o, log._e2o_by_event, log.events, log.has_e2o, log.relate_event_object),
             ("o2o", log.o2o, log._o2o_by_source, log.objects, log.has_o2o, log.relate_objects)):
         grouped = {}
-        for rel in rels:
-            grouped.setdefault(rel[0], []).append(rel)
+        for key, other, qualifier in rels:
+            grouped.setdefault(key, []).append((other, qualifier))
         assert by_key == {key: tuple(sorted(group)) for key, group in grouped.items()}, kind
+        for key, pairs in by_key.items():
+            assert key is keys[key].id, kind
+            assert all(other is log.objects[other].id for other, _ in pairs), kind
         probes = {(key, oid, q) for key, oid, _ in rels for q in QUALIFIERS}
         probes |= {(key, oid, "") for key in keys for oid in sorted(log.objects)[:2]}
         for probe in probes:
