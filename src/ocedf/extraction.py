@@ -10,9 +10,11 @@ drill-down later.
 Rules run one after the other, each over all of its table's rows, and each
 phase stores its relations once. Every row resolves its event and objects
 once and builds the relation as the log stores it, an (other id, qualifier)
-pair of the stored instances' own ids. Phase 2 collects each source object's
-O2O pairs in a set, a pair already in it being a duplicate. Phase 3 grows
-each event's E2O tuple in the log, likewise. At the end of its
+pair of the stored instances' own ids. Each distinct pair is built once:
+the pipeline keeps, per qualifier, a map from other id to its pair, so
+equal relations, O2O or E2O, share one tuple. Phase 2 collects each source
+object's O2O pairs in a set, a pair already in it being a duplicate. Phase 3
+grows each event's E2O tuple in the log, likewise. At the end of its
 phase, each key's pairs are sorted once and stored as its tuple
 (``ocel._store_sorted``, as the OCEL JSON reader stores a record's),
 so the log holds them as ``relate_*`` would have. A table's synthesized
@@ -159,6 +161,8 @@ class _Pipeline:
         self._ids: dict[str, list[str]] = {}   # source table -> its synthesized event ids
         self._id_readers = Counter(r.source_table for r in spec.mappings if _reads_synthesized_ids(r))
         self._o2o: dict[str, set[tuple[str, str]]] = {}   # phase 2: source id -> its pairs
+        # qualifier -> other id -> the one stored (other id, qualifier) pair
+        self._pairs: dict[str, dict[str, tuple[str, str]]] = {}
 
     # -- schema synthesis ------------------------------------------------
 
@@ -345,6 +349,7 @@ class _Pipeline:
         _require_columns(index, rule, table, [source_col, target_col])
         _require_string_qualifier(index, qualifier)
         objects, by_source = self.log._objects, self._o2o
+        pairs = self._pairs.setdefault(qualifier, {})
         for i, row in enumerate(table.rows):
             src = row.get(source_col, "").strip()
             tgt = row.get(target_col, "").strip()
@@ -358,7 +363,8 @@ class _Pipeline:
             if src == tgt and not qualifier:
                 run.skip(i, "self o2o relation without qualifier")
                 continue
-            rel, rels = (target.id, qualifier), by_source.setdefault(source.id, set())
+            rel = pairs.get(target.id) or pairs.setdefault(target.id, (target.id, qualifier))
+            rels = by_source.setdefault(source.id, set())
             if rel in rels:
                 run.skip(i, "duplicate o2o relation")
                 continue
@@ -373,6 +379,7 @@ class _Pipeline:
         ids = None if event_col else self._synthesized_ids(rule, table)
         events, objects = self.log._events, self.log._objects
         by_event = self.log._e2o_by_event
+        pairs = self._pairs.setdefault(qualifier, {})
         for i, row in enumerate(table.rows):
             oid = row.get(object_col, "").strip()
             if not oid:
@@ -390,7 +397,7 @@ class _Pipeline:
             if obj is None:
                 self._dangling(run, i, "e2o references unknown object", oid)
                 continue
-            eid, rel = event.id, (obj.id, qualifier)
+            eid, rel = event.id, pairs.get(obj.id) or pairs.setdefault(obj.id, (obj.id, qualifier))
             rels = by_event.get(eid, ())
             if rel in rels:
                 run.skip(i, "duplicate e2o relation")

@@ -9,7 +9,10 @@ instance holds what it was given until ``add_*`` normalizes and checks it
 once, as it stores it. Each relation is held once, as a plain ``(other id,
 qualifier)`` pair under its event (E2O) or its source object (O2O), in a
 tuple sorted as OCEL JSON emits it; ``E2ORelation`` and ``O2ORelation`` are
-built only by the ``e2o``/``o2o`` properties. The first query
+built only by the ``e2o``/``o2o`` properties. The reader and ``extract``
+store each distinct pair once per log, shared by every key that holds it;
+``relate_*`` may store its own copy, and which tuples are shared is not part
+of the API. The first query
 for the event order or the object traces builds that index and caches it
 on the log; ``add_*``/``relate_*`` drop the indexes they change. Two threads
 making that first query at once compute equal values, so a finished log is
@@ -181,8 +184,9 @@ def _store_sorted(by_key: dict[str, tuple], key: str, rels: list) -> None:
     step, sorted in place and kept as ``by_key[key]`` in the order OCEL JSON
     emits them. The caller has checked them as ``relate_*`` would: each comes
     once and holds the stored instances' own ids. The reader and ``extract``
-    store relations this way; ``relate_*`` add them one at a time through
-    ``_insert``."""
+    store relations this way, each passing the one tuple it keeps per
+    distinct pair, so equal pairs under different keys are one object;
+    ``relate_*`` add them one at a time, as new tuples, through ``_insert``."""
     rels.sort()
     by_key[key] = tuple(rels)
 
@@ -258,7 +262,10 @@ class OcedLog:
     an E2O relation as ``(object id, qualifier)`` in its event's tuple, and
     an O2O relation as ``(target id, qualifier)`` in its source object's
     tuple, each tuple sorted and never empty. That is the order the readers
-    and the OCEL JSON writer want, so none of them sorts. The cyclic GC
+    and the OCEL JSON writer want, so none of them sorts. A log that the
+    reader or ``extract`` built holds each distinct pair as one tuple, which
+    all its keys share; ``relate_*`` stores a tuple of its own, and sharing
+    is not part of the API. The cyclic GC
     stops tracking a pair at its first collection, and the key's tuple by
     the next; it never does so for a ``NamedTuple``. A tuple is replaced,
     never changed, when a relation is added. The event order (a
@@ -622,12 +629,16 @@ def ocel_from_dict(doc: Any) -> OcedLog:
     types, attributes and value kinds they name are checked by ``add_*``.
 
     Relationships resolve once every object and event is stored. Each
-    record's owner is resolved once, and its relations are built, sorted and
-    stored as its tuple in one step. A record with any defect is replayed
-    through ``relate_*``, so the first defect in document order is reported
-    with the message and path that relation by relation would give."""
+    distinct (objectId, qualifier) of the document is checked once and
+    stored as one pair, which every record relating it shares; a record whose
+    relations are all known pairs is one lookup per relation. Each record's
+    owner is resolved once, and its pairs are sorted and stored as its tuple
+    in one step. A record with any defect is replayed through ``relate_*``,
+    so the first defect in document order is reported with the message and
+    path that relation by relation would give."""
     log = _log_without_relations(doc)
     objects = log._objects
+    pairs: dict[tuple[str, str], tuple[str, str]] = {}   # (objectId, qualifier) -> stored pair
     for key, owners, by_key, relate in (
             ("objects", objects, log._o2o_by_source, log.relate_objects),
             ("events", log._events, log._e2o_by_event, log.relate_event_object)):
@@ -636,8 +647,12 @@ def ocel_from_dict(doc: Any) -> OcedLog:
             if not rels:
                 continue
             owner = owners[entry["id"]].id
-            built = _record_relations(rels, objects)
-            if built is None or (owners is objects and (owner, "") in built):   # self O2O, unqualified
+            try:
+                built = [pairs[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
+            except (KeyError, TypeError):   # a pair not seen yet, or a defect
+                built = _record_relations(rels, objects, pairs)
+            if built is None or len(set(built)) < len(built) \
+                    or (owners is objects and (owner, "") in built):   # self O2O, unqualified
                 _replay_relations(key, i, entry, relate)
             else:
                 _store_sorted(by_key, owner, built)
@@ -685,35 +700,42 @@ def _log_without_relations(doc: Any) -> OcedLog:
         except SchemaError as exc:
             raise OcelDocumentError(str(exc), path) from None
 
-    for i, entry in enumerate(doc["events"]):
-        path = f"events[{i}]"
+    for i, entry in enumerate(doc["events"]):   # a JSON path is built only to raise
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
                 or not isinstance(entry.get("type"), str):
-            raise OcelDocumentError("event entry must carry a string 'id' and 'type'", path)
-        kinds = getattr(log._event_types.get(entry["type"]), "_kinds", {})
+            raise OcelDocumentError("event entry must carry a string 'id' and 'type'", f"events[{i}]")
         try:
             when = parse_iso(entry.get("time", ""))
         except Exception as exc:
-            raise OcelDocumentError(f"event {entry['id']!r}: {exc}", path) from None
-        attrs = []
-        for j, a in enumerate(_list_at(entry, "attributes", path)):
-            apath = f"{path}.attributes[{j}]"
-            if not isinstance(a, dict) or not isinstance(a.get("name"), str) or "value" not in a:
-                raise OcelDocumentError("event attribute entries need a string 'name' and 'value'",
-                                        apath)
-            attrs.append((a["name"], _json_value(a["value"], kinds.get(a["name"]), apath)))
-        _list_at(entry, "relationships", path)
+            raise OcelDocumentError(f"event {entry['id']!r}: {exc}", f"events[{i}]") from None
+        attrs, rels = entry.get("attributes", []), entry.get("relationships", [])
+        if not isinstance(attrs, list):
+            raise OcelDocumentError("'attributes' must be a list", f"events[{i}].attributes")
+        if attrs:
+            kinds = getattr(log._event_types.get(entry["type"]), "_kinds", {})
+            values = []
+            for j, a in enumerate(attrs):
+                apath = f"events[{i}].attributes[{j}]"
+                if not isinstance(a, dict) or not isinstance(a.get("name"), str) or "value" not in a:
+                    raise OcelDocumentError("event attribute entries need a string 'name' and 'value'",
+                                            apath)
+                values.append((a["name"], _json_value(a["value"], kinds.get(a["name"]), apath)))
+            attrs = tuple(values)
+        if not isinstance(rels, list):
+            raise OcelDocumentError("'relationships' must be a list", f"events[{i}].relationships")
         try:
-            log.add_event(EventInstance(entry["id"], entry["type"], when, tuple(attrs)))
+            log.add_event(EventInstance(entry["id"], entry["type"], when, attrs or ()))
         except SchemaError as exc:
-            raise OcelDocumentError(str(exc), path) from None
+            raise OcelDocumentError(str(exc), f"events[{i}]") from None
 
     return log
 
 
-def _record_relations(rels: list, objects: Mapping[str, ObjectInstance]) -> list | None:
-    """The (object id, qualifier) pairs of one record's relationships; or None
-    when one is malformed, names an unknown object, or comes twice."""
+def _record_relations(rels: list, objects: Mapping[str, ObjectInstance],
+                      pairs: dict[tuple[str, str], tuple[str, str]]) -> list | None:
+    """The stored (object id, qualifier) pairs of one record's relationships,
+    each pair first seen here entered in ``pairs``; or None when one is
+    malformed or names an unknown object."""
     built = []
     for rel in rels:
         if not isinstance(rel, dict):
@@ -721,8 +743,11 @@ def _record_relations(rels: list, objects: Mapping[str, ObjectInstance]) -> list
         qualifier, target = rel.get("qualifier", ""), rel.get("objectId")
         if not isinstance(qualifier, str) or not isinstance(target, str) or target not in objects:
             return None
-        built.append((objects[target].id, qualifier))
-    return None if len(set(built)) < len(built) else built
+        pair = pairs.get((target, qualifier))
+        if pair is None:
+            pair = pairs[target, qualifier] = (objects[target].id, qualifier)
+        built.append(pair)
+    return built
 
 
 def _replay_relations(key: str, i: int, entry: dict, relate) -> None:

@@ -10,10 +10,13 @@ Events are tallied by signature: the event type plus the column class of
 each distinct related object, where the class is the tuple of columns the
 object counts toward (or its type, when it counts toward none). Events of
 one signature have the same counts, so only the first event of a signature
-counts and range-checks; each later one adds one to its signature's events
-and repeats its violations under its own id. The cell statistics and the
-unmapped types are folded once per signature at the end. Only those and the
-violations are kept, never a per-event table.
+counts and range-checks; each later one adds one to its signature's events.
+Events are read in the order the log stores them, each signature built
+from the event's stored relation pairs, and only the events whose
+signature has violations are kept; those alone are sorted by (time, id)
+to repeat their signature's violations under their own ids. The cell
+statistics and the unmapped types are folded once per signature at the
+end. Only those and the violations are kept, never a per-event table.
 
 Blank cells read as 0..0, except inside an is-a family: when a row pins
 the expectation at one level of the hierarchy (say Student = 1), the other
@@ -54,7 +57,8 @@ class VerificationMatrix:
     rows: tuple[str, ...]      # extraction matrix rows first, then extra log event types
     columns: tuple[str, ...]
     cells: dict[tuple[str, str], CellStats]
-    violations: list[Violation]                  # by event (time, id), then column order
+    violations: list[Violation]                  # by event (time, id), then column order,
+                                                 # whatever order the log stores events in
     extra_event_types: tuple[str, ...]
     unmapped_types: dict[str, set[str]]          # event type -> object types outside all columns
     column_families: dict[str, str]              # column -> hierarchy root (only hierarchy columns)
@@ -158,12 +162,14 @@ def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSch
     """Tally per-event object counts for every extraction-matrix column and
     check each event's counts against its row's effective ranges.
 
-    Events are read by (time, id) and grouped by signature, so counting
+    Events are read in storage order and grouped by signature, so counting
     and checking cost once per signature, and each further event one tuple
-    of its objects' classes and one lookup. The classes come in object id
-    order, so two events whose classes differ only in order have separate
-    signatures with equal counts. Violations are in event (time, id) order,
-    then column order, as one count per event would give them."""
+    of its objects' classes, built from its stored pairs, and one lookup.
+    The classes come in object id order, so two events whose classes differ
+    only in order have separate signatures with equal counts. Only the
+    events with violations are sorted, by (time, id), so violations are in
+    event (time, id) order, then column order, as one count per event in
+    time order would give them."""
     columns = xmatrix.columns
     always, discriminated = _column_matchers(columns, schema)
     discriminator_attr = {t: schema.discriminators.get(schema.root_of(t)) for t in schema.object_types}
@@ -194,15 +200,24 @@ def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSch
     # its number of events, its counts and the violations those counts make
     ranges = {(a, c): _effective_range(families, xmatrix, a, c) for a in xmatrix.activities for c in columns}
     tallies: dict[tuple, _Tally] = {}
-    violations: list[Violation] = []
-    for event in log.events_in_order():
-        signature = (event.type, *[classes[obj.id] for obj in log.objects_of_event(event.id)])
+    flagged: list[tuple] = []   # (event, tally) of each event whose signature has violations
+    by_event = log._e2o_by_event
+    for event in log.events.values():
+        signature, last = [event.type], None
+        for oid, _ in by_event.get(event.id, ()):   # by (object, qualifier): a repeat is adjacent
+            if oid != last:
+                signature.append(classes[oid])
+                last = oid
+        signature = tuple(signature)
         tally = tallies.get(signature)
         if tally is None:
             tally = tallies[signature] = _Tally(signature, columns, ranges)
         tally.events += 1
-        for column, n, expected in tally.violated:
-            violations.append(Violation(event.id, event.type, column, n, expected))
+        if tally.violated:
+            flagged.append((event, tally))
+    flagged.sort(key=lambda flag: (flag[0].time, flag[0].id))
+    violations = [Violation(event.id, event.type, column, n, expected)
+                  for event, tally in flagged for column, n, expected in tally.violated]
 
     unmapped: dict[str, set[str]] = {}
     for (event_type, *event_classes), tally in tallies.items():

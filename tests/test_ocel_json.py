@@ -374,6 +374,13 @@ BROKEN = {
                                           "eventTypes[0].attributes[0]"),
     "unhashable attribute definition name": (_set(["objectTypes", 0, "attributes", 1, "name"], ["i"]),
                                              "objectTypes[0].attributes[1]"),
+    "unhashable objectId after its pair": (
+        _set(["events", 0, "relationships"], [{"objectId": "o2", "qualifier": "r"}, {"objectId": {}}]),
+        "events[0].relationships[1]"),
+    "unhashable qualifier after its pair": (
+        _set(["events", 0, "relationships"], [{"objectId": "o2", "qualifier": "r"},
+                                              {"objectId": "o2", "qualifier": {}}]),
+        "events[0].relationships[1]"),
 }
 
 
@@ -583,6 +590,43 @@ RECORD_DEFECTS = {
 }
 
 
+def _warm(*rels, record=("events", 1)):
+    """BASE_DOCUMENT with a second event ``e2``, and ``rels`` as the
+    relationships of ``record``. The records before ``e2`` relate ``o1`` to
+    ``(o2, "r")`` and ``(o2, "")``, and ``e1`` to ``(o1, "q")``, so a defect
+    of ``rels`` meets those pairs already checked and stored by the read."""
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    doc["objects"][0]["relationships"].append({"objectId": "o2"})
+    doc["events"].append({**doc["events"][0], "id": "e2"})
+    key, i = record
+    doc[key][i]["relationships"] = list(rels)
+    return doc
+
+
+WARM = {"objectId": "o1", "qualifier": "q"}   # the pair e1 relates
+MALFORMED = "need a string 'objectId'"
+
+# The same defects in a record that follows one using the same pair.
+RECORD_DEFECTS.update({
+    "warm: non-dict relation": (_warm(WARM, 5), "events[1].relationships[1]", MALFORMED),
+    "warm: list relation": (_warm(WARM, ["objectId"]), "events[1].relationships[1]", MALFORMED),
+    "warm: integer objectId": (_warm(WARM, {"objectId": 1, "qualifier": "q"}),
+                               "events[1].relationships[1]", MALFORMED),
+    "warm: unhashable objectId": (_warm(WARM, {"objectId": ["o1"], "qualifier": "q"}),
+                                  "events[1].relationships[1]", MALFORMED),
+    "warm: integer qualifier": (_warm(WARM, {"objectId": "o1", "qualifier": 7}),
+                                "events[1].relationships[1]", MALFORMED),
+    "warm: unhashable qualifier": (_warm(WARM, {"objectId": "o1", "qualifier": ["q"]}),
+                                   "events[1].relationships[1]", MALFORMED),
+    "warm: unknown object": (_warm(WARM, {"objectId": "nope", "qualifier": "q"}),
+                             "events[1].relationships[1]", "unknown object 'nope'"),
+    "warm: duplicate pair": (_warm(WARM, {"objectId": "o1", "qualifier": "q"}),
+                             "events[1].relationships[1]", "duplicate e2o relation"),
+    "warm: self O2O without qualifier": (_warm({"objectId": "o2"}, record=("objects", 1)),
+                                         "objects[1].relationships[0]",
+                                         "requires a non-empty qualifier"),
+})
+
 @pytest.mark.parametrize("name", sorted(RECORD_DEFECTS))
 def test_first_defect_of_a_record_is_reported(name):
     doc, path, message = RECORD_DEFECTS[name]
@@ -651,3 +695,31 @@ def test_stored_relations_leave_the_cyclic_gc(case_study):
     for log in logs:
         for by_key in (log._e2o_by_event, log._o2o_by_source):
             assert not any(map(gc.is_tracked, by_key.values()))
+
+
+def _pairs_shared(log) -> bool:
+    """Whether each distinct stored pair is one tuple, over E2O and O2O."""
+    pairs = [p for by_key in (log._e2o_by_event, log._o2o_by_source)
+             for rels in by_key.values() for p in rels]
+    return len({id(p) for p in pairs}) == len(set(pairs))
+
+
+@pytest.mark.parametrize("fixture", ["case_study", "conformant"])
+def test_equal_stored_pairs_are_one_tuple(fixture, request):
+    """``extract`` and the reader store each distinct (other id, qualifier)
+    pair once and share it between the keys that hold it."""
+    _, extracted, _ = request.getfixturevalue(fixture)
+    read = read_ocel_json(io.StringIO(_text(extracted)))
+    for log in (extracted, read):
+        pairs = [p for rels in log._e2o_by_event.values() for p in rels]
+        assert len(set(pairs)) < len(pairs)   # some pair is held twice
+        assert _pairs_shared(log)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_read_of_a_random_log_shares_its_pairs(seed):
+    log = random_log(random.Random(seed), max_events=60, max_objects=8)
+    read = read_ocel_json(io.StringIO(_text(log)))
+    assert read.structurally_equal(log)
+    assert _pairs_shared(read)

@@ -500,17 +500,59 @@ class TestAgainstReference:
     def test_random_logs_and_matrices(self, seed):
         rng = random.Random(seed)
         log = random_log(rng, max_events=120, max_objects=40, with_user_hierarchy=True)
-        types = [td.name for td in log.object_type_defs]
-        schema = ConceptualSchema(
-            object_types=(*types, "Teacher", "Student"),
-            is_a=(("Teacher", "User"), ("Student", "User")),
-            discriminators={"User": "role"},
-        )
-        columns = tuple(rng.sample(schema.object_types, k=rng.randint(1, len(schema.object_types))))
-        activities = [td.name for td in log.event_type_defs]
-        activities = rng.sample(activities, k=rng.randint(0, len(activities)))
-        choices = ["0", "1", "0..1", "1..*", "0..*", "2"]
-        cells = {(a, c): parse_multiplicity(rng.choice(choices))
-                 for a in activities for c in columns if rng.random() < 0.5}
-        xmatrix = ExtractionMatrix(columns, tuple(activities), cells)
-        assert_same_as_reference(log, xmatrix, schema)
+        assert_same_as_reference(log, *random_matrix(rng, log))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_tied_times_stored_out_of_order(self, seed):
+        # events stored in shuffled order at a few instants: (time, id) order
+        # breaks most ties on the id, and differs from the order of storage
+        rng = random.Random(seed)
+        drawn = random_log(rng, max_events=120, max_objects=40, with_user_hierarchy=True)
+        log = OcedLog(drawn.object_type_defs, drawn.event_type_defs)
+        for obj in drawn.objects.values():
+            log.add_object(obj)
+        events = list(drawn.events.values())
+        rng.shuffle(events)
+        instants = [T0 + timedelta(seconds=k) for k in range(rng.randint(1, 3))]
+        for event in events:
+            log.add_event(event._replace(time=rng.choice(instants)))
+        for rel in drawn.e2o:
+            log.relate_event_object(*rel)
+        assert_same_as_reference(log, *random_matrix(rng, log))
+
+    def test_extracted_log_with_violations(self, case_study):
+        # extract stores events rule by rule, so violations from several rules
+        # interleave in time; a stricter matrix makes them: no teacher views
+        # and every graded or submitted assignment has a group
+        spec, log, _ = case_study
+        stricter = dict(spec.xmatrix.cells)
+        for activity, column in spec.xmatrix.cells:
+            if column == "Group":
+                stricter[activity, column] = parse_multiplicity("1")
+            elif activity.startswith("view "):
+                stricter[activity, "Teacher"] = parse_multiplicity("0")
+        xmatrix = ExtractionMatrix(spec.xmatrix.columns, spec.xmatrix.activities, stricter)
+        report = assert_same_as_reference(log, xmatrix, spec.schema)
+        flagged = list(dict.fromkeys(v.event_id for v in report.violations))
+        assert len({log.events[eid].type for eid in flagged}) > 1
+        stored = {eid: i for i, eid in enumerate(log.events)}
+        assert flagged != sorted(flagged, key=stored.get)
+
+
+def random_matrix(rng, log):
+    """A random extraction matrix over ``log``'s types and the User
+    hierarchy, with its conceptual schema."""
+    types = [td.name for td in log.object_type_defs]
+    schema = ConceptualSchema(
+        object_types=(*types, "Teacher", "Student"),
+        is_a=(("Teacher", "User"), ("Student", "User")),
+        discriminators={"User": "role"},
+    )
+    columns = tuple(rng.sample(schema.object_types, k=rng.randint(1, len(schema.object_types))))
+    activities = [td.name for td in log.event_type_defs]
+    activities = rng.sample(activities, k=rng.randint(0, len(activities)))
+    choices = ["0", "1", "0..1", "1..*", "0..*", "2"]
+    cells = {(a, c): parse_multiplicity(rng.choice(choices))
+             for a in activities for c in columns if rng.random() < 0.5}
+    return ExtractionMatrix(columns, tuple(activities), cells), schema
