@@ -10,6 +10,7 @@ instances and relations (see ``ocel.relabel``). Traces order events by
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Collection, Iterable, NamedTuple
@@ -272,22 +273,18 @@ def discover_dfg(log: OcedLog, object_types: Iterable[str]) -> Dfg:
     requested = sorted(set(object_types))
     _check_declared(requested, {td.name for td in log.object_type_defs}, "object type")
 
-    per_type: dict[str, TypeDfg] = {t: TypeDfg() for t in requested}
+    # per type: node, edge, start and end counts, each in first-seen order
+    counts = {t: (Counter(), Counter(), Counter(), Counter()) for t in requested}
+    traces, events = log._object_traces(), log._events
     for obj in log.objects.values():
-        graph = per_type.get(obj.type)
-        if graph is None:
-            continue
-        trace = [event.type for event in log.events_of_object(obj.id)]
-        if not trace:
-            continue
-        nodes, edges = graph.nodes, graph.edges
-        for label in trace:
-            nodes[label] = nodes.get(label, 0) + 1
-        for key in zip(trace, trace[1:]):
-            edges[key] = edges.get(key, 0) + 1
-        graph.start_frequencies[trace[0]] = graph.start_frequencies.get(trace[0], 0) + 1
-        graph.end_frequencies[trace[-1]] = graph.end_frequencies.get(trace[-1], 0) + 1
-    return Dfg(per_type)
+        if obj.type in counts and obj.id in traces:   # traces hold objects with events only
+            nodes, edges, starts, ends = counts[obj.type]
+            trace = [events[eid].type for eid in traces[obj.id]]
+            nodes.update(trace)
+            edges.update(zip(trace, trace[1:]))
+            starts[trace[0]] += 1
+            ends[trace[-1]] += 1
+    return Dfg({t: TypeDfg(*map(dict, c)) for t, c in counts.items()})
 
 
 def to_dot(dfg: Dfg, min_edge_frequency: int = 0) -> str:

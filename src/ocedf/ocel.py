@@ -21,7 +21,10 @@ safe to share across threads.
 A derived log (``relabel``) shares its input's frozen instances, relations and
 indexes, re-checks only what it changes, and owns its containers. The OCEL
 JSON writer joins each record's line from encoded parts; ``ocel_to_dict``
-parses that text, so one record builder serves both.
+parses that text, so one record builder serves both. The reader builds a
+text in the writer's layout one record at a time, so its parsed document is
+never held whole, and parses any other text whole; both run each record
+through the same checks, and give the same log or the same error.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import gc
 import json
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cache
@@ -468,10 +472,16 @@ def relabel(log: OcedLog,
     shared. Objects keep their order; events are in (time, id) order."""
     otypes = log._object_types if object_types is None else _checked_defs(object_types, "object type")
     etypes = log._event_types if event_types is None else _checked_defs(event_types, "event type")
-    objects = _relabeled(log._objects.values(), log._object_types, otypes,
-                         object_labels or {}, added_values or {}, _stored_object)
-    events = _relabeled(log.events_in_order(), log._event_types, etypes, event_labels or {}, {},
-                        _stored_event)
+    if otypes is log._object_types and not object_labels and not added_values:
+        objects = dict(log._objects)
+    else:
+        objects = _relabeled(log._objects.values(), log._object_types, otypes,
+                             object_labels or {}, added_values or {}, _stored_object)
+    if etypes is log._event_types and not event_labels:
+        events = {e.id: e for e in log.events_in_order()}
+    else:
+        events = _relabeled(log.events_in_order(), log._event_types, etypes, event_labels or {}, {},
+                            _stored_event)
     return log._derived(objects, events, otypes, etypes)
 
 
@@ -637,25 +647,11 @@ def ocel_from_dict(doc: Any) -> OcedLog:
     so the first defect in document order is reported with the message and
     path that relation by relation would give."""
     log = _log_without_relations(doc)
-    objects = log._objects
     pairs: dict[tuple[str, str], tuple[str, str]] = {}   # (objectId, qualifier) -> stored pair
-    for key, owners, by_key, relate in (
-            ("objects", objects, log._o2o_by_source, log.relate_objects),
-            ("events", log._events, log._e2o_by_event, log.relate_event_object)):
+    for key in ("objects", "events"):
+        store = _relations_storer(log, key, pairs)
         for i, entry in enumerate(doc[key]):
-            rels = entry.get("relationships")
-            if not rels:
-                continue
-            owner = owners[entry["id"]].id
-            try:
-                built = [pairs[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
-            except (KeyError, TypeError):   # a pair not seen yet, or a defect
-                built = _record_relations(rels, objects, pairs)
-            if built is None or len(set(built)) < len(built) \
-                    or (owners is objects and (owner, "") in built):   # self O2O, unqualified
-                _replay_relations(key, i, entry, relate)
-            else:
-                _store_sorted(by_key, owner, built)
+            store(i, entry)
     return log
 
 
@@ -667,68 +663,108 @@ def _log_without_relations(doc: Any) -> OcedLog:
     for key in ("objectTypes", "eventTypes", "objects", "events"):
         if key not in doc:
             raise OcelDocumentError(f"missing top-level key {key!r}")
+    log = _typed_log(doc["objectTypes"], doc["eventTypes"])
+    if not isinstance(doc["objects"], list) or not isinstance(doc["events"], list):
+        raise OcelDocumentError("'objects' and 'events' must be lists")
+    for i, entry in enumerate(doc["objects"]):
+        _add_object_entry(log, i, entry)
+    for i, entry in enumerate(doc["events"]):
+        _add_event_entry(log, i, entry)
+    return log
 
-    otypes = _parse_type_defs(doc["objectTypes"], ObjectTypeDef, "objectTypes")
-    etypes = _parse_type_defs(doc["eventTypes"], EventTypeDef, "eventTypes")
+
+def _typed_log(object_types: Any, event_types: Any) -> OcedLog:
+    """An empty log of the ``objectTypes`` and ``eventTypes`` entries."""
+    otypes = _parse_type_defs(object_types, ObjectTypeDef, "objectTypes")
+    etypes = _parse_type_defs(event_types, EventTypeDef, "eventTypes")
     try:
-        log = OcedLog(otypes, etypes)
+        return OcedLog(otypes, etypes)
     except SchemaError as exc:
         raise OcelDocumentError(str(exc), "objectTypes/eventTypes") from None
 
-    if not isinstance(doc["objects"], list) or not isinstance(doc["events"], list):
-        raise OcelDocumentError("'objects' and 'events' must be lists")
 
-    for i, entry in enumerate(doc["objects"]):
-        path = f"objects[{i}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
-                or not isinstance(entry.get("type"), str):
-            raise OcelDocumentError("object entry must carry a string 'id' and 'type'", path)
-        # An undeclared type has no kinds here; add_object rejects it below.
-        kinds = getattr(log._object_types.get(entry["type"]), "_kinds", {})
+def _add_object_entry(log: OcedLog, i: int, entry: Any) -> None:
+    """Check the shape of ``objects[i]`` and add its object, unrelated."""
+    path = f"objects[{i}]"
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
+            or not isinstance(entry.get("type"), str):
+        raise OcelDocumentError("object entry must carry a string 'id' and 'type'", path)
+    # An undeclared type has no kinds here; add_object rejects it below.
+    kinds = getattr(log._object_types.get(entry["type"]), "_kinds", {})
+    values = []
+    for j, a in enumerate(_list_at(entry, "attributes", path)):
+        apath = f"{path}.attributes[{j}]"
+        if not isinstance(a, dict) or not isinstance(a.get("name"), str) \
+                or "time" not in a or "value" not in a:
+            raise OcelDocumentError("object attribute entries need a string 'name', "
+                                    "'time' and 'value'", apath)
+        values.append(AttributeValue(a["name"], _json_time(a["time"], apath),
+                                     _json_value(a["value"], kinds.get(a["name"]), apath)))
+    _list_at(entry, "relationships", path)
+    try:
+        log.add_object(ObjectInstance(entry["id"], entry["type"], tuple(values)))
+    except SchemaError as exc:
+        raise OcelDocumentError(str(exc), path) from None
+
+
+def _add_event_entry(log: OcedLog, i: int, entry: Any) -> None:
+    """Check the shape of ``events[i]`` and add its event, unrelated. A JSON
+    path is built only to raise."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
+            or not isinstance(entry.get("type"), str):
+        raise OcelDocumentError("event entry must carry a string 'id' and 'type'", f"events[{i}]")
+    try:
+        when = parse_iso(entry.get("time", ""))
+    except Exception as exc:
+        raise OcelDocumentError(f"event {entry['id']!r}: {exc}", f"events[{i}]") from None
+    attrs, rels = entry.get("attributes", []), entry.get("relationships", [])
+    if not isinstance(attrs, list):
+        raise OcelDocumentError("'attributes' must be a list", f"events[{i}].attributes")
+    if attrs:
+        kinds = getattr(log._event_types.get(entry["type"]), "_kinds", {})
         values = []
-        for j, a in enumerate(_list_at(entry, "attributes", path)):
-            apath = f"{path}.attributes[{j}]"
-            if not isinstance(a, dict) or not isinstance(a.get("name"), str) \
-                    or "time" not in a or "value" not in a:
-                raise OcelDocumentError("object attribute entries need a string 'name', "
-                                        "'time' and 'value'", apath)
-            values.append(AttributeValue(a["name"], _json_time(a["time"], apath),
-                                         _json_value(a["value"], kinds.get(a["name"]), apath)))
-        _list_at(entry, "relationships", path)
-        try:
-            log.add_object(ObjectInstance(entry["id"], entry["type"], tuple(values)))
-        except SchemaError as exc:
-            raise OcelDocumentError(str(exc), path) from None
+        for j, a in enumerate(attrs):
+            apath = f"events[{i}].attributes[{j}]"
+            if not isinstance(a, dict) or not isinstance(a.get("name"), str) or "value" not in a:
+                raise OcelDocumentError("event attribute entries need a string 'name' and 'value'",
+                                        apath)
+            values.append((a["name"], _json_value(a["value"], kinds.get(a["name"]), apath)))
+        attrs = tuple(values)
+    if not isinstance(rels, list):
+        raise OcelDocumentError("'relationships' must be a list", f"events[{i}].relationships")
+    try:
+        log.add_event(EventInstance(entry["id"], entry["type"], when, attrs or ()))
+    except SchemaError as exc:
+        raise OcelDocumentError(str(exc), f"events[{i}]") from None
 
-    for i, entry in enumerate(doc["events"]):   # a JSON path is built only to raise
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
-                or not isinstance(entry.get("type"), str):
-            raise OcelDocumentError("event entry must carry a string 'id' and 'type'", f"events[{i}]")
-        try:
-            when = parse_iso(entry.get("time", ""))
-        except Exception as exc:
-            raise OcelDocumentError(f"event {entry['id']!r}: {exc}", f"events[{i}]") from None
-        attrs, rels = entry.get("attributes", []), entry.get("relationships", [])
-        if not isinstance(attrs, list):
-            raise OcelDocumentError("'attributes' must be a list", f"events[{i}].attributes")
-        if attrs:
-            kinds = getattr(log._event_types.get(entry["type"]), "_kinds", {})
-            values = []
-            for j, a in enumerate(attrs):
-                apath = f"events[{i}].attributes[{j}]"
-                if not isinstance(a, dict) or not isinstance(a.get("name"), str) or "value" not in a:
-                    raise OcelDocumentError("event attribute entries need a string 'name' and 'value'",
-                                            apath)
-                values.append((a["name"], _json_value(a["value"], kinds.get(a["name"]), apath)))
-            attrs = tuple(values)
-        if not isinstance(rels, list):
-            raise OcelDocumentError("'relationships' must be a list", f"events[{i}].relationships")
-        try:
-            log.add_event(EventInstance(entry["id"], entry["type"], when, attrs or ()))
-        except SchemaError as exc:
-            raise OcelDocumentError(str(exc), f"events[{i}]") from None
 
-    return log
+def _relations_storer(log: OcedLog, key: str, pairs: dict[tuple[str, str], tuple[str, str]]):
+    """The function that stores the relationships of record ``i`` of section
+    ``key`` (``"objects"`` for O2O, ``"events"`` for E2O), once its owner and
+    every object are in ``log``. ``pairs`` maps each (objectId, qualifier)
+    seen so far in the read to its stored pair."""
+    objects = log._objects
+    if key == "objects":
+        owners, by_key, relate = objects, log._o2o_by_source, log.relate_objects
+    else:
+        owners, by_key, relate = log._events, log._e2o_by_event, log.relate_event_object
+
+    def store(i: int, entry: dict) -> None:
+        rels = entry.get("relationships")
+        if not rels:
+            return
+        owner = owners[entry["id"]].id
+        try:
+            built = [pairs[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
+        except (KeyError, TypeError):   # a pair not seen yet, or a defect
+            built = _record_relations(rels, objects, pairs)
+        if built is None or len(set(built)) < len(built) \
+                or (owners is objects and (owner, "") in built):   # self O2O, unqualified
+            _replay_relations(key, i, entry, relate)
+        else:
+            _store_sorted(by_key, owner, built)
+
+    return store
 
 
 def _record_relations(rels: list, objects: Mapping[str, ObjectInstance],
@@ -765,12 +801,11 @@ def _replay_relations(key: str, i: int, entry: dict, relate) -> None:
                                     f"{key}[{i}].relationships[{j}]") from None
 
 
-def _load_document(source: str | Path | IO[str]) -> Any:
-    """The parsed JSON of ``source``. Its text is released on return, before
-    the log is built."""
+@contextmanager
+def _document_errors() -> Iterator[None]:
+    """Map a failure to read or parse the text to ``OcelDocumentError``."""
     try:
-        text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
-        return json.loads(text)
+        yield
     except UnicodeDecodeError as exc:   # a ValueError too, so it comes first
         raise OcelDocumentError(f"not UTF-8 text: {exc}") from None
     except ValueError as exc:   # JSONDecodeError, or an integer literal beyond the digit limit
@@ -779,8 +814,87 @@ def _load_document(source: str | Path | IO[str]) -> Any:
         raise OcelDocumentError("malformed JSON: nested too deeply") from None
 
 
+def _load_document(text: str | bytes) -> Any:
+    """The parsed JSON of ``text``, whole: how a text not in the writer's
+    layout is read. The text is held until then, as the scan for that layout
+    comes first; the caller drops it before the log is built."""
+    with _document_errors():
+        return json.loads(text)
+
+
+def _read_writer_layout(text: str) -> OcedLog | None:
+    """The log of ``text`` if it has ``write_ocel_json``'s layout, built as
+    the text is scanned; otherwise None.
+
+    The frame is ``{``, each top-level key in order as ``\\n"<key>": [``
+    (after a ``,`` from the second on), the records each after ``\\n`` or
+    ``,\\n``, ``\\n]``, and finally ``\\n}`` and JSON whitespace. A JSON
+    string holds no raw line break, so each one in the frame is structural.
+    The C scanner of ``json.loads`` parses each record in place. The types
+    and objects are read whole and the O2O pairs stored once every object
+    is; then each event is added and related as it is scanned, and its
+    record dropped, so the parsed document is never held whole. Each record
+    goes through ``ocel_from_dict``'s checks, and the log holds the same
+    dicts, in the same order, sharing the same pairs.
+
+    A mismatch with the frame, text the scanner rejects and any defect give
+    None, and the partial log is dropped: parsed whole, the text then raises
+    at its first defect in document order, as it always did."""
+    scan_once = json.JSONDecoder().scan_once   # per read: no two threads share its key memo
+    pos = 0
+
+    def expect(token: str) -> None:
+        nonlocal pos
+        if not text.startswith(token, pos):
+            raise ValueError(f"not in the writer's layout at index {pos}")
+        pos += len(token)
+
+    def records(key: str) -> Iterator[Any]:
+        nonlocal pos
+        expect(f'\n"{key}": [')
+        separator = "\n"
+        while not text.startswith("\n]", pos):
+            expect(separator)
+            try:
+                record, pos = scan_once(text, pos)
+            except StopIteration:   # no value at pos; out of a generator it would be a RuntimeError
+                raise ValueError(f"no JSON value at index {pos}") from None
+            yield record
+            separator = ",\n"
+        pos += 2
+
+    try:
+        expect("{")
+        object_types = list(records("objectTypes"))
+        expect(",")
+        log = _typed_log(object_types, list(records("eventTypes")))
+        expect(",")
+        objects = list(records("objects"))
+        for i, entry in enumerate(objects):
+            _add_object_entry(log, i, entry)
+        pairs: dict[tuple[str, str], tuple[str, str]] = {}
+        store = _relations_storer(log, "objects", pairs)
+        for i, entry in enumerate(objects):
+            store(i, entry)
+        expect(",")
+        store = _relations_storer(log, "events", pairs)
+        for i, entry in enumerate(records("events")):
+            _add_event_entry(log, i, entry)
+            store(i, entry)
+        expect("\n}")
+        # only what json.loads skips after a document: str.strip() would take "\x0b" too
+        return None if text[pos:].strip(" \t\n\r") else log
+    except (ValueError, RecursionError, OcelDocumentError, SchemaError):
+        return None
+
+
 def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     """Parse an OCEL 2.0 JSON document from a path or open file.
+
+    A text in ``write_ocel_json``'s layout is read one record at a time, so
+    its parsed document is never held whole. Any other layout, and any text
+    with a defect, is parsed whole and built by ``ocel_from_dict``; either
+    way the log, and the error with its message and JSON path, are the same.
 
     The cyclic garbage collector is paused while the text is parsed and the
     log is built: both only allocate, and a collection pass over the growing
@@ -791,7 +905,14 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return ocel_from_dict(_load_document(source))
+        with _document_errors():
+            text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+        log = _read_writer_layout(text) if isinstance(text, str) else None   # bytes: parsed whole
+        if log is None:
+            doc = _load_document(text)
+            del text   # the document alone builds the log
+            log = ocel_from_dict(doc)
+        return log
     finally:
         if enabled:
             gc.enable()

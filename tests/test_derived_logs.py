@@ -110,6 +110,21 @@ def test_derived_logs_match_the_rebuild(seed):
         assert_same(filter_log, ref.filter_log, unfolded, keep_events, None, None)
 
 
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_relabelling_objects_only_shares_every_event(seed):
+    """``drill_down`` and ``roll_up`` relabel no event and keep the event
+    types, so the derived log holds the input's own event instances, in
+    (time, id) order."""
+    log = random_log(random.Random(seed), max_events=60, max_objects=30, with_user_hierarchy=True)
+    drilled = drill_down(log, "User")
+    roles = {td.name for td in drilled.object_type_defs} & {"Student", "Teacher"}
+    for derived in (drilled, roll_up(drilled, roles, "User"), roll_up(log, set(), "User")):
+        assert list(derived.events) == [e.id for e in log.events_in_order()]
+        assert all(derived.events[eid] is event for eid, event in log.events.items())
+
+
 def _snapshot(log):
     e2o = log.e2o
     return (dict(log.events), e2o,

@@ -10,6 +10,7 @@ import os
 import random
 import stat
 import threading
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from itertools import chain
 
@@ -673,6 +674,24 @@ class TestGcPause:
         finally:
             gc.enable()
 
+    def test_paused_while_the_writer_layout_is_stored(self, monkeypatch):
+        """Text in the writer's layout is built as it is scanned, never
+        through ``ocel_from_dict``; the collector is off for each stored
+        record's relations too."""
+        seen = []
+        store = ocel._store_sorted
+
+        def spy(by_key, key, rels):
+            seen.append(gc.isenabled())
+            store(by_key, key, rels)
+
+        monkeypatch.setattr(ocel, "_store_sorted", spy)
+        monkeypatch.setattr(ocel, "ocel_from_dict", None)
+        log = read_ocel_json(io.StringIO(_text(awkward_log())))
+        assert log.structurally_equal(awkward_log())
+        assert seen == [False] * 4   # two sources' O2O, then two events' E2O
+        assert gc.isenabled()
+
 
 def test_stored_relations_leave_the_cyclic_gc(case_study):
     """Each stored relation is an exact tuple of two strings, so a collection
@@ -723,3 +742,132 @@ def test_read_of_a_random_log_shares_its_pairs(seed):
     read = read_ocel_json(io.StringIO(_text(log)))
     assert read.structurally_equal(log)
     assert _pairs_shared(read)
+
+
+# -- the record-at-a-time read of the writer's layout against the whole parse ------
+
+
+def _sharing(log):
+    """The stored pairs, O2O then E2O, each as the index of the first stored
+    pair that is the same object, with the owner keys in stored order."""
+    first = {}
+    return [(owner, [first.setdefault(id(pair), len(first)) for pair in rels])
+            for by_key in (log._o2o_by_source, log._e2o_by_event) for owner, rels in by_key.items()]
+
+
+def assert_reads_as_parsed_whole(text):
+    """``read_ocel_json`` of ``text`` gives the log that ``ocel_from_dict``
+    builds from the whole parsed text, in the same order and sharing the
+    same pairs, or raises its error with the same message and path."""
+    try:
+        want = ocel_from_dict(ocel._load_document(text))
+    except OcelDocumentError as exc:
+        with pytest.raises(OcelDocumentError) as err:
+            read_ocel_json(io.StringIO(text))
+        assert (str(err.value), err.value.path) == (str(exc), exc.path)
+        return
+    got = read_ocel_json(io.StringIO(text))
+    assert got.structurally_equal(want)
+    assert list(got.objects) == list(want.objects)
+    assert list(got.events) == list(want.events)
+    assert _sharing(got) == _sharing(want)
+    for by_key, owners in ((got._e2o_by_event, got.events), (got._o2o_by_source, got.objects)):
+        for owner, rels in by_key.items():
+            assert owner is owners[owner].id
+            assert all(target is got.objects[target].id for target, _ in rels)
+
+
+_WHITESPACE = st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\u2028", "\ufeff"])
+
+
+def _edited(text, data):
+    """``text`` with one edit drawn from ``data``: a line deleted, duplicated
+    or swapped with another, a character changed or removed, whitespace added
+    inside or after the document, a BOM, CRLF line ends, a cut, a duplicate
+    key in a record, or a record split over two lines."""
+    lines = text.split("\n")   # not splitlines(): a raw U+2028 inside a string is no line break
+    records = [i for i, line in enumerate(lines) if line.startswith('{"')]
+    # half the time a record's line; integers() would favour the first lines
+    line = st.sampled_from(records or [0]) | st.sampled_from(range(len(lines)))
+    at = data.draw(st.sampled_from(range(len(text) + 1)))
+    edit = data.draw(st.sampled_from(["delete line", "duplicate line", "swap lines", "change",
+                                      "remove", "whitespace", "trailing whitespace", "BOM", "CRLF",
+                                      "cut", "duplicate key", "split record"]))
+    if edit in ("duplicate key", "split record") and not records:
+        edit = "cut"
+    if edit == "delete line":
+        del lines[data.draw(line)]
+    elif edit == "duplicate line":
+        i = data.draw(line)
+        lines.insert(i, lines[i])
+    elif edit == "swap lines":
+        i, j = data.draw(line), data.draw(line)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "change":
+        return text[:at] + data.draw(st.sampled_from('{}[],:"\\ 0a\n')) + text[at + 1:]
+    elif edit == "remove":
+        return text[:at] + text[at + 1:]
+    elif edit == "whitespace":
+        return text[:at] + data.draw(_WHITESPACE) + text[at:]
+    elif edit == "trailing whitespace":
+        return text + "".join(data.draw(st.lists(_WHITESPACE, min_size=1, max_size=3)))
+    elif edit == "BOM":
+        return "\ufeff" + text
+    elif edit == "CRLF":
+        return text.replace("\n", "\r\n")
+    elif edit == "cut":
+        return text[:at]
+    elif edit == "duplicate key":
+        i = data.draw(st.sampled_from(records))
+        record = json.loads(lines[i].removesuffix(","))
+        key = data.draw(st.sampled_from(sorted(record)))
+        value = data.draw(st.sampled_from([json.dumps(record[key], ensure_ascii=False),
+                                           '"dup"', "[]", "5"]))
+        if data.draw(st.booleans()):   # the first of two equal keys loses
+            lines[i] = f'{{"{key}": {value}, ' + lines[i][1:]
+        else:
+            end = lines[i].rindex("}")
+            lines[i] = f'{lines[i][:end]}, "{key}": {value}' + lines[i][end:]
+    else:
+        i = data.draw(st.sampled_from(records))
+        lines[i] = lines[i].replace(', "', ',\n"', 1)
+    return "\n".join(lines)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_writer_layout_reads_as_parsed_whole(data):
+    if data.draw(st.booleans()):
+        log = random_log(random.Random(data.draw(st.integers(0, 10_000))), max_events=12, max_objects=6)
+    else:
+        log = data.draw(awkward_logs())
+    text = _text(log)
+    assert ocel._read_writer_layout(text) is not None
+    assert_reads_as_parsed_whole(text)
+    assert_reads_as_parsed_whole(_edited(text, data))
+
+
+@pytest.mark.parametrize("fixture", ["case_study", "conformant"])
+def test_fixtures_read_as_parsed_whole(fixture, request):
+    _, log, _ = request.getfixturevalue(fixture)
+    text = _text(log)
+    assert ocel._read_writer_layout(text) is not None
+    assert_reads_as_parsed_whole(text)
+
+
+def test_writer_layout_peaks_below_the_whole_parse(case_study):
+    """Read a record at a time, the written fixture peaks below the same
+    text parsed whole and then built."""
+    _, log, _ = case_study
+    text = _text(log)
+    source = io.StringIO(text)
+    peaks = []
+    for read in (lambda: read_ocel_json(source), lambda: ocel_from_dict(json.loads(text))):
+        tracemalloc.start()
+        try:
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    streamed, whole = peaks
+    assert streamed < whole
