@@ -7,20 +7,29 @@ root with the discriminator attribute carrying the subtype label
 (single-table inheritance), which keeps referential integrity and enables
 drill-down later.
 
-Rules run one after the other, each over all of its table's rows, and each
-phase stores its relations once. Every row resolves its event and objects
-once and builds the relation as the log stores it, an (other id, qualifier)
-pair of the stored instances' own ids. Each distinct pair is built once:
-the pipeline keeps, per qualifier, a map from other id to its pair, so
-equal relations, O2O or E2O, share one tuple. Phase 2 collects each source
-object's O2O pairs in a set, a pair already in it being a duplicate. Phase 3
-grows each event's E2O tuple in the log, likewise. At the end of its
-phase, each key's pairs are sorted once and stored as its tuple
-(``ocel._store_sorted``, as the OCEL JSON reader stores a record's),
-so the log holds them as ``relate_*`` would have. A table's synthesized
-event ids are built once, for its event rule and its E2O rules to share.
-With ``--log-level info`` each rule logs one line with its row counts,
-seconds and rows per second.
+``load_source`` keeps one ``str`` per distinct cell value of a table, so a
+value repeated over many rows (an id, an activity) is held once. Rules run
+one after the other, each over all of its table's rows, and each phase
+stores its relations once. An O2O or E2O rule works out each distinct
+object-id cell once, and an event rule each distinct activity cell, in a
+dict local to the rule: for an object id, its stripped value, the stored
+object it names and the relation as the log stores it, an (other id,
+qualifier) pair of the stored instances' own ids, or the stripped value
+alone if it names no object; for an activity, the extraction matrix's own
+string. Every other row with that cell costs one dict lookup, and a row's
+checks run in the same order whether or not its cells were seen before, so
+skip reasons and ``--on-dangling fail`` messages are those of a row-by-row
+run. Each distinct pair is built once: the pipeline keeps, per qualifier,
+a map from other id to its pair, so equal relations, O2O or E2O, share one
+tuple. Phase 2 collects each source object's O2O pairs in a set, a pair
+already in it being a duplicate. Phase 3 grows each event's E2O tuple in
+the log, likewise. At the end of its phase, each key's pairs are sorted
+once and stored as its tuple (``ocel._store_sorted``, as the OCEL JSON
+reader stores a record's), so the log holds them as ``relate_*`` would
+have. A table's synthesized event ids are built once, for its event rule
+and its E2O rules to share. With ``--log-level info`` each rule logs one
+line with its row counts, seconds and rows per second; the report keeps
+the seconds of each rule and phase under ``timings``.
 """
 
 from __future__ import annotations
@@ -69,19 +78,26 @@ class RuleRun:
     rows_loaded: int = 0
     rows_skipped: int = 0
     skipped: dict[str, list[int]] = field(default_factory=dict)   # reason -> [rows, first row]
+    seconds: float = 0.0
 
     def skip(self, row_index: int, reason: str) -> None:
         self.rows_skipped += 1
-        self.skipped.setdefault(reason, [0, row_index])[0] += 1
+        try:
+            self.skipped[reason][0] += 1
+        except KeyError:
+            self.skipped[reason] = [1, row_index]
 
 
 @dataclass
 class ExtractionReport:
     """Per-rule row accounting; rows_in == rows_loaded + rows_skipped, and
-    each rule counts its skipped rows per reason."""
+    each rule counts its skipped rows per reason. The seconds of each phase
+    and rule go under ``timings`` in ``to_dict``, apart from the counts, so
+    two runs' reports differ there and in ``elapsed_seconds`` only."""
 
     counts: dict[str, int] = field(default_factory=lambda: {"object": 0, "event": 0, "o2o": 0, "e2o": 0})
     rule_runs: list[RuleRun] = field(default_factory=list)
+    phase_seconds: dict[int, float] = field(default_factory=dict)   # phase -> its seconds
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -95,6 +111,11 @@ class ExtractionReport:
                 for r in self.rule_runs
             ],
             "elapsed_seconds": self.elapsed_seconds,
+            "timings": {
+                "phases": [{"phase": phase, "seconds": seconds}
+                           for phase, seconds in self.phase_seconds.items()],
+                "rules": [{"rule": r.rule_index, "seconds": r.seconds} for r in self.rule_runs],
+            },
         }
 
 
@@ -104,7 +125,12 @@ def synthesize_event_id(table_name: str, row_index: int) -> str:
 
 
 def load_source(path: str | Path, table_name: str) -> SourceTable:
-    """Load one CSV source table (RFC-4180, UTF-8, header row)."""
+    """Load one CSV source table (RFC-4180, UTF-8, header row).
+
+    Each row is a dict from column name to its cell, as the file spells it.
+    Equal cells of one table are one ``str``: a dict local to the call maps
+    each cell to its first copy, so a table holds each distinct value once,
+    whatever the number of rows repeating it."""
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -117,13 +143,14 @@ def load_source(path: str | Path, table_name: str) -> SourceTable:
             repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
             if repeated is not None:
                 raise DataError(f"{path}: column {repeated!r} appears twice in the header row")
+            first_copy = {}.setdefault   # cell -> the table's one copy of it
             rows = []
             for i, row in enumerate(reader):
                 if len(row) != len(header):
                     raise DataError(
                         f"{path}: ragged row at data row {i}: "
                         f"expected {len(header)} cells, found {len(row)}")
-                rows.append(dict(zip(header, row)))
+                rows.append(dict(zip(header, map(first_copy, row, row))))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -230,10 +257,12 @@ class _Pipeline:
         oced_log = self.log
         for phase, kinds in ((1, ObjectRule), (2, (O2ORule, EventRule)), (3, E2ORule)):
             log.info("extraction phase %d", phase)
+            phase_started = _time.perf_counter()
             for index, rule in enumerate(self.spec.mappings):
                 if isinstance(rule, kinds):
                     self._run_rule(index, phase, rule)
             self._end_phase(phase)
+            self.report.phase_seconds[phase] = _time.perf_counter() - phase_started
         self.report.counts = {
             "object": len(oced_log.objects),
             "event": len(oced_log.events),
@@ -271,7 +300,7 @@ class _Pipeline:
             self._run_o2o_rule(index, rule, table, run)
         else:
             self._run_e2o_rule(index, rule, table, run)
-        seconds = _time.perf_counter() - started
+        run.seconds = seconds = _time.perf_counter() - started
         if _reads_synthesized_ids(rule):   # free a table's ids once its last reader has run
             self._id_readers[rule.source_table] -= 1
             if not self._id_readers[rule.source_table]:
@@ -323,14 +352,23 @@ class _Pipeline:
         _require_columns(index, rule, table,
                          [time_col, activity_col or "", id_col or "", *rule.attribute_columns.values()])
         attr_items = tuple(rule.attribute_columns.items())
-        activities = set(self.spec.xmatrix.activities)
+        matrix_rows = {a: a for a in self.spec.xmatrix.activities}   # each to the matrix's own string
+        fixed = matrix_rows.get(rule.activity, rule.activity)
+        activity_of: dict[str, str] = {}   # activity cell -> its matrix row, or the cell stripped
         ids = None if id_col else self._synthesized_ids(rule, table)
         events, add_event = self.log._events, self.log.add_event
         for i, row in enumerate(table.rows):
-            activity = rule.activity or row.get(activity_col, "").strip()
+            if fixed:
+                activity = fixed
+            else:
+                cell = row.get(activity_col, "")
+                try:
+                    activity = activity_of[cell]
+                except KeyError:
+                    activity = activity_of[cell] = matrix_rows.get(stripped := cell.strip(), stripped)
             if not activity:
                 raise DataError(f"mappings[{index}] row {i}: empty activity")
-            if activity not in activities:
+            if activity not in matrix_rows:
                 raise DataError(
                     f"mappings[{index}] row {i}: activity {activity!r} is not an extraction matrix row")
             eid = row.get(id_col, "").strip() if id_col else ids[i]
@@ -339,32 +377,50 @@ class _Pipeline:
             if eid in events:
                 raise DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
             when = parse_with_format(row.get(time_col, "").strip(), fmt)
-            attrs = tuple((attr, raw) for attr, col in attr_items if (raw := row.get(col, "").strip()))
+            attrs = attr_items and tuple(   # no attributes: (), with no generator per row
+                (attr, raw) for attr, col in attr_items if (raw := row.get(col, "").strip()))
             add_event(EventInstance(eid, activity, when, attrs))
+
+    def _pair_of(self, cell: str, qualifier: str) -> tuple[str, str] | str:
+        """The stored (object id, qualifier) pair of the object that ``cell``
+        names, or, if it names none, the cell stripped ("" if empty)."""
+        oid = cell.strip()
+        obj = self.log._objects.get(oid)
+        if obj is None:
+            return oid
+        pairs = self._pairs.setdefault(qualifier, {})
+        return pairs.get(obj.id) or pairs.setdefault(obj.id, (obj.id, qualifier))
 
     def _run_o2o_rule(self, index: int, rule: O2ORule, table: SourceTable, run: RuleRun) -> None:
         """Collect the rule's pairs in their source object's set, which finds
-        duplicates within a rule and across rules."""
+        duplicates within a rule and across rules. Each distinct endpoint
+        cell is resolved once, by ``_pair_of``; the source's pair gives its id."""
         source_col, target_col, qualifier = rule.source_id_column, rule.target_id_column, rule.qualifier
         _require_columns(index, rule, table, [source_col, target_col])
         _require_string_qualifier(index, qualifier)
-        objects, by_source = self.log._objects, self._o2o
-        pairs = self._pairs.setdefault(qualifier, {})
+        by_source, pair_of = self._o2o, self._pair_of
+        resolved: dict[str, tuple[str, str] | str] = {}   # endpoint cell -> _pair_of(cell)
         for i, row in enumerate(table.rows):
-            src = row.get(source_col, "").strip()
-            tgt = row.get(target_col, "").strip()
-            if not src or not tgt:
+            cell = row.get(source_col, "")
+            try:
+                source = resolved[cell]
+            except KeyError:
+                source = resolved[cell] = pair_of(cell, qualifier)
+            cell = row.get(target_col, "")
+            try:
+                rel = resolved[cell]
+            except KeyError:
+                rel = resolved[cell] = pair_of(cell, qualifier)
+            if not source or not rel:
                 run.skip(i, "empty endpoint id")
                 continue
-            source, target = objects.get(src), objects.get(tgt)
-            if source is None or target is None:
-                self._dangling(run, i, "o2o references unknown object", src if source is None else tgt)
+            if type(source) is str or type(rel) is str:
+                self._dangling(run, i, "o2o references unknown object", source if type(source) is str else rel)
                 continue
-            if src == tgt and not qualifier:
+            if source == rel and not qualifier:
                 run.skip(i, "self o2o relation without qualifier")
                 continue
-            rel = pairs.get(target.id) or pairs.setdefault(target.id, (target.id, qualifier))
-            rels = by_source.setdefault(source.id, set())
+            rels = by_source.setdefault(source[0], set())
             if rel in rels:
                 run.skip(i, "duplicate o2o relation")
                 continue
@@ -372,17 +428,21 @@ class _Pipeline:
 
     def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
         """Grow each event's tuple of pairs in the log, unsorted until the
-        phase ends; a pair already in it is a duplicate."""
+        phase ends; a pair already in it is a duplicate. Each distinct
+        object cell is resolved once, by ``_pair_of``."""
         object_col, event_col, qualifier = rule.object_id_column, rule.event_id_column, rule.qualifier
         _require_columns(index, rule, table, [object_col, event_col or ""])
         _require_string_qualifier(index, qualifier)
         ids = None if event_col else self._synthesized_ids(rule, table)
-        events, objects = self.log._events, self.log._objects
-        by_event = self.log._e2o_by_event
-        pairs = self._pairs.setdefault(qualifier, {})
+        events, by_event, pair_of = self.log._events, self.log._e2o_by_event, self._pair_of
+        resolved: dict[str, tuple[str, str] | str] = {}   # object cell -> _pair_of(cell)
         for i, row in enumerate(table.rows):
-            oid = row.get(object_col, "").strip()
-            if not oid:
+            cell = row.get(object_col, "")
+            try:
+                rel = resolved[cell]
+            except KeyError:
+                rel = resolved[cell] = pair_of(cell, qualifier)
+            if not rel:
                 run.skip(i, "empty object id")
                 continue
             eid = row.get(event_col, "").strip() if event_col else ids[i]
@@ -393,11 +453,10 @@ class _Pipeline:
             if event is None:
                 self._dangling(run, i, "e2o references unknown event", eid)
                 continue
-            obj = objects.get(oid)
-            if obj is None:
-                self._dangling(run, i, "e2o references unknown object", oid)
+            if type(rel) is str:
+                self._dangling(run, i, "e2o references unknown object", rel)
                 continue
-            eid, rel = event.id, pairs.get(obj.id) or pairs.setdefault(obj.id, (obj.id, qualifier))
+            eid = event.id
             rels = by_event.get(eid, ())
             if rel in rels:
                 run.skip(i, "duplicate e2o relation")

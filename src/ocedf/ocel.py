@@ -33,7 +33,6 @@ import gc
 import json
 import math
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cache
@@ -801,25 +800,18 @@ def _replay_relations(key: str, i: int, entry: dict, relate) -> None:
                                     f"{key}[{i}].relationships[{j}]") from None
 
 
-@contextmanager
-def _document_errors() -> Iterator[None]:
-    """Map a failure to read or parse the text to ``OcelDocumentError``."""
+def _load_document(text: str | bytes) -> Any:
+    """The parsed JSON of ``text``, whole: how a text not in the writer's
+    layout is read. The text is held until then, as the scan for that layout
+    comes first; the caller drops it before the log is built."""
     try:
-        yield
-    except UnicodeDecodeError as exc:   # a ValueError too, so it comes first
+        return json.loads(text)
+    except UnicodeDecodeError as exc:   # bytes; a ValueError too, so it comes first
         raise OcelDocumentError(f"not UTF-8 text: {exc}") from None
     except ValueError as exc:   # JSONDecodeError, or an integer literal beyond the digit limit
         raise OcelDocumentError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise OcelDocumentError("malformed JSON: nested too deeply") from None
-
-
-def _load_document(text: str | bytes) -> Any:
-    """The parsed JSON of ``text``, whole: how a text not in the writer's
-    layout is read. The text is held until then, as the scan for that layout
-    comes first; the caller drops it before the log is built."""
-    with _document_errors():
-        return json.loads(text)
 
 
 def _read_writer_layout(text: str) -> OcedLog | None:
@@ -895,6 +887,8 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     its parsed document is never held whole. Any other layout, and any text
     with a defect, is parsed whole and built by ``ocel_from_dict``; either
     way the log, and the error with its message and JSON path, are the same.
+    A source that is not UTF-8 text raises ``OcelDocumentError`` too; any
+    other failure to read it, such as a closed file, propagates unchanged.
 
     The cyclic garbage collector is paused while the text is parsed and the
     log is built: both only allocate, and a collection pass over the growing
@@ -905,8 +899,10 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with _document_errors():
+        try:
             text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:   # any other failure to read is the caller's, and propagates
+            raise OcelDocumentError(f"not UTF-8 text: {exc}") from None
         log = _read_writer_layout(text) if isinstance(text, str) else None   # bytes: parsed whole
         if log is None:
             doc = _load_document(text)

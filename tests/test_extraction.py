@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,46 @@ class TestLoadSource:
         p.write_text('a,b\n"x,1",y\n', encoding="utf-8")
         assert load_source(p, "t").rows == [{"a": "x,1", "b": "y"}]
 
+    def test_equal_cells_are_one_object(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,c\n x ,y,\n x ,x,y\nx, x ,\n", encoding="utf-8")
+        rows = load_source(p, "t").rows
+        assert rows == [{"a": " x ", "b": "y", "c": ""}, {"a": " x ", "b": "x", "c": "y"},
+                        {"a": "x", "b": " x ", "c": ""}]
+        assert rows[0]["a"] is rows[1]["a"] is rows[2]["b"]   # across rows and columns
+        assert rows[0]["b"] is rows[1]["c"] and rows[1]["b"] is rows[2]["a"]
+        assert rows[0]["c"] is rows[2]["c"]
+
+    def test_shared_cells_hold_less_than_a_copy_per_cell(self, tmp_path):
+        """A table of repeated values loads into less memory than the same
+        rows with each cell its own copy, as a CSV reader gives them: here by
+        more than a fifth, though one column's values are all distinct."""
+        p = tmp_path / "t.csv"
+        with p.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ts", "user", "page", "course"])
+            writer.writerows([f"2024-09-02 10:{i // 60 % 60:02d}:{i % 60:02d}", f"user-{i % 97}",
+                              f"page-{i % 7}", "course-1"] for i in range(3000))
+
+        def copy_per_cell():
+            with p.open(newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader)
+                return [dict(zip(header, row)) for row in reader]
+
+        held = []
+        for load in (lambda: load_source(p, "t").rows, copy_per_cell):
+            load()   # any first-call caches stay out of the count
+            tracemalloc.start()
+            try:
+                rows = load()
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == 3000
+        shared, copied = held
+        assert shared < 0.8 * copied
+
 
 class TestSynthesizedIds:
     def test_definition(self):
@@ -227,6 +269,17 @@ class TestExtract:
             22: {"empty object id": [2711, 0]},
             23: {"empty object id": [6678, 0]},
         }
+
+    def test_report_times_each_phase_and_rule_apart_from_the_counts(self):
+        _, report = run_tiny()
+        written = report.to_dict()
+        timings = written["timings"]
+        assert [t["phase"] for t in timings["phases"]] == [1, 2, 3]
+        assert [t["rule"] for t in timings["rules"]] == [r.rule_index for r in report.rule_runs]
+        assert [t["seconds"] for t in timings["rules"]] == [r.seconds for r in report.rule_runs]
+        assert all(t["seconds"] >= 0 for t in timings["phases"] + timings["rules"])
+        assert sum(t["seconds"] for t in timings["phases"]) <= report.elapsed_seconds
+        assert all("seconds" not in rule for rule in written["rules"])
 
     def test_counts_match_log_sizes(self):
         log, report = run_tiny()
@@ -494,8 +547,12 @@ def _fresh(cell: str) -> str:
     return (" " + cell)[1:]
 
 
-def _table_of(name, header, rows):
-    return SourceTable(name, header, [{h: _fresh(c) for h, c in zip(header, r)} for r in rows])
+def _table_of(name, header, rows, shared):
+    """A table whose equal cells are one object if ``shared``, as
+    ``load_source`` gives, and otherwise each cell its own ``_fresh`` copy."""
+    first_copy = {}
+    cell = (lambda c: first_copy.setdefault(c, _fresh(c))) if shared else _fresh
+    return SourceTable(name, header, [{h: cell(c) for h, c in zip(header, r)} for r in rows])
 
 
 @st.composite
@@ -503,13 +560,14 @@ def extraction_cases(draw):
     """(mappings, sources, policy): every rule kind, repeated rules, and
     tables with repeated, empty, padded and dangling ids, in a random rule
     order. A clean case has no row that makes extract raise, but for a
-    dangling id under ``fail``; dangling ids come in some cases only."""
-    clean, dangling = draw(st.booleans()), draw(st.booleans())
+    dangling id under ``fail``; dangling ids come in some cases only. Equal
+    cells of a table are one object in some cases, equal copies in others."""
+    clean, dangling, shared = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
     endpoints = ENDPOINTS + ["ghost"] * dangling
     event_refs = EVENT_REFS + ["nope"] * dangling
     fmt = draw(st.sampled_from(list(GOOD_TIMES)))
     times = GOOD_TIMES[fmt] if clean else [t for ts in GOOD_TIMES.values() for t in ts] + BAD_TIMES
-    actions = ["view page", "submit assignment"] + ([] if clean else ["", "login"])
+    actions = ["view page", "submit assignment", " view page"] + ([] if clean else ["", "login"])
 
     def rows_of(*pools, min_size=0):
         return draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=min_size, max_size=6))
@@ -525,12 +583,13 @@ def extraction_cases(draw):
     if not clean:
         event_ids = draw(st.permutations(event_ids + ["e1", ""]))
     sources = {
-        "users": _table_of("users", ["uid", "name", "role"], users),
+        "users": _table_of("users", ["uid", "name", "role"], users, shared),
         "courses": _table_of("courses", ["cid", "name"],
-                             [["c1", "Modeling"], ["c2", ""]] + rows_of([" c1", "c2"], ["Other"])),
+                             [["c1", "Modeling"], ["c2", ""]] + rows_of([" c1", "c2"], ["Other"]), shared),
         "rows": _table_of("rows", ["a", "b", "ts", "action", "eid"],
-                          [[*row, eid] for row, eid in zip(rows, event_ids)]),
-        "links": _table_of("links", ["eid", "a", "b"], repeating(rows_of(event_refs, endpoints, endpoints))),
+                          [[*row, eid] for row, eid in zip(rows, event_ids)], shared),
+        "links": _table_of("links", ["eid", "a", "b"],
+                           repeating(rows_of(event_refs, endpoints, endpoints)), shared),
     }
     event_rules = [
         {"kind": "event", "source_table": "rows", "activity_column": "action",
@@ -556,7 +615,7 @@ def _outcome(run, spec, sources, policy):
     out = io.StringIO()
     write_ocel_json(log, out)
     written = report.to_dict()
-    del written["elapsed_seconds"]
+    del written["elapsed_seconds"], written["timings"]
     return (out.getvalue(), written), log
 
 

@@ -4,7 +4,7 @@ Each command in ``COMMANDS`` runs on ``case_study`` and ``conformant``; the
 analysis commands read the log that ``extract-skip`` wrote. The SHA-256 of
 every output file, of ``stats`` and ``verify`` stdout, and each exit code
 must equal ``golden_cli.json``. The extraction report is hashed without its
-``elapsed_seconds``, and no temporary path enters a digest.
+``elapsed_seconds`` and ``timings``, and no temporary path enters a digest.
 
 A change that alters an output on purpose rewrites the table with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so in CHANGES.md.
@@ -54,6 +54,7 @@ def _file_digest(path: Path) -> str:
     if path.name.endswith(".report.json"):
         report = json.loads(data)
         report.pop("elapsed_seconds")
+        report.pop("timings")
         data = json.dumps(report, indent=2).encode()
     return _sha256(data)
 

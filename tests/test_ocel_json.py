@@ -410,6 +410,21 @@ def test_text_that_is_not_utf8(tmp_path):
         read_ocel_json(path)
 
 
+def test_a_handle_whose_text_is_not_utf8():
+    handle = io.TextIOWrapper(io.BytesIO('{"objectTypes": [{"name": "Café"}]}'.encode("latin-1")),
+                              encoding="utf-8")
+    with pytest.raises(OcelDocumentError, match="^not UTF-8 text: "):
+        read_ocel_json(handle)
+
+
+def test_a_failure_to_read_the_source_is_the_callers():
+    """Only text that is not UTF-8 makes a read failure a document defect."""
+    source = io.StringIO(_text(ocel_from_dict(copy.deepcopy(BASE_DOCUMENT))))
+    source.close()
+    with pytest.raises(ValueError, match="closed file"):
+        read_ocel_json(source)
+
+
 def test_base_document_reads():
     assert ocel_to_dict(ocel_from_dict(copy.deepcopy(BASE_DOCUMENT))) == BASE_DOCUMENT
 
