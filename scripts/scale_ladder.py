@@ -1,0 +1,242 @@
+#!/usr/bin/env python3
+"""Scale ladder: each pipeline stage timed on courses of growing size.
+
+    python3 scripts/scale_ladder.py [--students 400 2000 10000] [--seed 3]
+        [--src DIR] [--label NAME] [--out BENCH_scale.json] [--work DIR]
+
+Each course is built once by ``benchmark/course.py`` with the given seed.
+Then ``load_source`` (every table of the course), ``extract``,
+``write_ocel_json`` and ``read_ocel_json`` each run in a child process of
+their own, one child at a time, started with ``subprocess.run``. A child
+runs the stages before its own untimed, so the ``extract`` child loads the
+sources and the ``write`` child loads and extracts; the ``read`` child reads
+the file that the ``write`` child wrote. The code measured is the ``ocedf``
+package under ``--src`` (default: this checkout's ``src``), so the same
+ladder can measure another checkout.
+
+For each stage a child records its seconds, the GC's seconds and
+collections while it ran (through ``gc.callbacks``), the process's peak RSS
+when the stage began and when it ended, and the stage's event count. For
+``load``, ``extract`` and ``read`` one more child runs the stage under
+``tracemalloc``, started as the stage begins, and records its peak. The
+ladder adds seconds and peak RSS per event (the events of the course) and,
+for each stage, its seconds per event at the largest course over those at
+the smallest. The run, labelled ``--label`` with the measured checkout's
+git commit and the Python version, replaces the run of the same label in
+``--out`` and keeps the others, so one file holds a before and an after.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import gc
+import json
+import os
+import platform
+import resource
+import shutil
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("load", "extract", "write", "read")
+TRACED_STAGES = ("load", "extract", "read")   # also run under tracemalloc
+LOG_NAME = "course.ocel.json"
+CHILD_TIMEOUT_S = 1800
+
+
+# -- child side ----------------------------------------------------------------
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024   # KiB on Linux
+
+
+class _GcClock:
+    """Seconds and collections of the cyclic GC while installed."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = 0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = perf_counter()
+        else:
+            self.seconds += perf_counter() - self._started
+            self.collections += 1
+
+
+def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
+    """Run the stages before ``stage`` untimed, then ``stage`` measured."""
+    from ocedf import extraction, ocel, specmodel
+
+    def load(spec):
+        sources = {}
+        for rule in spec.mappings:
+            if rule.source_table not in sources:
+                sources[rule.source_table] = extraction.load_source(
+                    course / "sources" / f"{rule.source_table}.csv", rule.source_table)
+        return sources
+
+    spec = specmodel.parse_spec(course / "spec.json")
+    steps = {
+        "load": lambda state: {"sources": load(spec)},
+        "extract": lambda state: {"log": extraction.extract(spec, state.pop("sources"))[0]},
+        "write": lambda state: ocel.write_ocel_json(state["log"], course / LOG_NAME),
+        "read": lambda state: {"log": ocel.read_ocel_json(course / LOG_NAME)},
+    }
+    state: dict = {}
+    if stage != "read":   # read starts from the file the write child left
+        for earlier in STAGES[:STAGES.index(stage)]:
+            state.update(steps[earlier](state) or {})
+    gc.collect()
+    clock = _GcClock()
+    rss_before = _peak_rss_mb()
+    if trace_memory:
+        tracemalloc.start()
+    gc.callbacks.append(clock)
+    started = perf_counter()
+    state.update(steps[stage](state) or {})
+    seconds = perf_counter() - started
+    gc.callbacks.remove(clock)
+    result = {"stage": stage, "seconds": seconds, "gc_seconds": clock.seconds,
+              "gc_collections": clock.collections, "rss_before_mb": rss_before,
+              "peak_rss_mb": _peak_rss_mb()}
+    if trace_memory:
+        result["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    if "log" in state:
+        result["events"] = len(state["log"].events)
+    return result
+
+
+def build_course(out_dir: Path, students: int, seed: int) -> dict:
+    """Build the course and count its source rows."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    import course   # noqa: E402  (benchmark/course.py)
+
+    course.build(out_dir, students, seed)
+    rows = 0
+    for table in (out_dir / "sources").glob("*.csv"):
+        with table.open(newline="", encoding="utf-8") as fh:
+            rows += sum(1 for _ in csv.reader(fh)) - 1
+    return {"source_rows": rows}
+
+
+# -- ladder side ---------------------------------------------------------------
+
+
+def _child(args: list[str], src: Path) -> dict:
+    """Run this script as a child with ``args``; its last stdout line is JSON."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), *args], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True, timeout=CHILD_TIMEOUT_S)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _git(src: Path, *args: str) -> str | None:
+    try:
+        done = subprocess.run(["git", "-C", str(src), *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True, timeout=30)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def measure_course(students: int, seed: int, src: Path, work: Path) -> dict:
+    """Build one course, then measure each stage on it, one child at a time."""
+    course = work / f"course-{students}-seed{seed}"
+    shutil.rmtree(course, ignore_errors=True)
+    started = perf_counter()
+    built = _child(["--build", str(course), "--students", str(students), "--seed", str(seed)], src)
+    entry: dict = {"students": students, "build_seconds": perf_counter() - started, **built, "stages": {}}
+    try:
+        for stage in STAGES:
+            measured = _child(["--stage", stage, "--course", str(course)], src)
+            if stage in TRACED_STAGES:
+                traced = _child(["--stage", stage, "--course", str(course), "--trace-memory"], src)
+                measured["tracemalloc_peak_mb"] = traced["tracemalloc_peak_mb"]
+            entry["events"] = measured.pop("events", entry.get("events"))
+            del measured["stage"]
+            entry["stages"][stage] = measured
+        entry["ocel_json_bytes"] = (course / LOG_NAME).stat().st_size
+    finally:
+        shutil.rmtree(course, ignore_errors=True)
+    events = entry["events"]
+    for measured in entry["stages"].values():
+        measured["seconds_per_event"] = measured["seconds"] / events
+        measured["peak_rss_bytes_per_event"] = measured["peak_rss_mb"] * 2**20 / events
+    return entry
+
+
+def run_ladder(students: list[int], seed: int, src: Path, label: str, work: Path) -> dict:
+    work.mkdir(parents=True, exist_ok=True)
+    courses = [measure_course(n, seed, src, work) for n in sorted(students)]
+    if not any(work.iterdir()):
+        work.rmdir()
+    smallest, largest = courses[0], courses[-1]
+    return {
+        "label": label,
+        "commit": _git(src, "rev-parse", "HEAD"),
+        "dirty": bool(_git(src, "status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "machine": {"cpus": os.cpu_count(), "platform": platform.platform()},
+        "seed": seed,
+        "courses": courses,
+        "per_event_growth": {
+            "from_to": [smallest["students"], largest["students"]],
+            **{stage: largest["stages"][stage]["seconds_per_event"]
+               / smallest["stages"][stage]["seconds_per_event"] for stage in STAGES},
+        },
+    }
+
+
+def write_run(out: Path, run: dict) -> None:
+    """Replace the run of the same label in ``out``, keeping the others."""
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"] if out.exists() else []
+    runs = [r for r in runs if r["label"] != run["label"]] + [run]
+    out.write_text(json.dumps({"runs": runs}, indent=1) + "\n", encoding="utf-8")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--students", type=int, nargs="+", default=[400, 2000, 10000])
+    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the ocedf package to measure")
+    parser.add_argument("--label", default="current")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
+    parser.add_argument("--work", type=Path, default=ROOT / ".scale_work",
+                        help="where courses are built; each is removed once measured")
+    # child modes
+    parser.add_argument("--build", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--stage", choices=STAGES, help=argparse.SUPPRESS)
+    parser.add_argument("--course", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--trace-memory", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.build:
+        print(json.dumps(build_course(args.build, args.students[0], args.seed)))
+        return 0
+    if args.stage:
+        print(json.dumps(run_stage(args.stage, args.course, args.trace_memory)))
+        return 0
+    run = run_ladder(args.students, args.seed, args.src.resolve(), args.label, args.work)
+    write_run(args.out, run)
+    for entry in run["courses"]:
+        print(f"{entry['students']} students, {entry['events']} events: " + ", ".join(
+            f"{stage} {m['seconds']:.3f} s ({m['seconds_per_event'] * 1e6:.1f} µs/event)"
+            for stage, m in entry["stages"].items()))
+    growth = run["per_event_growth"]
+    print(f"per-event cost, {growth['from_to'][1]} over {growth['from_to'][0]} students: " + ", ".join(
+        f"{stage} {growth[stage]:.2f}x" for stage in STAGES))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

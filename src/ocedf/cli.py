@@ -126,7 +126,7 @@ def _cmd_extract(args) -> int:
         name = rule.source_table
         if name not in sources:
             sources[name] = extraction.load_source(source_dir / f"{name}.csv", name)
-    started = _log_stage("load", sum(len(t.rows) for t in sources.values()), started, "rows")
+    started = _log_stage("load", sum(t.row_count for t in sources.values()), started, "rows")
     oced_log, report = extraction.extract(spec, sources, on_dangling=args.on_dangling)
     events = len(oced_log.events)
     started = _log_stage("extract", events, started)

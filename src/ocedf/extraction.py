@@ -7,29 +7,36 @@ root with the discriminator attribute carrying the subtype label
 (single-table inheritance), which keeps referential integrity and enables
 drill-down later.
 
-``load_source`` keeps one ``str`` per distinct cell value of a table, so a
-value repeated over many rows (an id, an activity) is held once. Rules run
-one after the other, each over all of its table's rows, and each phase
-stores its relations once. An O2O or E2O rule works out each distinct
-object-id cell once, and an event rule each distinct activity cell, in a
-dict local to the rule: for an object id, its stripped value, the stored
-object it names and the relation as the log stores it, an (other id,
-qualifier) pair of the stored instances' own ids, or the stripped value
-alone if it names no object; for an activity, the extraction matrix's own
-string. Every other row with that cell costs one dict lookup, and a row's
-checks run in the same order whether or not its cells were seen before, so
-skip reasons and ``--on-dangling fail`` messages are those of a row-by-row
-run. Each distinct pair is built once: the pipeline keeps, per qualifier,
-a map from other id to its pair, so equal relations, O2O or E2O, share one
-tuple. Phase 2 collects each source object's O2O pairs in a set, a pair
-already in it being a duplicate. Phase 3 grows each event's E2O tuple in
-the log, likewise. At the end of its phase, each key's pairs are sorted
-once and stored as its tuple (``ocel._store_sorted``, as the OCEL JSON
-reader stores a record's), so the log holds them as ``relate_*`` would
-have. A table's synthesized event ids are built once, for its event rule
-and its E2O rules to share. With ``--log-level info`` each rule logs one
-line with its row counts, seconds and rows per second; the report keeps
-the seconds of each rule and phase under ``timings``.
+``load_source`` holds a table by column, with no object per row: each
+column is a run of tuples of ``CHUNK_ROWS`` cells, and one ``str`` stands
+for each distinct cell value of the table, so a value repeated over many
+rows (an id, an activity) is held once. A row costs one pointer per
+column, about a third of a ``dict`` per row, and every block is a small
+object, so the memory of a dropped table serves the small objects that
+follow it. Rules run one after the other, each over all of its table's
+rows, zipping the columns it reads (a column the table lacks reads as
+``""``), and each phase stores its relations once. An O2O or E2O rule
+works out each distinct object-id cell once, and an event rule each
+distinct activity cell, in a dict local to the rule: for an object id, its
+stripped value, the stored object it names and the relation as the log
+stores it, an (other id, qualifier) pair of the stored instances' own ids,
+or the stripped value alone if it names no object; for an activity, the
+extraction matrix's own string. Every other row with that cell costs one
+dict lookup, and a row's checks run in the same order whether or not its
+cells were seen before, so skip reasons and ``--on-dangling fail``
+messages are those of a row-by-row run. Each distinct pair is built once:
+the pipeline keeps, per qualifier, a map from other id to its pair, so
+equal relations, O2O or E2O, share one tuple. Phase 2 collects each source
+object's O2O pairs in a set, a pair already in it being a duplicate, and
+stores each object's sorted at its end (``ocel._store_sorted``, as the
+OCEL JSON reader stores a record's). Phase 3 grows each event's E2O tuple
+in the log, likewise, and at its end replaces each by its sorted copy,
+one tuple for all events with equal relations. So the log holds the
+relations as ``relate_*`` would have. A table's synthesized event ids are
+built once, for its event rule and its E2O rules to share. With
+``--log-level info`` each rule logs one line with its row counts, seconds
+and rows per second; the report keeps the seconds of each rule and phase
+under ``timings``.
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ import logging
 import time as _time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, SchemaError
 from .ocel import (
@@ -59,13 +67,56 @@ from .timeutil import parse_iso, parse_with_format
 log = logging.getLogger("ocedf.extraction")
 
 
+# A column is held in tuples of this many cells, 504 bytes each: under
+# CPython's 512-byte limit for small objects, so no block grows with the table.
+CHUNK_ROWS = 56
+
+
 @dataclass
 class SourceTable:
-    """One tabular source: a header and string-valued records."""
+    """One tabular source, held by column. ``chunks[j]`` holds the cells of
+    ``header[j]`` as the file spells them, in tuples of ``CHUNK_ROWS`` rows
+    (the last may be shorter). ``row_count`` is kept apart, since a table
+    without columns (a blank header line) may still have rows. ``column``
+    reads one column; ``rows`` builds each record as a dict on every access,
+    which the pipeline never does."""
 
     name: str
     header: list[str]
-    rows: list[dict[str, str]]
+    chunks: tuple[tuple[tuple[str, ...], ...], ...]
+    row_count: int
+
+    @classmethod
+    def from_rows(cls, name: str, header: list[str], rows: Sequence[Sequence[str]]) -> SourceTable:
+        """A table of ``rows``, each a sequence of cells in ``header``'s
+        order, held as ``load_source`` holds a file's (its cells as given)."""
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise DataError(f"table {name!r}: row {i} has {len(row)} cells, "
+                                f"expected {len(header)}")
+        batches = (zip(*rows[k:k + CHUNK_ROWS]) for k in range(0, len(rows), CHUNK_ROWS))
+        chunks = tuple(zip(*batches)) if rows else ((),) * len(header)
+        return cls(name, header, chunks, len(rows))
+
+    def column(self, name: str | None) -> Iterator[str]:
+        """The cells of column ``name``, or ``""`` for each row if the table
+        has no such column, as ``row.get(name, "")`` reads a record."""
+        try:
+            j = self.header.index(name)
+        except ValueError:
+            return repeat("", self.row_count)
+        return chain.from_iterable(self.chunks[j])
+
+    def cells(self, names: Iterable[str]) -> Iterator[tuple[str, ...]]:
+        """Each row's cells of the columns ``names``, in order; ``()`` for
+        each row if ``names`` is empty."""
+        columns = [*map(self.column, names)]
+        return zip(*columns) if columns else repeat((), self.row_count)
+
+    @property
+    def rows(self) -> list[dict[str, str]]:
+        """Each row as a dict from column name to its cell, built anew."""
+        return [dict(zip(self.header, cells)) for cells in self.cells(self.header)]
 
 
 @dataclass
@@ -124,13 +175,24 @@ def synthesize_event_id(table_name: str, row_index: int) -> str:
     return f"{table_name}:{row_index}"
 
 
+def _checked_rows(reader: Iterator[list[str]], width: int, path: Path) -> Iterator[list[str]]:
+    """The data rows of ``reader``, each checked for ``width`` cells as it is
+    read, so a ragged row raises before any later row is read."""
+    for i, row in enumerate(reader):
+        if len(row) != width:
+            raise DataError(f"{path}: ragged row at data row {i}: expected {width} cells, found {len(row)}")
+        yield row
+
+
 def load_source(path: str | Path, table_name: str) -> SourceTable:
     """Load one CSV source table (RFC-4180, UTF-8, header row).
 
-    Each row is a dict from column name to its cell, as the file spells it.
-    Equal cells of one table are one ``str``: a dict local to the call maps
-    each cell to its first copy, so a table holds each distinct value once,
-    whatever the number of rows repeating it."""
+    Rows are read ``CHUNK_ROWS`` at a time, and each batch is turned into
+    one chunk per column, so no record outlives its batch: a row costs a
+    pointer per column, not a ``dict``. Equal cells of one table are one
+    ``str``: a dict local to the call maps each cell to its first copy, so
+    a table holds each distinct value once, whatever the number of rows or
+    columns repeating it."""
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -144,18 +206,18 @@ def load_source(path: str | Path, table_name: str) -> SourceTable:
             if repeated is not None:
                 raise DataError(f"{path}: column {repeated!r} appears twice in the header row")
             first_copy = {}.setdefault   # cell -> the table's one copy of it
-            rows = []
-            for i, row in enumerate(reader):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: ragged row at data row {i}: "
-                        f"expected {len(header)} cells, found {len(row)}")
-                rows.append(dict(zip(header, map(first_copy, row, row))))
+            chunks: list[list[tuple[str, ...]]] = [[] for _ in header]
+            rows, row_count = _checked_rows(reader, len(header), path), 0
+            while batch := list(islice(rows, CHUNK_ROWS)):
+                row_count += len(batch)
+                # zip sizes each chunk exactly; tuple(map(...)) would grow it past 512 bytes
+                for column, cells in zip(chunks, zip(*[map(first_copy, row, row) for row in batch])):
+                    column.append(cells)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    return SourceTable(table_name, header, rows)
+    return SourceTable(table_name, header, tuple(map(tuple, chunks)), row_count)
 
 
 def _require_columns(rule_index: int, rule, table: SourceTable, columns: list[str]) -> None:
@@ -242,7 +304,7 @@ class _Pipeline:
         ids = self._ids.get(rule.source_table)
         if ids is None:
             ids = self._ids[rule.source_table] = [
-                synthesize_event_id(table.name, i) for i in range(len(table.rows))]
+                synthesize_event_id(table.name, i) for i in range(table.row_count)]
         return ids
 
     def _dangling(self, run: RuleRun, row_index: int, reason: str, ref: str) -> None:
@@ -283,14 +345,16 @@ class _Pipeline:
             self._o2o = {}   # freed before phase 3 grows the E2O tuples
         elif phase == 3:   # each event's tuple, grown in the log, is replaced in place
             by_event = oced_log._e2o_by_event
+            shared: dict[tuple, tuple] = {}   # each distinct sorted tuple, kept once
             for eid, rels in by_event.items():
-                _store_sorted(by_event, eid, [*rels])
+                rels = tuple(sorted(rels))
+                by_event[eid] = shared.setdefault(rels, rels)
             oced_log._traces = None
 
     def _run_rule(self, index: int, phase: int, rule) -> None:
         """Run one rule over its table's rows, count them and log one line."""
         table = self._table(index, rule)
-        run = RuleRun(index, phase, rule.kind, rule.source_table, rows_in=len(table.rows))
+        run = RuleRun(index, phase, rule.kind, rule.source_table, rows_in=table.row_count)
         started = _time.perf_counter()
         if isinstance(rule, ObjectRule):
             self._run_object_rule(index, rule, table, run)
@@ -316,17 +380,21 @@ class _Pipeline:
         id_col, subtype_col, time_col = rule.id_column, rule.subtype_column, rule.attribute_time_column
         _require_columns(index, rule, table,
                          [id_col, subtype_col or "", time_col or "", *rule.attribute_columns.values()])
-        attr_items = tuple(rule.attribute_columns.items())
+        attr_names = tuple(rule.attribute_columns)
         stored = schema.root_of(rule.object_type)
         discriminator = schema.discriminators.get(stored)
-        fixed_label = "" if subtype_col or rule.object_type == stored else rule.object_type
+        labels = table.column(subtype_col) if subtype_col else \
+            repeat("" if rule.object_type == stored else rule.object_type)
         epoch = self.spec.extraction_epoch
         objects, add_object = self.log._objects, self.log.add_object
-        for i, row in enumerate(table.rows):
-            oid = row.get(id_col, "").strip()
+        for i, (oid, label, raw_time, attr_cells) in enumerate(zip(
+                table.column(id_col), labels, table.column(time_col) if time_col else repeat(""),
+                table.cells(rule.attribute_columns.values()))):
+            oid = oid.strip()
             if not oid:
                 raise DataError(f"mappings[{index}] row {i}: empty object id")
-            label = row.get(subtype_col, "").strip() if subtype_col else fixed_label
+            if subtype_col:
+                label = label.strip()
             existing = objects.get(oid)
             if existing is not None:
                 if existing.type != stored:
@@ -336,12 +404,10 @@ class _Pipeline:
                 run.skip(i, "duplicate object id; first writer wins")
                 continue
             when = epoch
-            if time_col:
-                raw = row.get(time_col, "").strip()
-                if raw:
-                    when = parse_iso(raw)
+            if raw_time := raw_time.strip():
+                when = parse_iso(raw_time)
             values = [AttributeValue(attr, when, raw)
-                      for attr, col in attr_items if (raw := row.get(col, "").strip())]
+                      for attr, value in zip(attr_names, attr_cells) if (raw := value.strip())]
             if label and discriminator:
                 values.append(AttributeValue(discriminator, when, label))
             add_object(ObjectInstance(oid, stored, tuple(values)))
@@ -351,34 +417,35 @@ class _Pipeline:
             rule.activity_column, rule.id_column, rule.time_column, rule.time_format
         _require_columns(index, rule, table,
                          [time_col, activity_col or "", id_col or "", *rule.attribute_columns.values()])
-        attr_items = tuple(rule.attribute_columns.items())
+        attr_names = tuple(rule.attribute_columns)
         matrix_rows = {a: a for a in self.spec.xmatrix.activities}   # each to the matrix's own string
-        fixed = matrix_rows.get(rule.activity, rule.activity)
         activity_of: dict[str, str] = {}   # activity cell -> its matrix row, or the cell stripped
-        ids = None if id_col else self._synthesized_ids(rule, table)
+        if fixed := matrix_rows.get(rule.activity, rule.activity):   # each row reads it, resolved
+            activity_cells, activity_of[fixed] = repeat(fixed), fixed
+        else:
+            activity_cells = table.column(activity_col)
+        ids = table.column(id_col) if id_col else self._synthesized_ids(rule, table)
         events, add_event = self.log._events, self.log.add_event
-        for i, row in enumerate(table.rows):
-            if fixed:
-                activity = fixed
-            else:
-                cell = row.get(activity_col, "")
-                try:
-                    activity = activity_of[cell]
-                except KeyError:
-                    activity = activity_of[cell] = matrix_rows.get(stripped := cell.strip(), stripped)
+        for i, (cell, eid, raw_time, attr_cells) in enumerate(zip(
+                activity_cells, ids, table.column(time_col), table.cells(rule.attribute_columns.values()))):
+            try:
+                activity = activity_of[cell]
+            except KeyError:
+                activity = activity_of[cell] = matrix_rows.get(stripped := cell.strip(), stripped)
             if not activity:
                 raise DataError(f"mappings[{index}] row {i}: empty activity")
             if activity not in matrix_rows:
                 raise DataError(
                     f"mappings[{index}] row {i}: activity {activity!r} is not an extraction matrix row")
-            eid = row.get(id_col, "").strip() if id_col else ids[i]
+            if id_col:
+                eid = eid.strip()
             if not eid:
                 raise DataError(f"mappings[{index}] row {i}: empty event id")
             if eid in events:
                 raise DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
-            when = parse_with_format(row.get(time_col, "").strip(), fmt)
-            attrs = attr_items and tuple(   # no attributes: (), with no generator per row
-                (attr, raw) for attr, col in attr_items if (raw := row.get(col, "").strip()))
+            when = parse_with_format(raw_time.strip(), fmt)
+            attrs = attr_names and tuple(   # no attributes: (), with no generator per row
+                (attr, raw) for attr, value in zip(attr_names, attr_cells) if (raw := value.strip()))
             add_event(EventInstance(eid, activity, when, attrs))
 
     def _pair_of(self, cell: str, qualifier: str) -> tuple[str, str] | str:
@@ -400,17 +467,15 @@ class _Pipeline:
         _require_string_qualifier(index, qualifier)
         by_source, pair_of = self._o2o, self._pair_of
         resolved: dict[str, tuple[str, str] | str] = {}   # endpoint cell -> _pair_of(cell)
-        for i, row in enumerate(table.rows):
-            cell = row.get(source_col, "")
+        for i, (source_cell, target_cell) in enumerate(zip(table.column(source_col), table.column(target_col))):
             try:
-                source = resolved[cell]
+                source = resolved[source_cell]
             except KeyError:
-                source = resolved[cell] = pair_of(cell, qualifier)
-            cell = row.get(target_col, "")
+                source = resolved[source_cell] = pair_of(source_cell, qualifier)
             try:
-                rel = resolved[cell]
+                rel = resolved[target_cell]
             except KeyError:
-                rel = resolved[cell] = pair_of(cell, qualifier)
+                rel = resolved[target_cell] = pair_of(target_cell, qualifier)
             if not source or not rel:
                 run.skip(i, "empty endpoint id")
                 continue
@@ -433,11 +498,10 @@ class _Pipeline:
         object_col, event_col, qualifier = rule.object_id_column, rule.event_id_column, rule.qualifier
         _require_columns(index, rule, table, [object_col, event_col or ""])
         _require_string_qualifier(index, qualifier)
-        ids = None if event_col else self._synthesized_ids(rule, table)
+        ids = table.column(event_col) if event_col else self._synthesized_ids(rule, table)
         events, by_event, pair_of = self.log._events, self.log._e2o_by_event, self._pair_of
         resolved: dict[str, tuple[str, str] | str] = {}   # object cell -> _pair_of(cell)
-        for i, row in enumerate(table.rows):
-            cell = row.get(object_col, "")
+        for i, (cell, eid) in enumerate(zip(table.column(object_col), ids)):
             try:
                 rel = resolved[cell]
             except KeyError:
@@ -445,7 +509,8 @@ class _Pipeline:
             if not rel:
                 run.skip(i, "empty object id")
                 continue
-            eid = row.get(event_col, "").strip() if event_col else ids[i]
+            if event_col:
+                eid = eid.strip()
             if not eid:
                 run.skip(i, "empty event id")
                 continue

@@ -1,14 +1,19 @@
 import csv
 import dataclasses
+import errno
 import io
+import os
 import tracemalloc
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocedf import (
+    AttributeValue,
     DataError,
+    ObjectInstance,
     SchemaError,
     SourceTable,
     extract,
@@ -17,6 +22,7 @@ from ocedf import (
     synthesize_event_id,
     write_ocel_json,
 )
+from ocedf.extraction import CHUNK_ROWS
 from ocedf.specmodel import E2ORule, O2ORule
 from conftest import FIXTURES, load_fixture
 from reference_extraction import reference_extract
@@ -43,7 +49,7 @@ def tiny_spec_doc(mappings):
 
 
 def table(name, header, rows):
-    return SourceTable(name, header, [dict(zip(header, r)) for r in rows])
+    return SourceTable.from_rows(name, header, rows)
 
 
 BASE_MAPPINGS = [
@@ -139,14 +145,9 @@ class TestLoadSource:
 
     def test_shared_cells_hold_less_than_a_copy_per_cell(self, tmp_path):
         """A table of repeated values loads into less memory than the same
-        rows with each cell its own copy, as a CSV reader gives them: here by
-        more than a fifth, though one column's values are all distinct."""
-        p = tmp_path / "t.csv"
-        with p.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ts", "user", "page", "course"])
-            writer.writerows([f"2024-09-02 10:{i // 60 % 60:02d}:{i % 60:02d}", f"user-{i % 97}",
-                              f"page-{i % 7}", "course-1"] for i in range(3000))
+        rows with each cell its own copy, as a CSV reader gives them: here
+        into less than half, though one column's values are all distinct."""
+        p = _repeated_values_csv(tmp_path)
 
         def copy_per_cell():
             with p.open(newline="", encoding="utf-8") as fh:
@@ -154,18 +155,139 @@ class TestLoadSource:
                 header = next(reader)
                 return [dict(zip(header, row)) for row in reader]
 
-        held = []
-        for load in (lambda: load_source(p, "t").rows, copy_per_cell):
-            load()   # any first-call caches stay out of the count
-            tracemalloc.start()
-            try:
-                rows = load()
-                held.append(tracemalloc.get_traced_memory()[0])
-            finally:
-                tracemalloc.stop()
-            assert len(rows) == 3000
-        shared, copied = held
-        assert shared < 0.8 * copied
+        loaded, shared = _held_by(lambda: load_source(p, "t"))
+        rows, copied = _held_by(copy_per_cell)
+        assert loaded.row_count == len(rows) == 3000
+        assert shared < 0.5 * copied
+
+    def test_columns_hold_less_than_half_of_shared_dict_rows(self, tmp_path):
+        """Held by column, a table takes less than half the memory of the same
+        rows as one dict per row, with the same one copy of each distinct cell."""
+        p = _repeated_values_csv(tmp_path)
+
+        def dict_rows():
+            first_copy = {}.setdefault
+            with p.open(newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = [h.strip() for h in next(reader)]
+                return [dict(zip(header, map(first_copy, row, row))) for row in reader]
+
+        loaded, columns = _held_by(lambda: load_source(p, "t"))
+        rows, as_dicts = _held_by(dict_rows)
+        assert loaded.rows == rows
+        assert columns < 0.5 * as_dicts
+
+    def test_columns_cross_chunks(self, tmp_path):
+        p = tmp_path / "t.csv"
+        n = 3 * CHUNK_ROWS + 5
+        p.write_text("a,b\n" + "".join(f"{i},{i % 3}\n" for i in range(n)), encoding="utf-8")
+        t = load_source(p, "t")
+        assert t.row_count == n and [len(chunks) for chunks in t.chunks] == [4, 4]
+        assert list(t.column("a")) == [str(i) for i in range(n)]
+        assert list(t.column("b")) == [str(i % 3) for i in range(n)]
+        assert list(t.column("c")) == [""] * n   # as row.get("c", "") reads a record
+
+    def test_ragged_row_past_the_first_chunk_reports_its_index(self, tmp_path):
+        p = tmp_path / "t.csv"
+        rows = ["x,y"] * (CHUNK_ROWS + 4) + ["x"] + ["x,y"] * 3
+        p.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_source(p, "t")
+        assert str(err.value) == f"{p}: ragged row at data row {CHUNK_ROWS + 4}: expected 2 cells, found 1"
+
+    def test_blank_header_line_has_no_columns_but_counts_its_blank_rows(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("\n\n\n", encoding="utf-8")
+        t = load_source(p, "t")
+        assert (t.header, t.chunks, t.row_count) == ([], (), 2)
+        assert t.rows == [{}, {}]
+        assert list(t.column("a")) == ["", ""]
+
+    def test_from_rows_rejects_a_ragged_row(self):
+        with pytest.raises(DataError, match=r"^table 't': row 1 has 1 cells, expected 2$"):
+            SourceTable.from_rows("t", ["a", "b"], [["x", "y"], ["x"]])
+        assert SourceTable.from_rows("t", ["a", "b"], []) == SourceTable("t", ["a", "b"], ((), ()), 0)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"a,b\nx,y\n1,2,3\n", "{p}: ragged row at data row 1: expected 2 cells, found 3"),
+        (b"a,b, a\n1,2,3\n", "{p}: column 'a' appears twice in the header row"),
+        (b"", "{p}: empty file, expected a header row"),
+        (b"a,b\nx,\xff\n",
+         "{p}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+        (None, "cannot read {p}: [Errno {enoent}] {strerror}: '{p}'"),
+        # a ragged row raises before text past the reader's first 8 KiB is decoded
+        (b"a,b\nx\n" + (b"y," + b"z" * 300 + b"\n") * 40 + b"\xff,x\n",
+         "{p}: ragged row at data row 0: expected 2 cells, found 1"),
+    ], ids=["ragged", "repeated-header", "empty", "not-utf8", "missing", "ragged-before-not-utf8"])
+    def test_error_messages(self, tmp_path, content, message):
+        p = tmp_path / "t.csv"
+        if content is not None:
+            p.write_bytes(content)
+        with pytest.raises(DataError) as err:
+            load_source(p, "t")
+        assert str(err.value) == message.format(p=p, enoent=errno.ENOENT, strerror=os.strerror(errno.ENOENT))
+
+
+def _repeated_values_csv(tmp_path):
+    """A 3,000-row table: one column of distinct values, three of repeated ones."""
+    p = tmp_path / "t.csv"
+    with p.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ts", "user", "page", "course"])
+        writer.writerows([f"2024-09-02 10:{i // 60 % 60:02d}:{i % 60:02d}", f"user-{i % 97}",
+                          f"page-{i % 7}", "course-1"] for i in range(3000))
+    return p
+
+
+def _held_by(load):
+    """What ``load()`` returns and the bytes it holds, by ``tracemalloc``."""
+    load()   # any first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        result = load()
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+# Cells a CSV writer must quote or that pad, repeat or go empty.
+CSV_CELLS = ["x", " x ", "", "x,y", 'say "hi"', "two\nlines", "é", "1"]
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows) of a CSV table: header names unique once stripped, and
+    from none to a few chunks of rows drawn again and again from a few."""
+    header = draw(st.lists(st.sampled_from(["a", " b ", "c,d", 'e"f', "g"]), min_size=1, max_size=4,
+                           unique_by=str.strip))
+    pool = draw(st.lists(st.lists(st.sampled_from(CSV_CELLS), min_size=len(header), max_size=len(header)),
+                         min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    repeats = draw(st.sampled_from([1, CHUNK_ROWS // 3, CHUNK_ROWS + 1]))
+    return header, [pool[k] for k in picks for _ in range(repeats)]
+
+
+@given(drawn=csv_tables())
+@settings(max_examples=150, deadline=None)
+def test_load_source_columns_are_the_reader_rows_transposed(tmp_path_factory, drawn):
+    header, rows = drawn
+    p = tmp_path_factory.getbasetemp() / "drawn.csv"
+    with p.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    with p.open(newline="", encoding="utf-8") as fh:
+        read_header, *read_rows = csv.reader(fh)
+    t = load_source(p, "drawn")
+    assert t.header == [h.strip() for h in read_header]
+    assert t.row_count == len(read_rows) == len(rows)
+    assert [list(t.column(h)) for h in t.header] == [[row[j] for row in read_rows] for j in range(len(header))]
+    assert t.rows == [dict(zip(t.header, row)) for row in read_rows]
+    assert SourceTable.from_rows("drawn", t.header, read_rows) == t
+    first = {}
+    for column in t.chunks:
+        for chunk in column:
+            assert len(chunk) <= CHUNK_ROWS
+            for cell in chunk:   # equal cells are one object, across rows and columns
+                assert first.setdefault(cell, cell) is cell
 
 
 class TestSynthesizedIds:
@@ -285,6 +407,127 @@ class TestExtract:
         log, report = run_tiny()
         assert report.counts == {"object": len(log.objects), "event": len(log.events),
                                  "e2o": len(log.e2o), "o2o": len(log.o2o)}
+
+
+EPOCH = datetime(2024, 9, 1, tzinfo=timezone.utc)
+LINKS_RULE = {"kind": "e2o", "source_table": "links", "event_id_column": "eid",
+              "object_id_column": "uid", "qualifier": "reader"}
+
+
+def _summary(log, report):
+    """What a run stored and counted, in a form to compare whole."""
+    return {
+        "counts": report.counts,
+        "rules": [(r.rule_index, r.rows_in, r.rows_loaded, r.rows_skipped) for r in report.rule_runs],
+        "skipped": skips(report),
+        "objects": sorted(log.objects),
+        "events": sorted(log.events),
+        "o2o": sorted(log.o2o),
+        "e2o": sorted(log.e2o),
+    }
+
+
+class TestRulesOverColumns:
+    """Each rule kind over tables held by column: tables without data rows,
+    synthesized ids over several chunks, and rules naming no optional column."""
+
+    @pytest.mark.parametrize("empty, expected", [
+        ("users", {   # object rule
+            "counts": {"object": 1, "event": 3, "e2o": 3, "o2o": 0},
+            "rules": [(0, 0, 0, 0), (1, 1, 1, 0), (2, 2, 0, 2), (3, 3, 3, 0), (4, 3, 0, 3),
+                      (5, 3, 3, 0), (6, 2, 0, 2)],
+            "skipped": {2: {"o2o references unknown object": [2, 0]},
+                        4: {"e2o references unknown object": [3, 0]},
+                        6: {"e2o references unknown object": [2, 0]}},
+            "objects": ["c1"], "events": ["events:0", "events:1", "events:2"], "o2o": [],
+            "e2o": [("events:0", "c1", "course"), ("events:1", "c1", "course"),
+                    ("events:2", "c1", "course")]}),
+        ("enrollments", {   # o2o rule
+            "counts": {"object": 3, "event": 3, "e2o": 8, "o2o": 0},
+            "rules": [(0, 2, 2, 0), (1, 1, 1, 0), (2, 0, 0, 0), (3, 3, 3, 0), (4, 3, 3, 0),
+                      (5, 3, 3, 0), (6, 2, 2, 0)],
+            "skipped": {},
+            "objects": ["c1", "u1", "u2"], "events": ["events:0", "events:1", "events:2"], "o2o": [],
+            "e2o": [("events:0", "c1", "course"), ("events:0", "u1", "actor"),
+                    ("events:0", "u2", "reader"), ("events:1", "c1", "course"),
+                    ("events:1", "u2", "actor"), ("events:2", "c1", "course"),
+                    ("events:2", "u1", "actor"), ("events:2", "u1", "reader")]}),
+        ("events", {   # event rule, and E2O rules naming its synthesized ids
+            "counts": {"object": 3, "event": 0, "e2o": 0, "o2o": 2},
+            "rules": [(0, 2, 2, 0), (1, 1, 1, 0), (2, 2, 2, 0), (3, 0, 0, 0), (4, 0, 0, 0),
+                      (5, 0, 0, 0), (6, 2, 0, 2)],
+            "skipped": {6: {"e2o references unknown event": [2, 0]}},
+            "objects": ["c1", "u1", "u2"], "events": [],
+            "o2o": [("c1", "u1", "enrolls"), ("c1", "u2", "enrolls")], "e2o": []}),
+        ("links", {   # e2o rule with an event id column
+            "counts": {"object": 3, "event": 3, "e2o": 6, "o2o": 2},
+            "rules": [(0, 2, 2, 0), (1, 1, 1, 0), (2, 2, 2, 0), (3, 3, 3, 0), (4, 3, 3, 0),
+                      (5, 3, 3, 0), (6, 0, 0, 0)],
+            "skipped": {},
+            "objects": ["c1", "u1", "u2"], "events": ["events:0", "events:1", "events:2"],
+            "o2o": [("c1", "u1", "enrolls"), ("c1", "u2", "enrolls")],
+            "e2o": [("events:0", "c1", "course"), ("events:0", "u1", "actor"),
+                    ("events:1", "c1", "course"), ("events:1", "u2", "actor"),
+                    ("events:2", "c1", "course"), ("events:2", "u1", "actor")]}),
+    ])
+    @pytest.mark.parametrize("on_dangling", ["skip", "fail"])
+    def test_a_table_without_data_rows(self, empty, expected, on_dangling):
+        sources = dict(BASE_SOURCES, links=table("links", ["eid", "uid"], [["events:0", "u2"], ["events:2", "u1"]]))
+        sources[empty] = table(empty, sources[empty].header, [])
+        if on_dangling == "fail" and expected["skipped"]:
+            with pytest.raises(DataError, match=r"^mappings\[\d\] row 0: (o2o|e2o) references unknown"):
+                run_tiny([*BASE_MAPPINGS, LINKS_RULE], sources, on_dangling=on_dangling)
+            return
+        log, report = run_tiny([*BASE_MAPPINGS, LINKS_RULE], sources, on_dangling=on_dangling)
+        assert _summary(log, report) == expected
+
+    def test_event_rule_without_id_column_names_each_row_by_its_index(self):
+        n = 2 * CHUNK_ROWS + 3
+        mappings = [BASE_MAPPINGS[0],
+                    {"kind": "event", "source_table": "ev", "activity": "view page",
+                     "time_column": "ts", "time_format": PLAIN},
+                    {"kind": "e2o", "source_table": "ev", "object_id_column": "uid", "qualifier": "actor"}]
+        sources = {"users": BASE_SOURCES["users"],
+                   "ev": table("ev", ["ts", "uid"], [[f"2024-09-02 10:{i // 60:02d}:{i % 60:02d}",
+                                                     ("u1", " u2", "", "ghost")[i % 4]] for i in range(n)])}
+        log, report = run_tiny(mappings, sources)
+        assert sorted(log.events) == sorted(f"ev:{i}" for i in range(n))
+        assert [log.events[f"ev:{i}"].time.minute * 60 + log.events[f"ev:{i}"].time.second
+                for i in range(n)] == list(range(n))
+        assert sorted(log.e2o) == sorted((f"ev:{i}", ("u1", "u2")[i % 4], "actor")
+                                         for i in range(n) if i % 4 < 2)
+        assert _summary(log, report)["rules"] == [(0, 2, 2, 0), (1, n, n, 0), (2, n, 58, 57)]
+        assert skips(report) == {2: {"empty object id": [29, 2], "e2o references unknown object": [28, 3]}}
+
+    def test_event_rule_strips_its_id_cells(self):
+        mappings = [{"kind": "event", "source_table": "ev", "activity": "view page", "id_column": "eid",
+                     "time_column": "ts", "time_format": PLAIN}]
+        rows = [[" e1 ", "2024-09-02 10:00:00"], ["e2", "2024-09-02 11:00:00"]]
+        log, _ = run_tiny(mappings, {"ev": table("ev", ["eid", "ts"], rows)})
+        assert sorted(log.events) == ["e1", "e2"]
+        with pytest.raises(DataError, match=r"^mappings\[0\] row 2: duplicate event id 'e1'$"):
+            run_tiny(mappings, {"ev": table("ev", ["eid", "ts"], [*rows, ["e1", "2024-09-02 12:00:00"]])})
+
+    def test_object_rule_without_optional_columns(self):
+        """Without ``subtype_column`` a subtype rule labels every object with its
+        type, and without ``attribute_time_column`` every value holds at the
+        extraction epoch, though the table has columns of those names."""
+        mappings = [
+            {"kind": "object", "source_table": "staff", "id_column": "sid", "object_type": "Teacher",
+             "attributes": {"name": "name"}},
+            {"kind": "object", "source_table": "staff", "id_column": "cid", "object_type": "Course"},
+        ]
+        sources = {"staff": table("staff", ["sid", "name", "role", "since", "cid"],
+                                  [["t1", "Bo", "Student", "2024-10-05T12:00:00Z", "c1"],
+                                   [" t2 ", "", "", "", "c1"]])}
+        log, report = run_tiny(mappings, sources)
+        assert log.objects == {
+            "t1": ObjectInstance("t1", "User", (AttributeValue("name", EPOCH, "Bo"),
+                                                AttributeValue("role", EPOCH, "Teacher"))),
+            "t2": ObjectInstance("t2", "User", (AttributeValue("role", EPOCH, "Teacher"),)),
+            "c1": ObjectInstance("c1", "Course", ()),
+        }
+        assert skips(report) == {1: {"duplicate object id; first writer wins": [1, 1]}}
 
 
 class TestDanglingPolicy:
@@ -552,7 +795,7 @@ def _table_of(name, header, rows, shared):
     ``load_source`` gives, and otherwise each cell its own ``_fresh`` copy."""
     first_copy = {}
     cell = (lambda c: first_copy.setdefault(c, _fresh(c))) if shared else _fresh
-    return SourceTable(name, header, [{h: cell(c) for h, c in zip(header, r)} for r in rows])
+    return SourceTable.from_rows(name, header, [[cell(c) for c in r] for r in rows])
 
 
 @st.composite

@@ -1,0 +1,47 @@
+"""Smoke test of ``scripts/scale_ladder.py`` on a course of 20 students."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale_ladder.py"
+
+_spec = importlib.util.spec_from_file_location("scale_ladder", SCRIPT)
+scale_ladder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale_ladder)
+
+RUN_KEYS = {"label", "commit", "dirty", "python", "machine", "seed", "courses", "per_event_growth"}
+COURSE_KEYS = {"students", "build_seconds", "events", "source_rows", "ocel_json_bytes", "stages"}
+STAGE_KEYS = {"seconds", "seconds_per_event", "gc_seconds", "gc_collections",
+              "rss_before_mb", "peak_rss_mb", "peak_rss_bytes_per_event"}
+
+
+def test_ladder_writes_every_key(tmp_path):
+    out, work = tmp_path / "BENCH_scale.json", tmp_path / "work"
+    subprocess.run([sys.executable, str(SCRIPT), "--students", "20", "--seed", "3", "--label", "smoke",
+                    "--out", str(out), "--work", str(work)],
+                   check=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
+    run, = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert set(run) == RUN_KEYS
+    assert (run["label"], run["seed"], run["python"]) == ("smoke", 3, sys.version.split()[0])
+    course, = run["courses"]
+    assert set(course) == COURSE_KEYS and course["students"] == 20
+    assert course["events"] > 0 and course["source_rows"] > 0 and course["ocel_json_bytes"] > 0
+    assert list(course["stages"]) == list(scale_ladder.STAGES)
+    for stage, measured in course["stages"].items():
+        traced = {"tracemalloc_peak_mb"} if stage in scale_ladder.TRACED_STAGES else set()
+        assert set(measured) == STAGE_KEYS | traced, stage
+        assert measured["seconds"] > 0 and measured["peak_rss_mb"] >= measured["rss_before_mb"] > 0
+        assert measured["seconds_per_event"] == measured["seconds"] / course["events"]
+    assert run["per_event_growth"] == {"from_to": [20, 20], **dict.fromkeys(scale_ladder.STAGES, 1.0)}
+    assert not work.exists()   # each course is removed once measured
+
+
+def test_a_run_replaces_only_the_run_of_its_label(tmp_path):
+    out = tmp_path / "BENCH_scale.json"
+    for run in ({"label": "before", "n": 1}, {"label": "after", "n": 2}, {"label": "before", "n": 3}):
+        scale_ladder.write_run(out, run)
+    assert json.loads(out.read_text(encoding="utf-8"))["runs"] == [
+        {"label": "after", "n": 2}, {"label": "before", "n": 3}]
