@@ -23,8 +23,8 @@ indexes, re-checks only what it changes, and owns its containers. The OCEL
 JSON writer joins each record's line from encoded parts; ``ocel_to_dict``
 parses that text, so one record builder serves both. The reader builds a
 text in the writer's layout one record at a time, so its parsed document is
-never held whole, and parses any other text whole; both run each record
-through the same checks, and give the same log or the same error.
+never held whole, and parses any other text whole; both build the records in
+one order, through one loop, and give the same log or the same error.
 """
 
 from __future__ import annotations
@@ -635,28 +635,7 @@ def ocel_from_dict(doc: Any) -> OcedLog:
 
     Every defect of the document raises ``OcelDocumentError`` naming the
     JSON path of the offending entry. The entries' shape is checked here; the
-    types, attributes and value kinds they name are checked by ``add_*``.
-
-    Relationships resolve once every object and event is stored. Each
-    distinct (objectId, qualifier) of the document is checked once and
-    stored as one pair, which every record relating it shares; a record whose
-    relations are all known pairs is one lookup per relation. Each record's
-    owner is resolved once, and its pairs are sorted and stored as its tuple
-    in one step. A record with any defect is replayed through ``relate_*``,
-    so the first defect in document order is reported with the message and
-    path that relation by relation would give."""
-    log = _log_without_relations(doc)
-    pairs: dict[tuple[str, str], tuple[str, str]] = {}   # (objectId, qualifier) -> stored pair
-    for key in ("objects", "events"):
-        store = _relations_storer(log, key, pairs)
-        for i, entry in enumerate(doc[key]):
-            store(i, entry)
-    return log
-
-
-def _log_without_relations(doc: Any) -> OcedLog:
-    """The log of ``doc``'s types, objects and events, with each record's
-    ``relationships`` checked to be a list but not yet related."""
+    types, attributes and value kinds they name are checked by ``add_*``."""
     if not isinstance(doc, dict):
         raise OcelDocumentError("top level must be a JSON object")
     for key in ("objectTypes", "eventTypes", "objects", "events"):
@@ -665,10 +644,31 @@ def _log_without_relations(doc: Any) -> OcedLog:
     log = _typed_log(doc["objectTypes"], doc["eventTypes"])
     if not isinstance(doc["objects"], list) or not isinstance(doc["events"], list):
         raise OcelDocumentError("'objects' and 'events' must be lists")
-    for i, entry in enumerate(doc["objects"]):
+    return _add_records(log, doc["objects"], doc["events"])
+
+
+def _add_records(log: OcedLog, objects: list, events: Iterable) -> OcedLog:
+    """``log`` with the ``objects`` and ``events`` entries added in the order
+    both readers share: every object, then the O2O relations, then each event
+    added and related in turn. The first defect in that order raises.
+
+    Each distinct (objectId, qualifier) of the document is checked once and
+    stored as one pair, which every record relating it shares; a record whose
+    relations are all known pairs is one lookup per relation. Each record's
+    owner is resolved once, and its pairs are sorted and stored as its tuple
+    in one step. A record with any defect is replayed through ``relate_*``,
+    so its first defect is reported with the message and path that relation
+    by relation would give."""
+    for i, entry in enumerate(objects):
         _add_object_entry(log, i, entry)
-    for i, entry in enumerate(doc["events"]):
+    pairs: dict[tuple[str, str], tuple[str, str]] = {}   # (objectId, qualifier) -> stored pair
+    store = _relations_storer(log, "objects", pairs)
+    for i, entry in enumerate(objects):
+        store(i, entry)
+    store = _relations_storer(log, "events", pairs)
+    for i, entry in enumerate(events):
         _add_event_entry(log, i, entry)
+        store(i, entry)
     return log
 
 
@@ -823,15 +823,15 @@ def _read_writer_layout(text: str) -> OcedLog | None:
     ``,\\n``, ``\\n]``, and finally ``\\n}`` and JSON whitespace. A JSON
     string holds no raw line break, so each one in the frame is structural.
     The C scanner of ``json.loads`` parses each record in place. The types
-    and objects are read whole and the O2O pairs stored once every object
-    is; then each event is added and related as it is scanned, and its
-    record dropped, so the parsed document is never held whole. Each record
-    goes through ``ocel_from_dict``'s checks, and the log holds the same
-    dicts, in the same order, sharing the same pairs.
+    and objects are scanned whole; then ``_add_records`` builds the log as
+    ``ocel_from_dict`` does, and each event's record is dropped once it is
+    stored, so the parsed document is never held whole.
 
-    A mismatch with the frame, text the scanner rejects and any defect give
-    None, and the partial log is dropped: parsed whole, the text then raises
-    at its first defect in document order, as it always did."""
+    A mismatch with the frame, or text the scanner rejects, gives None:
+    parsed whole, the text reads as it always did. A record defect raises
+    only once the rest of the frame is scanned, its records dropped unbuilt,
+    and found to hold to the end: a later break, such as a syntax error or a
+    repeated top-level key (``json.loads`` keeps the last), gives None too."""
     scan_once = json.JSONDecoder().scan_once   # per read: no two threads share its key memo
     pos = 0
 
@@ -843,7 +843,7 @@ def _read_writer_layout(text: str) -> OcedLog | None:
 
     def records(key: str) -> Iterator[Any]:
         nonlocal pos
-        expect(f'\n"{key}": [')
+        expect(f'{"{" if key == "objectTypes" else ","}\n"{key}": [')   # as the writer opens it
         separator = "\n"
         while not text.startswith("\n]", pos):
             expect(separator)
@@ -855,28 +855,26 @@ def _read_writer_layout(text: str) -> OcedLog | None:
             separator = ",\n"
         pos += 2
 
-    try:
-        expect("{")
-        object_types = list(records("objectTypes"))
-        expect(",")
-        log = _typed_log(object_types, list(records("eventTypes")))
-        expect(",")
-        objects = list(records("objects"))
-        for i, entry in enumerate(objects):
-            _add_object_entry(log, i, entry)
-        pairs: dict[tuple[str, str], tuple[str, str]] = {}
-        store = _relations_storer(log, "objects", pairs)
-        for i, entry in enumerate(objects):
-            store(i, entry)
-        expect(",")
-        store = _relations_storer(log, "events", pairs)
-        for i, entry in enumerate(records("events")):
-            _add_event_entry(log, i, entry)
-            store(i, entry)
+    def closes() -> bool:
         expect("\n}")
         # only what json.loads skips after a document: str.strip() would take "\x0b" too
-        return None if text[pos:].strip(" \t\n\r") else log
-    except (ValueError, RecursionError, OcelDocumentError, SchemaError):
+        return not text[pos:].strip(" \t\n\r")
+
+    try:
+        object_types = list(records("objectTypes"))
+        event_types = list(records("eventTypes"))
+        objects = list(records("objects"))
+        events = records("events")
+        try:
+            log = _add_records(_typed_log(object_types, event_types), objects, events)
+        except (OcelDocumentError, SchemaError):
+            for _ in events:   # the rest of the frame, scanned but not built
+                pass
+            if closes():
+                raise
+            return None
+        return log if closes() else None
+    except (ValueError, RecursionError):
         return None
 
 
@@ -884,9 +882,10 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     """Parse an OCEL 2.0 JSON document from a path or open file.
 
     A text in ``write_ocel_json``'s layout is read one record at a time, so
-    its parsed document is never held whole. Any other layout, and any text
-    with a defect, is parsed whole and built by ``ocel_from_dict``; either
-    way the log, and the error with its message and JSON path, are the same.
+    its parsed document is never held whole, and a defect in it is reported
+    from that one pass. Any other layout is parsed whole and built by
+    ``ocel_from_dict``, in the same order; either way the log, and the error
+    with its message and JSON path, are the same.
     A source that is not UTF-8 text raises ``OcelDocumentError`` too; any
     other failure to read it, such as a closed file, propagates unchanged.
 

@@ -8,10 +8,11 @@ sets, formatting every time through ``format_iso``, and ``write_text``
 renders it with ``json.dumps(indent=2)``. ``write_streamed_text`` lays the
 same records out one per line, each encoded whole by ``json.JSONEncoder``.
 ``ocel_from_dict`` relates every relation through ``relate_*``, one at a
-time. The differential tests in ``test_ocel_json.py`` require the writer to
-give the same document, and the very bytes of ``write_streamed_text``, and
-the reader the same log or the same error. ``stored`` is the oracle for the
-differential test of ``add_*`` in ``test_ocel.py``.
+time, in the reader's order. The differential tests in ``test_ocel_json.py``
+require the writer to give the same document, and the very bytes of
+``write_streamed_text``, and the reader the same log or the same error.
+``stored`` is the oracle for the differential test of ``add_*`` in
+``test_ocel.py``.
 """
 
 import json
@@ -106,21 +107,38 @@ def _streamed_chunks(doc: dict):
 
 
 def ocel_from_dict(doc) -> OcedLog:
-    """The log of ``doc``, each relation checked and related on its own."""
-    log = ocel._log_without_relations(doc)
-    for key, relate in (("objects", log.relate_objects), ("events", log.relate_event_object)):
-        for i, entry in enumerate(doc[key]):
-            for j, rel in enumerate(entry.get("relationships", ())):
-                qualifier = rel.get("qualifier", "") if isinstance(rel, dict) else None
-                if not isinstance(qualifier, str) or not isinstance(rel.get("objectId"), str):
-                    raise OcelDocumentError("relationship entries need a string 'objectId' and, "
-                                            "if any, a string 'qualifier'", f"{key}[{i}].relationships[{j}]")
-                try:
-                    relate(entry["id"], rel["objectId"], qualifier)
-                except SchemaError as exc:
-                    raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}",
-                                            f"{key}[{i}].relationships[{j}]") from None
+    """The log of ``doc``, each relation checked and related on its own: every
+    object, then each O2O relation, then each event added and related in turn."""
+    if not isinstance(doc, dict):
+        raise OcelDocumentError("top level must be a JSON object")
+    for key in ("objectTypes", "eventTypes", "objects", "events"):
+        if key not in doc:
+            raise OcelDocumentError(f"missing top-level key {key!r}")
+    log = ocel._typed_log(doc["objectTypes"], doc["eventTypes"])
+    if not isinstance(doc["objects"], list) or not isinstance(doc["events"], list):
+        raise OcelDocumentError("'objects' and 'events' must be lists")
+    for i, entry in enumerate(doc["objects"]):
+        ocel._add_object_entry(log, i, entry)
+    for i, entry in enumerate(doc["objects"]):
+        _relate(log.relate_objects, "objects", i, entry)
+    for i, entry in enumerate(doc["events"]):
+        ocel._add_event_entry(log, i, entry)
+        _relate(log.relate_event_object, "events", i, entry)
     return log
+
+
+def _relate(relate, key, i, entry):
+    """Relate record ``key[i]``'s relationships one at a time through ``relate``."""
+    for j, rel in enumerate(entry.get("relationships", ())):
+        qualifier = rel.get("qualifier", "") if isinstance(rel, dict) else None
+        if not isinstance(qualifier, str) or not isinstance(rel.get("objectId"), str):
+            raise OcelDocumentError("relationship entries need a string 'objectId' and, "
+                                    "if any, a string 'qualifier'", f"{key}[{i}].relationships[{j}]")
+        try:
+            relate(entry["id"], rel["objectId"], qualifier)
+        except SchemaError as exc:
+            raise OcelDocumentError(f"{key[:-1]} {entry['id']!r}: {exc}",
+                                    f"{key}[{i}].relationships[{j}]") from None
 
 
 def stored(inst, kinds):

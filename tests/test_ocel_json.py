@@ -643,6 +643,30 @@ RECORD_DEFECTS.update({
                                          "requires a non-empty qualifier"),
 })
 
+
+def _then_undeclared_event(doc):
+    """``doc`` with a last event ``e2`` of an undeclared type."""
+    doc["events"].append({**doc["events"][0], "id": "e2", "type": "undeclared"})
+    return doc
+
+
+# Two defective records: every object and its O2O relations come first, then
+# each event with its E2O relations, so a relation defect comes before a
+# defect of a later event.
+RECORD_DEFECTS.update({
+    "E2O before a later event": (_then_undeclared_event(_relationships({"objectId": "nope"})),
+                                 "events[0].relationships[0]", "unknown object 'nope'"),
+    "O2O before an event": (_then_undeclared_event(_relationships({"objectId": "nope"},
+                                                                  record=("objects", 0))),
+                            "objects[0].relationships[0]", "unknown object 'nope'"),
+})
+
+
+def _layout(doc) -> str:
+    """``doc`` in the writer's layout, whatever its records hold."""
+    return "".join(ref._streamed_chunks(doc))
+
+
 @pytest.mark.parametrize("name", sorted(RECORD_DEFECTS))
 def test_first_defect_of_a_record_is_reported(name):
     doc, path, message = RECORD_DEFECTS[name]
@@ -650,6 +674,10 @@ def test_first_defect_of_a_record_is_reported(name):
     with pytest.raises(OcelDocumentError, match=message) as err:
         ocel_from_dict(doc)
     assert err.value.path == path
+    for text in (json.dumps(doc), _layout(doc)):   # parsed whole, and read a record at a time
+        with pytest.raises(OcelDocumentError) as read:
+            read_ocel_json(io.StringIO(text))
+        assert (str(read.value), read.value.path) == (str(err.value), path)
 
 
 # -- the collector is paused during a read, and the caller's state restored --------
@@ -796,6 +824,13 @@ _WHITESPACE = st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\u2028", "\ufeff"
 
 
 def _edited(text, data):
+    """``text`` with one edit drawn from ``data``, and half the time a second
+    one, so that a record defect may meet a later break of the frame."""
+    text = _edit(text, data)
+    return _edit(text, data) if data.draw(st.booleans()) else text
+
+
+def _edit(text, data):
     """``text`` with one edit drawn from ``data``: a line deleted, duplicated
     or swapped with another, a character changed or removed, whitespace added
     inside or after the document, a BOM, CRLF line ends, a cut, a duplicate
@@ -834,7 +869,10 @@ def _edited(text, data):
         return text[:at]
     elif edit == "duplicate key":
         i = data.draw(st.sampled_from(records))
-        record = json.loads(lines[i].removesuffix(","))
+        try:
+            record = json.loads(lines[i].removesuffix(","))
+        except ValueError:   # a record line an earlier edit broke
+            return text[:at]
         key = data.draw(st.sampled_from(sorted(record)))
         value = data.draw(st.sampled_from([json.dumps(record[key], ensure_ascii=False),
                                            '"dup"', "[]", "5"]))
@@ -868,6 +906,59 @@ def test_fixtures_read_as_parsed_whole(fixture, request):
     text = _text(log)
     assert ocel._read_writer_layout(text) is not None
     assert_reads_as_parsed_whole(text)
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_set(["objects", 1, "type"], "undeclared"), "objects[1]"),
+    (_set(["objects", 0, "relationships", 0, "objectId"], "nope"), "objects[0].relationships[0]"),
+    (_set(["events", 0, "type"], "undeclared"), "events[0]"),
+    (_set(["events", 0, "relationships", 0, "objectId"], "nope"), "events[0].relationships[0]"),
+], ids=["object", "O2O", "event", "E2O"])
+def test_a_defect_in_the_writer_layout_is_built_once(edit, path, monkeypatch):
+    """A record defect in text of the writer's layout raises from the one
+    pass that builds the log: the text is never parsed whole."""
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    edit(doc)
+    builds = []
+    add_records = ocel._add_records
+
+    def spy(*args):
+        builds.append(gc.isenabled())
+        return add_records(*args)
+
+    monkeypatch.setattr(ocel, "_add_records", spy)
+    monkeypatch.setattr(ocel, "_load_document", None)
+    monkeypatch.setattr(ocel, "ocel_from_dict", None)
+    with pytest.raises(OcelDocumentError) as err:
+        read_ocel_json(io.StringIO(_layout(doc)))
+    assert err.value.path == path
+    assert builds == [False]
+    assert gc.isenabled()
+
+
+def _undeclared_first(section):
+    """BASE_DOCUMENT in the writer's layout, the type of the first record of
+    ``section`` undeclared."""
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    doc[section][0]["type"] = "undeclared"
+    return _layout(doc)
+
+
+@pytest.mark.parametrize("text, error", [
+    (_undeclared_first("objects").replace('"id": "e1"', '"id" "e1"'), "malformed JSON"),
+    (_undeclared_first("events").removesuffix("\n}\n") + ',\n"events": []\n}\n', None),
+    (_undeclared_first("events") + "\x0b", "malformed JSON"),
+], ids=["later syntax error", "events key repeated", "vertical tab after"])
+def test_a_record_defect_waits_for_the_end_of_the_frame(text, error):
+    """A record defect of the writer's layout is raised only once the frame
+    holds to the end: a later syntax error makes the text malformed JSON,
+    and a repeated key replaces the first, as ``json.loads`` keeps the last."""
+    assert_reads_as_parsed_whole(text)
+    if error is None:
+        assert not read_ocel_json(io.StringIO(text)).events
+    else:
+        with pytest.raises(OcelDocumentError, match=error):
+            read_ocel_json(io.StringIO(text))
 
 
 def test_writer_layout_peaks_below_the_whole_parse(case_study):
