@@ -6,19 +6,23 @@
 
 Each course is built once by ``benchmark/course.py`` with the given seed.
 Then ``load_source`` (every table of the course), ``extract``,
-``write_ocel_json`` and ``read_ocel_json`` each run in a child process of
+``write_ocel_json``, ``read_ocel_json`` and ``verify`` (``derive_matrix``
+and ``check``, as ``ocedf verify`` runs them) each run in a child process of
 their own, one child at a time, started with ``subprocess.run``. A child
 runs the stages before its own untimed, so the ``extract`` child loads the
 sources and the ``write`` child loads and extracts; the ``read`` child reads
-the file that the ``write`` child wrote. The code measured is the ``ocedf``
-package under ``--src`` (default: this checkout's ``src``), so the same
-ladder can measure another checkout.
+the file that the ``write`` child wrote, and the ``verify`` child reads it
+untimed. The code measured is the ``ocedf`` package under ``--src``
+(default: this checkout's ``src``), so the same ladder can measure another
+checkout.
 
 For each stage a child records its seconds, the GC's seconds and
 collections while it ran (through ``gc.callbacks``), the process's peak RSS
 when the stage began and when it ended, and the stage's event count. For
 ``load``, ``extract`` and ``read`` one more child runs the stage under
-``tracemalloc``, started as the stage begins, and records its peak. The
+``tracemalloc``, started as the stage begins, and records its peak. Once
+its stage is measured, the ``read`` child also times a bare ``json.loads``
+of the file's text, with the GC paused as the read pauses it. The
 ladder adds seconds and peak RSS per event (the events of the course) and,
 for each stage, its seconds per event at the largest course over those at
 the smallest. The run, labelled ``--label`` with the measured checkout's
@@ -43,7 +47,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("load", "extract", "write", "read")
+STAGES = ("load", "extract", "write", "read", "verify")
 TRACED_STAGES = ("load", "extract", "read")   # also run under tracemalloc
 LOG_NAME = "course.ocel.json"
 CHILD_TIMEOUT_S = 1800
@@ -74,7 +78,7 @@ class _GcClock:
 
 def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
     """Run the stages before ``stage`` untimed, then ``stage`` measured."""
-    from ocedf import extraction, ocel, specmodel
+    from ocedf import extraction, ocel, specmodel, verification
 
     def load(spec):
         sources = {}
@@ -90,11 +94,14 @@ def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
         "extract": lambda state: {"log": extraction.extract(spec, state.pop("sources"))[0]},
         "write": lambda state: ocel.write_ocel_json(state["log"], course / LOG_NAME),
         "read": lambda state: {"log": ocel.read_ocel_json(course / LOG_NAME)},
+        "verify": lambda state: {"report": verification.check(
+            verification.derive_matrix(state["log"], spec.xmatrix, spec.schema), spec.xmatrix)},
     }
     state: dict = {}
-    if stage != "read":   # read starts from the file the write child left
-        for earlier in STAGES[:STAGES.index(stage)]:
-            state.update(steps[earlier](state) or {})
+    # read and verify start from the file the write child left
+    first = STAGES.index("read") if stage in ("read", "verify") else 0
+    for earlier in STAGES[first:STAGES.index(stage)]:
+        state.update(steps[earlier](state) or {})
     gc.collect()
     clock = _GcClock()
     rss_before = _peak_rss_mb()
@@ -111,6 +118,13 @@ def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
     if trace_memory:
         result["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
+    elif stage == "read":
+        text = (course / LOG_NAME).read_text(encoding="utf-8")
+        gc.disable()
+        started = perf_counter()
+        json.loads(text)
+        result["json_loads_seconds"] = perf_counter() - started
+        gc.enable()
     if "log" in state:
         result["events"] = len(state["log"].events)
     return result
@@ -232,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{entry['students']} students, {entry['events']} events: " + ", ".join(
             f"{stage} {m['seconds']:.3f} s ({m['seconds_per_event'] * 1e6:.1f} µs/event)"
             for stage, m in entry["stages"].items()))
+        read = entry["stages"]["read"]
+        print(f"  read over a bare json.loads: {read['seconds'] / read['json_loads_seconds']:.2f}x")
     growth = run["per_event_growth"]
     print(f"per-event cost, {growth['from_to'][1]} over {growth['from_to'][0]} students: " + ", ".join(
         f"{stage} {growth[stage]:.2f}x" for stage in STAGES))

@@ -339,16 +339,14 @@ class _Pipeline:
         each key's sorted once."""
         oced_log = self.log
         if phase == 2:
-            by_source = oced_log._o2o_by_source
+            by_source, shared = oced_log._o2o_by_source, {}
             for source, rels in self._o2o.items():
-                _store_sorted(by_source, source, [*rels])
+                _store_sorted(by_source, source, [*rels], shared)
             self._o2o = {}   # freed before phase 3 grows the E2O tuples
         elif phase == 3:   # each event's tuple, grown in the log, is replaced in place
-            by_event = oced_log._e2o_by_event
-            shared: dict[tuple, tuple] = {}   # each distinct sorted tuple, kept once
+            by_event, shared = oced_log._e2o_by_event, {}   # each distinct sorted tuple, kept once
             for eid, rels in by_event.items():
-                rels = tuple(sorted(rels))
-                by_event[eid] = shared.setdefault(rels, rels)
+                _store_sorted(by_event, eid, [*rels], shared)
             oced_log._traces = None
 
     def _run_rule(self, index: int, phase: int, rule) -> None:

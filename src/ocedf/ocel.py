@@ -10,21 +10,21 @@ once, as it stores it. Each relation is held once, as a plain ``(other id,
 qualifier)`` pair under its event (E2O) or its source object (O2O), in a
 tuple sorted as OCEL JSON emits it; ``E2ORelation`` and ``O2ORelation`` are
 built only by the ``e2o``/``o2o`` properties. The reader and ``extract``
-store each distinct pair once per log, shared by every key that holds it;
-``relate_*`` may store its own copy, and which tuples are shared is not part
-of the API. The first query
-for the event order or the object traces builds that index and caches it
-on the log; ``add_*``/``relate_*`` drop the indexes they change. Two threads
-making that first query at once compute equal values, so a finished log is
-safe to share across threads.
+store each distinct pair, and each distinct tuple of them, once per log,
+shared by every key that holds it; ``relate_*`` may store its own copy, and
+which tuples are shared is not part of the API. The first query for the
+event order or the object traces builds that index and caches it on the
+log; ``add_*``/``relate_*`` drop the indexes they change. Two threads making
+that first query at once compute equal values, so a finished log is safe to
+share across threads.
 
 A derived log (``relabel``) shares its input's frozen instances, relations and
 indexes, re-checks only what it changes, and owns its containers. The OCEL
 JSON writer joins each record's line from encoded parts; ``ocel_to_dict``
-parses that text, so one record builder serves both. The reader builds a
-text in the writer's layout one record at a time, so its parsed document is
-never held whole, and parses any other text whole; both build the records in
-one order, through one loop, and give the same log or the same error.
+parses that text, so one record builder serves both. The reader reads and
+builds a text in the writer's layout one line, so one record, at a time,
+and parses any other text whole; both build the records through one loop
+and give the same log or the same error.
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cache
-from itertools import starmap
+from itertools import chain, starmap
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -182,16 +184,18 @@ def _insert(by_key: dict[str, tuple], key: str, other: str, qualifier: str, kind
     by_key[key] = rels[:i] + (pair,) + rels[i:]
 
 
-def _store_sorted(by_key: dict[str, tuple], key: str, rels: list) -> None:
+def _store_sorted(by_key: dict[str, tuple], key: str, rels: list, shared: dict[tuple, tuple]) -> None:
     """Store ``rels``, all of ``key``'s (other id, qualifier) pairs, in one
-    step, sorted in place and kept as ``by_key[key]`` in the order OCEL JSON
-    emits them. The caller has checked them as ``relate_*`` would: each comes
-    once and holds the stored instances' own ids. The reader and ``extract``
-    store relations this way, each passing the one tuple it keeps per
-    distinct pair, so equal pairs under different keys are one object;
-    ``relate_*`` add them one at a time, as new tuples, through ``_insert``."""
+    step, sorted as OCEL JSON emits them, as ``by_key[key]``: the equal tuple
+    in ``shared``, or a new one entered there. The caller has checked them as
+    ``relate_*`` would: each comes once and holds the stored instances' own
+    ids. The reader and ``extract`` store relations this way, each passing
+    the one tuple it keeps per distinct pair, so equal pairs, and equal
+    tuples of them, are one object; ``relate_*`` add them one at a time, as
+    new tuples, through ``_insert``."""
     rels.sort()
-    by_key[key] = tuple(rels)
+    rels = tuple(rels)
+    by_key[key] = shared.setdefault(rels, rels)
 
 
 def _pruned(by_key: dict[str, tuple], keys, ends) -> dict[str, tuple]:
@@ -234,13 +238,16 @@ def _stored_object(obj: ObjectInstance, tdef: ObjectTypeDef | None) -> ObjectIns
 def _stored_event(event: EventInstance, tdef: EventTypeDef | None) -> EventInstance:
     """The event to store for ``event`` under its type (None if undeclared): its
     time normalized by ``to_utc_ms``, its values a tuple of (name, value) tuples,
-    each conformed to its kind. Pairs, and ``event``, with nothing to change are kept."""
+    each conformed to its kind. Pairs, and ``event``, with nothing to change are kept:
+    an event with no values and a normalized time is returned as it is, at once."""
     if tdef is None:
         raise SchemaError(f"event {event.id!r}: undeclared event type {event.type!r}")
     if not isinstance(event.time, datetime):
         raise SchemaError(f"event {event.id!r}: time {event.time!r} is not a datetime")
-    when, seen, out = to_utc_ms(event.time), set(), None
-    values = tuple(event.attribute_values)
+    when, values = to_utc_ms(event.time), event.attribute_values
+    if when is event.time and type(values) is tuple and not values:
+        return event
+    seen, out, values = set(), None, tuple(values)
     for i, entry in enumerate(values):
         name, value = pair = tuple(entry)
         kind = tdef._kinds.get(name)
@@ -647,28 +654,27 @@ def ocel_from_dict(doc: Any) -> OcedLog:
     return _add_records(log, doc["objects"], doc["events"])
 
 
-def _add_records(log: OcedLog, objects: list, events: Iterable) -> OcedLog:
+def _add_records(log: OcedLog, objects: Iterable, events: Iterable) -> OcedLog:
     """``log`` with the ``objects`` and ``events`` entries added in the order
-    both readers share: every object, then the O2O relations, then each event
-    added and related in turn. The first defect in that order raises.
-
-    Each distinct (objectId, qualifier) of the document is checked once and
-    stored as one pair, which every record relating it shares; a record whose
-    relations are all known pairs is one lookup per relation. Each record's
-    owner is resolved once, and its pairs are sorted and stored as its tuple
-    in one step. A record with any defect is replayed through ``relate_*``,
-    so its first defect is reported with the message and path that relation
-    by relation would give."""
-    for i, entry in enumerate(objects):
-        _add_object_entry(log, i, entry)
-    pairs: dict[tuple[str, str], tuple[str, str]] = {}   # (objectId, qualifier) -> stored pair
-    store = _relations_storer(log, "objects", pairs)
-    for i, entry in enumerate(objects):
-        store(i, entry)
-    store = _relations_storer(log, "events", pairs)
+    both readers share: each object, then the O2O relations of those that
+    hold any, then each event added and related in turn. The first defect in
+    that order raises. Each distinct (objectId, qualifier) is checked once and
+    stored as one pair, and each distinct sorted tuple of pairs as one tuple,
+    shared by every record holding it. A record with any defect is replayed
+    through ``relate_*``, so its first defect is reported with the message
+    and path that relation by relation would give."""
+    related = [(i, entry) for i, entry in enumerate(objects) if _add_object_entry(log, i, entry)]
+    pairs, shared = {}, {}   # (objectId, qualifier) -> stored pair; each stored tuple of pairs
+    objects_by_id = log._objects
+    for i, entry in related:
+        source = objects_by_id[entry["id"]].id
+        built = _record_relations(entry["relationships"], objects_by_id, pairs)
+        if built is None or (source, "") in built:   # self O2O, unqualified
+            _replay_relations("objects", i, entry, log.relate_objects)
+        else:
+            _store_sorted(log._o2o_by_source, source, built, shared)
     for i, entry in enumerate(events):
-        _add_event_entry(log, i, entry)
-        store(i, entry)
+        _add_event_entry(log, i, entry, pairs, shared)
     return log
 
 
@@ -682,14 +688,15 @@ def _typed_log(object_types: Any, event_types: Any) -> OcedLog:
         raise OcelDocumentError(str(exc), "objectTypes/eventTypes") from None
 
 
-def _add_object_entry(log: OcedLog, i: int, entry: Any) -> None:
-    """Check the shape of ``objects[i]`` and add its object, unrelated."""
+def _add_object_entry(log: OcedLog, i: int, entry: Any) -> list:
+    """Check the shape of ``objects[i]`` and add its object, unrelated;
+    return its relationships."""
     path = f"objects[{i}]"
     if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
             or not isinstance(entry.get("type"), str):
         raise OcelDocumentError("object entry must carry a string 'id' and 'type'", path)
     # An undeclared type has no kinds here; add_object rejects it below.
-    kinds = getattr(log._object_types.get(entry["type"]), "_kinds", {})
+    kinds = getattr(tdef := log._object_types.get(entry["type"]), "_kinds", {})
     values = []
     for j, a in enumerate(_list_at(entry, "attributes", path)):
         apath = f"{path}.attributes[{j}]"
@@ -699,28 +706,31 @@ def _add_object_entry(log: OcedLog, i: int, entry: Any) -> None:
                                     "'time' and 'value'", apath)
         values.append(AttributeValue(a["name"], _json_time(a["time"], apath),
                                      _json_value(a["value"], kinds.get(a["name"]), apath)))
-    _list_at(entry, "relationships", path)
-    try:
-        log.add_object(ObjectInstance(entry["id"], entry["type"], tuple(values)))
+    rels = _list_at(entry, "relationships", path)
+    try:   # a declared type is stored as the definition's own string
+        log.add_object(ObjectInstance(entry["id"], getattr(tdef, "name", entry["type"]), tuple(values)))
     except SchemaError as exc:
         raise OcelDocumentError(str(exc), path) from None
+    return rels
 
 
-def _add_event_entry(log: OcedLog, i: int, entry: Any) -> None:
-    """Check the shape of ``events[i]`` and add its event, unrelated. A JSON
-    path is built only to raise."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
-            or not isinstance(entry.get("type"), str):
+def _add_event_entry(log: OcedLog, i: int, entry: Any, pairs: dict, shared: dict) -> None:
+    """Check the shape of ``events[i]``, parse its time once, add its event,
+    typed by the declared type's own string, and store its E2O relations as
+    ``_add_records`` says. A JSON path is built only to raise."""
+    if not isinstance(entry, dict) or not isinstance(eid := entry.get("id"), str) \
+            or not isinstance(etype := entry.get("type"), str):
         raise OcelDocumentError("event entry must carry a string 'id' and 'type'", f"events[{i}]")
     try:
         when = parse_iso(entry.get("time", ""))
     except Exception as exc:
-        raise OcelDocumentError(f"event {entry['id']!r}: {exc}", f"events[{i}]") from None
+        raise OcelDocumentError(f"event {eid!r}: {exc}", f"events[{i}]") from None
     attrs, rels = entry.get("attributes", []), entry.get("relationships", [])
     if not isinstance(attrs, list):
         raise OcelDocumentError("'attributes' must be a list", f"events[{i}].attributes")
+    tdef = log._event_types.get(etype)   # None: add_event rejects the type below
     if attrs:
-        kinds = getattr(log._event_types.get(entry["type"]), "_kinds", {})
+        kinds = getattr(tdef, "_kinds", {})
         values = []
         for j, a in enumerate(attrs):
             apath = f"events[{i}].attributes[{j}]"
@@ -732,57 +742,37 @@ def _add_event_entry(log: OcedLog, i: int, entry: Any) -> None:
     if not isinstance(rels, list):
         raise OcelDocumentError("'relationships' must be a list", f"events[{i}].relationships")
     try:
-        log.add_event(EventInstance(entry["id"], entry["type"], when, attrs or ()))
+        log.add_event(EventInstance(eid, etype if tdef is None else tdef.name, when, attrs or ()))
     except SchemaError as exc:
         raise OcelDocumentError(str(exc), f"events[{i}]") from None
-
-
-def _relations_storer(log: OcedLog, key: str, pairs: dict[tuple[str, str], tuple[str, str]]):
-    """The function that stores the relationships of record ``i`` of section
-    ``key`` (``"objects"`` for O2O, ``"events"`` for E2O), once its owner and
-    every object are in ``log``. ``pairs`` maps each (objectId, qualifier)
-    seen so far in the read to its stored pair."""
-    objects = log._objects
-    if key == "objects":
-        owners, by_key, relate = objects, log._o2o_by_source, log.relate_objects
-    else:
-        owners, by_key, relate = log._events, log._e2o_by_event, log.relate_event_object
-
-    def store(i: int, entry: dict) -> None:
-        rels = entry.get("relationships")
-        if not rels:
-            return
-        owner = owners[entry["id"]].id
-        try:
-            built = [pairs[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
-        except (KeyError, TypeError):   # a pair not seen yet, or a defect
-            built = _record_relations(rels, objects, pairs)
-        if built is None or len(set(built)) < len(built) \
-                or (owners is objects and (owner, "") in built):   # self O2O, unqualified
-            _replay_relations(key, i, entry, relate)
+    if rels:
+        built = _record_relations(rels, log._objects, pairs)
+        if built is None:
+            _replay_relations("events", i, entry, log.relate_event_object)
         else:
-            _store_sorted(by_key, owner, built)
-
-    return store
+            _store_sorted(log._e2o_by_event, eid, built, shared)
 
 
 def _record_relations(rels: list, objects: Mapping[str, ObjectInstance],
                       pairs: dict[tuple[str, str], tuple[str, str]]) -> list | None:
     """The stored (object id, qualifier) pairs of one record's relationships,
     each pair first seen here entered in ``pairs``; or None when one is
-    malformed or names an unknown object."""
-    built = []
-    for rel in rels:
-        if not isinstance(rel, dict):
-            return None
-        qualifier, target = rel.get("qualifier", ""), rel.get("objectId")
-        if not isinstance(qualifier, str) or not isinstance(target, str) or target not in objects:
-            return None
-        pair = pairs.get((target, qualifier))
-        if pair is None:
-            pair = pairs[target, qualifier] = (objects[target].id, qualifier)
-        built.append(pair)
-    return built
+    malformed, names an unknown object or comes twice."""
+    try:
+        built = [pairs[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
+    except (KeyError, TypeError):   # a pair not seen yet, or a defect: each is checked
+        built = []
+        for rel in rels:
+            if not isinstance(rel, dict):
+                return None
+            qualifier, target = rel.get("qualifier", ""), rel.get("objectId")
+            if not isinstance(qualifier, str) or not isinstance(target, str) or target not in objects:
+                return None
+            pair = pairs.get((target, qualifier))
+            if pair is None:
+                pair = pairs[target, qualifier] = (objects[target].id, qualifier)
+            built.append(pair)
+    return built if len(set(built)) == len(built) else None
 
 
 def _replay_relations(key: str, i: int, entry: dict, relate) -> None:
@@ -802,8 +792,7 @@ def _replay_relations(key: str, i: int, entry: dict, relate) -> None:
 
 def _load_document(text: str | bytes) -> Any:
     """The parsed JSON of ``text``, whole: how a text not in the writer's
-    layout is read. The text is held until then, as the scan for that layout
-    comes first; the caller drops it before the log is built."""
+    layout is read; the caller drops the text before the log is built."""
     try:
         return json.loads(text)
     except UnicodeDecodeError as exc:   # bytes; a ValueError too, so it comes first
@@ -814,80 +803,80 @@ def _load_document(text: str | bytes) -> Any:
         raise OcelDocumentError("malformed JSON: nested too deeply") from None
 
 
-def _read_writer_layout(text: str) -> OcedLog | None:
-    """The log of ``text`` if it has ``write_ocel_json``'s layout, built as
-    the text is scanned; otherwise None.
+def _read_writer_layout(lines: Iterable[str]) -> OcedLog | None:
+    """The log of the text of ``lines``, each with its ``\\n``, if it has
+    ``write_ocel_json``'s layout, built as each line is read; otherwise None.
 
-    The frame is ``{``, each top-level key in order as ``\\n"<key>": [``
-    (after a ``,`` from the second on), the records each after ``\\n`` or
-    ``,\\n``, ``\\n]``, and finally ``\\n}`` and JSON whitespace. A JSON
-    string holds no raw line break, so each one in the frame is structural.
-    The C scanner of ``json.loads`` parses each record in place. The types
-    and objects are scanned whole; then ``_add_records`` builds the log as
-    ``ocel_from_dict`` does, and each event's record is dropped once it is
-    stored, so the parsed document is never held whole.
+    The frame is a line each for ``{``, for each top-level key's ``"<key>": [``
+    in order, for each record (``,`` after all but the last) and for ``],``
+    (``]`` after the events), then ``}`` and JSON whitespace. A JSON string
+    holds no raw line break, so every one in the frame is structural, and the
+    C scanner of ``json.loads`` parses each record's line. ``_add_records``
+    builds the log as ``ocel_from_dict`` does, each record dropped once
+    stored, so neither the text nor its parsed document is ever held whole.
 
-    A mismatch with the frame, or text the scanner rejects, gives None:
-    parsed whole, the text reads as it always did. A record defect raises
-    only once the rest of the frame is scanned, its records dropped unbuilt,
-    and found to hold to the end: a later break, such as a syntax error or a
-    repeated top-level key (``json.loads`` keeps the last), gives None too."""
+    A mismatch with the frame, or text the scanner or the decoder rejects,
+    gives None. A record defect raises only once the rest of the frame is
+    read, its records dropped unbuilt, and holds to the end: a later break,
+    such as a syntax error or a repeated top-level key (``json.loads`` keeps
+    the last), gives None too."""
     scan_once = json.JSONDecoder().scan_once   # per read: no two threads share its key memo
-    pos = 0
+    lines = iter(lines)
 
-    def expect(token: str) -> None:
-        nonlocal pos
-        if not text.startswith(token, pos):
-            raise ValueError(f"not in the writer's layout at index {pos}")
-        pos += len(token)
+    def expect(line: str) -> None:
+        if next(lines, None) != line:
+            raise ValueError("not in the writer's layout")
 
-    def records(key: str) -> Iterator[Any]:
-        nonlocal pos
-        expect(f'{"{" if key == "objectTypes" else ","}\n"{key}": [')   # as the writer opens it
-        separator = "\n"
-        while not text.startswith("\n]", pos):
-            expect(separator)
+    def records(key: str, closing: str) -> Iterator[Any]:
+        expect(f'"{key}": [\n')
+        line, tail = next(lines, ""), ",\n"
+        if line == closing:   # an empty section
+            return
+        while tail == ",\n":
             try:
-                record, pos = scan_once(text, pos)
-            except StopIteration:   # no value at pos; out of a generator it would be a RuntimeError
-                raise ValueError(f"no JSON value at index {pos}") from None
+                record, end = scan_once(line, 0)
+            except StopIteration:   # no value at the line's start; out of a generator a RuntimeError
+                raise ValueError(f"no JSON value in {line[:40]!r}") from None
             yield record
-            separator = ",\n"
-        pos += 2
+            tail, line = line[end:], next(lines, "")
+        if tail != "\n" or line != closing:
+            raise ValueError("not in the writer's layout")
 
-    def closes() -> bool:
-        expect("\n}")
-        # only what json.loads skips after a document: str.strip() would take "\x0b" too
-        return not text[pos:].strip(" \t\n\r")
+    def closes() -> bool:   # "}", then only what json.loads skips: str.strip() would take "\x0b" too
+        first = next(lines, "")
+        return first[:1] == "}" and not any(rest.strip(" \t\n\r") for rest in chain((first[1:],), lines))
 
     try:
-        object_types = list(records("objectTypes"))
-        event_types = list(records("eventTypes"))
-        objects = list(records("objects"))
-        events = records("events")
+        expect("{\n")
+        object_types = list(records("objectTypes", "],\n"))
+        event_types = list(records("eventTypes", "],\n"))
+        objects, events = records("objects", "],\n"), records("events", "]\n")
         try:
             log = _add_records(_typed_log(object_types, event_types), objects, events)
         except (OcelDocumentError, SchemaError):
-            for _ in events:   # the rest of the frame, scanned but not built
+            for _ in chain(objects, events):   # the rest of the frame, read but not built
                 pass
             if closes():
                 raise
             return None
         return log if closes() else None
-    except (ValueError, RecursionError):
+    except (ValueError, RecursionError):   # UnicodeDecodeError too
         return None
 
 
 def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     """Parse an OCEL 2.0 JSON document from a path or open file.
 
-    A text in ``write_ocel_json``'s layout is read one record at a time, so
-    its parsed document is never held whole, and a defect in it is reported
-    from that one pass. Any other layout is parsed whole and built by
-    ``ocel_from_dict``, in the same order; either way the log, and the error
-    with its message and JSON path, are the same.
-    A source that is not UTF-8 text raises ``OcelDocumentError`` too; any
-    other failure to read it, such as a closed file, propagates unchanged.
+    Text in ``write_ocel_json``'s layout is read and built one line, so one
+    record, at a time from a path or a seekable file: neither the text nor
+    its parsed document is ever held whole, and a defect in it is reported
+    from that one pass. Any other text is read again whole from where the
+    read began and parsed whole; a file that cannot seek is read whole first.
+    Both build the records in one order, so the log, or the error with its
+    message and JSON path, is the same either way. A path is opened once,
+    with universal newlines as in ``Path.read_text``. Text that is not UTF-8
+    raises ``OcelDocumentError`` at the position a whole read gives; any
+    other failure to read, such as a closed file, propagates unchanged.
 
     The cyclic garbage collector is paused while the text is parsed and the
     log is built: both only allocate, and a collection pass over the growing
@@ -898,16 +887,24 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:   # any other failure to read is the caller's, and propagates
-            raise OcelDocumentError(f"not UTF-8 text: {exc}") from None
-        log = _read_writer_layout(text) if isinstance(text, str) else None   # bytes: parsed whole
-        if log is None:
-            doc = _load_document(text)
-            del text   # the document alone builds the log
-            log = ocel_from_dict(doc)
-        return log
+        with nullcontext(source) if hasattr(source, "read") else Path(source).open(encoding="utf-8") as fh:
+            if fh.seekable():
+                start = fh.tell()
+                if log := _read_writer_layout(fh):
+                    return log
+                fh.seek(start)
+                text = fh.read()
+            else:
+                text = fh.read()
+                # "." matches all but "\n", so each match is one line with its "\n"
+                lines = map(re.Match.group, re.finditer(".*\n?", text)) if isinstance(text, str) else ()
+                if log := _read_writer_layout(lines):
+                    return log
+        doc = _load_document(text)
+        del text   # the document alone builds the log
+        return ocel_from_dict(doc)
+    except UnicodeDecodeError as exc:   # any other failure to read is the caller's, and propagates
+        raise OcelDocumentError(f"not UTF-8 text: {exc}") from None
     finally:
         if enabled:
             gc.enable()

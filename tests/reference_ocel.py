@@ -7,7 +7,9 @@ normalized themselves when built.
 sets, formatting every time through ``format_iso``, and ``write_text``
 renders it with ``json.dumps(indent=2)``. ``write_streamed_text`` lays the
 same records out one per line, each encoded whole by ``json.JSONEncoder``.
-``ocel_from_dict`` relates every relation through ``relate_*``, one at a
+``ocel_from_dict`` checks each record's shape with its own copy of the
+reader's per-record code as it was before each event was added and related
+by one function, and relates every relation through ``relate_*``, one at a
 time, in the reader's order. The differential tests in ``test_ocel_json.py``
 require the writer to give the same document, and the very bytes of
 ``write_streamed_text``, and the reader the same log or the same error.
@@ -18,8 +20,9 @@ require the writer to give the same document, and the very bytes of
 import json
 from datetime import datetime
 
-from ocedf import E2ORelation, O2ORelation, ObjectInstance, OcedLog, OcelDocumentError, SchemaError, ocel
-from ocedf.timeutil import format_iso, to_utc_ms
+from ocedf import (AttributeValue, E2ORelation, EventInstance, O2ORelation, ObjectInstance, OcedLog,
+                   OcelDocumentError, SchemaError, ocel)
+from ocedf.timeutil import format_iso, parse_iso, to_utc_ms
 
 
 def _value_to_json(value):
@@ -118,13 +121,84 @@ def ocel_from_dict(doc) -> OcedLog:
     if not isinstance(doc["objects"], list) or not isinstance(doc["events"], list):
         raise OcelDocumentError("'objects' and 'events' must be lists")
     for i, entry in enumerate(doc["objects"]):
-        ocel._add_object_entry(log, i, entry)
+        _add_object_entry(log, i, entry)
     for i, entry in enumerate(doc["objects"]):
         _relate(log.relate_objects, "objects", i, entry)
     for i, entry in enumerate(doc["events"]):
-        ocel._add_event_entry(log, i, entry)
+        _add_event_entry(log, i, entry)
         _relate(log.relate_event_object, "events", i, entry)
     return log
+
+
+def _json_time(raw, path):
+    try:
+        return parse_iso(raw)
+    except Exception as exc:
+        raise OcelDocumentError(str(exc), path) from None
+
+
+def _json_value(raw, kind, path):
+    return _json_time(raw, path) if kind == "timestamp" and isinstance(raw, str) else raw
+
+
+def _list_at(entry, key, path):
+    value = entry.get(key, [])
+    if not isinstance(value, list):
+        raise OcelDocumentError(f"{key!r} must be a list", f"{path}.{key}")
+    return value
+
+
+def _add_object_entry(log, i, entry):
+    """Check the shape of ``objects[i]`` and add its object, unrelated."""
+    path = f"objects[{i}]"
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
+            or not isinstance(entry.get("type"), str):
+        raise OcelDocumentError("object entry must carry a string 'id' and 'type'", path)
+    kinds = getattr(log._object_types.get(entry["type"]), "_kinds", {})
+    values = []
+    for j, a in enumerate(_list_at(entry, "attributes", path)):
+        apath = f"{path}.attributes[{j}]"
+        if not isinstance(a, dict) or not isinstance(a.get("name"), str) \
+                or "time" not in a or "value" not in a:
+            raise OcelDocumentError("object attribute entries need a string 'name', "
+                                    "'time' and 'value'", apath)
+        values.append(AttributeValue(a["name"], _json_time(a["time"], apath),
+                                     _json_value(a["value"], kinds.get(a["name"]), apath)))
+    _list_at(entry, "relationships", path)
+    try:
+        log.add_object(ObjectInstance(entry["id"], entry["type"], tuple(values)))
+    except SchemaError as exc:
+        raise OcelDocumentError(str(exc), path) from None
+
+
+def _add_event_entry(log, i, entry):
+    """Check the shape of ``events[i]`` and add its event, unrelated."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) \
+            or not isinstance(entry.get("type"), str):
+        raise OcelDocumentError("event entry must carry a string 'id' and 'type'", f"events[{i}]")
+    try:
+        when = parse_iso(entry.get("time", ""))
+    except Exception as exc:
+        raise OcelDocumentError(f"event {entry['id']!r}: {exc}", f"events[{i}]") from None
+    attrs, rels = entry.get("attributes", []), entry.get("relationships", [])
+    if not isinstance(attrs, list):
+        raise OcelDocumentError("'attributes' must be a list", f"events[{i}].attributes")
+    if attrs:
+        kinds = getattr(log._event_types.get(entry["type"]), "_kinds", {})
+        values = []
+        for j, a in enumerate(attrs):
+            apath = f"events[{i}].attributes[{j}]"
+            if not isinstance(a, dict) or not isinstance(a.get("name"), str) or "value" not in a:
+                raise OcelDocumentError("event attribute entries need a string 'name' and 'value'",
+                                        apath)
+            values.append((a["name"], _json_value(a["value"], kinds.get(a["name"]), apath)))
+        attrs = tuple(values)
+    if not isinstance(rels, list):
+        raise OcelDocumentError("'relationships' must be a list", f"events[{i}].relationships")
+    try:
+        log.add_event(EventInstance(entry["id"], entry["type"], when, attrs or ()))
+    except SchemaError as exc:
+        raise OcelDocumentError(str(exc), f"events[{i}]") from None
 
 
 def _relate(relate, key, i, entry):

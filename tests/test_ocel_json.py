@@ -9,10 +9,12 @@ import json
 import os
 import random
 import stat
+import tempfile
 import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -724,9 +726,9 @@ class TestGcPause:
         seen = []
         store = ocel._store_sorted
 
-        def spy(by_key, key, rels):
+        def spy(by_key, key, rels, shared):
             seen.append(gc.isenabled())
-            store(by_key, key, rels)
+            store(by_key, key, rels, shared)
 
         monkeypatch.setattr(ocel, "_store_sorted", spy)
         monkeypatch.setattr(ocel, "ocel_from_dict", None)
@@ -798,18 +800,36 @@ def _sharing(log):
             for by_key in (log._o2o_by_source, log._e2o_by_event) for owner, rels in by_key.items()]
 
 
+class _Unseekable(io.StringIO):
+    """A text handle that cannot seek, as a pipe's."""
+
+    def seekable(self):
+        return False
+
+
 def assert_reads_as_parsed_whole(text):
     """``read_ocel_json`` of ``text`` gives the log that ``ocel_from_dict``
     builds from the whole parsed text, in the same order and sharing the
-    same pairs, or raises its error with the same message and path."""
+    same pairs, or raises its error with the same message and path; from a
+    seekable handle, from one that cannot seek, and from a path, whose whole
+    text is what ``Path.read_text`` gives (newlines translated)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.json"
+        path.write_bytes(text.encode("utf-8"))
+        for source, whole in ((io.StringIO(text), text), (_Unseekable(text), text),
+                              (path, path.read_text(encoding="utf-8"))):
+            _assert_reads_as(source, whole)
+
+
+def _assert_reads_as(source, whole):
     try:
-        want = ocel_from_dict(ocel._load_document(text))
+        want = ocel_from_dict(ocel._load_document(whole))
     except OcelDocumentError as exc:
         with pytest.raises(OcelDocumentError) as err:
-            read_ocel_json(io.StringIO(text))
+            read_ocel_json(source)
         assert (str(err.value), err.value.path) == (str(exc), exc.path)
         return
-    got = read_ocel_json(io.StringIO(text))
+    got = read_ocel_json(source)
     assert got.structurally_equal(want)
     assert list(got.objects) == list(want.objects)
     assert list(got.events) == list(want.events)
@@ -895,7 +915,7 @@ def test_writer_layout_reads_as_parsed_whole(data):
     else:
         log = data.draw(awkward_logs())
     text = _text(log)
-    assert ocel._read_writer_layout(text) is not None
+    assert ocel._read_writer_layout(io.StringIO(text)) is not None
     assert_reads_as_parsed_whole(text)
     assert_reads_as_parsed_whole(_edited(text, data))
 
@@ -904,7 +924,7 @@ def test_writer_layout_reads_as_parsed_whole(data):
 def test_fixtures_read_as_parsed_whole(fixture, request):
     _, log, _ = request.getfixturevalue(fixture)
     text = _text(log)
-    assert ocel._read_writer_layout(text) is not None
+    assert ocel._read_writer_layout(io.StringIO(text)) is not None
     assert_reads_as_parsed_whole(text)
 
 
@@ -961,6 +981,28 @@ def test_a_record_defect_waits_for_the_end_of_the_frame(text, error):
             read_ocel_json(io.StringIO(text))
 
 
+_NO_EVENTS = _layout({**copy.deepcopy(BASE_DOCUMENT), "eventTypes": [], "events": []})
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"relationships": []}\n],', '"relationships": []}x\n],'),
+    ('"relationships": []}\n],', '"relationships": []},\n],'),
+    ('"qualifier": "r"}]},\n', '"qualifier": "r"}]} ,\n'),
+    ('"eventTypes": [\n],\n', '"eventTypes": [\n]\n'),
+    ('"eventTypes": [\n],\n', '"eventTypes": [\n] ,\n'),
+    ('"events": [\n]\n}', '"events": [\n],\n}'),
+], ids=["junk after a last record", "trailing comma", "space before a comma",
+        "empty section without its comma", "space in a closing line", "comma after the last section"])
+def test_a_break_of_the_frame_reads_as_parsed_whole(old, new):
+    """Each line of the frame is matched whole: a text that breaks it,
+    valid JSON or not, is read whole, as ``json.loads`` reads it."""
+    assert ocel._read_writer_layout(io.StringIO(_NO_EVENTS)) is not None
+    text = _NO_EVENTS.replace(old, new, 1)
+    assert text != _NO_EVENTS
+    assert ocel._read_writer_layout(io.StringIO(text)) is None
+    assert_reads_as_parsed_whole(text)
+
+
 def test_writer_layout_peaks_below_the_whole_parse(case_study):
     """Read a record at a time, the written fixture peaks below the same
     text parsed whole and then built."""
@@ -977,3 +1019,65 @@ def test_writer_layout_peaks_below_the_whole_parse(case_study):
             tracemalloc.stop()
     streamed, whole = peaks
     assert streamed < whole
+
+
+def test_a_path_read_peaks_under_half_its_file_above_the_log(case_study, tmp_path):
+    """Read from a path a line at a time, the text is never held whole: what
+    the read holds at its peak, beyond the log it returns, is under half the
+    size of the file."""
+    _, log, _ = case_study
+    path = tmp_path / "log.json"
+    write_ocel_json(log, path)
+    tracemalloc.start()
+    try:
+        read = read_ocel_json(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read.structurally_equal(log)
+    assert peak - held < path.stat().st_size / 2
+
+
+@pytest.mark.parametrize("source", ["path", "handle", "parsed whole"])
+def test_a_read_shares_type_strings_and_relation_tuples(source, case_study, tmp_path):
+    """Each instance's type is its declared type's own string, and events
+    with equal relations hold one tuple, whichever way the text is read."""
+    _, log, _ = case_study
+    text = _text(log)
+    path = tmp_path / "log.json"
+    path.write_text(text, encoding="utf-8")
+    if source == "path":
+        read = read_ocel_json(path)
+    elif source == "handle":
+        with path.open(encoding="utf-8") as handle:
+            read = read_ocel_json(handle)
+    else:
+        read = read_ocel_json(io.StringIO(json.dumps(json.loads(text))))   # one line: no writer layout
+    assert read.structurally_equal(log)
+    for instances, types in ((read.events, read._event_types), (read.objects, read._object_types)):
+        assert all(inst.type is types[inst.type].name for inst in instances.values())
+    for by_key in (read._e2o_by_event, read._o2o_by_source):
+        tuples = list(by_key.values())
+        assert len({id(rels) for rels in tuples}) == len(set(tuples))
+    assert len(set(read._e2o_by_event.values())) < len(read._e2o_by_event)   # some tuple is shared
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+def test_text_that_is_not_utf8_gives_the_whole_reads_position(late, case_study, tmp_path):
+    """A byte that is not UTF-8, early in the file or past the first blocks
+    a line-at-a-time read decodes, is reported with the message and absolute
+    position that reading the whole text gives, from a path and a handle."""
+    _, log, _ = case_study
+    data = bytearray(_text(log).encode("utf-8"))
+    data[len(data) - 200 if late else 20] = 0xFF
+    path = tmp_path / "log.json"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    assert whole.value.start == (len(data) - 200 if late else 20)
+    with pytest.raises(OcelDocumentError) as err:
+        read_ocel_json(path)
+    assert str(err.value) == f"not UTF-8 text: {whole.value}"
+    with path.open(encoding="utf-8") as handle, pytest.raises(OcelDocumentError) as err:
+        read_ocel_json(handle)
+    assert str(err.value) == f"not UTF-8 text: {whole.value}"

@@ -32,9 +32,12 @@ def test_ladder_writes_every_key(tmp_path):
     assert list(course["stages"]) == list(scale_ladder.STAGES)
     for stage, measured in course["stages"].items():
         traced = {"tracemalloc_peak_mb"} if stage in scale_ladder.TRACED_STAGES else set()
-        assert set(measured) == STAGE_KEYS | traced, stage
+        loads = {"json_loads_seconds"} if stage == "read" else set()
+        assert set(measured) == STAGE_KEYS | traced | loads, stage
         assert measured["seconds"] > 0 and measured["peak_rss_mb"] >= measured["rss_before_mb"] > 0
         assert measured["seconds_per_event"] == measured["seconds"] / course["events"]
+    assert course["stages"]["read"]["json_loads_seconds"] > 0
+    assert "verify" in course["stages"]
     assert run["per_event_growth"] == {"from_to": [20, 20], **dict.fromkeys(scale_ladder.STAGES, 1.0)}
     assert not work.exists()   # each course is removed once measured
 
