@@ -6,20 +6,24 @@
 
 Each course is built once by ``benchmark/course.py`` with the given seed.
 Then ``load_source`` (every table of the course), ``extract``,
-``write_ocel_json``, ``read_ocel_json`` and ``verify`` (``derive_matrix``
-and ``check``, as ``ocedf verify`` runs them) each run in a child process of
-their own, one child at a time, started with ``subprocess.run``. A child
-runs the stages before its own untimed, so the ``extract`` child loads the
-sources and the ``write`` child loads and extracts; the ``read`` child reads
-the file that the ``write`` child wrote, and the ``verify`` child reads it
-untimed. The code measured is the ``ocedf`` package under ``--src``
-(default: this checkout's ``src``), so the same ladder can measure another
-checkout.
+``write_ocel_json``, ``read_ocel_json``, ``verify`` (``derive_matrix``
+and ``check``, as ``ocedf verify`` runs them) and ``analyze`` (the
+sequence of ``analyze_pass`` in ``benchmark/run.py``: drill-down, roll-up,
+filter, unfold, two DFGs and their DOT, flatten and stats) each run in a
+child process of their own, one child at a time, started with
+``subprocess.run``. A child runs the stages before its own untimed, so the
+``extract`` child loads the sources and the ``write`` child loads and
+extracts; the ``read`` child reads the file that the ``write`` child wrote,
+and the ``verify`` and ``analyze`` children read it untimed. The code
+measured is the ``ocedf`` package under ``--src`` (default: this
+checkout's ``src``), so the same ladder can measure another checkout.
 
-For each stage a child records its seconds, the GC's seconds and
-collections while it ran (through ``gc.callbacks``), the process's peak RSS
-when the stage began and when it ended, and the stage's event count. For
-``load``, ``extract`` and ``read`` one more child runs the stage under
+Each stage runs in ``TIMING_RUNS`` children in turn. Each records its
+seconds, the GC's seconds and collections while it ran (through
+``gc.callbacks``), the process's peak RSS when the stage began and when it
+ended, and the stage's event count; the ladder keeps the run of median
+seconds and every run's seconds (``seconds_runs``). For ``load``,
+``extract``, ``read`` and ``analyze`` one more child runs the stage under
 ``tracemalloc``, started as the stage begins, and records its peak. Once
 its stage is measured, the ``read`` child also times a bare ``json.loads``
 of the file's text, with the GC paused as the read pauses it. The
@@ -47,8 +51,9 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("load", "extract", "write", "read", "verify")
-TRACED_STAGES = ("load", "extract", "read")   # also run under tracemalloc
+STAGES = ("load", "extract", "write", "read", "verify", "analyze")
+TRACED_STAGES = ("load", "extract", "read", "analyze")   # also run under tracemalloc
+TIMING_RUNS = 3   # children per stage; the median's run is reported
 LOG_NAME = "course.ocel.json"
 CHILD_TIMEOUT_S = 1800
 
@@ -78,7 +83,7 @@ class _GcClock:
 
 def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
     """Run the stages before ``stage`` untimed, then ``stage`` measured."""
-    from ocedf import extraction, ocel, specmodel, verification
+    from ocedf import analysis, extraction, ocel, specmodel, verification
 
     def load(spec):
         sources = {}
@@ -88,6 +93,16 @@ def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
                     course / "sources" / f"{rule.source_table}.csv", rule.source_table)
         return sources
 
+    def analyze(log):
+        drilled = analysis.drill_down(log, "User")
+        rolled = analysis.roll_up(drilled, {"Student", "Teacher"}, "User")
+        pages = analysis.filter_log(rolled, keep_event_types={"view page"})
+        unfolded = analysis.unfold_events(pages, "view page", "Page", "code")
+        dfg = analysis.discover_dfg(unfolded, {"User", "Course"})
+        return (drilled, rolled, pages, unfolded, dfg, analysis.to_dot(dfg, 5),
+                analysis.discover_dfg(log, {"User", "Course", "File", "Page"}),
+                analysis.flatten(log, "User"), analysis.stats(log))
+
     spec = specmodel.parse_spec(course / "spec.json")
     steps = {
         "load": lambda state: {"sources": load(spec)},
@@ -96,12 +111,15 @@ def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
         "read": lambda state: {"log": ocel.read_ocel_json(course / LOG_NAME)},
         "verify": lambda state: {"report": verification.check(
             verification.derive_matrix(state["log"], spec.xmatrix, spec.schema), spec.xmatrix)},
+        "analyze": lambda state: {"outputs": analyze(state["log"])},   # kept alive to the end
     }
     state: dict = {}
-    # read and verify start from the file the write child left
-    first = STAGES.index("read") if stage in ("read", "verify") else 0
-    for earlier in STAGES[first:STAGES.index(stage)]:
-        state.update(steps[earlier](state) or {})
+    if STAGES.index(stage) <= STAGES.index("write"):
+        earlier = STAGES[:STAGES.index(stage)]
+    else:   # read, verify and analyze start from the file the write child left
+        earlier = () if stage == "read" else ("read",)
+    for step in earlier:
+        state.update(steps[step](state) or {})
     gc.collect()
     clock = _GcClock()
     rss_before = _peak_rss_mb()
@@ -172,7 +190,10 @@ def measure_course(students: int, seed: int, src: Path, work: Path) -> dict:
     entry: dict = {"students": students, "build_seconds": perf_counter() - started, **built, "stages": {}}
     try:
         for stage in STAGES:
-            measured = _child(["--stage", stage, "--course", str(course)], src)
+            runs = [_child(["--stage", stage, "--course", str(course)], src)
+                    for _ in range(TIMING_RUNS)]
+            measured = sorted(runs, key=lambda r: r["seconds"])[TIMING_RUNS // 2]
+            measured["seconds_runs"] = [r["seconds"] for r in runs]
             if stage in TRACED_STAGES:
                 traced = _child(["--stage", stage, "--course", str(course), "--trace-memory"], src)
                 measured["tracemalloc_peak_mb"] = traced["tracemalloc_peak_mb"]

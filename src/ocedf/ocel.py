@@ -19,7 +19,12 @@ that first query at once compute equal values, so a finished log is safe to
 share across threads.
 
 A derived log (``relabel``) shares its input's frozen instances, relations and
-indexes, re-checks only what it changes, and owns its containers. The OCEL
+indexes, and the very dicts that hold them where it leaves them unchanged;
+it re-checks only what it changes. The first ``add_*``/``relate_*`` on
+either log copies the dicts they share, once, so a change to one never shows
+in the other. Deriving sets a flag on the input too; two threads deriving
+from one log at once write the same value, so a finished log stays safe to
+share. The OCEL
 JSON writer joins each record's line from encoded parts; ``ocel_to_dict``
 parses that text, so one record builder serves both. The reader reads and
 builds a text in the writer's layout one line, so one record, at a time,
@@ -282,7 +287,12 @@ class OcedLog:
     tuple of event ids by time, then id) and the object traces (per object
     id, a tuple of its distinct event ids in that order) are built on first
     use and rebound to None by the methods that change them, so a derived
-    log may hold the very tuples of its input."""
+    log may hold the very tuples of its input.
+
+    A derived log may also hold its input's ``_objects``, ``_events``,
+    ``_e2o_by_event`` and ``_o2o_by_source`` dicts themselves; ``_shared``
+    is then set on both logs, and the first ``add_*``/``relate_*`` on either
+    copies all four (``_own``) before it writes."""
 
     def __init__(self, object_type_defs: Iterable[ObjectTypeDef] = (),
                  event_type_defs: Iterable[EventTypeDef] = ()):
@@ -294,6 +304,7 @@ class OcedLog:
         self._o2o_by_source: dict[str, tuple[tuple[str, str], ...]] = {}
         self._order: tuple[str, ...] | None = None
         self._traces: dict[str, tuple[str, ...]] | None = None
+        self._shared = False
 
     # -- schema ----------------------------------------------------------
 
@@ -307,7 +318,22 @@ class OcedLog:
 
     # -- construction ----------------------------------------------------
 
+    def _own(self) -> None:
+        """Copy the four dicts this log may share with a log derived from it,
+        or with the log it was derived from, so that the write that follows
+        changes this log alone. ``extract`` and the reader write into a log's
+        dicts directly, not through ``add_*``/``relate_*``: they may do so
+        only on a fresh log of their own, which shares nothing until it is
+        returned, so the flag needs no test there."""
+        self._objects = dict(self._objects)
+        self._events = dict(self._events)
+        self._e2o_by_event = dict(self._e2o_by_event)
+        self._o2o_by_source = dict(self._o2o_by_source)
+        self._shared = False
+
     def add_object(self, obj: ObjectInstance) -> None:
+        if self._shared:
+            self._own()
         if not obj.id:
             raise SchemaError("empty object id")
         if obj.id in self._objects:
@@ -315,6 +341,8 @@ class OcedLog:
         self._objects[obj.id] = _stored_object(obj, self._object_types.get(obj.type))
 
     def add_event(self, event: EventInstance) -> None:
+        if self._shared:
+            self._own()
         if not event.id:
             raise SchemaError("empty event id")
         if event.id in self._events:
@@ -325,6 +353,8 @@ class OcedLog:
     def relate_event_object(self, event_id: str, object_id: str, qualifier: str = "") -> None:
         """Relate a stored event to a stored object. The relation holds the
         instances' own id strings, whatever equal strings are passed in."""
+        if self._shared:
+            self._own()
         event, obj = self._events.get(event_id), self._objects.get(object_id)
         if event is None:
             raise SchemaError(f"e2o relation references unknown event {event_id!r}")
@@ -336,6 +366,8 @@ class OcedLog:
     def relate_objects(self, source_id: str, target_id: str, qualifier: str = "") -> None:
         """Relate two stored objects; like ``relate_event_object``, the relation
         holds the objects' own id strings."""
+        if self._shared:
+            self._own()
         source, target = self._objects.get(source_id), self._objects.get(target_id)
         for oid, obj in ((source_id, source), (target_id, target)):
             if obj is None:
@@ -424,24 +456,30 @@ class OcedLog:
                  object_types: Mapping[str, ObjectTypeDef] | None = None,
                  event_types: Mapping[str, EventTypeDef] | None = None) -> "OcedLog":
         """A log over valid ``objects`` and ``events`` of this log (dicts it
-        takes over), checking nothing. The instances keep this log's ids and
-        times, which is what lets the derived log reuse this log's event
-        order, and its object traces too when no id is dropped. It keeps the
-        relations between them, shares the immutable relation tuples and
-        indexes, and owns every container."""
+        takes over, which may be this log's own), checking nothing. The
+        instances keep this log's ids and times, which is what lets the
+        derived log reuse this log's event order, and its object traces too
+        when no id is dropped. It keeps the relations between them and shares
+        the immutable relation tuples and indexes; when no id is dropped it
+        holds this log's relation dicts themselves. Each dict of this log it
+        holds marks both logs as sharing, so the first change to either
+        copies them (``_own``)."""
         out = OcedLog.__new__(OcedLog)
         out._object_types = dict(self._object_types if object_types is None else object_types)
         out._event_types = dict(self._event_types if event_types is None else event_types)
         out._objects, out._events = objects, events
         if objects.keys() == self._objects.keys() and events.keys() == self._events.keys():
-            out._e2o_by_event = dict(self._e2o_by_event)
-            out._o2o_by_source = dict(self._o2o_by_source)
+            out._e2o_by_event, out._o2o_by_source = self._e2o_by_event, self._o2o_by_source
             out._order, out._traces = self._order, self._traces
-            return out
-        out._e2o_by_event = _pruned(self._e2o_by_event, events, objects)
-        out._o2o_by_source = _pruned(self._o2o_by_source, objects, objects)
-        out._order = tuple(eid for eid in self._event_order() if eid in events)
-        out._traces = None
+            out._shared = True
+        else:
+            out._e2o_by_event = _pruned(self._e2o_by_event, events, objects)
+            out._o2o_by_source = _pruned(self._o2o_by_source, objects, objects)
+            out._order = tuple(eid for eid in self._event_order() if eid in events)
+            out._traces = None
+            out._shared = objects is self._objects or events is self._events
+        if out._shared:
+            self._shared = True
         return out
 
     # -- equality --------------------------------------------------------
@@ -473,18 +511,22 @@ def relabel(log: OcedLog,
     """``log`` with new type definitions (None keeps them), instances moved to
     the types ``object_labels``/``event_labels`` give by id, and
     ``added_values`` appended to objects by id. Instances that move, gain values
-    or whose type definition changed are checked as ``add_*`` checks them; a
-    value that conforms to its kind stays the same object, and the rest is
-    shared. Objects keep their order; events are in (time, id) order."""
+    or whose type definition changed are checked as ``add_*`` checks them and
+    take their type definition's own name string; a value that conforms to
+    its kind stays the same object, and the rest is shared. Objects keep
+    their order; events are in (time, id) order. A side it leaves unchanged
+    is the input's own dict, shared until either log changes (events only
+    when that dict is in (time, id) order already, as a read log's is)."""
     otypes = log._object_types if object_types is None else _checked_defs(object_types, "object type")
     etypes = log._event_types if event_types is None else _checked_defs(event_types, "event type")
     if otypes is log._object_types and not object_labels and not added_values:
-        objects = dict(log._objects)
+        objects = log._objects
     else:
         objects = _relabeled(log._objects.values(), log._object_types, otypes,
                              object_labels or {}, added_values or {}, _stored_object)
     if etypes is log._event_types and not event_labels:
-        events = {e.id: e for e in log.events_in_order()}
+        in_order = tuple(log._events) == log._event_order()
+        events = log._events if in_order else {e.id: e for e in log.events_in_order()}
     else:
         events = _relabeled(log.events_in_order(), log._event_types, etypes, event_labels or {}, {},
                             _stored_event)
@@ -498,7 +540,8 @@ def _relabeled(instances, old_types, new_types, labels, added, stored) -> dict:
         extra = tuple(added.get(inst.id, ()))
         new = new_types.get(label)
         if label != inst.type or extra or new is not old_types[inst.type]:
-            moved = inst._replace(type=label, attribute_values=inst.attribute_values + extra)
+            moved = inst._replace(type=label if new is None else new.name,
+                                  attribute_values=inst.attribute_values + extra)
             inst = stored(moved, new)
         out[inst.id] = inst
     return out

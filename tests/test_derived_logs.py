@@ -8,6 +8,7 @@ raise the same error.
 
 import io
 import random
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -25,6 +26,7 @@ from ocedf import (
     OcedLog,
     drill_down,
     filter_log,
+    read_ocel_json,
     roll_up,
     unfold_events,
     write_ocel_json,
@@ -127,39 +129,128 @@ def test_relabelling_objects_only_shares_every_event(seed):
 
 def _snapshot(log):
     e2o = log.e2o
-    return (dict(log.events), e2o,
+    return (dict(log.objects), dict(log.events), e2o, log.o2o,
             {oid: log.events_of_object(oid) for oid in log.objects},
             {eid: sorted(r for r in e2o if r.event_id == eid) for eid in log.events},
             {eid: log.objects_of_event(eid) for eid in log.events})
 
 
-@pytest.mark.parametrize("operation", [
+_MUTATORS = ("add_object", "add_event", "relate_event_object", "relate_objects")
+
+
+def _build_onto(log, first):
+    """Change ``log`` through all four mutators, the one named ``first``
+    first, then relate a new object and event to the rest: what a caller
+    may do to any log, derived or not."""
+    some_object, some_event = next(iter(log.objects)), next(iter(log.events))
+    steps = {
+        "add_object": lambda: log.add_object(
+            ObjectInstance("isolation-probe", log.object_type_defs[0].name, ())),
+        "add_event": lambda: log.add_event(
+            EventInstance("isolation-probe", log.event_type_defs[0].name, BASE)),
+        "relate_event_object": lambda: log.relate_event_object(some_event, some_object, "isolation-probe"),
+        "relate_objects": lambda: log.relate_objects(some_object, some_object, "isolation-probe"),
+    }
+    steps.pop(first)()
+    for step in steps.values():
+        step()
+    for oid in log.objects:
+        log.relate_event_object("isolation-probe", oid, "probe")
+        log.relate_objects("isolation-probe", oid, "probe")
+        for eid in log.events:
+            if not log.has_e2o(eid, oid, "probe"):
+                log.relate_event_object(eid, oid, "probe")
+
+
+_OPERATIONS = pytest.mark.parametrize("operation", [
     lambda log: drill_down(log, "User"),
     lambda log: roll_up(drill_down(log, "User"), {"Student", "Teacher"}, "User"),
     lambda log: unfold_events(log, "ET0", "User", "role"),
     lambda log: filter_log(log),
     lambda log: filter_log(log, keep_object_types={"User"}),
 ], ids=["drill_down", "roll_up", "unfold_events", "filter_log", "filter_log_subset"])
-def test_building_onto_a_derived_log_leaves_its_input_alone(operation):
+
+
+def _derive(operation):
+    """A random log, read back from its OCEL JSON so that its events are in
+    (time, id) order and derived logs share the most, and ``operation``'s
+    derived log of it, which holds events and objects."""
     for seed in range(40):
-        log = random_log(random.Random(seed), max_events=80, max_objects=40,
-                         with_user_hierarchy=True)
+        log = read_ocel_json(io.StringIO(_json(random_log(
+            random.Random(seed), max_events=80, max_objects=40, with_user_hierarchy=True))))
         derived, error = _outcome(operation, log)
         if error is None and derived.events and derived.objects:
-            break
-    else:
-        pytest.fail("no seed gave a derived log with events and objects")
+            return log, derived
+    pytest.fail("no seed gave a derived log with events and objects")
 
-    before = _snapshot(log)
-    event_type = derived.event_type_defs[0].name
-    derived.add_event(EventInstance("isolation-probe", event_type, BASE))
-    for oid in derived.objects:
-        derived.relate_event_object("isolation-probe", oid, "probe")
-        for eid in derived.events:
-            if not derived.has_e2o(eid, oid, "probe"):
-                derived.relate_event_object(eid, oid, "probe")
-    assert _snapshot(log) == before
-    assert "isolation-probe" not in log.events
+
+@_OPERATIONS
+def test_building_onto_a_derived_log_leaves_its_input_alone(operation):
+    for first in _MUTATORS:
+        log, derived = _derive(operation)
+        before = _snapshot(log)
+        _build_onto(derived, first)
+        assert _snapshot(log) == before, first
+        assert "isolation-probe" not in log.events and "isolation-probe" not in log.objects
+
+
+@_OPERATIONS
+def test_building_onto_the_input_leaves_its_derived_log_alone(operation):
+    """A derived log may hold its input's own dicts; a change to the input
+    after deriving must not show in it either."""
+    for first in _MUTATORS:
+        log, derived = _derive(operation)
+        before = _snapshot(derived)
+        _build_onto(log, first)
+        assert _snapshot(derived) == before, first
+        assert "isolation-probe" not in derived.events and "isolation-probe" not in derived.objects
+
+
+def test_relabelling_objects_only_shares_the_read_logs_dicts():
+    """A read log's events are in (time, id) order, so ``drill_down`` and
+    ``roll_up``, which relabel no event and drop no id, hold its very event
+    and E2O dicts until either log changes."""
+    log = random_log(random.Random(7), max_events=80, max_objects=40, with_user_hierarchy=True)
+    read = read_ocel_json(io.StringIO(_json(log)))
+    drilled = drill_down(read, "User")
+    roles = {td.name for td in drilled.object_type_defs} & {"Student", "Teacher"}
+    for derived in (drilled, roll_up(drilled, roles, "User")):
+        assert derived._events is read._events
+        assert derived._e2o_by_event is read._e2o_by_event
+
+
+def test_drill_down_and_roll_up_keep_little_beyond_the_read_log(case_study, tmp_path):
+    """Deriving copies no dict it leaves unchanged: a drill-down and the
+    roll-up back of the read case study keep under a tenth of what the read
+    log holds."""
+    path = tmp_path / "log.json"
+    write_ocel_json(case_study[1], path)
+    tracemalloc.start()
+    try:
+        read = read_ocel_json(path)
+        log_size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        drilled = drill_down(read, "User")
+        rolled = roll_up(drilled, {"Student", "Teacher"}, "User")
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert rolled.structurally_equal(read)
+    assert kept < log_size / 10
+
+
+def test_relabelled_instances_hold_their_types_own_string(case_study):
+    """Like the reader, ``drill_down``, ``roll_up`` and ``unfold_events``
+    give each instance they relabel its type definition's own name string,
+    so a label is one string however many instances hold it."""
+    log = read_ocel_json(io.StringIO(_json(case_study[1])))
+    drilled = drill_down(log, "User")
+    for derived in (drilled, roll_up(drilled, {"Student", "Teacher"}, "User"),
+                    unfold_events(log, "view page", "Page", "code")):
+        for instances, types in ((derived.events, derived._event_types),
+                                 (derived.objects, derived._object_types)):
+            assert all(inst.type is types[inst.type].name for inst in instances.values())
 
 
 def test_relabelling_keeps_conforming_values_as_they_are():

@@ -14,7 +14,7 @@ _spec.loader.exec_module(scale_ladder)
 
 RUN_KEYS = {"label", "commit", "dirty", "python", "machine", "seed", "courses", "per_event_growth"}
 COURSE_KEYS = {"students", "build_seconds", "events", "source_rows", "ocel_json_bytes", "stages"}
-STAGE_KEYS = {"seconds", "seconds_per_event", "gc_seconds", "gc_collections",
+STAGE_KEYS = {"seconds", "seconds_runs", "seconds_per_event", "gc_seconds", "gc_collections",
               "rss_before_mb", "peak_rss_mb", "peak_rss_bytes_per_event"}
 
 
@@ -36,8 +36,11 @@ def test_ladder_writes_every_key(tmp_path):
         assert set(measured) == STAGE_KEYS | traced | loads, stage
         assert measured["seconds"] > 0 and measured["peak_rss_mb"] >= measured["rss_before_mb"] > 0
         assert measured["seconds_per_event"] == measured["seconds"] / course["events"]
+        runs = measured["seconds_runs"]
+        assert len(runs) == scale_ladder.TIMING_RUNS and measured["seconds"] == sorted(runs)[len(runs) // 2]
     assert course["stages"]["read"]["json_loads_seconds"] > 0
-    assert "verify" in course["stages"]
+    assert {"verify", "analyze"} <= set(course["stages"])
+    assert "analyze" in scale_ladder.TRACED_STAGES
     assert run["per_event_growth"] == {"from_to": [20, 20], **dict.fromkeys(scale_ladder.STAGES, 1.0)}
     assert not work.exists()   # each course is removed once measured
 
