@@ -26,10 +26,22 @@ seconds and every run's seconds (``seconds_runs``). For ``load``,
 ``extract``, ``read`` and ``analyze`` one more child runs the stage under
 ``tracemalloc``, started as the stage begins, and records its peak. Once
 its stage is measured, the ``read`` child also times a bare ``json.loads``
-of the file's text, with the GC paused as the read pauses it. The
-ladder adds seconds and peak RSS per event (the events of the course) and,
-for each stage, its seconds per event at the largest course over those at
-the smallest. The run, labelled ``--label`` with the measured checkout's
+of the file's text, with the GC paused as the read pauses it, and records
+the read's seconds over it (``read_over_json_loads``).
+
+The host's speed drifts between runs taken minutes apart, so each child
+also records its stage's seconds scaled by ``benchmark/probe.py``
+(``scaled_seconds``): the seconds at the speed at which the probe's fixed
+work takes its reference time, from one probe as the child starts and one
+once the stage is measured. The first runs before ``ocedf`` is imported
+and the stages before the child's own are run, which reuse the memory it
+takes and frees: it raises ``rss_before_mb`` of ``load`` and ``read`` from
+about 24 to 27 MB, but no stage's peak RSS at 400 students or more. Compare
+two labelled runs by their scaled seconds.
+
+The ladder adds seconds and peak RSS per event (the events of the course)
+and, for each stage, its seconds per event at the largest course over those
+at the smallest. The run, labelled ``--label`` with the measured checkout's
 git commit and the Python version, replaces the run of the same label in
 ``--out`` and keeps the others, so one file holds a before and an after.
 """
@@ -83,6 +95,10 @@ class _GcClock:
 
 def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
     """Run the stages before ``stage`` untimed, then ``stage`` measured."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    import probe   # noqa: E402  (benchmark/probe.py)
+
+    probe_before = probe.probe()
     from ocedf import analysis, extraction, ocel, specmodel, verification
 
     def load(spec):
@@ -136,13 +152,15 @@ def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
     if trace_memory:
         result["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
-    elif stage == "read":
+    result["scaled_seconds"] = probe.scale(seconds, probe_before, probe.probe())
+    if stage == "read" and not trace_memory:
         text = (course / LOG_NAME).read_text(encoding="utf-8")
         gc.disable()
         started = perf_counter()
         json.loads(text)
         result["json_loads_seconds"] = perf_counter() - started
         gc.enable()
+        result["read_over_json_loads"] = seconds / result["json_loads_seconds"]
     if "log" in state:
         result["events"] = len(state["log"].events)
     return result
@@ -265,10 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     write_run(args.out, run)
     for entry in run["courses"]:
         print(f"{entry['students']} students, {entry['events']} events: " + ", ".join(
-            f"{stage} {m['seconds']:.3f} s ({m['seconds_per_event'] * 1e6:.1f} µs/event)"
-            for stage, m in entry["stages"].items()))
-        read = entry["stages"]["read"]
-        print(f"  read over a bare json.loads: {read['seconds'] / read['json_loads_seconds']:.2f}x")
+            f"{stage} {m['seconds']:.3f} s ({m['seconds_per_event'] * 1e6:.1f} µs/event, "
+            f"{m['scaled_seconds']:.3f} s scaled)" for stage, m in entry["stages"].items()))
+        print(f"  read over a bare json.loads: {entry['stages']['read']['read_over_json_loads']:.2f}x")
     growth = run["per_event_growth"]
     print(f"per-event cost, {growth['from_to'][1]} over {growth['from_to'][0]} students: " + ", ".join(
         f"{stage} {growth[stage]:.2f}x" for stage in STAGES))

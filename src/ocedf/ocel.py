@@ -29,7 +29,10 @@ JSON writer joins each record's line from encoded parts; ``ocel_to_dict``
 parses that text, so one record builder serves both. The reader reads and
 builds a text in the writer's layout one line, so one record, at a time,
 and parses any other text whole; both build the records through one loop
-and give the same log or the same error.
+and give the same log or the same error. That loop stores a plain event (a
+new non-empty id, a declared type, no attributes) straight into its own
+fresh log, with the time ``parse_iso`` normalized, since ``add_event``
+would store that very event; every other event goes through ``add_event``.
 """
 
 from __future__ import annotations
@@ -244,7 +247,8 @@ def _stored_event(event: EventInstance, tdef: EventTypeDef | None) -> EventInsta
     """The event to store for ``event`` under its type (None if undeclared): its
     time normalized by ``to_utc_ms``, its values a tuple of (name, value) tuples,
     each conformed to its kind. Pairs, and ``event``, with nothing to change are kept:
-    an event with no values and a normalized time is returned as it is, at once."""
+    an event with no values and a normalized time is returned as it is, at once.
+    The reader relies on that to store such an event without this call."""
     if tdef is None:
         raise SchemaError(f"event {event.id!r}: undeclared event type {event.type!r}")
     if not isinstance(event.time, datetime):
@@ -322,9 +326,11 @@ class OcedLog:
         """Copy the four dicts this log may share with a log derived from it,
         or with the log it was derived from, so that the write that follows
         changes this log alone. ``extract`` and the reader write into a log's
-        dicts directly, not through ``add_*``/``relate_*``: they may do so
-        only on a fresh log of their own, which shares nothing until it is
-        returned, so the flag needs no test there."""
+        dicts directly, not through ``add_*``/``relate_*``: both store
+        relation tuples, and the reader stores plain events too
+        (``_add_event_entry``). They may do so only on a fresh log of their
+        own, which shares nothing until it is returned, so the flag needs no
+        test there; nor has it cached an event order for an event to drop."""
         self._objects = dict(self._objects)
         self._events = dict(self._events)
         self._e2o_by_event = dict(self._e2o_by_event)
@@ -784,10 +790,15 @@ def _add_event_entry(log: OcedLog, i: int, entry: Any, pairs: dict, shared: dict
         attrs = tuple(values)
     if not isinstance(rels, list):
         raise OcelDocumentError("'relationships' must be a list", f"events[{i}].relationships")
-    try:
-        log.add_event(EventInstance(eid, etype if tdef is None else tdef.name, when, attrs or ()))
-    except SchemaError as exc:
-        raise OcelDocumentError(str(exc), f"events[{i}]") from None
+    if not attrs and tdef is not None and eid and eid not in log._events:
+        # a plain event, stored as add_event would store it, as parse_iso gave a
+        # normalized time; tuple.__new__ skips the NamedTuple's Python-level __new__
+        log._events[eid] = tuple.__new__(EventInstance, (eid, tdef.name, when, ()))
+    else:
+        try:
+            log.add_event(EventInstance(eid, etype if tdef is None else tdef.name, when, attrs or ()))
+        except SchemaError as exc:
+            raise OcelDocumentError(str(exc), f"events[{i}]") from None
     if rels:
         built = _record_relations(rels, log._objects, pairs)
         if built is None:

@@ -39,7 +39,21 @@ def as_utc(dt: datetime) -> datetime:
 
 
 def parse_iso(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp; a trailing ``Z`` is accepted for UTC."""
+    """Parse an ISO-8601 timestamp; a trailing ``Z`` is accepted for UTC.
+
+    Fast path: when ``datetime.fromisoformat`` reads ``text`` as it is, in
+    UTC and whole milliseconds (as ``format_iso`` writes it), that very
+    datetime is returned, since normalizing it would return it too. Any other
+    text, a failure of that parse included, is stripped, a ``Z``/``z`` suffix
+    read as ``+00:00``, parsed by the same ``fromisoformat`` and normalized
+    by ``to_utc_ms``, so every result and error is what that path gives."""
+    try:
+        dt = datetime.fromisoformat(text)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if dt.tzinfo is timezone.utc and not dt.microsecond % 1000:
+            return dt
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"

@@ -682,6 +682,48 @@ def test_first_defect_of_a_record_is_reported(name):
         assert (str(read.value), read.value.path) == (str(err.value), path)
 
 
+# -- events stored as read, and those added through add_event ---------------------------
+
+# Edits of a plain event (a declared type, no attributes, a new non-empty id).
+# The four after the empty edit send it through add_event, which stores or
+# rejects it; the time edits keep it plain, some with a time parse_iso normalizes.
+PLAIN_EVENT_EDITS = {
+    "plain": {},
+    "attributes": {"attributes": [{"name": "s", "value": "y"}]},
+    "undeclared type": {"type": "undeclared"},
+    "empty id": {"id": ""},
+    "duplicate id": {"id": "e1"},
+    "+02:00 offset": {"time": "2024-09-02T12:00:00.000+02:00"},
+    "sub-millisecond time": {"time": "2024-09-02T10:00:00.000999+00:00"},
+    "Z suffix": {"time": "2024-09-02T10:00:00.000Z"},
+    "padded time": {"time": " 2024-09-02T10:00:00.000+00:00\t"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_EVENT_EDITS))
+def test_an_edited_plain_event_reads_as_parsed_whole_and_as_the_reference(name):
+    """A writer-layout text whose last event is plain but for one edit reads as
+    ``ocel_from_dict`` of its whole parse and as the reference reader, or
+    raises their error with the same message and path. Each event read holds
+    its type definition's own string, a UTC time and, without values, ``()``."""
+    doc = copy.deepcopy(BASE_DOCUMENT)   # a one-character type name is one cached string anyway
+    doc["eventTypes"].append({"name": "plain", "attributes": [{"name": "s", "type": "string"}]})
+    doc["events"].append({"id": "e2", "type": "plain", "time": "2024-09-02T10:00:00.000+00:00",
+                          "attributes": [], "relationships": [{"objectId": "o2", "qualifier": ""}],
+                          **PLAIN_EVENT_EDITS[name]})
+    text = _layout(doc)
+    assert_reads_as_parsed_whole(text)
+    if not assert_reads_as_reference(json.loads(text)):
+        return
+    got, want = read_ocel_json(io.StringIO(text)), ref.ocel_from_dict(json.loads(text))
+    assert got.events == want.events and got.events["e2"].time == T0
+    assert (got.events["e2"].attribute_values == ()) is (name != "attributes")
+    for event in got.events.values():
+        assert type(event) is EventInstance and event.type is got._event_types[event.type].name
+        assert type(event.attribute_values) is tuple
+        assert event.time.tzinfo is timezone.utc and to_utc_ms(event.time) is event.time
+
+
 # -- the collector is paused during a read, and the caller's state restored --------
 
 

@@ -14,8 +14,8 @@ _spec.loader.exec_module(scale_ladder)
 
 RUN_KEYS = {"label", "commit", "dirty", "python", "machine", "seed", "courses", "per_event_growth"}
 COURSE_KEYS = {"students", "build_seconds", "events", "source_rows", "ocel_json_bytes", "stages"}
-STAGE_KEYS = {"seconds", "seconds_runs", "seconds_per_event", "gc_seconds", "gc_collections",
-              "rss_before_mb", "peak_rss_mb", "peak_rss_bytes_per_event"}
+STAGE_KEYS = {"seconds", "seconds_runs", "scaled_seconds", "seconds_per_event", "gc_seconds",
+              "gc_collections", "rss_before_mb", "peak_rss_mb", "peak_rss_bytes_per_event"}
 
 
 def test_ladder_writes_every_key(tmp_path):
@@ -32,13 +32,16 @@ def test_ladder_writes_every_key(tmp_path):
     assert list(course["stages"]) == list(scale_ladder.STAGES)
     for stage, measured in course["stages"].items():
         traced = {"tracemalloc_peak_mb"} if stage in scale_ladder.TRACED_STAGES else set()
-        loads = {"json_loads_seconds"} if stage == "read" else set()
+        loads = {"json_loads_seconds", "read_over_json_loads"} if stage == "read" else set()
         assert set(measured) == STAGE_KEYS | traced | loads, stage
         assert measured["seconds"] > 0 and measured["peak_rss_mb"] >= measured["rss_before_mb"] > 0
+        assert measured["scaled_seconds"] > 0
         assert measured["seconds_per_event"] == measured["seconds"] / course["events"]
         runs = measured["seconds_runs"]
         assert len(runs) == scale_ladder.TIMING_RUNS and measured["seconds"] == sorted(runs)[len(runs) // 2]
-    assert course["stages"]["read"]["json_loads_seconds"] > 0
+    read = course["stages"]["read"]
+    assert read["json_loads_seconds"] > 0
+    assert read["read_over_json_loads"] == read["seconds"] / read["json_loads_seconds"]
     assert {"verify", "analyze"} <= set(course["stages"])
     assert "analyze" in scale_ladder.TRACED_STAGES
     assert run["per_event_growth"] == {"from_to": [20, 20], **dict.fromkeys(scale_ladder.STAGES, 1.0)}

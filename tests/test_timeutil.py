@@ -1,5 +1,6 @@
-"""``to_utc_ms`` against the two-step normalization it replaced, and
-``parse_with_format`` against ``strptime`` alone."""
+"""``to_utc_ms`` against the two-step normalization it replaced,
+``parse_with_format`` against ``strptime`` alone, and ``parse_iso`` against
+its path without the fast path."""
 
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocedf import DataError, timeutil
-from ocedf.timeutil import parse_with_format, to_utc_ms
+from ocedf.timeutil import parse_iso, parse_with_format, to_utc_ms
 from reference_extraction import parse_with_format as reference_parse
 
 
@@ -124,3 +125,82 @@ def test_fast_path_taken_only_for_the_plain_shape(text, fmt, fast, slow):
     with mock.patch.object(timeutil, "datetime", wraps=datetime) as spy:
         _parse_outcome(parse_with_format, text, fmt)
     assert (spy.fromisoformat.called, spy.strptime.called) == (fast, slow)
+
+
+# -- parse_iso's fast path against the path it skips ----------------------------
+
+
+def reference_parse_iso(text: str) -> datetime:
+    """``parse_iso`` without its fast path: strip, read a ``Z``/``z`` suffix
+    as ``+00:00``, parse, normalize."""
+    cleaned = text.strip()
+    if cleaned.endswith(("Z", "z")):
+        cleaned = cleaned[:-1] + "+00:00"
+    try:
+        return to_utc_ms(datetime.fromisoformat(cleaned))
+    except ValueError as exc:
+        raise DataError(f"unparseable timestamp {text!r}: {exc}") from None
+
+
+TIMESPECS = ["auto", "hours", "minutes", "seconds", "milliseconds", "microseconds"]
+
+
+@st.composite
+def iso_texts(draw):
+    """A datetime's ``isoformat`` at some ``timespec``, naive or at any offset;
+    half the time with a ``Z``/``z`` suffix, in place of a ``+00:00`` offset
+    or after any other; with whitespace around it or none."""
+    dt = draw(DATETIMES | WHOLE_MS)
+    text = dt.isoformat(sep=draw(st.sampled_from("T ")), timespec=draw(st.sampled_from(TIMESPECS)))
+    suffix = draw(st.sampled_from(["", "", "Z", "z"]))
+    if suffix and text.endswith("+00:00"):
+        text = text[:-6]
+    text += suffix
+    return draw(st.sampled_from(["", " ", "\n", "\t "])) + text + draw(st.sampled_from(["", " ", "\r\n"]))
+
+
+NOT_TEXT = st.sampled_from([None, 5, 1.5, b"2024-09-02T10:00:00+00:00",
+                            datetime(2024, 9, 2, tzinfo=timezone.utc)])
+
+
+def _iso_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(text=iso_texts() | st.text(max_size=40) | NOT_TEXT)
+@example(text="2024-09-02T10:00:00.123+00:00")
+@example(text="2024-09-02T10:00:00.123456+00:00")
+@example(text="2024-09-02T10:00:00Z")
+@example(text="2024-09-02T10:00:00z")
+@example(text=" 2024-09-02T10:00:00+00:00")
+@example(text="2024-09-02T10:00:00-00:00")
+@example(text="2024-09-02T12:00:00+02:00")
+@example(text="2024-09-02T10:00:00")
+@example(text="2024-09-02")
+@example(text="2024-09-02T10:00:00+00:00Z")
+@example(text="")
+@example(text=None)
+@settings(max_examples=800, deadline=None)
+def test_parse_iso_matches_the_path_without_its_fast_path(text):
+    got = _iso_outcome(parse_iso, text)
+    assert got == _iso_outcome(reference_parse_iso, text)
+    if isinstance(got, datetime):
+        assert got.tzinfo is timezone.utc and to_utc_ms(got) is got
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("2024-09-02T10:00:00.123+00:00", True),
+    ("2024-09-02T10:00:00Z", True),
+    ("2024-09-02T10:00:00.123456+00:00", False),   # sub-millisecond digits
+    ("2024-09-02T12:00:00+02:00", False),
+    ("2024-09-02T10:00:00", False),                 # naive
+    (" 2024-09-02T10:00:00+00:00", False),
+    ("2024-09-02T10:00:00z", False),
+])
+def test_parse_iso_fast_path_only_for_a_normalized_time(text, fast):
+    with mock.patch.object(timeutil, "to_utc_ms", wraps=to_utc_ms) as spy:
+        parse_iso(text)
+    assert spy.called is not fast
