@@ -26,14 +26,13 @@ dict lookup, and a row's checks run in the same order whether or not its
 cells were seen before, so skip reasons and ``--on-dangling fail``
 messages are those of a row-by-row run. Each distinct pair is built once:
 the pipeline keeps, per qualifier, a map from other id to its pair, so
-equal relations, O2O or E2O, share one tuple. Phase 2 collects each source
-object's O2O pairs in a set, a pair already in it being a duplicate, and
-stores each object's sorted at its end (``ocel._store_sorted``, as the
-OCEL JSON reader stores a record's). Phase 3 grows each event's E2O tuple
-in the log, likewise, and at its end replaces each by its sorted copy,
-one tuple for all events with equal relations. So the log holds the
-relations as ``relate_*`` would have. A table's synthesized event ids are
-built once, for its event rule and its E2O rules to share. With
+equal relations, O2O or E2O, share one tuple. Phases 2 and 3 collect each
+key's pairs in one pipeline dict, a pair already there being a duplicate,
+and at the phase's end store each key's sorted in place
+(``ocel._store_sorted``, as the OCEL JSON reader stores a record's) and
+hand the dict to the log. So the log holds the relations as ``relate_*``
+would have. A table's synthesized event ids are built once, for its event
+rule and its E2O rules to share. With
 ``--log-level info`` each rule logs one line with its row counts, seconds
 and rows per second; the report keeps the seconds of each rule and phase
 under ``timings``.
@@ -44,7 +43,6 @@ from __future__ import annotations
 import csv
 import logging
 import time as _time
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -227,12 +225,6 @@ def _require_columns(rule_index: int, rule, table: SourceTable, columns: list[st
                 f"mappings[{rule_index}]: table {table.name!r} has no column {col!r}")
 
 
-def _reads_synthesized_ids(rule) -> bool:
-    """Whether the rule names each row's event by its synthesized id."""
-    return isinstance(rule, EventRule) and not rule.id_column or \
-        isinstance(rule, E2ORule) and not rule.event_id_column
-
-
 def _require_string_qualifier(rule_index: int, qualifier) -> None:
     if not isinstance(qualifier, str):
         raise SchemaError(f"mappings[{rule_index}]: qualifier {qualifier!r} must be a string")
@@ -248,8 +240,8 @@ class _Pipeline:
         self.report = ExtractionReport()
         self.log = OcedLog(self._object_type_defs(), self._event_type_defs())
         self._ids: dict[str, list[str]] = {}   # source table -> its synthesized event ids
-        self._id_readers = Counter(r.source_table for r in spec.mappings if _reads_synthesized_ids(r))
-        self._o2o: dict[str, set[tuple[str, str]]] = {}   # phase 2: source id -> its pairs
+        # the phase's relations: source id -> a set of pairs (O2O), or event id -> a tuple (E2O)
+        self._rels: dict[str, set[tuple[str, str]] | tuple[tuple[str, str], ...]] = {}
         # qualifier -> other id -> the one stored (other id, qualifier) pair
         self._pairs: dict[str, dict[str, tuple[str, str]]] = {}
 
@@ -335,19 +327,15 @@ class _Pipeline:
         return oced_log, self.report
 
     def _end_phase(self, phase: int) -> None:
-        """Store the relations that ``phase`` checked row by row in the log,
-        each key's sorted once."""
-        oced_log = self.log
+        """Store each key's relations that ``phase`` checked row by row,
+        sorted, in place, and hand their dict to the log."""
+        rels, self._rels, shared = self._rels, {}, {}   # each distinct sorted tuple, kept once
+        for key, pairs in rels.items():
+            _store_sorted(rels, key, [*pairs], shared)
         if phase == 2:
-            by_source, shared = oced_log._o2o_by_source, {}
-            for source, rels in self._o2o.items():
-                _store_sorted(by_source, source, [*rels], shared)
-            self._o2o = {}   # freed before phase 3 grows the E2O tuples
-        elif phase == 3:   # each event's tuple, grown in the log, is replaced in place
-            by_event, shared = oced_log._e2o_by_event, {}   # each distinct sorted tuple, kept once
-            for eid, rels in by_event.items():
-                _store_sorted(by_event, eid, [*rels], shared)
-            oced_log._traces = None
+            self.log._o2o_by_source = rels
+        elif phase == 3:
+            self.log._e2o_by_event = rels
 
     def _run_rule(self, index: int, phase: int, rule) -> None:
         """Run one rule over its table's rows, count them and log one line."""
@@ -363,10 +351,6 @@ class _Pipeline:
         else:
             self._run_e2o_rule(index, rule, table, run)
         run.seconds = seconds = _time.perf_counter() - started
-        if _reads_synthesized_ids(rule):   # free a table's ids once its last reader has run
-            self._id_readers[rule.source_table] -= 1
-            if not self._id_readers[rule.source_table]:
-                self._ids.pop(rule.source_table, None)
         run.rows_loaded = run.rows_in - run.rows_skipped   # a row neither loaded nor skipped raised
         self.report.rule_runs.append(run)
         log.info("rule %d (%s, table %s): %d rows in, %d loaded, %d skipped, %.3f s, %.0f rows/s",
@@ -403,7 +387,10 @@ class _Pipeline:
                 continue
             when = epoch
             if raw_time := raw_time.strip():
-                when = parse_iso(raw_time)
+                try:
+                    when = parse_iso(raw_time)
+                except DataError as exc:
+                    raise DataError(f"mappings[{index}] row {i}: {exc}") from None
             values = [AttributeValue(attr, when, raw)
                       for attr, value in zip(attr_names, attr_cells) if (raw := value.strip())]
             if label and discriminator:
@@ -441,7 +428,10 @@ class _Pipeline:
                 raise DataError(f"mappings[{index}] row {i}: empty event id")
             if eid in events:
                 raise DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
-            when = parse_with_format(raw_time.strip(), fmt)
+            try:
+                when = parse_with_format(raw_time.strip(), fmt)
+            except DataError as exc:
+                raise DataError(f"mappings[{index}] row {i}: {exc}") from None
             attrs = attr_names and tuple(   # no attributes: (), with no generator per row
                 (attr, raw) for attr, value in zip(attr_names, attr_cells) if (raw := value.strip()))
             add_event(EventInstance(eid, activity, when, attrs))
@@ -463,7 +453,7 @@ class _Pipeline:
         source_col, target_col, qualifier = rule.source_id_column, rule.target_id_column, rule.qualifier
         _require_columns(index, rule, table, [source_col, target_col])
         _require_string_qualifier(index, qualifier)
-        by_source, pair_of = self._o2o, self._pair_of
+        by_source, pair_of = self._rels, self._pair_of
         resolved: dict[str, tuple[str, str] | str] = {}   # endpoint cell -> _pair_of(cell)
         for i, (source_cell, target_cell) in enumerate(zip(table.column(source_col), table.column(target_col))):
             try:
@@ -490,14 +480,14 @@ class _Pipeline:
             rels.add(rel)
 
     def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
-        """Grow each event's tuple of pairs in the log, unsorted until the
-        phase ends; a pair already in it is a duplicate. Each distinct
-        object cell is resolved once, by ``_pair_of``."""
+        """Grow each event's tuple of pairs, unsorted until the phase ends; a
+        pair already in it is a duplicate. Each distinct object cell is
+        resolved once, by ``_pair_of``."""
         object_col, event_col, qualifier = rule.object_id_column, rule.event_id_column, rule.qualifier
         _require_columns(index, rule, table, [object_col, event_col or ""])
         _require_string_qualifier(index, qualifier)
         ids = table.column(event_col) if event_col else self._synthesized_ids(rule, table)
-        events, by_event, pair_of = self.log._events, self.log._e2o_by_event, self._pair_of
+        events, by_event, pair_of = self.log._events, self._rels, self._pair_of
         resolved: dict[str, tuple[str, str] | str] = {}   # object cell -> _pair_of(cell)
         for i, (cell, eid) in enumerate(zip(table.column(object_col), ids)):
             try:

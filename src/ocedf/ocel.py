@@ -1,39 +1,9 @@
-"""In-memory object-centric event log and its JSON serialization.
-
-A log holds typed events, typed objects, timestamped object attribute
-values, untimed event attribute values, and qualified event-to-object and
-object-to-object relations. Logs are built once through the ``add_*`` /
-``relate_*`` methods and treated as read-only afterwards. Instances are
-immutable ``NamedTuple``s (``_replace`` copies one with changes); an
-instance holds what it was given until ``add_*`` normalizes and checks it
-once, as it stores it. Each relation is held once, as a plain ``(other id,
-qualifier)`` pair under its event (E2O) or its source object (O2O), in a
-tuple sorted as OCEL JSON emits it; ``E2ORelation`` and ``O2ORelation`` are
-built only by the ``e2o``/``o2o`` properties. The reader and ``extract``
-store each distinct pair, and each distinct tuple of them, once per log,
-shared by every key that holds it; ``relate_*`` may store its own copy, and
-which tuples are shared is not part of the API. The first query for the
-event order or the object traces builds that index and caches it on the
-log; ``add_*``/``relate_*`` drop the indexes they change. Two threads making
-that first query at once compute equal values, so a finished log is safe to
-share across threads.
-
-A derived log (``relabel``) shares its input's frozen instances, relations and
-indexes, and the very dicts that hold them where it leaves them unchanged;
-it re-checks only what it changes. The first ``add_*``/``relate_*`` on
-either log copies the dicts they share, once, so a change to one never shows
-in the other. Deriving sets a flag on the input too; two threads deriving
-from one log at once write the same value, so a finished log stays safe to
-share. The OCEL
-JSON writer joins each record's line from encoded parts; ``ocel_to_dict``
-parses that text, so one record builder serves both. The reader reads and
-builds a text in the writer's layout one line, so one record, at a time,
-and parses any other text whole; both build the records through one loop
-and give the same log or the same error. That loop stores a plain event (a
-new non-empty id, a declared type, no attributes) straight into its own
-fresh log, with the time ``parse_iso`` normalized, since ``add_event``
-would store that very event; every other event goes through ``add_event``.
-"""
+"""In-memory object-centric event log and its OCEL 2.0 JSON interchange:
+type definitions, instances and relations; ``OcedLog`` and ``relabel``; the
+writer (``write_ocel_json``, ``ocel_to_dict``); and the reader
+(``read_ocel_json``, ``ocel_from_dict``), which reads the writer's layout
+one line at a time (``_read_writer_layout``) and builds every record
+through one loop (``_add_records``)."""
 
 from __future__ import annotations
 
@@ -65,29 +35,26 @@ class AttributeDef:
     kind: str
 
 
-def _set_defs(tdef) -> None:
-    """Freeze a type definition's attributes and build, once, the map from
-    attribute name to kind that every instance of the type is checked with."""
-    object.__setattr__(tdef, "attribute_defs", tuple(tdef.attribute_defs))
-    object.__setattr__(tdef, "_kinds", {ad.name: ad.kind for ad in tdef.attribute_defs})
-
-
 @dataclass(frozen=True)
-class ObjectTypeDef:
+class _TypeDef:
+    """A declared type: its name and its attribute definitions, frozen to a
+    tuple, with the map from attribute name to kind, built once, that each
+    instance is checked with. An object type never equals an event type."""
+
     name: str
     attribute_defs: tuple[AttributeDef, ...] = ()
 
     def __post_init__(self):
-        _set_defs(self)
+        object.__setattr__(self, "attribute_defs", tuple(self.attribute_defs))
+        object.__setattr__(self, "_kinds", {ad.name: ad.kind for ad in self.attribute_defs})
 
 
-@dataclass(frozen=True)
-class EventTypeDef:
-    name: str
-    attribute_defs: tuple[AttributeDef, ...] = ()
+class ObjectTypeDef(_TypeDef):
+    """A declared object type."""
 
-    def __post_init__(self):
-        _set_defs(self)
+
+class EventTypeDef(_TypeDef):
+    """A declared event type."""
 
 
 class AttributeValue(NamedTuple):
@@ -193,14 +160,12 @@ def _insert(by_key: dict[str, tuple], key: str, other: str, qualifier: str, kind
 
 
 def _store_sorted(by_key: dict[str, tuple], key: str, rels: list, shared: dict[tuple, tuple]) -> None:
-    """Store ``rels``, all of ``key``'s (other id, qualifier) pairs, in one
-    step, sorted as OCEL JSON emits them, as ``by_key[key]``: the equal tuple
-    in ``shared``, or a new one entered there. The caller has checked them as
-    ``relate_*`` would: each comes once and holds the stored instances' own
-    ids. The reader and ``extract`` store relations this way, each passing
-    the one tuple it keeps per distinct pair, so equal pairs, and equal
-    tuples of them, are one object; ``relate_*`` add them one at a time, as
-    new tuples, through ``_insert``."""
+    """Store ``rels``, all of ``key``'s pairs, checked as ``relate_*`` checks
+    them, as ``by_key[key]``, sorted: the equal tuple in ``shared``, or a new
+    one entered there. The reader and ``extract`` store relations so, one
+    tuple per distinct pair, so equal pairs and equal tuples are one object
+    per log; ``relate_*`` adds tuples of its own (``_insert``), and which
+    tuples are shared is not part of the API."""
     rels.sort()
     rels = tuple(rels)
     by_key[key] = shared.setdefault(rels, rels)
@@ -275,28 +240,23 @@ def _stored_event(event: EventInstance, tdef: EventTypeDef | None) -> EventInsta
 
 
 class OcedLog:
-    """Mutable while being built, then used as a read-only value.
+    """Typed objects with timestamped attribute values, typed events with
+    untimed ones, and qualified E2O and O2O relations. ``add_*``/``relate_*``
+    normalize and check each immutable instance once, as they store it; the
+    finished log is used as a read-only value.
 
-    Each relation is stored once, as a plain pair of strings under its key:
-    an E2O relation as ``(object id, qualifier)`` in its event's tuple, and
-    an O2O relation as ``(target id, qualifier)`` in its source object's
-    tuple, each tuple sorted and never empty. That is the order the readers
-    and the OCEL JSON writer want, so none of them sorts. A log that the
-    reader or ``extract`` built holds each distinct pair as one tuple, which
-    all its keys share; ``relate_*`` stores a tuple of its own, and sharing
-    is not part of the API. The cyclic GC
-    stops tracking a pair at its first collection, and the key's tuple by
-    the next; it never does so for a ``NamedTuple``. A tuple is replaced,
-    never changed, when a relation is added. The event order (a
-    tuple of event ids by time, then id) and the object traces (per object
-    id, a tuple of its distinct event ids in that order) are built on first
-    use and rebound to None by the methods that change them, so a derived
-    log may hold the very tuples of its input.
+    A relation is a plain ``(other id, qualifier)`` pair in a sorted,
+    non-empty tuple under its event (E2O) or source object (O2O): the order
+    the readers and the writer want, so none of them sorts. Adding one
+    replaces the tuple. The cyclic GC stops tracking a pair at its first
+    collection, and the tuple by the next, as it never does a ``NamedTuple``;
+    ``E2ORelation``/``O2ORelation`` are built only by ``e2o``/``o2o``.
 
-    A derived log may also hold its input's ``_objects``, ``_events``,
-    ``_e2o_by_event`` and ``_o2o_by_source`` dicts themselves; ``_shared``
-    is then set on both logs, and the first ``add_*``/``relate_*`` on either
-    copies all four (``_own``) before it writes."""
+    The event order (event ids by time, then id) and the object traces (per
+    object, its distinct event ids in that order) are built on first use and
+    rebound to None by the methods that change them. Two threads making that
+    first query at once compute equal values, so a finished log is safe to
+    share across threads."""
 
     def __init__(self, object_type_defs: Iterable[ObjectTypeDef] = (),
                  event_type_defs: Iterable[EventTypeDef] = ()):
@@ -323,14 +283,12 @@ class OcedLog:
     # -- construction ----------------------------------------------------
 
     def _own(self) -> None:
-        """Copy the four dicts this log may share with a log derived from it,
-        or with the log it was derived from, so that the write that follows
-        changes this log alone. ``extract`` and the reader write into a log's
-        dicts directly, not through ``add_*``/``relate_*``: both store
-        relation tuples, and the reader stores plain events too
-        (``_add_event_entry``). They may do so only on a fresh log of their
-        own, which shares nothing until it is returned, so the flag needs no
-        test there; nor has it cached an event order for an event to drop."""
+        """Copy the dicts this log shares, if any (``_shared``), so that the
+        write that follows changes it alone. ``extract`` and the reader write
+        into a fresh log's dicts directly: it shares nothing, and has cached
+        no event order, until it is returned."""
+        if not self._shared:
+            return
         self._objects = dict(self._objects)
         self._events = dict(self._events)
         self._e2o_by_event = dict(self._e2o_by_event)
@@ -338,8 +296,7 @@ class OcedLog:
         self._shared = False
 
     def add_object(self, obj: ObjectInstance) -> None:
-        if self._shared:
-            self._own()
+        self._own()
         if not obj.id:
             raise SchemaError("empty object id")
         if obj.id in self._objects:
@@ -347,8 +304,7 @@ class OcedLog:
         self._objects[obj.id] = _stored_object(obj, self._object_types.get(obj.type))
 
     def add_event(self, event: EventInstance) -> None:
-        if self._shared:
-            self._own()
+        self._own()
         if not event.id:
             raise SchemaError("empty event id")
         if event.id in self._events:
@@ -357,10 +313,8 @@ class OcedLog:
         self._order = self._traces = None
 
     def relate_event_object(self, event_id: str, object_id: str, qualifier: str = "") -> None:
-        """Relate a stored event to a stored object. The relation holds the
-        instances' own id strings, whatever equal strings are passed in."""
-        if self._shared:
-            self._own()
+        """Relate a stored event to a stored object, by their own id strings."""
+        self._own()
         event, obj = self._events.get(event_id), self._objects.get(object_id)
         if event is None:
             raise SchemaError(f"e2o relation references unknown event {event_id!r}")
@@ -370,10 +324,8 @@ class OcedLog:
         self._traces = None
 
     def relate_objects(self, source_id: str, target_id: str, qualifier: str = "") -> None:
-        """Relate two stored objects; like ``relate_event_object``, the relation
-        holds the objects' own id strings."""
-        if self._shared:
-            self._own()
+        """Relate two stored objects, by their own id strings."""
+        self._own()
         source, target = self._objects.get(source_id), self._objects.get(target_id)
         for oid, obj in ((source_id, source), (target_id, target)):
             if obj is None:
@@ -462,14 +414,13 @@ class OcedLog:
                  object_types: Mapping[str, ObjectTypeDef] | None = None,
                  event_types: Mapping[str, EventTypeDef] | None = None) -> "OcedLog":
         """A log over valid ``objects`` and ``events`` of this log (dicts it
-        takes over, which may be this log's own), checking nothing. The
-        instances keep this log's ids and times, which is what lets the
-        derived log reuse this log's event order, and its object traces too
-        when no id is dropped. It keeps the relations between them and shares
-        the immutable relation tuples and indexes; when no id is dropped it
-        holds this log's relation dicts themselves. Each dict of this log it
-        holds marks both logs as sharing, so the first change to either
-        copies them (``_own``)."""
+        takes over, maybe this log's own), checking nothing. As the instances
+        keep their ids and times, it reuses this log's event order, and when
+        no id is dropped its traces and relation dicts too; otherwise it keeps
+        the relations between its instances, sharing their tuples. Each dict
+        it shares with this log sets ``_shared`` on both, so the first change
+        to either copies them (``_own``); two threads deriving at once set the
+        same flag, so a finished log stays safe to share."""
         out = OcedLog.__new__(OcedLog)
         out._object_types = dict(self._object_types if object_types is None else object_types)
         out._event_types = dict(self._event_types if event_types is None else event_types)
@@ -496,8 +447,7 @@ class OcedLog:
 
 
 def _canonical(log: OcedLog):
-    """Each key's relation tuple is sorted, free of duplicates and never
-    empty, so equal relations mean equal stored dicts."""
+    """Equal relations give equal stored dicts, as each key's tuple is sorted."""
     return (
         {td.name: td.attribute_defs for td in log.object_type_defs},
         {td.name: td.attribute_defs for td in log.event_type_defs},
@@ -514,15 +464,14 @@ def relabel(log: OcedLog,
             object_labels: Mapping[str, str] | None = None,
             event_labels: Mapping[str, str] | None = None,
             added_values: Mapping[str, Iterable[AttributeValue]] | None = None) -> OcedLog:
-    """``log`` with new type definitions (None keeps them), instances moved to
-    the types ``object_labels``/``event_labels`` give by id, and
-    ``added_values`` appended to objects by id. Instances that move, gain values
-    or whose type definition changed are checked as ``add_*`` checks them and
-    take their type definition's own name string; a value that conforms to
-    its kind stays the same object, and the rest is shared. Objects keep
-    their order; events are in (time, id) order. A side it leaves unchanged
-    is the input's own dict, shared until either log changes (events only
-    when that dict is in (time, id) order already, as a read log's is)."""
+    """``log`` with new type definitions (None keeps them), instances moved
+    to the types ``object_labels``/``event_labels`` give by id, and
+    ``added_values`` appended to objects by id. An instance that moves, gains
+    values or whose type definition changed is checked as ``add_*`` checks
+    it and takes its definition's own name string; the rest is shared, and a
+    side left unchanged is the input's own dict (events only when it is in
+    (time, id) order already, as a read log's is). Objects keep their order;
+    events are in (time, id) order."""
     otypes = log._object_types if object_types is None else _checked_defs(object_types, "object type")
     etypes = log._event_types if event_types is None else _checked_defs(event_types, "event type")
     if otypes is log._object_types and not object_labels and not added_values:
@@ -554,11 +503,6 @@ def _relabeled(instances, old_types, new_types, labels, added, stored) -> dict:
 
 
 # -- OCEL JSON interchange -------------------------------------------------
-#
-# Stored times and timestamp values are UTC with whole milliseconds, so they
-# are formatted as they are. The reader checks the JSON shape and parses
-# timestamp strings; each value's declaration and kind is then checked once,
-# by add_object/add_event, and to_utc_ms keeps the parsed times as they are.
 
 
 def _value_to_json(value: Any) -> Any:
@@ -585,11 +529,11 @@ def _event_attributes(values: tuple[tuple[str, Any], ...]) -> list[dict]:
 
 
 def _document_chunks(log: OcedLog) -> Iterator[str]:
-    """The document in pieces, one record per line. An object or event line is
-    the text ``encode`` gives its dict, joined from encoded parts. A type name
-    or a relationship ``{"objectId", "qualifier"}`` is encoded on first use
-    only: a log has few, shared by E2O and O2O. An event time is UTC in whole
-    ms, so its ``isoformat(timespec="milliseconds")`` is built from fields."""
+    """The document's text in pieces. An object or event line is the text
+    ``encode`` gives its dict, joined from encoded parts; a type name or a
+    relationship is encoded on first use only, as a log has few, shared by
+    E2O and O2O. Stored times and values are UTC in whole ms, so each is
+    formatted as it is, and an event time is built from its fields."""
     encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
     type_name = cache(encode)
     relationship = cache(lambda oid, qualifier: encode({"objectId": oid, "qualifier": qualifier}))
@@ -630,15 +574,12 @@ def ocel_to_dict(log: OcedLog) -> dict:
 
 
 def write_ocel_json(log: OcedLog, destination: str | Path | IO[str]) -> None:
-    """Serialize to an OCEL 2.0 JSON document (UTF-8, canonical ordering).
-
-    Each top-level key is on its own line, and each type, object and event
-    record on its own line below it, so that a diff of two logs shows whole
-    records. Each line is built from the record's encoded parts and written
-    straight away, so the whole document is never held in memory. A path is
-    replaced only once the document is complete (``fileio.open_atomic``); an
-    open file is written directly.
-    """
+    """Serialize to an OCEL 2.0 JSON document (UTF-8, canonical ordering), one
+    line per top-level key and per type, object and event record, so a diff
+    of two logs shows whole records. Each line is written as it is built, so
+    the whole document is never held in memory. A path is replaced only once
+    the document is complete (``fileio.open_atomic``); an open file is
+    written directly."""
     chunks = _document_chunks(log)
     if hasattr(destination, "write"):
         destination.writelines(chunks)
@@ -706,18 +647,15 @@ def ocel_from_dict(doc: Any) -> OcedLog:
 def _add_records(log: OcedLog, objects: Iterable, events: Iterable) -> OcedLog:
     """``log`` with the ``objects`` and ``events`` entries added in the order
     both readers share: each object, then the O2O relations of those that
-    hold any, then each event added and related in turn. The first defect in
-    that order raises. Each distinct (objectId, qualifier) is checked once and
-    stored as one pair, and each distinct sorted tuple of pairs as one tuple,
-    shared by every record holding it. A record with any defect is replayed
-    through ``relate_*``, so its first defect is reported with the message
-    and path that relation by relation would give."""
+    hold any, then each event added and related in turn; the first defect in
+    that order raises. A record with any defect is replayed through
+    ``relate_*``, so its first defect has the message and JSON path that
+    relation by relation would give."""
     related = [(i, entry) for i, entry in enumerate(objects) if _add_object_entry(log, i, entry)]
-    pairs, shared = {}, {}   # (objectId, qualifier) -> stored pair; each stored tuple of pairs
-    objects_by_id = log._objects
+    pairs, shared = _Pairs(log._objects), {}   # each stored tuple of pairs
     for i, entry in related:
-        source = objects_by_id[entry["id"]].id
-        built = _record_relations(entry["relationships"], objects_by_id, pairs)
+        source = log._objects[entry["id"]].id
+        built = pairs.of(entry["relationships"])
         if built is None or (source, "") in built:   # self O2O, unqualified
             _replay_relations("objects", i, entry, log.relate_objects)
         else:
@@ -763,10 +701,10 @@ def _add_object_entry(log: OcedLog, i: int, entry: Any) -> list:
     return rels
 
 
-def _add_event_entry(log: OcedLog, i: int, entry: Any, pairs: dict, shared: dict) -> None:
+def _add_event_entry(log: OcedLog, i: int, entry: Any, pairs: _Pairs, shared: dict) -> None:
     """Check the shape of ``events[i]``, parse its time once, add its event,
-    typed by the declared type's own string, and store its E2O relations as
-    ``_add_records`` says. A JSON path is built only to raise."""
+    typed by the declared type's own string, and store its E2O relations; a
+    JSON path is built only to raise."""
     if not isinstance(entry, dict) or not isinstance(eid := entry.get("id"), str) \
             or not isinstance(etype := entry.get("type"), str):
         raise OcelDocumentError("event entry must carry a string 'id' and 'type'", f"events[{i}]")
@@ -800,33 +738,35 @@ def _add_event_entry(log: OcedLog, i: int, entry: Any, pairs: dict, shared: dict
         except SchemaError as exc:
             raise OcelDocumentError(str(exc), f"events[{i}]") from None
     if rels:
-        built = _record_relations(rels, log._objects, pairs)
+        built = pairs.of(rels)
         if built is None:
             _replay_relations("events", i, entry, log.relate_event_object)
         else:
             _store_sorted(log._e2o_by_event, eid, built, shared)
 
 
-def _record_relations(rels: list, objects: Mapping[str, ObjectInstance],
-                      pairs: dict[tuple[str, str], tuple[str, str]]) -> list | None:
-    """The stored (object id, qualifier) pairs of one record's relationships,
-    each pair first seen here entered in ``pairs``; or None when one is
-    malformed, names an unknown object or comes twice."""
-    try:
-        built = [pairs[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
-    except (KeyError, TypeError):   # a pair not seen yet, or a defect: each is checked
-        built = []
-        for rel in rels:
-            if not isinstance(rel, dict):
-                return None
-            qualifier, target = rel.get("qualifier", ""), rel.get("objectId")
-            if not isinstance(qualifier, str) or not isinstance(target, str) or target not in objects:
-                return None
-            pair = pairs.get((target, qualifier))
-            if pair is None:
-                pair = pairs[target, qualifier] = (objects[target].id, qualifier)
-            built.append(pair)
-    return built if len(set(built)) == len(built) else None
+class _Pairs(dict):
+    """Per read: (objectId, qualifier) -> its stored pair, entered on first
+    lookup if both parts are strings and the id names a stored object;
+    otherwise the lookup raises ``KeyError`` or ``TypeError``."""
+
+    def __init__(self, objects: Mapping[str, ObjectInstance]):
+        self.objects = objects
+
+    def __missing__(self, key: tuple[str, str]) -> tuple[str, str]:
+        target, qualifier = key
+        if not isinstance(target, str) or not isinstance(qualifier, str):
+            raise TypeError("objectId and qualifier must be strings")
+        pair = self[key] = (self.objects[target].id, qualifier)
+        return pair
+
+    def of(self, rels: list) -> list | None:
+        """The stored pairs of a record's relationships, or None if one is malformed, unknown or repeated."""
+        try:
+            built = [self[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
+        except (KeyError, TypeError):
+            return None
+        return built if len(set(built)) == len(built) else None
 
 
 def _replay_relations(key: str, i: int, entry: dict, relate) -> None:
@@ -845,8 +785,7 @@ def _replay_relations(key: str, i: int, entry: dict, relate) -> None:
 
 
 def _load_document(text: str | bytes) -> Any:
-    """The parsed JSON of ``text``, whole: how a text not in the writer's
-    layout is read; the caller drops the text before the log is built."""
+    """The parsed JSON of a text not in the writer's layout, read whole."""
     try:
         return json.loads(text)
     except UnicodeDecodeError as exc:   # bytes; a ValueError too, so it comes first
@@ -859,15 +798,15 @@ def _load_document(text: str | bytes) -> Any:
 
 def _read_writer_layout(lines: Iterable[str]) -> OcedLog | None:
     """The log of the text of ``lines``, each with its ``\\n``, if it has
-    ``write_ocel_json``'s layout, built as each line is read; otherwise None.
+    ``write_ocel_json``'s layout, built as each line is read, each record
+    dropped once stored, so neither the text nor its parsed document is ever
+    held whole; otherwise None.
 
     The frame is a line each for ``{``, for each top-level key's ``"<key>": [``
     in order, for each record (``,`` after all but the last) and for ``],``
     (``]`` after the events), then ``}`` and JSON whitespace. A JSON string
     holds no raw line break, so every one in the frame is structural, and the
-    C scanner of ``json.loads`` parses each record's line. ``_add_records``
-    builds the log as ``ocel_from_dict`` does, each record dropped once
-    stored, so neither the text nor its parsed document is ever held whole.
+    C scanner of ``json.loads`` parses each record's line.
 
     A mismatch with the frame, or text the scanner or the decoder rejects,
     gives None. A record defect raises only once the rest of the frame is
@@ -921,23 +860,20 @@ def _read_writer_layout(lines: Iterable[str]) -> OcedLog | None:
 def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     """Parse an OCEL 2.0 JSON document from a path or open file.
 
-    Text in ``write_ocel_json``'s layout is read and built one line, so one
-    record, at a time from a path or a seekable file: neither the text nor
-    its parsed document is ever held whole, and a defect in it is reported
-    from that one pass. Any other text is read again whole from where the
-    read began and parsed whole; a file that cannot seek is read whole first.
-    Both build the records in one order, so the log, or the error with its
-    message and JSON path, is the same either way. A path is opened once,
-    with universal newlines as in ``Path.read_text``. Text that is not UTF-8
-    raises ``OcelDocumentError`` at the position a whole read gives; any
-    other failure to read, such as a closed file, propagates unchanged.
+    Text in ``write_ocel_json``'s layout from a path or a seekable file is
+    read in one pass (``_read_writer_layout``); any other text is read again
+    whole from where the read began, and a file that cannot seek is read
+    whole first. The log, or the error with its message and JSON path, is
+    the same either way. A path is opened once, with universal newlines as
+    in ``Path.read_text``. Text that is not UTF-8 raises ``OcelDocumentError``
+    at the position a whole read gives; any other failure to read, such as
+    a closed file, propagates unchanged.
 
-    The cyclic garbage collector is paused while the text is parsed and the
-    log is built: both only allocate, and a collection pass over the growing
-    document and log would find nothing to free. The pause is process-wide,
-    so other threads' objects go uncollected during the read as well. The
-    caller's state is restored when the read returns or raises, so a caller
-    that had disabled the collector keeps it disabled."""
+    The cyclic GC is paused while the text is parsed and the log is built:
+    both only allocate, so a collection pass would find nothing to free. The
+    pause is process-wide, so other threads' objects go uncollected during
+    the read as well. The caller's state is restored when the read returns
+    or raises, so a caller that had disabled the collector keeps it disabled."""
     enabled = gc.isenabled()
     gc.disable()
     try:

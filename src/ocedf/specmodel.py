@@ -91,13 +91,10 @@ class ConceptualSchema:
 
     def root_of(self, name: str) -> str:
         """Topmost supertype reachable from ``name`` (itself when plain)."""
-        current = name
-        for _ in range(len(self.object_types) + 1):
-            parent = self.parent_of(current)
-            if parent is None:
-                return current
-            current = parent
-        raise SpecError(f"is-a cycle reached from {name!r}")
+        chain = [name, *self.ancestors_of(name)]
+        if len(chain) > len(self.object_types) + 1:
+            raise SpecError(f"is-a cycle reached from {name!r}")
+        return chain[-1]
 
     def ancestors_of(self, name: str) -> list[str]:
         out = []
@@ -415,7 +412,8 @@ def parse_spec_document(doc: Any) -> ProjectSpec:
 # -- validation ---------------------------------------------------------------
 
 
-def _hierarchy_errors(schema: ConceptualSchema) -> list[Diagnostic]:
+def _hierarchy_errors(schema: ConceptualSchema) -> tuple[list[Diagnostic], bool]:
+    """The is-a hierarchy's errors, and whether it has a cycle."""
     out = []
     declared = set(schema.object_types)
     parents: dict[str, str] = {}
@@ -444,23 +442,19 @@ def _hierarchy_errors(schema: ConceptualSchema) -> list[Diagnostic]:
             seen.add(current)
             current = parents.get(current)
 
-    has_cycle = any("cycle" in d.message for d in out)
-    if not has_cycle:
+    if not known_cyclic:
         for sup in sorted({sup for _, sup in schema.is_a}):
             if sup in declared and sup not in schema.discriminators:
                 out.append(Diagnostic("error", "schema.discriminators",
                                       f"supertype {sup!r} has no discriminator attribute"))
-    return out
+    return out, bool(known_cyclic)
 
 
 def validate_spec(spec: ProjectSpec) -> list[Diagnostic]:
     """Cross-validate a parsed spec; returns diagnostics, errors first."""
-    out: list[Diagnostic] = []
     schema = spec.schema
     declared = set(schema.object_types)
-
-    out.extend(_hierarchy_errors(schema))
-    cyclic = any(d.severity == "error" and "cycle" in d.message for d in out)
+    out, cyclic = _hierarchy_errors(schema)
 
     for i, (src, tgt, _q) in enumerate(schema.o2o_types):
         for name in (src, tgt):

@@ -11,8 +11,6 @@ from datetime import datetime, timezone
 
 from .errors import DataError
 
-ISO_MS = "%Y-%m-%dT%H:%M:%S.%f"
-
 # The format most sources use, and the one shape of it parsed without strptime.
 _PLAIN_SECONDS = "%Y-%m-%d %H:%M:%S"
 _PLAIN_SECONDS_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")

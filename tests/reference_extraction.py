@@ -89,7 +89,10 @@ class _ReferencePipeline(extraction._Pipeline):
             if rule.attribute_time_column:
                 raw = _cell(row, rule.attribute_time_column)
                 if raw:
-                    when = parse_iso(raw)
+                    try:
+                        when = parse_iso(raw)
+                    except DataError as exc:
+                        raise DataError(f"mappings[{index}] row {i}: {exc}") from None
             values = []
             for attr, col in rule.attribute_columns.items():
                 raw = _cell(row, col)
@@ -119,7 +122,10 @@ class _ReferencePipeline(extraction._Pipeline):
                 raise DataError(f"mappings[{index}] row {i}: empty event id")
             if eid in self.log.events:
                 raise DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
-            when = parse_with_format(_cell(row, rule.time_column), rule.time_format)
+            try:
+                when = parse_with_format(_cell(row, rule.time_column), rule.time_format)
+            except DataError as exc:
+                raise DataError(f"mappings[{index}] row {i}: {exc}") from None
             attrs = []
             for attr, col in rule.attribute_columns.items():
                 raw = _cell(row, col)

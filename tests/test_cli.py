@@ -346,3 +346,23 @@ def test_env_var_log_level(tmp_path, monkeypatch, capsys):
     p = tmp_path / "empty.json"
     write_ocel_json(OcedLog([], []), p)
     assert run(["stats", "--log", str(p)]) == 0
+
+
+@pytest.mark.parametrize("env, flags, level", [
+    (None, ["--log-level", "info"], logging.INFO),
+    ("debug", ["--log-level", "error"], logging.DEBUG),   # OCEDF_LOG overrides --log-level
+    ("DEBUG", [], logging.DEBUG),
+    ("debug", ["--quiet", "--log-level", "info"], logging.ERROR),   # --quiet overrides both
+    ("loud", ["--log-level", "info"], logging.WARNING),   # an unknown value falls back to warn
+])
+def test_log_level_precedence(tmp_path, monkeypatch, env, flags, level):
+    if env is None:
+        monkeypatch.delenv("OCEDF_LOG", raising=False)
+    else:
+        monkeypatch.setenv("OCEDF_LOG", env)
+    configured = {}
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: configured.update(kwargs))
+    p = tmp_path / "empty.json"
+    write_ocel_json(OcedLog([], []), p)
+    assert run([*flags, "stats", "--log", str(p)]) == 0
+    assert configured["level"] == level

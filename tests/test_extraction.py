@@ -684,9 +684,19 @@ class TestRowErrors:
     def test_unparseable_timestamp(self):
         sources = dict(BASE_SOURCES)
         sources["events"] = table("events", ["ts", "action", "uid", "cid"],
-                                  [["yesterday", "view page", "u1", "c1"]])
-        with pytest.raises(DataError, match="unparseable timestamp"):
+                                  [["2024-09-02 10:00:00", "view page", "u1", "c1"],
+                                   ["yesterday", "view page", "u1", "c1"]])
+        with pytest.raises(DataError, match=r"^mappings\[3\] row 1: unparseable timestamp 'yesterday' "
+                                            r"for format '%Y-%m-%d %H:%M:%S'"):
             run_tiny(sources=sources)
+
+    def test_unparseable_attribute_time(self):
+        mappings = [{"kind": "object", "source_table": "users2", "id_column": "uid", "object_type": "Course",
+                     "attributes": {"name": "name"}, "attribute_time_column": "since"}]
+        sources = {"users2": table("users2", ["uid", "name", "since"],
+                                   [["c8", "Cy", "2024-10-05T12:00:00Z"], ["c9", "Di", "yesterday"]])}
+        with pytest.raises(DataError, match=r"^mappings\[0\] row 1: unparseable timestamp 'yesterday'"):
+            run_tiny(mappings, sources)
 
     def test_unknown_activity_value(self):
         sources = dict(BASE_SOURCES)

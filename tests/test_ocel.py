@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from datetime import date, datetime, timedelta, timezone
@@ -68,6 +69,18 @@ class TestSchema:
     def test_unknown_value_kind(self):
         with pytest.raises(SchemaError, match="kind"):
             OcedLog([ObjectTypeDef("A", (AttributeDef("x", "text"),))], [])
+
+    @pytest.mark.parametrize("cls", [ObjectTypeDef, EventTypeDef])
+    def test_type_defs_are_frozen_values_of_their_own_class(self, cls):
+        other = EventTypeDef if cls is ObjectTypeDef else ObjectTypeDef
+        tdef = cls("T", [AttributeDef("x", "string")])
+        assert tdef.attribute_defs == (AttributeDef("x", "string"),)
+        assert tdef == cls("T", (AttributeDef("x", "string"),)) and cls("T") != other("T")
+        assert repr(cls("T")) == f"{cls.__name__}(name='T', attribute_defs=())"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tdef.name = "U"
+        renamed = dataclasses.replace(tdef, name="U")
+        assert type(renamed) is cls and renamed.attribute_defs == tdef.attribute_defs
 
 
 class TestObjects:

@@ -32,7 +32,8 @@ def test_ladder_writes_every_key(tmp_path):
     assert list(course["stages"]) == list(scale_ladder.STAGES)
     for stage, measured in course["stages"].items():
         traced = {"tracemalloc_peak_mb"} if stage in scale_ladder.TRACED_STAGES else set()
-        loads = {"json_loads_seconds", "read_over_json_loads"} if stage == "read" else set()
+        loads = {"json_loads_seconds", "read_over_json_loads", "warm_read_seconds",
+                 "warm_read_over_json_loads"} if stage == "read" else set()
         assert set(measured) == STAGE_KEYS | traced | loads, stage
         assert measured["seconds"] > 0 and measured["peak_rss_mb"] >= measured["rss_before_mb"] > 0
         assert measured["scaled_seconds"] > 0
@@ -42,6 +43,8 @@ def test_ladder_writes_every_key(tmp_path):
     read = course["stages"]["read"]
     assert read["json_loads_seconds"] > 0
     assert read["read_over_json_loads"] == read["seconds"] / read["json_loads_seconds"]
+    assert read["warm_read_seconds"] > 0
+    assert read["warm_read_over_json_loads"] == read["warm_read_seconds"] / read["json_loads_seconds"]
     assert {"verify", "analyze"} <= set(course["stages"])
     assert "analyze" in scale_ladder.TRACED_STAGES
     assert run["per_event_growth"] == {"from_to": [20, 20], **dict.fromkeys(scale_ladder.STAGES, 1.0)}

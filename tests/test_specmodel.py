@@ -139,6 +139,16 @@ class TestValidation:
         with pytest.raises(SpecError, match="two supertypes"):
             parse_spec(doc)
 
+    def test_a_type_named_bicycle_is_no_cycle(self):
+        doc = case_study_doc()
+        doc["schema"]["object_types"] += ["Vehicle", "Car", "Bicycle", "Wheel"]
+        doc["schema"]["is_a"] += [["Car", "Vehicle"], ["Bicycle", "Vehicle"], ["Bicycle", "Car"]]
+        found = {(d.severity, d.message) for d in validate_spec(parse_spec_document(doc))}
+        assert {("error", "subtype 'Bicycle' has two supertypes"),
+                ("error", "supertype 'Car' has no discriminator attribute"),
+                ("error", "supertype 'Vehicle' has no discriminator attribute"),
+                ("warning", "object type 'Wheel' is not marked by any question")} <= found
+
     def test_unknown_type_in_q2ot(self):
         doc = case_study_doc()
         doc["q2ot"]["Q1"] = doc["q2ot"]["Q1"] + ["Quiz"]
