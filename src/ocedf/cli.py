@@ -101,7 +101,10 @@ def _configure_logging(args) -> None:
     level = levels.get(level_name.lower(), logging.WARNING)
     if args.quiet:
         level = logging.ERROR
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds a stderr handler only if the root logger has none; the
+    # level is set on every call, so each run in one process takes its own
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("ocedf").setLevel(level)
 
 
 def _cmd_validate_spec(args) -> int:

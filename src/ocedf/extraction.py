@@ -1,41 +1,16 @@
 """CSV ingestion and the ordered source-to-log extraction pipeline.
 
-The pipeline runs in three strictly ordered phases: objects first, then
-object-to-object relations alongside events, then event-to-object
-relations. Objects mapped to a subtype are stored under their hierarchy
-root with the discriminator attribute carrying the subtype label
-(single-table inheritance), which keeps referential integrity and enables
-drill-down later.
-
-``load_source`` holds a table by column, with no object per row: each
-column is a run of tuples of ``CHUNK_ROWS`` cells, and one ``str`` stands
-for each distinct cell value of the table, so a value repeated over many
-rows (an id, an activity) is held once. A row costs one pointer per
-column, about a third of a ``dict`` per row, and every block is a small
-object, so the memory of a dropped table serves the small objects that
-follow it. Rules run one after the other, each over all of its table's
-rows, zipping the columns it reads (a column the table lacks reads as
-``""``), and each phase stores its relations once. An O2O or E2O rule
-works out each distinct object-id cell once, and an event rule each
-distinct activity cell, in a dict local to the rule: for an object id, its
-stripped value, the stored object it names and the relation as the log
-stores it, an (other id, qualifier) pair of the stored instances' own ids,
-or the stripped value alone if it names no object; for an activity, the
-extraction matrix's own string. Every other row with that cell costs one
-dict lookup, and a row's checks run in the same order whether or not its
-cells were seen before, so skip reasons and ``--on-dangling fail``
-messages are those of a row-by-row run. Each distinct pair is built once:
-the pipeline keeps, per qualifier, a map from other id to its pair, so
-equal relations, O2O or E2O, share one tuple. Phases 2 and 3 collect each
-key's pairs in one pipeline dict, a pair already there being a duplicate,
-and at the phase's end store each key's sorted in place
-(``ocel._store_sorted``, as the OCEL JSON reader stores a record's) and
-hand the dict to the log. So the log holds the relations as ``relate_*``
-would have. A table's synthesized event ids are built once, for its event
-rule and its E2O rules to share. With
-``--log-level info`` each rule logs one line with its row counts, seconds
-and rows per second; the report keeps the seconds of each rule and phase
-under ``timings``.
+``load_source`` reads a CSV file into a ``SourceTable``, held by column.
+``extract`` runs a spec's mapping rules over the tables in three strictly
+ordered phases: objects first, then object-to-object relations alongside
+events, then event-to-object relations. An object mapped to a subtype is
+stored under its hierarchy root, with the discriminator attribute carrying
+the subtype label (single-table inheritance). Each rule runs over all of
+its table's rows in turn (``_Pipeline._run_*_rule``), counted in the
+``ExtractionReport``; ``_Cells`` resolves object-id cells, and
+``_Pipeline._end_phase`` stores each phase's relations as ``relate_*``
+would have. With ``--log-level info`` each rule logs one line with its row
+counts, seconds and rows per second.
 """
 
 from __future__ import annotations
@@ -225,9 +200,28 @@ def _require_columns(rule_index: int, rule, table: SourceTable, columns: list[st
                 f"mappings[{rule_index}]: table {table.name!r} has no column {col!r}")
 
 
-def _require_string_qualifier(rule_index: int, qualifier) -> None:
-    if not isinstance(qualifier, str):
-        raise SchemaError(f"mappings[{rule_index}]: qualifier {qualifier!r} must be a string")
+class _Cells(dict):
+    """One qualifier's object-id cells, each to the relation as the log
+    stores it: the (object id, qualifier) pair of the stored object that the
+    stripped cell names, or the stripped cell ("" if empty) if it names
+    none. A pair is entered under its object's own id too, so equal
+    relations, O2O or E2O, share one tuple whatever cell or rule gave them.
+    Objects are fixed after phase 1, so rules share the table and each
+    distinct cell is resolved once. Rules read it through ``map`` over
+    ``__getitem__``: a subscript of a ``dict`` subclass in the row loop
+    costs about 45 ns more than a plain ``dict``'s."""
+
+    __slots__ = ("objects", "qualifier")
+
+    def __init__(self, objects: Mapping[str, ObjectInstance], qualifier: str):
+        super().__init__()
+        self.objects, self.qualifier = objects, qualifier
+
+    def __missing__(self, cell: str) -> tuple[str, str] | str:
+        oid = cell.strip()
+        obj = self.objects.get(oid)
+        rel = self[cell] = oid if obj is None else self.setdefault(obj.id, (obj.id, self.qualifier))
+        return rel
 
 
 class _Pipeline:
@@ -242,8 +236,7 @@ class _Pipeline:
         self._ids: dict[str, list[str]] = {}   # source table -> its synthesized event ids
         # the phase's relations: source id -> a set of pairs (O2O), or event id -> a tuple (E2O)
         self._rels: dict[str, set[tuple[str, str]] | tuple[tuple[str, str], ...]] = {}
-        # qualifier -> other id -> the one stored (other id, qualifier) pair
-        self._pairs: dict[str, dict[str, tuple[str, str]]] = {}
+        self._cells_of: dict[str, _Cells] = {}   # qualifier -> its cells
 
     # -- schema synthesis ------------------------------------------------
 
@@ -299,6 +292,12 @@ class _Pipeline:
                 synthesize_event_id(table.name, i) for i in range(table.row_count)]
         return ids
 
+    def _cells(self, rule_index: int, qualifier: str) -> _Cells:
+        """The cells of ``qualifier``, which must be a string."""
+        if not isinstance(qualifier, str):
+            raise SchemaError(f"mappings[{rule_index}]: qualifier {qualifier!r} must be a string")
+        return self._cells_of.setdefault(qualifier, _Cells(self.log._objects, qualifier))
+
     def _dangling(self, run: RuleRun, row_index: int, reason: str, ref: str) -> None:
         if self.on_dangling == "fail":
             raise DataError(f"mappings[{run.rule_index}] row {row_index}: {reason} {ref!r}")
@@ -342,14 +341,7 @@ class _Pipeline:
         table = self._table(index, rule)
         run = RuleRun(index, phase, rule.kind, rule.source_table, rows_in=table.row_count)
         started = _time.perf_counter()
-        if isinstance(rule, ObjectRule):
-            self._run_object_rule(index, rule, table, run)
-        elif isinstance(rule, EventRule):
-            self._run_event_rule(index, rule, table, run)
-        elif isinstance(rule, O2ORule):
-            self._run_o2o_rule(index, rule, table, run)
-        else:
-            self._run_e2o_rule(index, rule, table, run)
+        getattr(self, f"_run_{rule.kind}_rule")(index, rule, table, run)
         run.seconds = seconds = _time.perf_counter() - started
         run.rows_loaded = run.rows_in - run.rows_skipped   # a row neither loaded nor skipped raised
         self.report.rule_runs.append(run)
@@ -436,34 +428,14 @@ class _Pipeline:
                 (attr, raw) for attr, value in zip(attr_names, attr_cells) if (raw := value.strip()))
             add_event(EventInstance(eid, activity, when, attrs))
 
-    def _pair_of(self, cell: str, qualifier: str) -> tuple[str, str] | str:
-        """The stored (object id, qualifier) pair of the object that ``cell``
-        names, or, if it names none, the cell stripped ("" if empty)."""
-        oid = cell.strip()
-        obj = self.log._objects.get(oid)
-        if obj is None:
-            return oid
-        pairs = self._pairs.setdefault(qualifier, {})
-        return pairs.get(obj.id) or pairs.setdefault(obj.id, (obj.id, qualifier))
-
     def _run_o2o_rule(self, index: int, rule: O2ORule, table: SourceTable, run: RuleRun) -> None:
         """Collect the rule's pairs in their source object's set, which finds
-        duplicates within a rule and across rules. Each distinct endpoint
-        cell is resolved once, by ``_pair_of``; the source's pair gives its id."""
+        duplicates within a rule and across rules; the source's pair gives its id."""
         source_col, target_col, qualifier = rule.source_id_column, rule.target_id_column, rule.qualifier
         _require_columns(index, rule, table, [source_col, target_col])
-        _require_string_qualifier(index, qualifier)
-        by_source, pair_of = self._rels, self._pair_of
-        resolved: dict[str, tuple[str, str] | str] = {}   # endpoint cell -> _pair_of(cell)
-        for i, (source_cell, target_cell) in enumerate(zip(table.column(source_col), table.column(target_col))):
-            try:
-                source = resolved[source_cell]
-            except KeyError:
-                source = resolved[source_cell] = pair_of(source_cell, qualifier)
-            try:
-                rel = resolved[target_cell]
-            except KeyError:
-                rel = resolved[target_cell] = pair_of(target_cell, qualifier)
+        by_source, resolve = self._rels, self._cells(index, qualifier).__getitem__
+        for i, (source, rel) in enumerate(zip(map(resolve, table.column(source_col)),
+                                              map(resolve, table.column(target_col)))):
             if not source or not rel:
                 run.skip(i, "empty endpoint id")
                 continue
@@ -481,19 +453,13 @@ class _Pipeline:
 
     def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
         """Grow each event's tuple of pairs, unsorted until the phase ends; a
-        pair already in it is a duplicate. Each distinct object cell is
-        resolved once, by ``_pair_of``."""
-        object_col, event_col, qualifier = rule.object_id_column, rule.event_id_column, rule.qualifier
+        pair already in it is a duplicate."""
+        object_col, event_col = rule.object_id_column, rule.event_id_column
         _require_columns(index, rule, table, [object_col, event_col or ""])
-        _require_string_qualifier(index, qualifier)
+        resolve = self._cells(index, rule.qualifier).__getitem__
         ids = table.column(event_col) if event_col else self._synthesized_ids(rule, table)
-        events, by_event, pair_of = self.log._events, self._rels, self._pair_of
-        resolved: dict[str, tuple[str, str] | str] = {}   # object cell -> _pair_of(cell)
-        for i, (cell, eid) in enumerate(zip(table.column(object_col), ids)):
-            try:
-                rel = resolved[cell]
-            except KeyError:
-                rel = resolved[cell] = pair_of(cell, qualifier)
+        events, by_event = self.log._events, self._rels
+        for i, (rel, eid) in enumerate(zip(map(resolve, table.column(object_col)), ids)):
             if not rel:
                 run.skip(i, "empty object id")
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Any, ClassVar, Mapping
@@ -326,7 +326,14 @@ def _str_or_none(raw: dict, key: str) -> str | None:
     return value if isinstance(value, str) and value else None
 
 
+_RULE_CLASSES = {cls.kind: cls for cls in (ObjectRule, EventRule, O2ORule, E2ORule)}
+
+
 def _parse_mapping(raw: Any, index: int) -> MappingRule:
+    """The rule of ``kind``, built from its class's fields: a field with no
+    default is required, and every field but ``source_table``,
+    ``attribute_columns`` (read from ``attributes``) and ``qualifier`` reads
+    a non-empty string or None."""
     path = f"mappings[{index}]"
     _require(isinstance(raw, dict), "mapping rules must be objects", path)
     kind = raw.get("kind")
@@ -334,52 +341,27 @@ def _parse_mapping(raw: Any, index: int) -> MappingRule:
     _require(isinstance(table, str) and table, "mapping rule needs a source_table", path)
     attrs = raw.get("attributes", {})
     _require(isinstance(attrs, dict), "attributes must map attribute name to column", path)
-
-    if kind == "object":
-        _require(bool(_str_or_none(raw, "id_column")), "object rule needs id_column", path)
-        _require(bool(_str_or_none(raw, "object_type")), "object rule needs object_type", path)
-        return ObjectRule(
-            source_table=table,
-            id_column=raw["id_column"],
-            object_type=raw["object_type"],
-            subtype_column=_str_or_none(raw, "subtype_column"),
-            attribute_columns=dict(attrs),
-            attribute_time_column=_str_or_none(raw, "attribute_time_column"),
-        )
-    if kind == "event":
-        activity = _str_or_none(raw, "activity")
-        activity_column = _str_or_none(raw, "activity_column")
-        _require((activity is None) != (activity_column is None),
+    cls = _RULE_CLASSES.get(kind) if isinstance(kind, str) else None
+    _require(cls is not None, f"unknown mapping rule kind {kind!r}", path)
+    if cls is EventRule:
+        _require((_str_or_none(raw, "activity") is None) != (_str_or_none(raw, "activity_column") is None),
                  "event rule needs exactly one of activity / activity_column", path)
-        _require(bool(_str_or_none(raw, "time_column")), "event rule needs time_column", path)
-        _require(bool(_str_or_none(raw, "time_format")), "event rule needs time_format", path)
-        return EventRule(
-            source_table=table,
-            time_column=raw["time_column"],
-            time_format=raw["time_format"],
-            activity=activity,
-            activity_column=activity_column,
-            id_column=_str_or_none(raw, "id_column"),
-            attribute_columns=dict(attrs),
-        )
-    if kind == "o2o":
-        _require(bool(_str_or_none(raw, "source_id_column")), "o2o rule needs source_id_column", path)
-        _require(bool(_str_or_none(raw, "target_id_column")), "o2o rule needs target_id_column", path)
-        return O2ORule(
-            source_table=table,
-            source_id_column=raw["source_id_column"],
-            target_id_column=raw["target_id_column"],
-            qualifier=str(raw.get("qualifier", "")),
-        )
-    if kind == "e2o":
-        _require(bool(_str_or_none(raw, "object_id_column")), "e2o rule needs object_id_column", path)
-        return E2ORule(
-            source_table=table,
-            object_id_column=raw["object_id_column"],
-            event_id_column=_str_or_none(raw, "event_id_column"),
-            qualifier=str(raw.get("qualifier", "")),
-        )
-    raise SpecError(f"unknown mapping rule kind {kind!r}", path)
+    values: dict[str, Any] = {}
+    for f in fields(cls):
+        if f.name == "source_table":
+            value = table
+        elif f.name == "attribute_columns":
+            _require(all(isinstance(c, str) and c for c in attrs.values()),
+                     "attribute columns must be non-empty strings", path)
+            value = dict(attrs)
+        elif f.name == "qualifier":
+            value = raw.get("qualifier", "")
+            _require(isinstance(value, str), "qualifier must be a string", path)
+        else:
+            value = _str_or_none(raw, f.name)
+            _require(value is not None or f.default is not MISSING, f"{kind} rule needs {f.name}", path)
+        values[f.name] = value
+    return cls(**values)
 
 
 def parse_spec_document(doc: Any) -> ProjectSpec:

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import re
 import shutil
 import subprocess
@@ -29,6 +30,15 @@ def stats_block(text, event_type):
         if line.startswith(f"  {event_type}: "):
             capture = True
     return "\n".join(out)
+
+
+@pytest.fixture(autouse=True)
+def _restore_ocedf_level():
+    """Each ``run`` sets the ``ocedf`` logger's level; put it back after the test."""
+    logger = logging.getLogger("ocedf")
+    level = logger.level
+    yield
+    logger.setLevel(level)
 
 
 @pytest.fixture(scope="module")
@@ -360,9 +370,34 @@ def test_log_level_precedence(tmp_path, monkeypatch, env, flags, level):
         monkeypatch.delenv("OCEDF_LOG", raising=False)
     else:
         monkeypatch.setenv("OCEDF_LOG", env)
-    configured = {}
-    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: configured.update(kwargs))
     p = tmp_path / "empty.json"
     write_ocel_json(OcedLog([], []), p)
     assert run([*flags, "stats", "--log", str(p)]) == 0
-    assert configured["level"] == level
+    assert logging.getLogger("ocedf").level == level
+
+
+def test_each_run_in_a_process_takes_its_own_log_level(extracted, monkeypatch, caplog):
+    """A run's --log-level or --quiet holds after an earlier run set another,
+    and the handlers a caller installed stay."""
+    monkeypatch.delenv("OCEDF_LOG", raising=False)
+    case, _ = extracted
+    handlers = [*logging.getLogger().handlers]
+    for flags, logs_info in [([], False), (["--log-level", "info"], True), (["--quiet"], False),
+                             (["--log-level", "debug"], True), (["--log-level", "warn"], False)]:
+        caplog.clear()
+        assert run([*flags, "stats", "--log", str(case)]) == 0
+        assert [r.getMessage().split(":")[0] for r in caplog.records
+                if r.name == "ocedf.cli"] == (["read", "stats"] if logs_info else [])
+    assert logging.getLogger().handlers == handlers
+
+
+def test_info_lines_reach_stderr_after_an_earlier_run(extracted):
+    """In a fresh process, where the first run installs the stderr handler,
+    a later run with --log-level info still prints its INFO lines."""
+    case, _ = extracted
+    script = (f"from ocedf.cli import run; log = {str(case)!r}; "
+              "run(['stats', '--log', log]); run(['--log-level', 'info', 'stats', '--log', log])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={k: v for k, v in os.environ.items() if k != "OCEDF_LOG"})
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split(":")[0] for line in proc.stderr.splitlines()] == ["INFO ocedf.cli"] * 2

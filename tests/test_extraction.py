@@ -881,6 +881,7 @@ def test_extract_matches_the_reference_runners(case):
     assert got == _outcome(reference_extract, spec, sources, policy)[0]
     if log is None:
         return
+    shared = {}   # each stored pair to the first tuple holding it: equal pairs, O2O or E2O, are one
     for by_key, owners in ((log._e2o_by_event, log.events), (log._o2o_by_source, log.objects)):
         for key, rels in by_key.items():
             assert key is owners[key].id
@@ -888,3 +889,4 @@ def test_extract_matches_the_reference_runners(case):
             for pair in rels:
                 other, _ = pair
                 assert type(pair) is tuple and other is log.objects[other].id
+                assert shared.setdefault(pair, pair) is pair

@@ -350,3 +350,88 @@ def test_mutated_specs_raise_only_ocedf_errors(data):
         validate_spec(parse_spec_document(doc))
     except OcedfError:
         pass
+
+
+RULES = {
+    "object": {"kind": "object", "source_table": "t", "id_column": "id", "object_type": "User"},
+    "event": {"kind": "event", "source_table": "t", "activity": "view page", "time_column": "ts",
+              "time_format": "%Y"},
+    "o2o": {"kind": "o2o", "source_table": "t", "source_id_column": "a", "target_id_column": "b"},
+    "e2o": {"kind": "e2o", "source_table": "t", "object_id_column": "oid"},
+}
+
+
+def _rule(base, drop=(), **changes):
+    """The valid ``base`` rule of ``RULES`` without the keys ``drop``, and with ``changes``."""
+    rule = {k: v for k, v in RULES[base].items() if k not in drop}
+    return {**rule, **changes}
+
+
+def _parse_rule(raw):
+    """The rule that ``raw`` parses to, as the second of a spec's mappings."""
+    doc = case_study_doc()
+    doc["mappings"] = [RULES["object"], raw]
+    return parse_spec_document(doc).mappings[1]
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("object", "mapping rules must be objects"),
+    ([RULES["object"]], "mapping rules must be objects"),
+    (_rule("object", drop=["source_table"]), "mapping rule needs a source_table"),
+    (_rule("e2o", source_table=""), "mapping rule needs a source_table"),
+    (_rule("o2o", source_table=7), "mapping rule needs a source_table"),
+    (_rule("event", attributes=["name"]), "attributes must map attribute name to column"),
+    (_rule("e2o", attributes=None), "attributes must map attribute name to column"),
+    (_rule("object", drop=["id_column"]), "object rule needs id_column"),
+    (_rule("object", drop=["object_type"]), "object rule needs object_type"),
+    (_rule("object", drop=["id_column", "object_type"]), "object rule needs id_column"),
+    (_rule("object", id_column=""), "object rule needs id_column"),
+    (_rule("event", drop=["time_column"]), "event rule needs time_column"),
+    (_rule("event", drop=["time_format"]), "event rule needs time_format"),
+    (_rule("event", drop=["time_column", "time_format"]), "event rule needs time_column"),
+    (_rule("event", time_format=3), "event rule needs time_format"),
+    (_rule("o2o", drop=["source_id_column"]), "o2o rule needs source_id_column"),
+    (_rule("o2o", drop=["target_id_column"]), "o2o rule needs target_id_column"),
+    (_rule("o2o", drop=["source_id_column", "target_id_column"]), "o2o rule needs source_id_column"),
+    (_rule("e2o", drop=["object_id_column"]), "e2o rule needs object_id_column"),
+    (_rule("event", activity_column="action"), "event rule needs exactly one of activity / activity_column"),
+    (_rule("event", drop=["activity"]), "event rule needs exactly one of activity / activity_column"),
+    (_rule("event", drop=["activity", "time_column"]),
+     "event rule needs exactly one of activity / activity_column"),
+    (_rule("event", kind="flow"), "unknown mapping rule kind 'flow'"),
+    (_rule("object", drop=["kind"]), "unknown mapping rule kind None"),
+    (_rule("o2o", kind=[]), "unknown mapping rule kind []"),
+    (_rule("o2o", kind={}), "unknown mapping rule kind {}"),
+    (_rule("o2o", kind=["o2o"]), "unknown mapping rule kind ['o2o']"),
+    (_rule("e2o", kind="e2o ", attributes=[]), "attributes must map attribute name to column"),
+])
+def test_mapping_rule_errors_name_the_rule(raw, message):
+    with pytest.raises(SpecError) as err:
+        _parse_rule(raw)
+    assert (err.value.path, str(err.value)) == ("mappings[1]", f"mappings[1]: {message}")
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_rule("o2o", qualifier=None), "qualifier must be a string"),
+    (_rule("e2o", qualifier=7), "qualifier must be a string"),
+    (_rule("e2o", qualifier=["q"]), "qualifier must be a string"),
+    (_rule("object", attributes={"name": None}), "attribute columns must be non-empty strings"),
+    (_rule("event", attributes={"who": "uid", "name": ""}), "attribute columns must be non-empty strings"),
+    (_rule("object", attributes={"name": 3}), "attribute columns must be non-empty strings"),
+])
+def test_bad_rule_values_are_rejected_not_coerced(raw, message):
+    with pytest.raises(SpecError) as err:
+        _parse_rule(raw)
+    assert (err.value.path, str(err.value)) == ("mappings[1]", f"mappings[1]: {message}")
+
+
+@pytest.mark.parametrize("raw, rule", [
+    (_rule("object", subtype_column="role", attributes={"name": "n"}, attribute_time_column=""),
+     ObjectRule("t", "id", "User", subtype_column="role", attribute_columns={"name": "n"})),
+    (_rule("event", drop=["activity"], activity_column="action", id_column="eid", activity=""),
+     EventRule("t", "ts", "%Y", activity_column="action", id_column="eid")),
+    (_rule("o2o", qualifier="enrolls"), O2ORule("t", "a", "b", qualifier="enrolls")),
+    (_rule("e2o", event_id_column="eid"), E2ORule("t", "oid", event_id_column="eid")),
+])
+def test_rules_are_built_from_their_fields(raw, rule):
+    assert _parse_rule(raw) == rule
