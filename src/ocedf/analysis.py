@@ -10,7 +10,7 @@ instances and relations (see ``ocel.relabel``). Traces order events by
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Collection, Iterable, NamedTuple
@@ -116,36 +116,28 @@ def stats(log: OcedLog, discriminator_attr: str = "role") -> str:
     discriminator attribute are additionally bucketed by its latest value,
     e.g. ``User: 24 distinct (Student: 23, Teacher: 1)``.
     """
-    object_counts: dict[str, int] = {}
-    for obj in log.objects.values():
-        object_counts[obj.type] = object_counts.get(obj.type, 0) + 1
-
-    event_counts: dict[str, int] = {}
-    for event in log.events.values():
-        event_counts[event.type] = event_counts.get(event.type, 0) + 1
-    per_event_type: dict[str, dict[str, list[str]]] = {}   # each object once per event type
+    object_counts = Counter(obj.type for obj in log.objects.values())
+    event_counts = Counter(event.type for event in log.events.values())
+    related = defaultdict(Counter)   # event type -> object type -> distinct objects
+    labels = defaultdict(Counter)    # (event type, object type) -> label -> objects
+    traces, events = log._object_traces(), log._events
     for oid, obj in log.objects.items():
-        for etype in {event.type for event in log.events_of_object(oid)}:
-            per_event_type.setdefault(etype, {}).setdefault(obj.type, []).append(oid)
+        label = obj.latest_value(discriminator_attr)
+        labelled = isinstance(label, str) and label
+        for etype in {events[eid].type for eid in traces.get(oid, ())}:
+            related[etype][obj.type] += 1
+            if labelled:
+                labels[etype, obj.type][label] += 1
 
     lines = [f"objects: {len(log.objects)} total"]
-    for otype in sorted(object_counts):
-        lines.append(f"  {otype}: {object_counts[otype]}")
+    lines += [f"  {otype}: {n}" for otype, n in sorted(object_counts.items())]
     lines.append(f"events: {len(log.events)} total")
-    for etype in sorted(event_counts):
-        lines.append(f"  {etype}: {event_counts[etype]}")
-        for otype in sorted(per_event_type.get(etype, ())):
-            ids = per_event_type[etype][otype]
-            labels: dict[str, int] = {}
-            for oid in ids:
-                value = log.objects[oid].latest_value(discriminator_attr)
-                if isinstance(value, str) and value:
-                    labels[value] = labels.get(value, 0) + 1
-            suffix = ""
-            if labels:
-                inner = ", ".join(f"{k}: {v}" for k, v in sorted(labels.items()))
-                suffix = f" ({inner})"
-            lines.append(f"    {otype}: {len(ids)} distinct{suffix}")
+    for etype, n in sorted(event_counts.items()):
+        lines.append(f"  {etype}: {n}")
+        for otype, distinct in sorted(related.get(etype, {}).items()):
+            bucket = labels.get((etype, otype))
+            suffix = f" ({', '.join(f'{k}: {v}' for k, v in sorted(bucket.items()))})" if bucket else ""
+            lines.append(f"    {otype}: {distinct} distinct{suffix}")
     return "\n".join(lines) + "\n"
 
 

@@ -193,11 +193,16 @@ def load_source(path: str | Path, table_name: str) -> SourceTable:
     return SourceTable(table_name, header, tuple(map(tuple, chunks)), row_count)
 
 
-def _require_columns(rule_index: int, rule, table: SourceTable, columns: list[str]) -> None:
+def _require_columns(rule_index: int, table: SourceTable, columns: list[str]) -> None:
     for col in columns:
         if col and col not in table.header:
             raise DataError(
                 f"mappings[{rule_index}]: table {table.name!r} has no column {col!r}")
+
+
+def _string_attributes(*names: Iterable[str]) -> tuple[AttributeDef, ...]:
+    """A string attribute for each distinct name, in first-seen order."""
+    return tuple(AttributeDef(n, "string") for n in dict.fromkeys(chain.from_iterable(names)))
 
 
 class _Cells(dict):
@@ -241,37 +246,21 @@ class _Pipeline:
     # -- schema synthesis ------------------------------------------------
 
     def _object_type_defs(self) -> list[ObjectTypeDef]:
+        """Each stored type with the attributes of the object rules mapped
+        into its family, then its discriminator if it has subtypes."""
         schema = self.spec.schema
-        attr_names: dict[str, list[str]] = {t: [] for t in schema.stored_types()}
-        for rule in self.spec.mappings:
-            if not isinstance(rule, ObjectRule):
-                continue
-            stored = schema.root_of(rule.object_type)
-            names = attr_names.setdefault(stored, [])
-            for attr in rule.attribute_columns:
-                if attr not in names:
-                    names.append(attr)
-        defs = []
-        for t in schema.stored_types():
-            names = attr_names.get(t, [])
-            discriminator = schema.discriminators.get(t)
-            if discriminator and schema.subtypes_of(t) and discriminator not in names:
-                names.append(discriminator)
-            defs.append(ObjectTypeDef(t, tuple(AttributeDef(n, "string") for n in names)))
-        return defs
+        rules = [(schema.root_of(r.object_type), r.attribute_columns)
+                 for r in self.spec.mappings if isinstance(r, ObjectRule)]
+        return [ObjectTypeDef(t, _string_attributes(
+                    *(attrs for root, attrs in rules if root == t),
+                    [d] if (d := schema.discriminators.get(t)) and schema.subtypes_of(t) else ()))
+                for t in schema.stored_types()]
 
     def _event_type_defs(self) -> list[EventTypeDef]:
-        attr_names: dict[str, list[str]] = {a: [] for a in self.spec.xmatrix.activities}
-        for rule in self.spec.mappings:
-            if not isinstance(rule, EventRule):
-                continue
-            targets = [rule.activity] if rule.activity else list(self.spec.xmatrix.activities)
-            for activity in targets:
-                names = attr_names.setdefault(activity, [])
-                for attr in rule.attribute_columns:
-                    if attr not in names:
-                        names.append(attr)
-        return [EventTypeDef(a, tuple(AttributeDef(n, "string") for n in attr_names[a]))
+        """Each activity with the attributes of the event rules that may give it."""
+        rules = [r for r in self.spec.mappings if isinstance(r, EventRule)]
+        return [EventTypeDef(a, _string_attributes(
+                    *(r.attribute_columns for r in rules if not r.activity or r.activity == a)))
                 for a in self.spec.xmatrix.activities]
 
     # -- shared row helpers ----------------------------------------------
@@ -352,7 +341,7 @@ class _Pipeline:
     def _run_object_rule(self, index: int, rule: ObjectRule, table: SourceTable, run: RuleRun) -> None:
         schema = self.spec.schema
         id_col, subtype_col, time_col = rule.id_column, rule.subtype_column, rule.attribute_time_column
-        _require_columns(index, rule, table,
+        _require_columns(index, table,
                          [id_col, subtype_col or "", time_col or "", *rule.attribute_columns.values()])
         attr_names = tuple(rule.attribute_columns)
         stored = schema.root_of(rule.object_type)
@@ -392,7 +381,7 @@ class _Pipeline:
     def _run_event_rule(self, index: int, rule: EventRule, table: SourceTable, run: RuleRun) -> None:
         activity_col, id_col, time_col, fmt = \
             rule.activity_column, rule.id_column, rule.time_column, rule.time_format
-        _require_columns(index, rule, table,
+        _require_columns(index, table,
                          [time_col, activity_col or "", id_col or "", *rule.attribute_columns.values()])
         attr_names = tuple(rule.attribute_columns)
         matrix_rows = {a: a for a in self.spec.xmatrix.activities}   # each to the matrix's own string
@@ -432,7 +421,7 @@ class _Pipeline:
         """Collect the rule's pairs in their source object's set, which finds
         duplicates within a rule and across rules; the source's pair gives its id."""
         source_col, target_col, qualifier = rule.source_id_column, rule.target_id_column, rule.qualifier
-        _require_columns(index, rule, table, [source_col, target_col])
+        _require_columns(index, table, [source_col, target_col])
         by_source, resolve = self._rels, self._cells(index, qualifier).__getitem__
         for i, (source, rel) in enumerate(zip(map(resolve, table.column(source_col)),
                                               map(resolve, table.column(target_col)))):
@@ -455,7 +444,7 @@ class _Pipeline:
         """Grow each event's tuple of pairs, unsorted until the phase ends; a
         pair already in it is a duplicate."""
         object_col, event_col = rule.object_id_column, rule.event_id_column
-        _require_columns(index, rule, table, [object_col, event_col or ""])
+        _require_columns(index, table, [object_col, event_col or ""])
         resolve = self._cells(index, rule.qualifier).__getitem__
         ids = table.column(event_col) if event_col else self._synthesized_ids(rule, table)
         events, by_event = self.log._events, self._rels

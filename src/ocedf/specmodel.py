@@ -71,23 +71,34 @@ class Question:
     priority: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConceptualSchema:
-    """Object types with is-a edges, o2o relation types, and discriminators."""
+    """Object types with is-a edges, o2o relation types, and discriminators.
+
+    Frozen: the hierarchy is resolved once, at construction, into a parent
+    map (a subtype's first edge wins; subtypes in first-edge order) and a
+    subtype map (every edge, in order), and the queries answer from those."""
 
     object_types: tuple[str, ...]
     is_a: tuple[tuple[str, str], ...] = ()  # (subtype, supertype)
     o2o_types: tuple[tuple[str, str, str], ...] = ()
     discriminators: dict[str, str] = field(default_factory=dict)
+    _parents: dict[str, str] = field(init=False, repr=False, compare=False)
+    _subtypes: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parents, subtypes = {}, {}
+        for sub, sup in self.is_a:
+            parents.setdefault(sub, sup)
+            subtypes.setdefault(sup, []).append(sub)
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_subtypes", subtypes)
 
     def parent_of(self, name: str) -> str | None:
-        for sub, sup in self.is_a:
-            if sub == name:
-                return sup
-        return None
+        return self._parents.get(name)
 
     def subtypes_of(self, name: str) -> list[str]:
-        return [sub for sub, sup in self.is_a if sup == name]
+        return list(self._subtypes.get(name, ()))
 
     def root_of(self, name: str) -> str:
         """Topmost supertype reachable from ``name`` (itself when plain)."""
@@ -97,21 +108,19 @@ class ConceptualSchema:
         return chain[-1]
 
     def ancestors_of(self, name: str) -> list[str]:
-        out = []
-        current = self.parent_of(name)
-        hops = 0
-        while current is not None and hops <= len(self.object_types):
+        """Supertypes from the parent up, cut after one more hop than there
+        are types, so a cycle ends."""
+        out, parents = [], self._parents
+        current = parents.get(name)
+        while current is not None and len(out) <= len(self.object_types):
             out.append(current)
-            current = self.parent_of(current)
-            hops += 1
+            current = parents.get(current)
         return out
 
     def descendants_of(self, name: str) -> list[str]:
-        out = []
-        frontier = [name]
+        out, frontier = [], [name]
         while frontier:
-            here = frontier.pop()
-            for sub in self.subtypes_of(here):
+            for sub in self._subtypes.get(frontier.pop(), ()):
                 if sub not in out:
                     out.append(sub)
                     frontier.append(sub)
@@ -119,8 +128,7 @@ class ConceptualSchema:
 
     def stored_types(self) -> list[str]:
         """Types objects are stored under: every type that is not a subtype."""
-        subs = {sub for sub, _ in self.is_a}
-        return [t for t in self.object_types if t not in subs]
+        return [t for t in self.object_types if t not in self._parents]
 
 
 @dataclass
@@ -322,8 +330,7 @@ def _parse_plan(raw: Any) -> tuple[str, ...]:
 
 
 def _str_or_none(raw: dict, key: str) -> str | None:
-    value = raw.get(key)
-    return value if isinstance(value, str) and value else None
+    return value if isinstance(value := raw.get(key), str) and value else None
 
 
 _RULE_CLASSES = {cls.kind: cls for cls in (ObjectRule, EventRule, O2ORule, E2ORule)}
@@ -333,7 +340,8 @@ def _parse_mapping(raw: Any, index: int) -> MappingRule:
     """The rule of ``kind``, built from its class's fields: a field with no
     default is required, and every field but ``source_table``,
     ``attribute_columns`` (read from ``attributes``) and ``qualifier`` reads
-    a non-empty string or None."""
+    a non-empty string or None. A key that is not one of the fields, and an
+    optional field that is neither a string nor null, are rejected."""
     path = f"mappings[{index}]"
     _require(isinstance(raw, dict), "mapping rules must be objects", path)
     kind = raw.get("kind")
@@ -361,6 +369,12 @@ def _parse_mapping(raw: Any, index: int) -> MappingRule:
             value = _str_or_none(raw, f.name)
             _require(value is not None or f.default is not MISSING, f"{kind} rule needs {f.name}", path)
         values[f.name] = value
+    # checked last, so a rule that fails a check above keeps its message
+    optional = {"attributes" if f.name == "attribute_columns" else f.name: f.default is None for f in fields(cls)}
+    for key, value in raw.items():
+        _require(key in optional or key == "kind", f"unknown {kind} rule key {key!r}", path)
+        _require(not optional.get(key) or value is None or isinstance(value, str),
+                 f"{key} must be a string or null", path)
     return cls(**values)
 
 
@@ -396,33 +410,31 @@ def parse_spec_document(doc: Any) -> ProjectSpec:
 
 def _hierarchy_errors(schema: ConceptualSchema) -> tuple[list[Diagnostic], bool]:
     """The is-a hierarchy's errors, and whether it has a cycle."""
-    out = []
+    out, subs = [], set()
     declared = set(schema.object_types)
-    parents: dict[str, str] = {}
     for i, (sub, sup) in enumerate(schema.is_a):
         path = f"schema.is_a[{i}]"
         for name in (sub, sup):
             if name not in declared:
                 out.append(Diagnostic("error", path, f"is_a references undeclared type {name!r}"))
-        if sub in parents:
+        if sub in subs:
             out.append(Diagnostic("error", path, f"subtype {sub!r} has two supertypes"))
-        else:
-            parents[sub] = sup
+        subs.add(sub)
 
-    # cycle check via parent-chain walking
+    # cycle check via parent-chain walking, from each subtype in first-edge order
     known_cyclic: set[str] = set()
-    for start in parents:
+    for start in schema._parents:
         if start in known_cyclic:
             continue
         seen = {start}
-        current = parents.get(start)
+        current = schema.parent_of(start)
         while current is not None:
             if current in seen:
                 known_cyclic.update(seen)
                 out.append(Diagnostic("error", "schema.is_a", f"is-a cycle involving {current!r}"))
                 break
             seen.add(current)
-            current = parents.get(current)
+            current = schema.parent_of(current)
 
     if not known_cyclic:
         for sup in sorted({sup for _, sup in schema.is_a}):
@@ -505,11 +517,8 @@ def validate_spec(spec: ProjectSpec) -> list[Diagnostic]:
     # next modeling iteration)
     if not cyclic:
         marked = {t for _, t in spec.q2ot.marks}
-        parents = {sup for _, sup in schema.is_a}
         for t in schema.object_types:
-            if t in parents:
-                continue
-            if t not in marked:
+            if t not in marked and not schema.subtypes_of(t):
                 out.append(Diagnostic("warning", "q2ot", f"object type {t!r} is not marked by any question"))
 
     out.sort(key=lambda d: (0 if d.severity == "error" else 1))

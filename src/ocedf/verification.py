@@ -1,22 +1,19 @@
 """Deriving the observed event-type x object-type matrix and checking it.
 
 The derived matrix counts, per event, how many related objects fall into
-each extraction-matrix column, and checks those counts against the
-declared multiplicity ranges. An object counts toward a subtype column when
-its discriminator attribute equals that subtype, and always toward its
-stored type's column and any ancestor column.
+each extraction-matrix column (see ``_column_class``), and checks those
+counts against the declared multiplicity ranges.
 
 Events are tallied by signature: the event type plus the column class of
-each distinct related object, where the class is the tuple of columns the
-object counts toward (or its type, when it counts toward none). Events of
-one signature have the same counts, so only the first event of a signature
-counts and range-checks; each later one adds one to its signature's events.
-Events are read in the order the log stores them, each signature built
-from the event's stored relation pairs, and only the events whose
-signature has violations are kept; those alone are sorted by (time, id)
-to repeat their signature's violations under their own ids. The cell
-statistics and the unmapped types are folded once per signature at the
-end. Only those and the violations are kept, never a per-event table.
+each distinct related object. Events of one signature have the same
+counts, so only the first event of a signature counts and range-checks;
+each later one adds one to its signature's events. Events are read in the
+order the log stores them, each signature built from the event's stored
+relation pairs, and only the events whose signature has violations are
+kept; those alone are sorted by (time, id) to repeat their signature's
+violations under their own ids. The cell statistics and the unmapped types
+are folded once per signature at the end. Only those and the violations
+are kept, never a per-event table.
 
 Blank cells read as 0..0, except inside an is-a family: when a row pins
 the expectation at one level of the hierarchy (say Student = 1), the other
@@ -98,27 +95,20 @@ class VerificationReport:
         }
 
 
-def _column_matchers(columns: tuple[str, ...], schema: ConceptualSchema):
-    """Map a related object to the columns it counts toward.
-
-    Returns (always, discriminated): ``always[stored_type]`` lists columns
-    matched by the stored type itself or an ancestor column;
-    ``discriminated[(stored_type, label)]`` lists subtype columns matched
-    through the discriminator.
-    """
-    always: dict[str, list[str]] = {}
-    discriminated: dict[tuple[str, str], list[str]] = {}
-    stored_candidates = set(schema.object_types)
-
-    for stored in stored_candidates:
-        chain = {stored, *schema.ancestors_of(stored)}
-        always[stored] = [c for c in columns if c in chain]
-        for c in columns:
-            if c in chain:
-                continue
-            if stored in schema.ancestors_of(c):
-                discriminated.setdefault((stored, c), []).append(c)
-    return always, discriminated
+def _column_class(schema: ConceptualSchema, columns: tuple[str, ...],
+                  stored: str, label: object) -> tuple[str, ...] | str:
+    """The columns an object of type ``stored`` counts toward, whose
+    discriminator (its root's) reads ``label``: the columns on the stored
+    type's ancestor chain, itself included, plus the label's column when the
+    stored type is a proper ancestor of the label. So an object stored as
+    User with label Student counts toward User and Student, never toward a
+    type between them. An object that counts toward no column, or whose type
+    the schema does not declare, has its type as its class."""
+    if stored not in schema.object_types:
+        return stored
+    chain = {stored, *schema.ancestors_of(stored)}
+    return tuple(c for c in columns
+                 if c in chain or c == label and stored in schema.ancestors_of(c)) or stored
 
 
 def _effective_range(column_families: dict[str, str], xmatrix: ExtractionMatrix,
@@ -171,30 +161,22 @@ def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSch
     event (time, id) order, then column order, as one count per event in
     time order would give them."""
     columns = xmatrix.columns
-    always, discriminated = _column_matchers(columns, schema)
-    discriminator_attr = {t: schema.discriminators.get(schema.root_of(t)) for t in schema.object_types}
-
-    families = {}
-    for c in columns:
-        root = schema.root_of(c)
-        if root != c or schema.subtypes_of(c):
-            families[c] = root
+    families = {c: root for c in columns if (root := schema.root_of(c)) != c or schema.subtypes_of(c)}
+    label_attr = {t: schema.discriminators.get(schema.root_of(t)) for t in schema.object_types}
 
     extra = tuple(sorted({e.type for e in log.events.values()} - set(xmatrix.activities)))
     rows = tuple(xmatrix.activities) + extra
     cells = {(r, c): CellStats() for r in rows for c in columns}
 
-    # per object: its column class, the tuple of columns it counts toward, or
-    # its type when it counts toward none
+    # per object: its column class, worked out once per (stored type, label)
     classes: dict[str, tuple[str, ...] | str] = {}
+    known: dict[tuple[str, object], tuple[str, ...] | str] = {}
     for obj in log.objects.values():
-        matched = tuple(always.get(obj.type, ()))
-        attr = discriminator_attr.get(obj.type)
-        if attr is not None:
-            label = obj.latest_value(attr)
-            if isinstance(label, str):
-                matched += tuple(discriminated.get((obj.type, label), ()))
-        classes[obj.id] = matched or obj.type
+        key = obj.type, obj.latest_value(label_attr.get(obj.type))
+        cls = known.get(key)
+        if cls is None:
+            cls = known[key] = _column_class(schema, columns, *key)
+        classes[obj.id] = cls
 
     # per signature (event type, column class of each distinct related object):
     # its number of events, its counts and the violations those counts make

@@ -62,7 +62,7 @@ class _ReferencePipeline(extraction._Pipeline):
     def _run_object_rule(self, index: int, rule: ObjectRule, run: RuleRun) -> None:
         table = self._table(index, rule)
         schema = self.spec.schema
-        _require_columns(index, rule, table,
+        _require_columns(index, table,
                          [rule.id_column, rule.subtype_column or "", rule.attribute_time_column or "",
                           *rule.attribute_columns.values()])
         stored = schema.root_of(rule.object_type)
@@ -105,7 +105,7 @@ class _ReferencePipeline(extraction._Pipeline):
 
     def _run_event_rule(self, index: int, rule: EventRule, run: RuleRun) -> None:
         table = self._table(index, rule)
-        _require_columns(index, rule, table,
+        _require_columns(index, table,
                          [rule.time_column, rule.activity_column or "", rule.id_column or "",
                           *rule.attribute_columns.values()])
         activities = set(self.spec.xmatrix.activities)
@@ -136,7 +136,7 @@ class _ReferencePipeline(extraction._Pipeline):
 
     def _run_o2o_rule(self, index: int, rule: O2ORule, run: RuleRun) -> None:
         table = self._table(index, rule)
-        _require_columns(index, rule, table, [rule.source_id_column, rule.target_id_column])
+        _require_columns(index, table, [rule.source_id_column, rule.target_id_column])
         run.rows_in = len(table.rows)
         for i, row in enumerate(table.rows):
             src = _cell(row, rule.source_id_column)
@@ -159,7 +159,7 @@ class _ReferencePipeline(extraction._Pipeline):
 
     def _run_e2o_rule(self, index: int, rule: E2ORule, run: RuleRun) -> None:
         table = self._table(index, rule)
-        _require_columns(index, rule, table, [rule.object_id_column, rule.event_id_column or ""])
+        _require_columns(index, table, [rule.object_id_column, rule.event_id_column or ""])
         run.rows_in = len(table.rows)
         for i, row in enumerate(table.rows):
             oid = _cell(row, rule.object_id_column)

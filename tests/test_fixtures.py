@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
+from ocedf import parse_spec
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
@@ -31,3 +32,10 @@ def test_rebuild_is_byte_identical(name, tmp_path):
     assert sorted(p.relative_to(rebuilt) for p in rebuilt.rglob("*") if p.is_file()) == files
     for rel in files:
         assert (rebuilt / rel).read_bytes() == (committed / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("grading_users", [True, False])
+@pytest.mark.parametrize("grades_carry_group", [True, False])
+def test_generated_specs_use_only_known_rule_keys(grading_users, grades_carry_group):
+    # parse_spec rejects a rule key its kind does not know
+    parse_spec(generate_fixtures.spec_document(grading_users, grades_carry_group))

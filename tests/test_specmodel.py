@@ -2,12 +2,15 @@ import copy
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_specmodel as ref
 from ocedf import (
+    ConceptualSchema,
     E2ORule,
     EventRule,
     MultiplicityRange,
@@ -21,6 +24,7 @@ from ocedf import (
     parse_spec_document,
     validate_spec,
 )
+from ocedf.specmodel import ExtractionMatrix, ProjectSpec, Q2OTMatrix, Question
 from conftest import FIXTURES
 
 PAPER_PLAN = ["submit assignment", "resubmit assignment", "set assignment grade",
@@ -404,6 +408,13 @@ def _parse_rule(raw):
     (_rule("o2o", kind={}), "unknown mapping rule kind {}"),
     (_rule("o2o", kind=["o2o"]), "unknown mapping rule kind ['o2o']"),
     (_rule("e2o", kind="e2o ", attributes=[]), "attributes must map attribute name to column"),
+    # a rule failing one of these checks and a later one keeps this message
+    (_rule("object", drop=["id_column"], subtype_column=7, extra=1), "object rule needs id_column"),
+    (_rule("event", activity=7), "event rule needs exactly one of activity / activity_column"),
+    (_rule("event", drop=["activity"], activity_column={}),
+     "event rule needs exactly one of activity / activity_column"),
+    (_rule("e2o", event_id_column=7, qualifier=5), "qualifier must be a string"),
+    (_rule("object", subtype_column=7, attributes={"name": None}), "attribute columns must be non-empty strings"),
 ])
 def test_mapping_rule_errors_name_the_rule(raw, message):
     with pytest.raises(SpecError) as err:
@@ -418,6 +429,16 @@ def test_mapping_rule_errors_name_the_rule(raw, message):
     (_rule("object", attributes={"name": None}), "attribute columns must be non-empty strings"),
     (_rule("event", attributes={"who": "uid", "name": ""}), "attribute columns must be non-empty strings"),
     (_rule("object", attributes={"name": 3}), "attribute columns must be non-empty strings"),
+    (_rule("event", id_column=7), "id_column must be a string or null"),
+    (_rule("object", subtype_column=["role"]), "subtype_column must be a string or null"),
+    (_rule("object", attribute_time_column=0), "attribute_time_column must be a string or null"),
+    (_rule("event", drop=["activity"], activity_column="action", activity=5), "activity must be a string or null"),
+    (_rule("event", activity_column=7), "activity_column must be a string or null"),
+    (_rule("e2o", event_id_column=False), "event_id_column must be a string or null"),
+    (_rule("o2o", qualifer="enrolls"), "unknown o2o rule key 'qualifer'"),
+    (_rule("o2o", attributes={}), "unknown o2o rule key 'attributes'"),
+    (_rule("object", attribute_columns={"name": "n"}), "unknown object rule key 'attribute_columns'"),
+    (_rule("e2o", note=None), "unknown e2o rule key 'note'"),
 ])
 def test_bad_rule_values_are_rejected_not_coerced(raw, message):
     with pytest.raises(SpecError) as err:
@@ -432,6 +453,78 @@ def test_bad_rule_values_are_rejected_not_coerced(raw, message):
      EventRule("t", "ts", "%Y", activity_column="action", id_column="eid")),
     (_rule("o2o", qualifier="enrolls"), O2ORule("t", "a", "b", qualifier="enrolls")),
     (_rule("e2o", event_id_column="eid"), E2ORule("t", "oid", event_id_column="eid")),
+    (_rule("e2o", event_id_column=None), E2ORule("t", "oid")),
+    (_rule("event", id_column=""), EventRule("t", "ts", "%Y", activity="view page")),
+    (_rule("object", subtype_column=None, attribute_time_column=None), ObjectRule("t", "id", "User")),
 ])
 def test_rules_are_built_from_their_fields(raw, rule):
     assert _parse_rule(raw) == rule
+
+
+# -- the is-a queries against the edge scan they replaced ------------------
+
+NAMES = ("A", "B", "C", "D", "E", "X", "Y")   # X and Y are never declared
+
+
+def _random_hierarchy(rng):
+    """Arguments of a schema over ``NAMES``: its edges may repeat a subtype,
+    point a type at itself, close a cycle or name an undeclared type."""
+    declared = tuple(rng.sample(NAMES[:5], k=rng.randint(1, 5)))
+    pool = declared if rng.random() < 0.5 else NAMES
+    is_a = tuple((rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 6)))
+    discriminators = {t: "role" for t in NAMES if rng.random() < 0.6}
+    return declared, is_a, discriminators
+
+
+def _answer(query, *args):
+    try:
+        return query(*args)
+    except SpecError as exc:
+        return ("SpecError", str(exc))
+
+
+def _queries(schema):
+    return [(q, name, _answer(getattr(schema, q), name)) for name in NAMES
+            for q in ("parent_of", "subtypes_of", "ancestors_of", "root_of", "descendants_of")] \
+        + [_answer(schema.stored_types)]
+
+
+def test_hierarchy_queries_answer_as_the_edge_scan():
+    rng = random.Random(2315)
+    drawn = {"repeated subtype": 0, "self-edge": 0, "cycle": 0, "undeclared name": 0}
+    for _ in range(3000):
+        declared, is_a, discriminators = _random_hierarchy(rng)
+        schema = ConceptualSchema(declared, is_a, (), discriminators)
+        oracle = ref.ScanSchema(declared, is_a, (), discriminators)
+        assert _queries(schema) == _queries(oracle)
+        subs = [sub for sub, _ in is_a]
+        drawn["repeated subtype"] += len(set(subs)) < len(subs)
+        drawn["self-edge"] += any(sub == sup for sub, sup in is_a)
+        drawn["cycle"] += any(len(oracle.ancestors_of(t)) > len(declared) for t in NAMES)
+        drawn["undeclared name"] += any(t not in declared for edge in is_a for t in edge)
+    assert min(drawn.values()) > 100, drawn
+
+
+def _random_spec(rng, schema):
+    """A spec around ``schema`` whose matrix, marks and object rules name
+    its types, undeclared ones now and then."""
+    columns = tuple(rng.sample(NAMES, k=rng.randint(1, 5)))
+    activities = ("a1", "a2", "a3")
+    choices = ["0", "1", "0..1", "1..*"]
+    cells = {(a, c): parse_multiplicity(rng.choice(choices))
+             for a in activities for c in columns if rng.random() < 0.4}
+    questions = (Question("q1", "", 1), Question("q2", "", 2))
+    marks = frozenset((rng.choice(["q1", "q2"]), rng.choice(NAMES)) for _ in range(rng.randint(0, 4)))
+    mappings = tuple(ObjectRule("t", "id", rng.choice(NAMES), subtype_column=rng.choice([None, "role"]))
+                     for _ in range(rng.randint(0, 3)))
+    return ProjectSpec(schema, Q2OTMatrix(questions, marks), ExtractionMatrix(columns, activities, cells),
+                       activities, mappings)
+
+
+def test_validation_gives_the_edge_scan_diagnostics():
+    rng = random.Random(2316)
+    for _ in range(2000):
+        declared, is_a, discriminators = _random_hierarchy(rng)
+        spec = _random_spec(rng, ConceptualSchema(declared, is_a, (), discriminators))
+        oracle = replace(spec, schema=ref.ScanSchema(declared, is_a, (), discriminators))
+        assert _answer(validate_spec, spec) == _answer(ref.validate_spec, oracle)

@@ -171,6 +171,20 @@ def unmapped_course_case():
     return log, xm, schema
 
 
+def undeclared_type_case():
+    """(log, xmatrix, schema) where a Guest, a type the schema does not
+    declare though a column and an is-a edge name it, counts toward no column."""
+    schema = ConceptualSchema(("User", "Course"), (("Guest", "User"),), (), {"User": "role"})
+    xm = ExtractionMatrix(("User", "Guest", "Course"), ("visit",), {("visit", "Course"): parse_multiplicity("1")})
+    log = OcedLog([ObjectTypeDef("Guest"), ObjectTypeDef("Course")], [EventTypeDef("visit")])
+    log.add_object(ObjectInstance("g1", "Guest", ()))
+    log.add_object(ObjectInstance("c1", "Course", ()))
+    log.add_event(EventInstance("e1", "visit", T0))
+    log.relate_event_object("e1", "g1")
+    log.relate_event_object("e1", "c1")
+    return log, xm, schema
+
+
 def interleaved_signatures_case():
     """(log, xmatrix, schema) where two signatures of "set exam grade" take
     turns in time and both violate. One event relates a Room, a type outside
@@ -219,6 +233,7 @@ HAND_BUILT = {
     "view file outside the matrix": lambda: (single_view_file_log(), matrix_without_view_file(),
                                              course_schema()),
     "unmapped object type": unmapped_course_case,
+    "undeclared object type": undeclared_type_case,
     "interleaved signatures": interleaved_signatures_case,
 }
 
@@ -540,13 +555,17 @@ class TestAgainstReference:
         assert flagged != sorted(flagged, key=stored.get)
 
 
-def random_matrix(rng, log):
+USERS = (("Teacher", "User"), ("Student", "User"))
+MEMBERS = (("Member", "User"), ("Teacher", "Member"), ("Student", "Member"))
+
+
+def random_matrix(rng, log, is_a=USERS):
     """A random extraction matrix over ``log``'s types and the User
-    hierarchy, with its conceptual schema."""
+    hierarchy ``is_a``, with its conceptual schema."""
     types = [td.name for td in log.object_type_defs]
     schema = ConceptualSchema(
         object_types=(*types, "Teacher", "Student"),
-        is_a=(("Teacher", "User"), ("Student", "User")),
+        is_a=is_a,
         discriminators={"User": "role"},
     )
     columns = tuple(rng.sample(schema.object_types, k=rng.randint(1, len(schema.object_types))))
@@ -556,3 +575,50 @@ def random_matrix(rng, log):
     cells = {(a, c): parse_multiplicity(rng.choice(choices))
              for a in activities for c in columns if rng.random() < 0.5}
     return ExtractionMatrix(columns, tuple(activities), cells), schema
+
+
+def three_level_log(rng):
+    """A random log of the family User > Member > {Student, Teacher}: its
+    users are stored as User or Member, with a role of the family, one
+    outside it, or none."""
+    drawn = random_log(rng, max_events=120, max_objects=40, with_user_hierarchy=True)
+    user = next(td for td in drawn.object_type_defs if td.name == "User")
+    log = OcedLog([*drawn.object_type_defs, ObjectTypeDef("Member", user.attribute_defs)],
+                  drawn.event_type_defs)
+    roles = ["Student", "Teacher", "Member", "User", "Guest"]
+    for obj in drawn.objects.values():
+        if obj.type == "User":
+            role = rng.choice(roles)
+            values = tuple(av._replace(value=role) for av in obj.attribute_values
+                           if av.name != "role" or rng.random() < 0.9)
+            obj = obj._replace(type=rng.choice(["User", "User", "Member"]), attribute_values=values)
+        log.add_object(obj)
+    for event in drawn.events.values():
+        log.add_event(event)
+    for rel in drawn.e2o:
+        log.relate_event_object(*rel)
+    return log
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_three_level_hierarchy_matches_reference(seed):
+    rng = random.Random(seed)
+    log = three_level_log(rng)
+    assert_same_as_reference(log, *random_matrix(rng, log, MEMBERS))
+
+
+def test_an_object_skips_the_types_between_its_stored_type_and_its_label():
+    log = OcedLog([ObjectTypeDef(t, (AttributeDef("role", "string"),)) for t in ("User", "Member")],
+                  [EventTypeDef("meet user"), EventTypeDef("meet member")])
+    for oid, stored in (("u1", "User"), ("m1", "Member")):
+        log.add_object(ObjectInstance(oid, stored, (AttributeValue("role", T0, "Student"),)))
+        log.add_event(EventInstance(f"e-{oid}", f"meet {stored.lower()}", T0))
+        log.relate_event_object(f"e-{oid}", oid)
+    columns = ("User", "Member", "Student")
+    schema = ConceptualSchema(("User", "Member", "Teacher", "Student"), MEMBERS, (), {"User": "role"})
+    matrix = derive_matrix(log, ExtractionMatrix(columns, ("meet user", "meet member"), {}), schema)
+    counts = {(r, c): matrix.cell(r, c).observed_max for r in matrix.rows for c in columns}
+    assert counts == {("meet user", "User"): 1, ("meet user", "Member"): 0, ("meet user", "Student"): 1,
+                      ("meet member", "User"): 1, ("meet member", "Member"): 1,
+                      ("meet member", "Student"): 1}
