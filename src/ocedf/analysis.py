@@ -120,11 +120,10 @@ def stats(log: OcedLog, discriminator_attr: str = "role") -> str:
     event_counts = Counter(event.type for event in log.events.values())
     related = defaultdict(Counter)   # event type -> object type -> distinct objects
     labels = defaultdict(Counter)    # (event type, object type) -> label -> objects
-    traces, events = log._object_traces(), log._events
     for oid, obj in log.objects.items():
         label = obj.latest_value(discriminator_attr)
         labelled = isinstance(label, str) and label
-        for etype in {events[eid].type for eid in traces.get(oid, ())}:
+        for etype in {event.type for event in log.events_of_object(oid)}:
             related[etype][obj.type] += 1
             if labelled:
                 labels[etype, obj.type][label] += 1
@@ -267,11 +266,9 @@ def discover_dfg(log: OcedLog, object_types: Iterable[str]) -> Dfg:
 
     # per type: node, edge, start and end counts, each in first-seen order
     counts = {t: (Counter(), Counter(), Counter(), Counter()) for t in requested}
-    traces, events = log._object_traces(), log._events
     for obj in log.objects.values():
-        if obj.type in counts and obj.id in traces:   # traces hold objects with events only
+        if obj.type in counts and (trace := [e.type for e in log.events_of_object(obj.id)]):
             nodes, edges, starts, ends = counts[obj.type]
-            trace = [events[eid].type for eid in traces[obj.id]]
             nodes.update(trace)
             edges.update(zip(trace, trace[1:]))
             starts[trace[0]] += 1

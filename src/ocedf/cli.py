@@ -217,10 +217,10 @@ def _cmd_unfold(args) -> int:
 def _cmd_dfg(args) -> int:
     if args.min_edge_freq < 0:
         raise UsageError("--min-edge-freq must be >= 0")
-    oced_log, events, started = _read_log(args.log_path)
     types = [t.strip() for t in args.object_types.split(",") if t.strip()]
     if not types:
         raise UsageError("--object-types needs at least one type name")
+    oced_log, events, started = _read_log(args.log_path)
     dfg = analysis.discover_dfg(oced_log, types)
     started = _log_stage("discover_dfg", events, started)
     text = analysis.to_dot(dfg, args.min_edge_freq)

@@ -253,10 +253,12 @@ class OcedLog:
     ``E2ORelation``/``O2ORelation`` are built only by ``e2o``/``o2o``.
 
     The event order (event ids by time, then id) and the object traces (per
-    object, its distinct event ids in that order) are built on first use and
-    rebound to None by the methods that change them. Two threads making that
-    first query at once compute equal values, so a finished log is safe to
-    share across threads."""
+    object, its distinct stored events in that order) are built on first use
+    and rebound to None by the methods that change them. A trace holds the
+    log's own ``EventInstance``s, so only this class knows what a trace
+    holds; every per-object walk goes through ``events_of_object``. Two
+    threads making that first query at once compute equal values, so a
+    finished log is safe to share across threads."""
 
     def __init__(self, object_type_defs: Iterable[ObjectTypeDef] = (),
                  event_type_defs: Iterable[EventTypeDef] = ()):
@@ -267,7 +269,7 @@ class OcedLog:
         self._e2o_by_event: dict[str, tuple[tuple[str, str], ...]] = {}
         self._o2o_by_source: dict[str, tuple[tuple[str, str], ...]] = {}
         self._order: tuple[str, ...] | None = None
-        self._traces: dict[str, tuple[str, ...]] | None = None
+        self._traces: dict[str, tuple[EventInstance, ...]] | None = None
         self._shared = False
 
     # -- schema ----------------------------------------------------------
@@ -367,20 +369,20 @@ class OcedLog:
                                                      key=lambda e: (e.time, e.id)))
         return self._order
 
-    def _object_traces(self) -> dict[str, tuple[str, ...]]:
-        """Per related object id, its distinct event ids by (time, id): one
-        walk of the event order, with no sort. An event related to an object
-        under two qualifiers comes twice in a row and is kept once."""
+    def _object_traces(self) -> dict[str, tuple[EventInstance, ...]]:
+        """Per related object id, its distinct stored events by (time, id):
+        one walk of the event order, with no sort. An event related to an
+        object under two qualifiers comes twice in a row and is kept once."""
         if self._traces is None:
-            traces: dict[str, list[str]] = {}
+            traces: dict[str, list[EventInstance]] = {}
             by_event = self._e2o_by_event
-            for eid in self._event_order():
-                for oid, _ in by_event.get(eid, ()):
+            for event in self.events_in_order():
+                for oid, _ in by_event.get(event.id, ()):
                     trace = traces.get(oid)
                     if trace is None:
-                        traces[oid] = [eid]
-                    elif trace[-1] is not eid:
-                        trace.append(eid)
+                        traces[oid] = [event]
+                    elif trace[-1] is not event:
+                        trace.append(event)
             self._traces = {oid: tuple(trace) for oid, trace in traces.items()}
         return self._traces
 
@@ -393,8 +395,7 @@ class OcedLog:
         """Events related to the object, sorted by (time, event id)."""
         if object_id not in self._objects:
             raise SchemaError(f"unknown object id {object_id!r}")
-        events = self._events
-        return [events[eid] for eid in self._object_traces().get(object_id, ())]
+        return list(self._object_traces().get(object_id, ()))
 
     def objects_of_event(self, event_id: str) -> list[ObjectInstance]:
         """Distinct objects related to the event, sorted by object id."""
@@ -416,18 +417,21 @@ class OcedLog:
         """A log over valid ``objects`` and ``events`` of this log (dicts it
         takes over, maybe this log's own), checking nothing. As the instances
         keep their ids and times, it reuses this log's event order, and when
-        no id is dropped its traces and relation dicts too; otherwise it keeps
-        the relations between its instances, sharing their tuples. Each dict
-        it shares with this log sets ``_shared`` on both, so the first change
-        to either copies them (``_own``); two threads deriving at once set the
-        same flag, so a finished log stays safe to share."""
+        no id is dropped its relation dicts too; otherwise it keeps the
+        relations between its instances, sharing their tuples. As a trace
+        holds the stored instances, it takes this log's traces only with this
+        log's own events dict. Each dict it shares with this log sets
+        ``_shared`` on both, so the first change to either copies them
+        (``_own``); two threads deriving at once set the same flag, so a
+        finished log stays safe to share."""
         out = OcedLog.__new__(OcedLog)
         out._object_types = dict(self._object_types if object_types is None else object_types)
         out._event_types = dict(self._event_types if event_types is None else event_types)
         out._objects, out._events = objects, events
         if objects.keys() == self._objects.keys() and events.keys() == self._events.keys():
             out._e2o_by_event, out._o2o_by_source = self._e2o_by_event, self._o2o_by_source
-            out._order, out._traces = self._order, self._traces
+            out._order = self._order
+            out._traces = self._traces if events is self._events else None
             out._shared = True
         else:
             out._e2o_by_event = _pruned(self._e2o_by_event, events, objects)

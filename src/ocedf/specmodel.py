@@ -102,20 +102,27 @@ class ConceptualSchema:
 
     def root_of(self, name: str) -> str:
         """Topmost supertype reachable from ``name`` (itself when plain)."""
-        chain = [name, *self.ancestors_of(name)]
-        if len(chain) > len(self.object_types) + 1:
+        ancestors, repeated = self._walk(name)
+        if repeated is not None:
             raise SpecError(f"is-a cycle reached from {name!r}")
-        return chain[-1]
+        return ancestors[-1] if ancestors else name
 
     def ancestors_of(self, name: str) -> list[str]:
-        """Supertypes from the parent up, cut after one more hop than there
-        are types, so a cycle ends."""
-        out, parents = [], self._parents
+        """Supertypes from the parent up, to the root or to a cycle."""
+        return self._walk(name)[0]
+
+    def _walk(self, name: str) -> tuple[list[str], str | None]:
+        """The parent chain from ``name``, stopped before the first type it
+        has passed already (``name`` included), and that type: None when the
+        chain ends at a root, so a type is on or reaches a cycle exactly when
+        it is not None."""
+        out, parents, passed = [], self._parents, {name}
         current = parents.get(name)
-        while current is not None and len(out) <= len(self.object_types):
+        while current is not None and current not in passed:
             out.append(current)
+            passed.add(current)
             current = parents.get(current)
-        return out
+        return out, current
 
     def descendants_of(self, name: str) -> list[str]:
         out, frontier = [], [name]
@@ -421,20 +428,15 @@ def _hierarchy_errors(schema: ConceptualSchema) -> tuple[list[Diagnostic], bool]
             out.append(Diagnostic("error", path, f"subtype {sub!r} has two supertypes"))
         subs.add(sub)
 
-    # cycle check via parent-chain walking, from each subtype in first-edge order
+    # one is-a walk from each subtype in first-edge order, as root_of walks
     known_cyclic: set[str] = set()
     for start in schema._parents:
         if start in known_cyclic:
             continue
-        seen = {start}
-        current = schema.parent_of(start)
-        while current is not None:
-            if current in seen:
-                known_cyclic.update(seen)
-                out.append(Diagnostic("error", "schema.is_a", f"is-a cycle involving {current!r}"))
-                break
-            seen.add(current)
-            current = schema.parent_of(current)
+        ancestors, repeated = schema._walk(start)
+        if repeated is not None:
+            known_cyclic.update(ancestors, (start,))
+            out.append(Diagnostic("error", "schema.is_a", f"is-a cycle involving {repeated!r}"))
 
     if not known_cyclic:
         for sup in sorted({sup for _, sup in schema.is_a}):

@@ -3,7 +3,9 @@ walked the ``is_a`` edge list on every call.
 
 ``ScanSchema`` answers ``parent_of``, ``subtypes_of``, ``root_of``,
 ``ancestors_of``, ``descendants_of`` and ``stored_types`` by scanning the
-edges, and ``validate_spec`` keeps its own parent map. Kept as the oracle
+edges; its parent walk stops before the first type it has passed already,
+the start included, as ``ConceptualSchema``'s does. ``validate_spec`` keeps
+its own parent map and its own cycle walk. Kept as the oracle
 of the differential tests in ``test_specmodel.py``, which draw edge lists
 with repeated subtypes, self-edges, cycles and undeclared names.
 """
@@ -28,19 +30,18 @@ class ScanSchema(ConceptualSchema):
 
     def root_of(self, name: str) -> str:
         chain = [name, *self.ancestors_of(name)]
-        if len(chain) > len(self.object_types) + 1:
+        if self.parent_of(chain[-1]) is not None:   # the walk stopped with a parent left
             raise SpecError(f"is-a cycle reached from {name!r}")
         return chain[-1]
 
     def ancestors_of(self, name: str) -> list[str]:
-        out = []
+        """Parents up to the root, or up to the first type met twice."""
+        chain = [name]
         current = self.parent_of(name)
-        hops = 0
-        while current is not None and hops <= len(self.object_types):
-            out.append(current)
+        while current is not None and current not in chain:
+            chain.append(current)
             current = self.parent_of(current)
-            hops += 1
-        return out
+        return chain[1:]
 
     def descendants_of(self, name: str) -> list[str]:
         out = []

@@ -142,6 +142,17 @@ class TestExitCodes:
         assert run(["dfg", "--log", "x.json", "--object-types", "User",
                     "--min-edge-freq", "-1", "--out", str(tmp_path / "o.dot")]) == 1
 
+    def test_no_object_type_is_a_usage_error_before_the_read(self, tmp_path, capsys):
+        assert run(["dfg", "--log", str(tmp_path / "missing.json"), "--object-types", " , ",
+                    "--out", str(tmp_path / "o.dot")]) == 1
+        assert capsys.readouterr().err == "error: --object-types needs at least one type name\n"
+
+    def test_an_output_in_a_missing_directory_names_the_output(self, extracted, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        assert run(["drill-down", "--log", str(extracted[1]), "--type", "User", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert not out.parent.exists()
+
 
 class TestValidateSpec:
     def test_case_study_spec_clean(self, capsys):

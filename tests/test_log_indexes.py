@@ -8,7 +8,9 @@ tuple, kept sorted as each relation is added. Every answer of
 ``events_in_order``, ``events_of_object`` and ``objects_of_event``, each
 relation tuple, ``has_e2o``/``has_o2o`` and the duplicate check must agree
 with a scan of the log's events and relations, while the log grows between
-queries and after a derived log that shares the input's tuples grows.
+queries and after a derived log that shares the input's tuples grows. Every
+event ``events_in_order`` and ``events_of_object`` return must be the very
+instance the log stores under its id.
 """
 
 import random
@@ -73,7 +75,11 @@ def _assert_relations_right(log):
 
 
 def _assert_indexes_right(log):
-    assert _answers(log) == _brute_force(log)
+    answers = _answers(log)
+    assert answers == _brute_force(log)
+    # no trace holds an instance its log does not store
+    in_order, traces, _ = answers
+    assert all(e is log.events[e.id] for events in (in_order, *traces.values()) for e in events)
     _assert_relations_right(log)
 
 
@@ -148,6 +154,7 @@ def test_derived_logs_share_indexes_without_sharing_changes(seed):
         times = [e.time for e in derived.events.values()]
         derived.add_event(EventInstance("probe", derived.event_type_defs[0].name,
                                         min(times, default=BASE) - timedelta(seconds=1)))
+        _assert_indexes_right(derived)
         if derived.objects:
             oid = rng.choice(sorted(derived.objects))
             derived.relate_event_object("probe", oid, "probe")
