@@ -112,10 +112,11 @@ class ConceptualSchema:
         return self._walk(name)[0]
 
     def _walk(self, name: str) -> tuple[list[str], str | None]:
-        """The parent chain from ``name``, stopped before the first type it
-        has passed already (``name`` included), and that type: None when the
-        chain ends at a root, so a type is on or reaches a cycle exactly when
-        it is not None."""
+        """The is-a walk that ``ancestors_of``, ``root_of`` and validation
+        share: the parents from ``name`` up, stopped before the first type
+        the walk has passed already (``name`` included), and that type, or
+        None when the walk ends at a root. ``name`` is on or reaches a cycle
+        exactly when a type is left."""
         out, parents, passed = [], self._parents, {name}
         current = parents.get(name)
         while current is not None and current not in passed:

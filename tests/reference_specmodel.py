@@ -5,9 +5,9 @@ walked the ``is_a`` edge list on every call.
 ``ancestors_of``, ``descendants_of`` and ``stored_types`` by scanning the
 edges; its parent walk stops before the first type it has passed already,
 the start included, as ``ConceptualSchema``'s does. ``validate_spec`` keeps
-its own parent map and its own cycle walk. Kept as the oracle
-of the differential tests in ``test_specmodel.py``, which draw edge lists
-with repeated subtypes, self-edges, cycles and undeclared names.
+its own parent map and its own cycle walk. Kept as the oracle of the
+differential tests in ``test_specmodel.py``, which draw edge lists with
+repeated subtypes, self-edges, cycles and undeclared names.
 """
 
 from __future__ import annotations
