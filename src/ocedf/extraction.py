@@ -119,7 +119,7 @@ class ExtractionReport:
     and rule go under ``timings`` in ``to_dict``, apart from the counts, so
     two runs' reports differ there and in ``elapsed_seconds`` only."""
 
-    counts: dict[str, int] = field(default_factory=lambda: {"object": 0, "event": 0, "o2o": 0, "e2o": 0})
+    counts: dict[str, int] = field(default_factory=lambda: {"object": 0, "event": 0, "e2o": 0, "o2o": 0})
     rule_runs: list[RuleRun] = field(default_factory=list)
     phase_seconds: dict[int, float] = field(default_factory=dict)   # phase -> its seconds
     elapsed_seconds: float = 0.0
@@ -285,7 +285,7 @@ class _Pipeline:
         """The cells of ``qualifier``, which must be a string."""
         if not isinstance(qualifier, str):
             raise SchemaError(f"mappings[{rule_index}]: qualifier {qualifier!r} must be a string")
-        return self._cells_of.setdefault(qualifier, _Cells(self.log._objects, qualifier))
+        return self._cells_of.setdefault(qualifier, _Cells(self.log.objects, qualifier))
 
     def _dangling(self, run: RuleRun, row_index: int, reason: str, ref: str) -> None:
         if self.on_dangling == "fail":
@@ -305,25 +305,22 @@ class _Pipeline:
                     self._run_rule(index, phase, rule)
             self._end_phase(phase)
             self.report.phase_seconds[phase] = _time.perf_counter() - phase_started
-        self.report.counts = {
-            "object": len(oced_log.objects),
-            "event": len(oced_log.events),
-            "e2o": sum(map(len, oced_log._e2o_by_event.values())),   # no relation copied
-            "o2o": sum(map(len, oced_log._o2o_by_source.values())),
-        }
+        self.report.counts.update(object=len(oced_log.objects), event=len(oced_log.events))
         self.report.elapsed_seconds = _time.perf_counter() - started
         return oced_log, self.report
 
     def _end_phase(self, phase: int) -> None:
         """Store each key's relations that ``phase`` checked row by row,
-        sorted, in place, and hand their dict to the log."""
+        sorted, in place, hand their dict to the log and count them."""
         rels, self._rels, shared = self._rels, {}, {}   # each distinct sorted tuple, kept once
         for key, pairs in rels.items():
             _store_sorted(rels, key, [*pairs], shared)
         if phase == 2:
             self.log._o2o_by_source = rels
+            self.report.counts["o2o"] = sum(map(len, rels.values()))
         elif phase == 3:
             self.log._e2o_by_event = rels
+            self.report.counts["e2o"] = sum(map(len, rels.values()))
 
     def _run_rule(self, index: int, phase: int, rule) -> None:
         """Run one rule over its table's rows, count them and log one line."""
@@ -349,7 +346,7 @@ class _Pipeline:
         labels = table.column(subtype_col) if subtype_col else \
             repeat("" if rule.object_type == stored else rule.object_type)
         epoch = self.spec.extraction_epoch
-        objects, add_object = self.log._objects, self.log.add_object
+        objects, add_object = self.log.objects, self.log.add_object
         for i, (oid, label, raw_time, attr_cells) in enumerate(zip(
                 table.column(id_col), labels, table.column(time_col) if time_col else repeat(""),
                 table.cells(rule.attribute_columns.values()))):
@@ -391,7 +388,7 @@ class _Pipeline:
         else:
             activity_cells = table.column(activity_col)
         ids = table.column(id_col) if id_col else self._synthesized_ids(rule, table)
-        events, add_event = self.log._events, self.log.add_event
+        events, add_event = self.log.events, self.log.add_event
         for i, (cell, eid, raw_time, attr_cells) in enumerate(zip(
                 activity_cells, ids, table.column(time_col), table.cells(rule.attribute_columns.values()))):
             try:
@@ -447,7 +444,7 @@ class _Pipeline:
         _require_columns(index, table, [object_col, event_col or ""])
         resolve = self._cells(index, rule.qualifier).__getitem__
         ids = table.column(event_col) if event_col else self._synthesized_ids(rule, table)
-        events, by_event = self.log._events, self._rels
+        events, by_event = self.log.events, self._rels
         for i, (rel, eid) in enumerate(zip(map(resolve, table.column(object_col)), ids)):
             if not rel:
                 run.skip(i, "empty object id")

@@ -252,12 +252,12 @@ class OcedLog:
     collection, and the tuple by the next, as it never does a ``NamedTuple``;
     ``E2ORelation``/``O2ORelation`` are built only by ``e2o``/``o2o``.
 
-    The event order (event ids by time, then id) and the object traces (per
-    object, its distinct stored events in that order) are built on first use
-    and rebound to None by the methods that change them. A trace holds the
-    log's own ``EventInstance``s, so only this class knows what a trace
-    holds; every per-object walk goes through ``events_of_object``. Two
-    threads making that first query at once compute equal values, so a
+    The event order (the stored events by time, then id) and the object
+    traces (per object, its distinct stored events in that order) are built
+    on first use and rebound to None by the methods that change them. A
+    derived log takes its input's two only with its input's own events dict
+    (``_derived``). Every per-object walk goes through ``events_of_object``.
+    Two threads making that first query at once compute equal values, so a
     finished log is safe to share across threads."""
 
     def __init__(self, object_type_defs: Iterable[ObjectTypeDef] = (),
@@ -268,7 +268,7 @@ class OcedLog:
         self._events: dict[str, EventInstance] = {}
         self._e2o_by_event: dict[str, tuple[tuple[str, str], ...]] = {}
         self._o2o_by_source: dict[str, tuple[tuple[str, str], ...]] = {}
-        self._order: tuple[str, ...] | None = None
+        self._order: tuple[EventInstance, ...] | None = None
         self._traces: dict[str, tuple[EventInstance, ...]] | None = None
         self._shared = False
 
@@ -362,11 +362,10 @@ class OcedLog:
     def has_o2o(self, source_id: str, target_id: str, qualifier: str = "") -> bool:
         return (target_id, qualifier) in self._o2o_by_source.get(source_id, ())
 
-    def _event_order(self) -> tuple[str, ...]:
-        """Event ids by (time, id), sorted once per change of the events."""
+    def _event_order(self) -> tuple[EventInstance, ...]:
+        """The stored events by (time, id), sorted once per change of the events."""
         if self._order is None:
-            self._order = tuple(e.id for e in sorted(self._events.values(),
-                                                     key=lambda e: (e.time, e.id)))
+            self._order = tuple(sorted(self._events.values(), key=lambda e: (e.time, e.id)))
         return self._order
 
     def _object_traces(self) -> dict[str, tuple[EventInstance, ...]]:
@@ -376,7 +375,7 @@ class OcedLog:
         if self._traces is None:
             traces: dict[str, list[EventInstance]] = {}
             by_event = self._e2o_by_event
-            for event in self.events_in_order():
+            for event in self._event_order():
                 for oid, _ in by_event.get(event.id, ()):
                     trace = traces.get(oid)
                     if trace is None:
@@ -388,8 +387,7 @@ class OcedLog:
 
     def events_in_order(self) -> list[EventInstance]:
         """All events sorted by (time, event id); ties break on the id."""
-        events = self._events
-        return [events[eid] for eid in self._event_order()]
+        return list(self._event_order())
 
     def events_of_object(self, object_id: str) -> list[EventInstance]:
         """Events related to the object, sorted by (time, event id)."""
@@ -415,29 +413,29 @@ class OcedLog:
                  object_types: Mapping[str, ObjectTypeDef] | None = None,
                  event_types: Mapping[str, EventTypeDef] | None = None) -> "OcedLog":
         """A log over valid ``objects`` and ``events`` of this log (dicts it
-        takes over, maybe this log's own), checking nothing. As the instances
-        keep their ids and times, it reuses this log's event order, and when
-        no id is dropped its relation dicts too; otherwise it keeps the
-        relations between its instances, sharing their tuples. As a trace
-        holds the stored instances, it takes this log's traces only with this
-        log's own events dict. Each dict it shares with this log sets
-        ``_shared`` on both, so the first change to either copies them
-        (``_own``); two threads deriving at once set the same flag, so a
-        finished log stays safe to share."""
+        takes over, maybe this log's own), checking nothing. When no id is
+        dropped it shares this log's relation dicts; otherwise it keeps the
+        relations between its instances, sharing their tuples. The event
+        order and the traces hold the stored instances, so it takes this
+        log's two only with this log's own events dict; any other ``events``
+        must be in (time, id) order, which then is its order. Each dict it
+        shares with this log sets ``_shared`` on both, so the first change
+        to either copies them (``_own``); two threads deriving at once set
+        the same flag, so a finished log stays safe to share."""
         out = OcedLog.__new__(OcedLog)
         out._object_types = dict(self._object_types if object_types is None else object_types)
         out._event_types = dict(self._event_types if event_types is None else event_types)
         out._objects, out._events = objects, events
+        if events is self._events:
+            out._order, out._traces = self._order, self._traces
+        else:
+            out._order, out._traces = tuple(events.values()), None
         if objects.keys() == self._objects.keys() and events.keys() == self._events.keys():
             out._e2o_by_event, out._o2o_by_source = self._e2o_by_event, self._o2o_by_source
-            out._order = self._order
-            out._traces = self._traces if events is self._events else None
             out._shared = True
         else:
             out._e2o_by_event = _pruned(self._e2o_by_event, events, objects)
             out._o2o_by_source = _pruned(self._o2o_by_source, objects, objects)
-            out._order = tuple(eid for eid in self._event_order() if eid in events)
-            out._traces = None
             out._shared = objects is self._objects or events is self._events
         if out._shared:
             self._shared = True
@@ -484,7 +482,7 @@ def relabel(log: OcedLog,
         objects = _relabeled(log._objects.values(), log._object_types, otypes,
                              object_labels or {}, added_values or {}, _stored_object)
     if etypes is log._event_types and not event_labels:
-        in_order = tuple(log._events) == log._event_order()
+        in_order = tuple(log._events.values()) == log._event_order()
         events = log._events if in_order else {e.id: e for e in log.events_in_order()}
     else:
         events = _relabeled(log.events_in_order(), log._event_types, etypes, event_labels or {}, {},

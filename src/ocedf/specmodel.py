@@ -287,9 +287,11 @@ def _parse_questions(raw: Any) -> tuple[Question, ...]:
         _require(isinstance(qid, str) and qid, "question id must be a non-empty string", path)
         _require(qid not in seen, f"duplicate question id {qid!r}", path)
         seen.add(qid)
-        priority = entry.get("priority", i + 1)
-        _require(isinstance(priority, int) and priority >= 1, "priority must be a positive integer", path)
-        out.append(Question(qid, str(entry.get("text", "")), priority))
+        priority, text = entry.get("priority", i + 1), entry.get("text", "")
+        _require(isinstance(priority, int) and not isinstance(priority, bool) and priority >= 1,
+                 "priority must be a positive integer", path)
+        _require(isinstance(text, str), "question text must be a string", path)
+        out.append(Question(qid, text, priority))
     return tuple(out)
 
 
@@ -403,12 +405,13 @@ def parse_spec_document(doc: Any) -> ProjectSpec:
     plan = _parse_plan(doc.get("plan"))
     mappings = tuple(_parse_mapping(m, i) for i, m in enumerate(_list_of(doc, "mappings", "mappings")))
 
-    epoch = DEFAULT_EPOCH
-    if doc.get("extraction_epoch"):
-        try:
-            epoch = parse_iso(str(doc["extraction_epoch"]))
-        except Exception as exc:
-            raise SpecError(str(exc), "extraction_epoch") from None
+    epoch = doc.get("extraction_epoch")
+    _require(epoch is None or isinstance(epoch, str), "extraction_epoch must be a timestamp string",
+             "extraction_epoch")
+    try:
+        epoch = DEFAULT_EPOCH if epoch is None else parse_iso(epoch)
+    except Exception as exc:
+        raise SpecError(str(exc), "extraction_epoch") from None
 
     return ProjectSpec(schema, q2ot, xmatrix, plan, mappings, epoch)
 

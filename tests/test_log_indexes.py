@@ -10,7 +10,8 @@ relation tuple, ``has_e2o``/``has_o2o`` and the duplicate check must agree
 with a scan of the log's events and relations, while the log grows between
 queries and after a derived log that shares the input's tuples grows. Every
 event ``events_in_order`` and ``events_of_object`` return must be the very
-instance the log stores under its id.
+instance the log stores under its id, and a derived log's events dict is in
+its event order.
 """
 
 import random
@@ -30,6 +31,7 @@ from ocedf import (
     roll_up,
     unfold_events,
 )
+from ocedf.ocel import relabel
 from randlog import BASE, QUALIFIERS, random_log
 
 
@@ -167,3 +169,29 @@ def test_derived_logs_share_indexes_without_sharing_changes(seed):
         _assert_indexes_right(derived)
         assert (_answers(log), log.e2o, log.o2o) == before, name
     _assert_indexes_right(log)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_derived_logs_hold_their_events_in_their_order(seed):
+    """A derived log of a log whose events were added out of (time, id)
+    order, with its order cached, holds its events dict in that order, and
+    its order is that dict's own instances."""
+    rng = random.Random(seed)
+    log = random_log(rng, max_events=40, max_objects=15, with_user_hierarchy=True)
+    etype = log.event_type_defs[0].name
+    log.add_event(EventInstance("late", etype, BASE + timedelta(days=400)))
+    log.add_event(EventInstance("early", etype, BASE - timedelta(seconds=1)))
+    assert log.events_in_order() != list(log.events.values())
+    for name, derived in {**_derived_logs(log, rng), "relabel": relabel(log)}.items():
+        in_order = derived.events_in_order()
+        assert in_order == list(derived.events.values()), name
+        assert all(e is derived.events[e.id] for e in in_order), name
+
+
+def test_events_in_order_returns_a_fresh_list():
+    log = random_log(random.Random(1), max_events=20, max_objects=5)
+    returned = log.events_in_order()
+    kept = list(returned)
+    returned.clear()
+    assert kept and log.events_in_order() == kept

@@ -24,7 +24,7 @@ from ocedf import (
     parse_spec_document,
     validate_spec,
 )
-from ocedf.specmodel import ExtractionMatrix, ProjectSpec, Q2OTMatrix, Question
+from ocedf.specmodel import DEFAULT_EPOCH, ExtractionMatrix, ProjectSpec, Q2OTMatrix, Question
 from conftest import FIXTURES
 
 PAPER_PLAN = ["submit assignment", "resubmit assignment", "set assignment grade",
@@ -324,6 +324,30 @@ def test_wrong_typed_values_name_their_path(edit, path):
     with pytest.raises(SpecError) as err:
         validate_spec(parse_spec_document(doc))
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("edit, path, message", [
+    *((_set(["extraction_epoch"], value), "extraction_epoch", "extraction_epoch must be a timestamp string")
+      for value in (0, 2024, False, [], {})),
+    (_set(["extraction_epoch"], ""), "extraction_epoch", "unparseable timestamp ''"),
+    (_set(["questions", 0, "priority"], True), "questions[0]", "priority must be a positive integer"),
+    (_set(["questions", 1, "text"], 5), "questions[1]", "question text must be a string"),
+], ids=["epoch-0", "epoch-2024", "epoch-false", "epoch-list", "epoch-object", "epoch-empty",
+        "priority-true", "text-number"])
+def test_non_string_scalars_are_rejected_not_coerced(edit, path, message):
+    doc = case_study_doc()
+    edit(doc)
+    with pytest.raises(SpecError) as err:
+        parse_spec_document(doc)
+    assert err.value.path == path and message in str(err.value)
+
+
+@pytest.mark.parametrize("edit", [_set(["extraction_epoch"], None), lambda doc: doc.pop("extraction_epoch")],
+                         ids=["null", "absent"])
+def test_a_null_or_absent_epoch_is_the_default(edit):
+    doc = case_study_doc()
+    edit(doc)
+    assert parse_spec_document(doc).extraction_epoch == DEFAULT_EPOCH
 
 
 def _slots(node, out):

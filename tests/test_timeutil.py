@@ -204,3 +204,15 @@ def test_parse_iso_fast_path_only_for_a_normalized_time(text, fast):
     with mock.patch.object(timeutil, "to_utc_ms", wraps=to_utc_ms) as spy:
         parse_iso(text)
     assert spy.called is not fast
+
+
+@pytest.mark.parametrize("text, want", [
+    ("2024-01-01T10:00:00.5Z", datetime(2024, 1, 1, 10, 0, 0, 500_000, timezone.utc)),
+    ("2024-01-01T10:00:00+0000", datetime(2024, 1, 1, 10, tzinfo=timezone.utc)),
+    ("20240101T100000Z", datetime(2024, 1, 1, 10, tzinfo=timezone.utc)),
+])
+def test_parse_iso_reads_the_forms_python_3_11_reads(text, want):
+    """Fractions of any length, offsets without a colon and the basic
+    format: ``datetime.fromisoformat`` reads these from Python 3.11 on, the
+    floor ``pyproject.toml`` declares."""
+    assert parse_iso(text) == want
