@@ -13,12 +13,15 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import groupby
+from operator import attrgetter
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import SchemaError
 from .ocel import (
     AttributeDef,
     AttributeValue,
+    EventInstance,
     EventTypeDef,
     ObjectTypeDef,
     OcedLog,
@@ -40,12 +43,42 @@ class FlatRow(NamedTuple):
     event_id: str
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class FlatLog:
-    """Traditional single-case view: one case per object of one type."""
+    """Traditional single-case view: one case per object of one type.
+
+    ``cases`` pairs each case id, in id order, with its object's trace: the
+    log's own stored tuple of events by (time, event id), shared and not
+    copied. An object with no events is no case. Two flat logs are equal
+    when their object types and their ``rows`` are."""
 
     object_type: str
-    rows: tuple[FlatRow, ...]
+    cases: tuple[tuple[str, tuple[EventInstance, ...]], ...]
+
+    def __init__(self, object_type: str,
+                 cases: tuple[tuple[str, tuple[EventInstance, ...]], ...] = (), *,
+                 rows: Iterable[FlatRow] | None = None):
+        """``rows``, when given, takes the place of ``cases``: each run of rows
+        of one case is a trace of events with no attribute values. This keeps
+        ``dataclasses.replace(flat, rows=...)`` working."""
+        if rows is not None:
+            cases = tuple((case_id, tuple(EventInstance(row.event_id, row.activity, row.time)
+                                          for row in run))
+                          for case_id, run in groupby(rows, attrgetter("case_id")))
+        self.object_type, self.cases = object_type, cases
+
+    @property
+    def rows(self) -> tuple[FlatRow, ...]:
+        """One row per trace entry, by (case, time, event id), built anew."""
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        new = tuple.__new__
+        return tuple(new(FlatRow, (case_id, event.type, event.time, event.id))
+                     for case_id, trace in self.cases for event in trace)
+
+    def __eq__(self, other):
+        if not isinstance(other, FlatLog):
+            return NotImplemented
+        return self.object_type == other.object_type and self.rows == other.rows
 
 
 @dataclass
@@ -102,10 +135,10 @@ def flatten(log: OcedLog, object_type: str) -> FlatLog:
     (divergence by duplication); events touching none are dropped.
     """
     _check_declared([object_type], {td.name for td in log.object_type_defs}, "object type")
-    # cases by id, each trace by (time, event id): rows by (case, time, event)
-    cases = sorted(oid for oid, obj in log.objects.items() if obj.type == object_type)
-    return FlatLog(object_type, tuple(FlatRow(oid, event.type, event.time, event.id)
-                                      for oid in cases for event in log.events_of_object(oid)))
+    traces = log._object_traces()   # the stored tuples, which the log rebinds and never mutates
+    cases = sorted(oid for oid, obj in log.objects.items()
+                   if obj.type == object_type and oid in traces)
+    return FlatLog(object_type, tuple((oid, traces[oid]) for oid in cases))
 
 
 def stats(log: OcedLog, discriminator_attr: str = "role") -> str:

@@ -183,14 +183,16 @@ def _cmd_flatten(args) -> int:
     oced_log, events, started = _read_log(args.log_path)
     flat = analysis.flatten(oced_log, args.object_type)
     started = _log_stage("flatten", events, started)
+    rows = 0
     with open_atomic(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "activity", "timestamp", "event_id"])
-        for row in flat.rows:   # stored times: UTC with whole milliseconds
-            writer.writerow([row.case_id, row.activity, row.time.isoformat(timespec="milliseconds"),
-                             row.event_id])
-    _log_stage("write", events, started)
-    print(f"flattened {len(flat.rows)} rows onto {args.object_type!r} -> {args.out}")
+        for case_id, trace in flat.cases:   # stored times: UTC with whole milliseconds
+            writer.writerows([case_id, event.type, event.time.isoformat(timespec="milliseconds"),
+                              event.id] for event in trace)
+            rows += len(trace)
+    _log_stage("write", rows, started, "rows")
+    print(f"flattened {rows} rows onto {args.object_type!r} -> {args.out}")
     return EXIT_OK
 
 

@@ -321,8 +321,9 @@ def _parse_xmatrix(raw: Any) -> ExtractionMatrix:
         for col, text in row.items():
             path = f"extraction_matrix.rows.{activity}.{col}"
             _require(col in columns, f"cell references unknown column {col!r}", path)
+            _require(isinstance(text, str), "cell must be a range string", path)
             try:
-                cells[(activity, col)] = parse_multiplicity(str(text))
+                cells[(activity, col)] = parse_multiplicity(text)
             except SpecError as exc:
                 raise SpecError(str(exc), path) from None
     return ExtractionMatrix(tuple(columns), tuple(rows.keys()), cells)

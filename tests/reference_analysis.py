@@ -1,8 +1,10 @@
 """The log rebuild that drill-down, roll-up, unfold and filter used before
 derived logs shared their input's instances: every object, event and
-relation goes through ``add_*``/``relate_*`` again.
+relation goes through ``add_*``/``relate_*`` again. Also ``flatten`` as it
+was before it handed over the stored traces: one ``FlatRow`` per trace entry.
 
-Kept as the reference for the differential tests in ``test_derived_logs.py``.
+Kept as the reference for the differential tests in ``test_derived_logs.py``
+and ``test_analysis.py``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from typing import Iterable
 
-from ocedf import AttributeDef, AttributeValue, EventTypeDef, ObjectTypeDef, OcedLog, SchemaError
+from ocedf import (AttributeDef, AttributeValue, EventTypeDef, FlatRow, ObjectTypeDef, OcedLog,
+                   SchemaError)
 
 _ROLLUP_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -37,6 +40,14 @@ def _check_declared(names: Iterable[str], declared: set[str], what: str) -> None
     for name in names:
         if name not in declared:
             raise SchemaError(f"unknown {what} {name!r}")
+
+
+def flatten(log: OcedLog, object_type: str) -> tuple[FlatRow, ...]:
+    """The rows of one case per object of the type, by (case, time, event id)."""
+    _check_declared([object_type], {td.name for td in log.object_type_defs}, "object type")
+    cases = sorted(oid for oid, obj in log.objects.items() if obj.type == object_type)
+    return tuple(FlatRow(oid, event.type, event.time, event.id)
+                 for oid in cases for event in log.events_of_object(oid))
 
 
 def filter_log(log: OcedLog,

@@ -1,13 +1,21 @@
+import io
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_analysis as ref
 
 from ocedf import (
     AttributeDef,
     AttributeValue,
     EventInstance,
     EventTypeDef,
+    FlatLog,
+    FlatRow,
     ObjectInstance,
     ObjectTypeDef,
     OcedLog,
@@ -16,9 +24,11 @@ from ocedf import (
     drill_down,
     filter_log,
     flatten,
+    read_ocel_json,
     roll_up,
     to_dot,
     unfold_events,
+    write_ocel_json,
 )
 from randlog import random_log
 
@@ -149,6 +159,69 @@ class TestFlatten:
         log = user_page_log()
         log.add_event(EventInstance("e1", "view page", at(0)))
         assert flatten(log, "User").rows == ()
+
+    def test_cases_share_the_stored_traces(self):
+        log = random_log(random.Random(12), max_events=60, max_objects=30, with_user_hierarchy=True)
+        traces = log._object_traces()
+        for td in log.object_type_defs:
+            flat = flatten(log, td.name)
+            assert [case_id for case_id, _ in flat.cases] == sorted(
+                oid for oid, obj in log.objects.items() if obj.type == td.name and oid in traces)
+            assert all(trace is traces[case_id] for case_id, trace in flat.cases)
+
+    def test_a_flat_log_keeps_its_rows_when_the_log_changes(self):
+        log = user_page_log()
+        log.add_event(EventInstance("e1", "view page", at(0)))
+        log.relate_event_object("e1", "u1")
+        flat = flatten(log, "User")
+        rows = flat.rows
+        log.add_event(EventInstance("e2", "view page", at(-1)))
+        log.relate_event_object("e2", "u1")
+        log.relate_event_object("e1", "u2")
+        assert flat.rows == rows == (FlatRow("u1", "view page", at(0), "e1"),)
+        assert flatten(log, "User").rows != rows
+
+    def test_equal_rows_give_equal_flat_logs(self):
+        log = random_log(random.Random(13), max_events=60, max_objects=30)
+        buf = io.StringIO()
+        write_ocel_json(log, buf)
+        back = read_ocel_json(io.StringIO(buf.getvalue()))
+        for td in log.object_type_defs:
+            assert flatten(back, td.name) == flatten(log, td.name)
+        one = user_page_log()
+        one.add_event(EventInstance("e1", "view page", at(0)))
+        one.relate_event_object("e1", "u1")
+        other = user_page_log()
+        other.add_event(EventInstance("e1", "view page", at(0)))
+        other.relate_event_object("e1", "u2")
+        assert flatten(one, "User") != flatten(other, "User")
+        assert flatten(one, "User") != flatten(one, "Page")
+
+    def test_rows_given_stand_for_the_cases(self):
+        log = random_log(random.Random(14), max_events=60, max_objects=30)
+        for td in log.object_type_defs:
+            flat = flatten(log, td.name)
+            assert FlatLog(td.name, rows=flat.rows) == flat
+            assert replace(flat, rows=flat.rows[1:]).rows == flat.rows[1:]
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), hierarchy=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_flatten_matches_the_reference(seed, hierarchy):
+    """Same rows in the same order as the row-per-entry ``flatten``, each
+    row's event fields the stored event's own, and the same error."""
+    log = random_log(random.Random(seed), max_events=120, max_objects=60,
+                     with_user_hierarchy=hierarchy)
+    for td in log.object_type_defs:
+        rows = flatten(log, td.name).rows
+        assert rows == ref.flatten(log, td.name)
+        for row in rows:
+            stored = log.events[row.event_id]
+            assert type(row) is FlatRow
+            assert row.activity is stored.type and row.time is stored.time
+    for op in (flatten, ref.flatten):
+        with pytest.raises(SchemaError, match="^unknown object type 'Ghost'$"):
+            op(log, "Ghost")
 
 
 class TestDrillDown:

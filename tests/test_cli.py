@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ocedf import OcedLog, read_ocel_json, write_ocel_json
+from ocedf import OcedLog, analysis, read_ocel_json, write_ocel_json
 from ocedf.cli import run, stats
 from conftest import FIXTURES
 
@@ -17,6 +18,7 @@ CASE_SPEC = str(FIXTURES / "case_study" / "spec.json")
 CASE_SOURCES = str(FIXTURES / "case_study" / "sources")
 CONF_SPEC = str(FIXTURES / "conformant" / "spec.json")
 CONF_SOURCES = str(FIXTURES / "conformant" / "sources")
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden_cli.json"
 
 
 def stats_block(text, event_type):
@@ -302,7 +304,12 @@ class TestFileOutputs:
         lines = [r.getMessage() for r in caplog.records if r.name == "ocedf.cli"]
         assert [line.split(":")[0] for line in lines] == stages
         for line in lines:
-            count, unit = (r"\d+", "rows") if line.startswith("load:") else (events, "events")
+            if line.startswith("load:"):
+                count, unit = r"\d+", "rows"
+            elif line.startswith("write:") and args[0] == "flatten":
+                count, unit = written.count(b"\n") - 1, "rows"   # the CSV's data rows
+            else:
+                count, unit = events, "events"
             assert re.fullmatch(rf"\w+: \d+\.\d{{3}} s, {count} {unit}, \d+ {unit}/s", line)
 
     def test_outputs_leave_no_temporary_files(self, extracted, tmp_path):
@@ -324,6 +331,20 @@ class TestFileOutputs:
         lines = out.read_text().splitlines()
         assert lines[0] == "case,activity,timestamp,event_id"
         assert len(lines) == 1 + 31  # 23 submits + 8 resubmits
+
+    def test_flatten_csv_builds_no_rows(self, extracted, tmp_path, monkeypatch):
+        """The CSV comes from the flat log's cases alone, byte for byte the
+        recorded one."""
+        def no_rows(flat):
+            raise AssertionError("FlatLog.rows built")
+        monkeypatch.setattr(analysis.FlatLog, "rows", property(no_rows))
+        case, _ = extracted
+        out = tmp_path / "flat.csv"
+        assert run(["flatten", "--log", str(case), "--object-type", "User",
+                    "--out", str(out)]) == 0
+        recorded = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            recorded["case_study"]["flatten"]["files"]["flat.csv"]
 
     def test_drill_down_roundtrip(self, extracted, tmp_path):
         case, _ = extracted

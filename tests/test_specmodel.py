@@ -332,8 +332,11 @@ def test_wrong_typed_values_name_their_path(edit, path):
     (_set(["extraction_epoch"], ""), "extraction_epoch", "unparseable timestamp ''"),
     (_set(["questions", 0, "priority"], True), "questions[0]", "priority must be a positive integer"),
     (_set(["questions", 1, "text"], 5), "questions[1]", "question text must be a string"),
+    *((_set(["extraction_matrix", "rows", "view file", "User"], value),
+       "extraction_matrix.rows.view file.User", "cell must be a range string")
+      for value in (1, 1.0, None)),
 ], ids=["epoch-0", "epoch-2024", "epoch-false", "epoch-list", "epoch-object", "epoch-empty",
-        "priority-true", "text-number"])
+        "priority-true", "text-number", "cell-1", "cell-1.0", "cell-null"])
 def test_non_string_scalars_are_rejected_not_coerced(edit, path, message):
     doc = case_study_doc()
     edit(doc)
