@@ -2,7 +2,8 @@
 """Scale ladder: each pipeline stage timed on courses of growing size.
 
     python3 scripts/scale_ladder.py [--students 400 2000 10000] [--seed 3]
-        [--src DIR] [--label NAME] [--out BENCH_scale.json] [--work DIR]
+        [--src DIR [DIR ...]] [--label NAME [NAME ...]] [--out BENCH_scale.json]
+        [--work DIR]
 
 Each course is built once by ``benchmark/course.py`` with the given seed.
 Then ``load_source`` (every table of the course), ``extract``,
@@ -17,6 +18,13 @@ extracts; the ``read`` child reads the file that the ``write`` child wrote,
 and the ``verify`` and ``analyze`` children read it untimed. The code
 measured is the ``ocedf`` package under ``--src`` (default: this
 checkout's ``src``), so the same ladder can measure another checkout.
+
+``--src`` takes one or more trees, each with its own ``--label``: say a
+parent checkout's ``src`` and this one's. Each course is then built once
+and measured for every tree, a stage's children taking turns across the
+trees (the order reversed on every other turn), so host drift falls on
+all trees alike rather than on whichever ran later. Each tree writes its
+own OCEL JSON file, and each gets a labelled run of its own.
 
 Each stage runs in ``TIMING_RUNS`` children in turn. Each records its
 seconds, the GC's seconds and collections while it ran (through
@@ -98,8 +106,9 @@ class _GcClock:
             self.collections += 1
 
 
-def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
-    """Run the stages before ``stage`` untimed, then ``stage`` measured."""
+def run_stage(stage: str, course: Path, log_path: Path, trace_memory: bool) -> dict:
+    """Run the stages before ``stage`` untimed, then ``stage`` measured;
+    ``log_path`` is the OCEL JSON file that ``write`` writes and ``read`` reads."""
     sys.path.insert(0, str(ROOT / "benchmark"))
     import probe   # noqa: E402  (benchmark/probe.py)
 
@@ -128,8 +137,8 @@ def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
     steps = {
         "load": lambda state: {"sources": load(spec)},
         "extract": lambda state: {"log": extraction.extract(spec, state.pop("sources"))[0]},
-        "write": lambda state: ocel.write_ocel_json(state["log"], course / LOG_NAME),
-        "read": lambda state: {"log": ocel.read_ocel_json(course / LOG_NAME)},
+        "write": lambda state: ocel.write_ocel_json(state["log"], log_path),
+        "read": lambda state: {"log": ocel.read_ocel_json(log_path)},
         "verify": lambda state: {"report": verification.check(
             verification.derive_matrix(state["log"], spec.xmatrix, spec.schema), spec.xmatrix)},
         "analyze": lambda state: {"outputs": analyze(state["log"])},   # kept alive to the end
@@ -159,7 +168,7 @@ def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
         tracemalloc.stop()
     result["scaled_seconds"] = probe.scale(seconds, probe_before, probe.probe())
     if stage == "read" and not trace_memory:
-        text = (course / LOG_NAME).read_text(encoding="utf-8")
+        text = log_path.read_text(encoding="utf-8")
         gc.disable()
         started = perf_counter()
         json.loads(text)
@@ -169,7 +178,7 @@ def run_stage(stage: str, course: Path, trace_memory: bool) -> dict:
         warm = []
         for _ in range(WARM_READS):
             started = perf_counter()
-            warm_log = ocel.read_ocel_json(course / LOG_NAME)
+            warm_log = ocel.read_ocel_json(log_path)
             warm.append(perf_counter() - started)
             del warm_log   # freed outside the timed read
         result["warm_read_seconds"] = min(warm)
@@ -212,55 +221,73 @@ def _git(src: Path, *args: str) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def measure_course(students: int, seed: int, src: Path, work: Path) -> dict:
-    """Build one course, then measure each stage on it, one child at a time."""
+def measure_course(students: int, seed: int, srcs: list[Path], work: Path) -> list[dict]:
+    """Build one course, then measure each stage on it for each tree in
+    ``srcs``, one child at a time, the trees taking turns; one entry per tree."""
     course = work / f"course-{students}-seed{seed}"
     shutil.rmtree(course, ignore_errors=True)
     started = perf_counter()
-    built = _child(["--build", str(course), "--students", str(students), "--seed", str(seed)], src)
-    entry: dict = {"students": students, "build_seconds": perf_counter() - started, **built, "stages": {}}
+    built = _child(["--build", str(course), "--students", str(students), "--seed", str(seed)], srcs[0])
+    build_seconds = perf_counter() - started
+    entries = [{"students": students, "build_seconds": build_seconds, **built, "stages": {}} for _ in srcs]
+    logs = [course / f"tree{i}-{LOG_NAME}" for i in range(len(srcs))]
+    trees = list(zip(srcs, logs, entries))
     try:
         for stage in STAGES:
-            runs = [_child(["--stage", stage, "--course", str(course)], src)
-                    for _ in range(TIMING_RUNS)]
-            measured = sorted(runs, key=lambda r: r["seconds"])[TIMING_RUNS // 2]
-            measured["seconds_runs"] = [r["seconds"] for r in runs]
-            if stage in TRACED_STAGES:
-                traced = _child(["--stage", stage, "--course", str(course), "--trace-memory"], src)
-                measured["tracemalloc_peak_mb"] = traced["tracemalloc_peak_mb"]
-            entry["events"] = measured.pop("events", entry.get("events"))
-            del measured["stage"]
-            entry["stages"][stage] = measured
-        entry["ocel_json_bytes"] = (course / LOG_NAME).stat().st_size
+            args = ["--stage", stage, "--course", str(course)]
+            runs: list[list[dict]] = [[] for _ in trees]
+            order = list(range(len(trees)))
+            for turn in range(TIMING_RUNS):
+                for i in order if turn % 2 == 0 else order[::-1]:
+                    src, log, _ = trees[i]
+                    runs[i].append(_child([*args, "--log", str(log)], src))
+            for (src, log, entry), tree_runs in zip(trees, runs):
+                measured = sorted(tree_runs, key=lambda r: r["seconds"])[TIMING_RUNS // 2]
+                measured["seconds_runs"] = [r["seconds"] for r in tree_runs]
+                if stage in TRACED_STAGES:
+                    traced = _child([*args, "--log", str(log), "--trace-memory"], src)
+                    measured["tracemalloc_peak_mb"] = traced["tracemalloc_peak_mb"]
+                entry["events"] = measured.pop("events", entry.get("events"))
+                del measured["stage"]
+                entry["stages"][stage] = measured
+        for _, log, entry in trees:
+            entry["ocel_json_bytes"] = log.stat().st_size
     finally:
         shutil.rmtree(course, ignore_errors=True)
-    events = entry["events"]
-    for measured in entry["stages"].values():
-        measured["seconds_per_event"] = measured["seconds"] / events
-        measured["peak_rss_bytes_per_event"] = measured["peak_rss_mb"] * 2**20 / events
-    return entry
+    for entry in entries:
+        events = entry["events"]
+        for measured in entry["stages"].values():
+            measured["seconds_per_event"] = measured["seconds"] / events
+            measured["peak_rss_bytes_per_event"] = measured["peak_rss_mb"] * 2**20 / events
+    return entries
 
 
-def run_ladder(students: list[int], seed: int, src: Path, label: str, work: Path) -> dict:
+def run_ladder(students: list[int], seed: int, srcs: list[Path], labels: list[str],
+               work: Path) -> list[dict]:
+    """One labelled run per tree in ``srcs``, measured course by course."""
     work.mkdir(parents=True, exist_ok=True)
-    courses = [measure_course(n, seed, src, work) for n in sorted(students)]
+    per_course = [measure_course(n, seed, srcs, work) for n in sorted(students)]
     if not any(work.iterdir()):
         work.rmdir()
-    smallest, largest = courses[0], courses[-1]
-    return {
-        "label": label,
-        "commit": _git(src, "rev-parse", "HEAD"),
-        "dirty": bool(_git(src, "status", "--porcelain", "--untracked-files=no")),
-        "python": platform.python_version(),
-        "machine": {"cpus": os.cpu_count(), "platform": platform.platform()},
-        "seed": seed,
-        "courses": courses,
-        "per_event_growth": {
-            "from_to": [smallest["students"], largest["students"]],
-            **{stage: largest["stages"][stage]["seconds_per_event"]
-               / smallest["stages"][stage]["seconds_per_event"] for stage in STAGES},
-        },
-    }
+    runs = []
+    for i, (src, label) in enumerate(zip(srcs, labels)):
+        courses = [entries[i] for entries in per_course]
+        smallest, largest = courses[0], courses[-1]
+        runs.append({
+            "label": label,
+            "commit": _git(src, "rev-parse", "HEAD"),
+            "dirty": bool(_git(src, "status", "--porcelain", "--untracked-files=no")),
+            "python": platform.python_version(),
+            "machine": {"cpus": os.cpu_count(), "platform": platform.platform()},
+            "seed": seed,
+            "courses": courses,
+            "per_event_growth": {
+                "from_to": [smallest["students"], largest["students"]],
+                **{stage: largest["stages"][stage]["seconds_per_event"]
+                   / smallest["stages"][stage]["seconds_per_event"] for stage in STAGES},
+            },
+        })
+    return runs
 
 
 def write_run(out: Path, run: dict) -> None:
@@ -274,9 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--students", type=int, nargs="+", default=[400, 2000, 10000])
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the ocedf package to measure")
-    parser.add_argument("--label", default="current")
+    parser.add_argument("--src", type=Path, nargs="+", default=[ROOT / "src"],
+                        help="directories holding the ocedf package to measure, taking turns")
+    parser.add_argument("--label", nargs="+", default=["current"], help="one per --src")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
     parser.add_argument("--work", type=Path, default=ROOT / ".scale_work",
                         help="where courses are built; each is removed once measured")
@@ -284,26 +311,31 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--build", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--stage", choices=STAGES, help=argparse.SUPPRESS)
     parser.add_argument("--course", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--log", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--trace-memory", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.build:
         print(json.dumps(build_course(args.build, args.students[0], args.seed)))
         return 0
     if args.stage:
-        print(json.dumps(run_stage(args.stage, args.course, args.trace_memory)))
+        print(json.dumps(run_stage(args.stage, args.course, args.log, args.trace_memory)))
         return 0
-    run = run_ladder(args.students, args.seed, args.src.resolve(), args.label, args.work)
-    write_run(args.out, run)
-    for entry in run["courses"]:
-        print(f"{entry['students']} students, {entry['events']} events: " + ", ".join(
-            f"{stage} {m['seconds']:.3f} s ({m['seconds_per_event'] * 1e6:.1f} µs/event, "
-            f"{m['scaled_seconds']:.3f} s scaled)" for stage, m in entry["stages"].items()))
-        read = entry["stages"]["read"]
-        print(f"  read over a bare json.loads: {read['read_over_json_loads']:.2f}x cold, "
-              f"{read['warm_read_over_json_loads']:.2f}x warm")
-    growth = run["per_event_growth"]
-    print(f"per-event cost, {growth['from_to'][1]} over {growth['from_to'][0]} students: " + ", ".join(
-        f"{stage} {growth[stage]:.2f}x" for stage in STAGES))
+    if len(args.label) != len(args.src) or len(set(args.label)) != len(args.label):
+        parser.error("give one distinct --label per --src")
+    runs = run_ladder(args.students, args.seed, [src.resolve() for src in args.src], args.label, args.work)
+    for run in runs:
+        write_run(args.out, run)
+        print(f"{run['label']}:")
+        for entry in run["courses"]:
+            print(f"{entry['students']} students, {entry['events']} events: " + ", ".join(
+                f"{stage} {m['seconds']:.3f} s ({m['seconds_per_event'] * 1e6:.1f} µs/event, "
+                f"{m['scaled_seconds']:.3f} s scaled)" for stage, m in entry["stages"].items()))
+            read = entry["stages"]["read"]
+            print(f"  read over a bare json.loads: {read['read_over_json_loads']:.2f}x cold, "
+                  f"{read['warm_read_over_json_loads']:.2f}x warm")
+        growth = run["per_event_growth"]
+        print(f"per-event cost, {growth['from_to'][1]} over {growth['from_to'][0]} students: " + ", ".join(
+            f"{stage} {growth[stage]:.2f}x" for stage in STAGES))
     return 0
 
 

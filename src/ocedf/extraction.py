@@ -35,7 +35,7 @@ from .ocel import (
     _store_sorted,
 )
 from .specmodel import E2ORule, EventRule, O2ORule, ObjectRule, ProjectSpec
-from .timeutil import parse_iso, parse_with_format
+from .timeutil import format_parser, parse_iso
 
 log = logging.getLogger("ocedf.extraction")
 
@@ -110,6 +110,16 @@ class RuleRun:
             self.skipped[reason][0] += 1
         except KeyError:
             self.skipped[reason] = [1, row_index]
+
+    def skip_many(self, first_row: int, reason: str, rows: int) -> None:
+        """Count ``rows`` skipped rows of a reason no row has given yet, the
+        first at ``first_row``, entered where ``skip`` would have entered it:
+        before the first reason whose first row comes later."""
+        self.rows_skipped += rows
+        later = [r for r, (_, first) in self.skipped.items() if first > first_row]
+        moved = [(r, self.skipped.pop(r)) for r in later]
+        self.skipped[reason] = [rows, first_row]
+        self.skipped.update(moved)
 
 
 @dataclass
@@ -376,8 +386,14 @@ class _Pipeline:
             add_object(ObjectInstance(oid, stored, tuple(values)))
 
     def _run_event_rule(self, index: int, rule: EventRule, table: SourceTable, run: RuleRun) -> None:
-        activity_col, id_col, time_col, fmt = \
-            rule.activity_column, rule.id_column, rule.time_column, rule.time_format
+        """Check each row's event as ``add_event`` would and store it in the
+        log's events dict: its activity is a matrix row, so its type is
+        declared; its id is non-empty and new; its time comes from
+        ``format_parser``, which gives what ``parse_with_format`` gives, so it
+        is normalized; and its attributes are the rule's, each declared a
+        string on every type the rule gives, with stripped string values. So
+        the stored instance is the one ``_stored_event`` would return."""
+        activity_col, id_col, time_col = rule.activity_column, rule.id_column, rule.time_column
         _require_columns(index, table,
                          [time_col, activity_col or "", id_col or "", *rule.attribute_columns.values()])
         attr_names = tuple(rule.attribute_columns)
@@ -388,7 +404,7 @@ class _Pipeline:
         else:
             activity_cells = table.column(activity_col)
         ids = table.column(id_col) if id_col else self._synthesized_ids(rule, table)
-        events, add_event = self.log.events, self.log.add_event
+        parse_time, events = format_parser(rule.time_format), self.log._events
         for i, (cell, eid, raw_time, attr_cells) in enumerate(zip(
                 activity_cells, ids, table.column(time_col), table.cells(rule.attribute_columns.values()))):
             try:
@@ -407,12 +423,13 @@ class _Pipeline:
             if eid in events:
                 raise DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
             try:
-                when = parse_with_format(raw_time.strip(), fmt)
+                when = parse_time(raw_time.strip())
             except DataError as exc:
                 raise DataError(f"mappings[{index}] row {i}: {exc}") from None
             attrs = attr_names and tuple(   # no attributes: (), with no generator per row
                 (attr, raw) for attr, value in zip(attr_names, attr_cells) if (raw := value.strip()))
-            add_event(EventInstance(eid, activity, when, attrs))
+            # tuple.__new__ skips the NamedTuple's Python-level __new__, as the reader does
+            events[eid] = tuple.__new__(EventInstance, (eid, activity, when, attrs))
 
     def _run_o2o_rule(self, index: int, rule: O2ORule, table: SourceTable, run: RuleRun) -> None:
         """Collect the rule's pairs in their source object's set, which finds
@@ -439,15 +456,19 @@ class _Pipeline:
 
     def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
         """Grow each event's tuple of pairs, unsorted until the phase ends; a
-        pair already in it is a duplicate."""
+        pair already in it is a duplicate. Rows with an empty object-id cell,
+        often most of a wide table's, are counted in locals and entered once."""
         object_col, event_col = rule.object_id_column, rule.event_id_column
         _require_columns(index, table, [object_col, event_col or ""])
         resolve = self._cells(index, rule.qualifier).__getitem__
         ids = table.column(event_col) if event_col else self._synthesized_ids(rule, table)
         events, by_event = self.log.events, self._rels
+        empty, first_empty = 0, None
         for i, (rel, eid) in enumerate(zip(map(resolve, table.column(object_col)), ids)):
             if not rel:
-                run.skip(i, "empty object id")
+                if not empty:
+                    first_empty = i
+                empty += 1
                 continue
             if event_col:
                 eid = eid.strip()
@@ -467,6 +488,8 @@ class _Pipeline:
                 run.skip(i, "duplicate e2o relation")
                 continue
             by_event[eid] = rels + (rel,)
+        if empty:
+            run.skip_many(first_empty, "empty object id", empty)
 
 
 def extract(spec: ProjectSpec, sources: Mapping[str, SourceTable],

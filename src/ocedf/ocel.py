@@ -16,7 +16,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cache
-from itertools import chain, starmap
+from itertools import chain, compress, islice, starmap
+from operator import attrgetter, eq, le, lt
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -178,6 +179,18 @@ def _pruned(by_key: dict[str, tuple], keys, ends) -> dict[str, tuple]:
             if k in keys and (kept := tuple(r for r in rels if r[0] in ends))}
 
 
+def _in_event_order(events: list[EventInstance]) -> bool:
+    """Whether ``events`` are sorted by (time, id): each time is compared
+    with the next, and each id with the next where the two times tie,
+    through ``map`` and ``compress``, with no Python call per event."""
+    times = list(map(attrgetter("time"), events))
+    if not all(map(le, times, islice(times, 1, None))):
+        return False
+    tied = list(map(eq, times, islice(times, 1, None)))
+    ids = attrgetter("id")
+    return all(map(lt, map(ids, compress(events, tied)), map(ids, compress(islice(events, 1, None), tied))))
+
+
 def _stored_object(obj: ObjectInstance, tdef: ObjectTypeDef | None) -> ObjectInstance:
     """The object to store for ``obj`` under its type (None if undeclared): its
     values a tuple, each time normalized by ``to_utc_ms`` and each value
@@ -213,7 +226,9 @@ def _stored_event(event: EventInstance, tdef: EventTypeDef | None) -> EventInsta
     time normalized by ``to_utc_ms``, its values a tuple of (name, value) tuples,
     each conformed to its kind. Pairs, and ``event``, with nothing to change are kept:
     an event with no values and a normalized time is returned as it is, at once.
-    The reader relies on that to store such an event without this call."""
+    Two callers rely on that to store a checked event without this call: the
+    reader for an event with no values, and extract's event rule for each of
+    its events, whose checks cover this call's."""
     if tdef is None:
         raise SchemaError(f"event {event.id!r}: undeclared event type {event.type!r}")
     if not isinstance(event.time, datetime):
@@ -243,6 +258,8 @@ class OcedLog:
     """Typed objects with timestamped attribute values, typed events with
     untimed ones, and qualified E2O and O2O relations. ``add_*``/``relate_*``
     normalize and check each immutable instance once, as they store it; the
+    reader and extract's event rule store an event they have checked as
+    ``add_event`` checks it without the call (``_stored_event``). The
     finished log is used as a read-only value.
 
     A relation is a plain ``(other id, qualifier)`` pair in a sorted,
@@ -365,9 +382,17 @@ class OcedLog:
         return (target_id, qualifier) in self._o2o_by_source.get(source_id, ())
 
     def _event_order(self) -> tuple[EventInstance, ...]:
-        """The stored events by (time, id), sorted once per change of the events."""
+        """The stored events by (time, id), built once per change of the
+        events. Events stored in that order already, as the reader stores
+        a written log's, are the order as they are; others are sorted by id
+        and then stably by time. Neither builds a key tuple per event, which
+        the cyclic GC would have to walk."""
         if self._order is None:
-            self._order = tuple(sorted(self._events.values(), key=lambda e: (e.time, e.id)))
+            order = list(self._events.values())
+            if not _in_event_order(order):
+                order.sort(key=attrgetter("id"))
+                order.sort(key=attrgetter("time"))
+            self._order = tuple(order)
         return self._order
 
     def _object_traces(self) -> dict[str, tuple[EventInstance, ...]]:
@@ -536,9 +561,12 @@ def _document_chunks(log: OcedLog) -> Iterator[str]:
     """The document's text in pieces. An object or event line is the text
     ``encode`` gives its dict, joined from encoded parts; a type name or a
     relationship is encoded on first use only, as a log has few, shared by
-    E2O and O2O. Stored times and values are UTC in whole ms, so each is
-    formatted as it is, and an event time is built from its fields."""
+    E2O and O2O. An id is encoded by ``encode_basestring``, which is what
+    ``encode`` does for a ``str``. Stored times and values are UTC in whole
+    ms, so each is formatted as it is, and an event time is built from its
+    fields."""
     encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+    quoted = json.encoder.encode_basestring
     type_name = cache(encode)
     relationship = cache(lambda oid, qualifier: encode({"objectId": oid, "qualifier": qualifier}))
     date = cache(lambda year, month, day: f"{year:04d}-{month:02d}-{day:02d}")
@@ -550,7 +578,7 @@ def _document_chunks(log: OcedLog) -> Iterator[str]:
             time = (f'"time": "{date(t.year, t.month, t.day)}T{two[t.hour]}:{two[t.minute]}:'
                     f'{two[t.second]}.{three[t.microsecond // 1000]}+00:00", ') if timed else ""
             rels = ", ".join(starmap(relationship, relations.get(inst.id, ())))
-            yield (f'{{"id": {encode(inst.id)}, "type": {type_name(inst.type)}, {time}"attributes": '
+            yield (f'{{"id": {quoted(inst.id)}, "type": {type_name(inst.type)}, {time}"attributes": '
                    f'{encode(attributes(values)) if values else "[]"}, "relationships": [{rels}]}}')
 
     objects = sorted(log._objects.values(), key=lambda o: o.id)

@@ -6,14 +6,14 @@ to millisecond precision. Naive inputs are assumed to be UTC.
 
 from __future__ import annotations
 
-import re
 from datetime import datetime, timezone
+from functools import partial
+from typing import Callable
 
 from .errors import DataError
 
-# The format most sources use, and the one shape of it parsed without strptime.
+# The format most sources use, and its one shape parsed without strptime (_plain_shape).
 _PLAIN_SECONDS = "%Y-%m-%d %H:%M:%S"
-_PLAIN_SECONDS_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 
 
 def to_utc_ms(dt: datetime) -> datetime:
@@ -61,24 +61,51 @@ def parse_iso(text: str) -> datetime:
         raise DataError(f"unparseable timestamp {text!r}: {exc}") from None
 
 
+def _plain_shape(text: str) -> bool:
+    """Whether ``text`` has 19 characters with the plain format's separators
+    at their places (``text[4::3]``). ``datetime.fromisoformat`` then reads
+    it only with ASCII digits in the six fields, as ``YYYY-MM-DD HH:MM:SS``,
+    which is what ``strptime`` reads there; any other text it rejects."""
+    return len(text) == 19 and text[4::3] == "-- ::"
+
+
 def parse_with_format(text: str, fmt: str) -> datetime:
     """Parse with a strftime pattern; naive results are assumed UTC.
 
     Fast path: with ``fmt`` ``%Y-%m-%d %H:%M:%S`` and a stripped ``text`` of
-    exactly that shape in ASCII digits (``2024-09-02 10:00:00``), the time is
-    read as UTC by ``datetime.fromisoformat``, which gives what ``strptime``
-    gives there. Any other text, and a field out of range on the fast path,
-    falls back to ``strptime``, so every error carries its message."""
+    that shape (``2024-09-02 10:00:00``, ``_plain_shape``), the time is read
+    as UTC by ``datetime.fromisoformat``, which gives what ``strptime`` gives
+    there. The ``+00:00`` offset makes the result aware, in ``timezone.utc``
+    itself and in whole seconds, so it is normalized as it is. Any other
+    text, and a field out of range on the fast path, falls back to
+    ``strptime``, so every error carries its message."""
     cleaned = text.strip()
-    if fmt == _PLAIN_SECONDS and _PLAIN_SECONDS_SHAPE.fullmatch(cleaned):
-        try:   # the offset makes the result aware, so to_utc_ms has nothing to copy
-            return to_utc_ms(datetime.fromisoformat(cleaned + "+00:00"))
+    if fmt == _PLAIN_SECONDS and _plain_shape(cleaned):
+        try:
+            return datetime.fromisoformat(cleaned + "+00:00")
         except ValueError:
             pass
     try:
         return to_utc_ms(datetime.strptime(cleaned, fmt))
     except ValueError as exc:
         raise DataError(f"unparseable timestamp {text!r} for format {fmt!r}: {exc}") from None
+
+
+def _parse_plain_seconds(text: str) -> datetime:
+    """``parse_with_format(text, "%Y-%m-%d %H:%M:%S")``, its fast path tried
+    on ``text`` as it is, with no strip, format compare or call first."""
+    if len(text) == 19 and text[4::3] == "-- ::":   # _plain_shape, inlined
+        try:
+            return datetime.fromisoformat(text + "+00:00")
+        except ValueError:
+            pass
+    return parse_with_format(text, _PLAIN_SECONDS)
+
+
+def format_parser(fmt: str) -> Callable[[str], datetime]:
+    """``parse_with_format`` with ``fmt`` fixed, picked once for a column of
+    cells: each text gives the same datetime, or the same ``DataError``."""
+    return _parse_plain_seconds if fmt == _PLAIN_SECONDS else partial(parse_with_format, fmt=fmt)
 
 
 def format_iso(dt: datetime) -> str:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ocedf import (
     AttributeValue,
     DataError,
+    EventInstance,
     ObjectInstance,
     SchemaError,
     SourceTable,
@@ -22,6 +23,7 @@ from ocedf import (
     synthesize_event_id,
     write_ocel_json,
 )
+from ocedf import ocel
 from ocedf.extraction import CHUNK_ROWS
 from ocedf.specmodel import E2ORule, O2ORule
 from conftest import FIXTURES, load_fixture
@@ -572,6 +574,31 @@ class TestDanglingPolicy:
         with pytest.raises(DataError, match="policy"):
             run_tiny(on_dangling="strict")
 
+    @pytest.mark.parametrize("links, expected", [
+        ([["events:0", "ghost"], ["events:0", ""], ["events:0", "u1"], ["events:0", "u1"],
+          ["events:1", " "], ["events:1", "ghost"]],
+         {"e2o references unknown object": [2, 0], "empty object id": [2, 1],
+          "duplicate e2o relation": [1, 3]}),
+        ([["events:0", "  "], ["events:9", "u1"], ["events:0", "ghost"], ["events:0", ""],
+          ["events:0", "u1"]],
+         {"empty object id": [2, 0], "e2o references unknown event": [1, 1],
+          "e2o references unknown object": [1, 2]}),
+    ])
+    def test_skip_reasons_listed_in_first_row_order(self, links, expected):
+        """Empty object-id cells are counted apart from the other reasons and
+        still listed at their first row's place among them."""
+        mappings = list(BASE_MAPPINGS) + [
+            {"kind": "e2o", "source_table": "links", "event_id_column": "eid",
+             "object_id_column": "uid", "qualifier": "reader"},
+        ]
+        sources = dict(BASE_SOURCES, links=table("links", ["eid", "uid"], links))
+        _, report = run_tiny(mappings, sources)
+        run = report.rule_runs[-1]
+        assert run.rule_index == 6 and list(run.skipped.items()) == list(expected.items())
+        assert run.rows_skipped == sum(rows for rows, _ in expected.values())
+        assert run.rows_loaded == len(links) - run.rows_skipped
+        assert [entry["reason"] for entry in report.to_dict()["rules"][-1]["skipped"]] == list(expected)
+
     def test_empty_link_cells_are_skipped_not_dangling(self):
         sources = dict(BASE_SOURCES)
         sources["events"] = table("events", ["ts", "action", "uid", "cid"],
@@ -881,6 +908,10 @@ def test_extract_matches_the_reference_runners(case):
     assert got == _outcome(reference_extract, spec, sources, policy)[0]
     if log is None:
         return
+    for event in log.events.values():   # stored as add_event would store it
+        assert type(event) is EventInstance and type(event.attribute_values) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in event.attribute_values)
+        assert ocel._stored_event(event, log._event_types[event.type]) is event
     shared = {}   # each stored pair to the first tuple holding it: equal pairs, O2O or E2O, are one
     for by_key, owners in ((log._e2o_by_event, log.events), (log._o2o_by_source, log.objects)):
         for key, rels in by_key.items():

@@ -18,16 +18,21 @@ import random
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocedf import (
     AttributeValue,
     EventInstance,
+    EventTypeDef,
     ObjectInstance,
+    OcedLog,
     SchemaError,
+    SourceTable,
     drill_down,
+    extract,
     filter_log,
+    parse_spec,
     roll_up,
     unfold_events,
 )
@@ -195,3 +200,45 @@ def test_events_in_order_returns_a_fresh_list():
     kept = list(returned)
     returned.clear()
     assert kept and log.events_in_order() == kept
+
+
+# -- the event order against a sort by (time, id) -----------------------------
+
+
+def _assert_in_time_then_id_order(log):
+    in_order = log.events_in_order()
+    assert in_order == sorted(log.events.values(), key=lambda e: (e.time, e.id))
+    assert all(e is log.events[e.id] for e in in_order)
+
+
+@given(events=st.lists(st.tuples(st.text("e19 :", min_size=1, max_size=4), st.integers(0, 3)),
+                       max_size=40, unique_by=lambda drawn: drawn[0]))
+@example(events=[("a", 0), ("b", 0), ("c", 1)])   # stored in order already
+@example(events=[("a", 0), ("c", 1), ("b", 1)])   # in time order, but a tie out of id order
+@example(events=[("a", 1), ("b", 0)])
+@settings(max_examples=200, deadline=None)
+def test_events_in_order_sorts_by_time_then_id(events):
+    """Few distinct times, so most events tie on time and the id decides;
+    ids whose string order differs from their insertion order, and events
+    stored in (time, id) order already, which need no sort."""
+    log = OcedLog((), [EventTypeDef("a")])
+    for eid, minute in events:
+        log.add_event(EventInstance(eid, "a", BASE + timedelta(minutes=minute)))
+    _assert_in_time_then_id_order(log)
+
+
+def test_an_extracted_log_sorts_rows_out_of_time_order():
+    """Rows out of time order with repeated times, and synthesized ids
+    (``rows:10`` before ``rows:9``) whose string order is not row order."""
+    times = ["2024-09-02 10:00:00", "2024-09-01 09:00:00", "2024-09-02 10:00:00",
+             "2024-09-01 08:00:00", "2024-09-02 10:00:00", "2024-09-01 09:00:00"] * 2
+    spec = parse_spec({
+        "schema": {"object_types": ["User"]},
+        "extraction_matrix": {"columns": ["User"], "rows": {"view page": {"User": "1"}}},
+        "mappings": [{"kind": "event", "source_table": "rows", "activity": "view page",
+                      "time_column": "ts", "time_format": "%Y-%m-%d %H:%M:%S"}],
+    })
+    log, _ = extract(spec, {"rows": SourceTable.from_rows("rows", ["ts"], [[t] for t in times])})
+    assert [e.id for e in log.events.values()] == [f"rows:{i}" for i in range(len(times))]
+    _assert_in_time_then_id_order(log)
+    assert [e.id for e in log.events_in_order()][:4] == ["rows:3", "rows:9", "rows:1", "rows:11"]

@@ -1,4 +1,4 @@
-"""Smoke test of ``scripts/scale_ladder.py`` on a course of 20 students."""
+"""Smoke tests of ``scripts/scale_ladder.py`` on a course of 20 students."""
 
 import importlib.util
 import json
@@ -57,3 +57,53 @@ def test_a_run_replaces_only_the_run_of_its_label(tmp_path):
         scale_ladder.write_run(out, run)
     assert json.loads(out.read_text(encoding="utf-8"))["runs"] == [
         {"label": "after", "n": 2}, {"label": "before", "n": 3}]
+
+
+def test_two_trees_take_turns_and_each_gets_its_run(tmp_path):
+    out, work = tmp_path / "BENCH_scale.json", tmp_path / "work"
+    src = str(SCRIPT.parent.parent / "src")
+    subprocess.run([sys.executable, str(SCRIPT), "--students", "20", "--seed", "3", "--src", src, src,
+                    "--label", "before-smoke", "after-smoke", "--out", str(out), "--work", str(work)],
+                   check=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
+    before, after = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert (before["label"], after["label"]) == ("before-smoke", "after-smoke")
+    assert set(before) == set(after) == RUN_KEYS
+    (course_before,), (course_after,) = before["courses"], after["courses"]
+    for key in ("students", "build_seconds", "source_rows", "events", "ocel_json_bytes"):
+        assert course_before[key] == course_after[key], key   # one course, the same code
+    for course in (course_before, course_after):
+        assert set(course) == COURSE_KEYS and list(course["stages"]) == list(scale_ladder.STAGES)
+        for measured in course["stages"].values():
+            assert len(measured["seconds_runs"]) == scale_ladder.TIMING_RUNS
+    assert not work.exists()
+
+
+def test_children_alternate_between_trees(tmp_path, monkeypatch):
+    """Each stage's timed children take turns across the trees, the order
+    reversed on every other turn; each tree writes and reads its own file."""
+    calls = []
+
+    def fake_child(args, src):
+        opts = dict(zip(args[::2], args[1::2]))
+        if "--build" in opts:
+            return {"source_rows": 1}
+        calls.append((opts["--stage"], src.name, "--trace-memory" in args, opts["--log"]))
+        if opts["--stage"] == "write":
+            Path(opts["--log"]).parent.mkdir(parents=True, exist_ok=True)
+            Path(opts["--log"]).write_text(src.name)
+        return {"stage": opts["--stage"], "seconds": 1.0, "peak_rss_mb": 1.0, "events": 2,
+                "tracemalloc_peak_mb": 1.0}
+
+    monkeypatch.setattr(scale_ladder, "_child", fake_child)
+    srcs = [tmp_path / "a", tmp_path / "bb"]
+    first, second = scale_ladder.run_ladder([20], 3, srcs, ["first", "second"], tmp_path / "work")
+    assert (first["label"], second["label"]) == ("first", "second")
+    assert [c["ocel_json_bytes"] for c in first["courses"] + second["courses"]] == [1, 2]
+    timed = [(stage, tree) for stage, tree, traced, _ in calls if not traced]
+    turns = [["a", "bb"], ["bb", "a"]] * scale_ladder.TIMING_RUNS
+    assert timed == [(stage, tree) for stage in scale_ladder.STAGES
+                     for turn in turns[:scale_ladder.TIMING_RUNS] for tree in turn]
+    traced = [(stage, tree) for stage, tree, is_traced, _ in calls if is_traced]
+    assert traced == [(stage, tree) for stage in scale_ladder.TRACED_STAGES for tree in ("a", "bb")]
+    logs = {tree: {log for _, t, _, log in calls if t == tree} for tree in ("a", "bb")}
+    assert all(len(paths) == 1 for paths in logs.values()) and logs["a"] != logs["bb"]

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocedf import DataError, timeutil
-from ocedf.timeutil import parse_iso, parse_with_format, to_utc_ms
+from ocedf.timeutil import format_parser, parse_iso, parse_with_format, to_utc_ms
 from reference_extraction import parse_with_format as reference_parse
+from test_extraction import BAD_TIMES, GOOD_TIMES
 
 
 def reference_to_utc_ms(dt: datetime) -> datetime:
@@ -125,6 +126,49 @@ def test_fast_path_taken_only_for_the_plain_shape(text, fmt, fast, slow):
     with mock.patch.object(timeutil, "datetime", wraps=datetime) as spy:
         _parse_outcome(parse_with_format, text, fmt)
     assert (spy.fromisoformat.called, spy.strptime.called) == (fast, slow)
+
+
+# -- the per-format parser against parse_with_format ----------------------------
+
+PARSER_CASES = sorted({
+    *(t for ts in GOOD_TIMES.values() for t in ts), *BAD_TIMES,
+    " 2024-09-02 10:00:00", "2024-09-02 10:00:00 ", "\t2024-09-02 10:00:00\n", "\u30002024-09-02 10:00:00",
+    "\u0662\u0660\u0662\u0664-\u0660\u0669-\u0660\u0662 \u0661\u0660:\u0660\u0660:\u0660\u0660",
+    "\uff12\uff10\uff12\uff14-09-02 10:00:00", "2024-09-02 1\u0660:00:00",
+    "2024-02-30 10:00:00", "2023-02-29 10:00:00", "2024-13-01 10:00:00", "2024-00-10 10:00:00",
+    "0000-01-01 00:00:00", "2024-09-02 10:60:00", "2024-W36-1 10:00:00", "2024-09-02T10:00:00",
+    "20240902 10:00:00.5", "2024-09-02 10:00:0.", "2024-09-02 +1:00:00", "2024-09-02 10:00:00.5",
+})
+
+
+def _parser_outcome(parse, text: str):
+    try:
+        dt = parse(text)
+    except DataError as exc:
+        return str(exc)
+    return dt, dt.tzinfo
+
+
+@pytest.mark.parametrize("fmt", [*GOOD_TIMES, *OTHER_FORMATS])
+def test_format_parser_gives_what_parse_with_format_gives(fmt):
+    parse = format_parser(fmt)
+    for text in PARSER_CASES:
+        assert _parser_outcome(parse, text) == _parser_outcome(lambda t: parse_with_format(t, fmt), text), text
+
+
+# Any text of the plain shape's length with its separators at their places.
+SHAPE_CHARS = st.sampled_from("0123456789" * 4 + "WTZ+-:., \t\u0661\uff10")
+
+
+@given(text=st.lists(SHAPE_CHARS, min_size=14, max_size=14).map(
+    lambda c: "".join(c[:4]) + "-" + "".join(c[4:6]) + "-" + "".join(c[6:8]) + " " + "".join(c[8:10])
+    + ":" + "".join(c[10:12]) + ":" + "".join(c[12:])) | timestamps())
+@example(text="2024-W36-1 10:00:00")
+@settings(max_examples=600, deadline=None)
+def test_format_parser_matches_strptime_on_the_plain_shape(text):
+    got = _parser_outcome(format_parser(PLAIN), text)
+    assert got == _parser_outcome(lambda t: parse_with_format(t, PLAIN), text)
+    assert got == _parser_outcome(lambda t: reference_parse(t, PLAIN), text)
 
 
 # -- parse_iso's fast path against the path it skips ----------------------------
