@@ -111,16 +111,6 @@ class RuleRun:
         except KeyError:
             self.skipped[reason] = [1, row_index]
 
-    def skip_many(self, first_row: int, reason: str, rows: int) -> None:
-        """Count ``rows`` skipped rows of a reason no row has given yet, the
-        first at ``first_row``, entered where ``skip`` would have entered it:
-        before the first reason whose first row comes later."""
-        self.rows_skipped += rows
-        later = [r for r, (_, first) in self.skipped.items() if first > first_row]
-        moved = [(r, self.skipped.pop(r)) for r in later]
-        self.skipped[reason] = [rows, first_row]
-        self.skipped.update(moved)
-
 
 @dataclass
 class ExtractionReport:
@@ -457,17 +447,19 @@ class _Pipeline:
     def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
         """Grow each event's tuple of pairs, unsorted until the phase ends; a
         pair already in it is a duplicate. Rows with an empty object-id cell,
-        often most of a wide table's, are counted in locals and entered once."""
+        often most of a wide table's, are skipped by ``run.skip`` at the first,
+        which enters the reason at its place; the rest are counted in a local
+        and added once."""
         object_col, event_col = rule.object_id_column, rule.event_id_column
         _require_columns(index, table, [object_col, event_col or ""])
         resolve = self._cells(index, rule.qualifier).__getitem__
         ids = table.column(event_col) if event_col else self._synthesized_ids(rule, table)
         events, by_event = self.log.events, self._rels
-        empty, first_empty = 0, None
+        empty = 0
         for i, (rel, eid) in enumerate(zip(map(resolve, table.column(object_col)), ids)):
             if not rel:
                 if not empty:
-                    first_empty = i
+                    run.skip(i, "empty object id")
                 empty += 1
                 continue
             if event_col:
@@ -488,8 +480,9 @@ class _Pipeline:
                 run.skip(i, "duplicate e2o relation")
                 continue
             by_event[eid] = rels + (rel,)
-        if empty:
-            run.skip_many(first_empty, "empty object id", empty)
+        if empty > 1:
+            run.rows_skipped += empty - 1
+            run.skipped["empty object id"][0] += empty - 1
 
 
 def extract(spec: ProjectSpec, sources: Mapping[str, SourceTable],

@@ -318,6 +318,8 @@ class OcedLog:
 
     def add_object(self, obj: ObjectInstance) -> None:
         self._own()
+        if not isinstance(obj.id, str):   # the writer encodes each id as a JSON string
+            raise SchemaError(f"object id must be a string: {obj.id!r}")
         if not obj.id:
             raise SchemaError("empty object id")
         if obj.id in self._objects:
@@ -326,6 +328,8 @@ class OcedLog:
 
     def add_event(self, event: EventInstance) -> None:
         self._own()
+        if not isinstance(event.id, str):   # the writer encodes each id as a JSON string
+            raise SchemaError(f"event id must be a string: {event.id!r}")
         if not event.id:
             raise SchemaError("empty event id")
         if event.id in self._events:

@@ -72,40 +72,43 @@ def _plain_shape(text: str) -> bool:
 def parse_with_format(text: str, fmt: str) -> datetime:
     """Parse with a strftime pattern; naive results are assumed UTC.
 
-    Fast path: with ``fmt`` ``%Y-%m-%d %H:%M:%S`` and a stripped ``text`` of
-    that shape (``2024-09-02 10:00:00``, ``_plain_shape``), the time is read
-    as UTC by ``datetime.fromisoformat``, which gives what ``strptime`` gives
-    there. The ``+00:00`` offset makes the result aware, in ``timezone.utc``
-    itself and in whole seconds, so it is normalized as it is. Any other
-    text, and a field out of range on the fast path, falls back to
-    ``strptime``, so every error carries its message."""
-    cleaned = text.strip()
-    if fmt == _PLAIN_SECONDS and _plain_shape(cleaned):
-        try:
-            return datetime.fromisoformat(cleaned + "+00:00")
-        except ValueError:
-            pass
+    ``format_parser(fmt)(text)``: with ``fmt`` ``%Y-%m-%d %H:%M:%S`` the
+    plain-shape fast path is tried first (``_parse_plain_seconds``), and any
+    other text or format goes to ``strptime`` (``_strptime``)."""
+    return format_parser(fmt)(text)
+
+
+def _strptime(text: str, fmt: str) -> datetime:
+    """``text``, stripped, read by ``strptime`` with ``fmt`` and normalized;
+    an error names ``text`` as given."""
     try:
-        return to_utc_ms(datetime.strptime(cleaned, fmt))
+        return to_utc_ms(datetime.strptime(text.strip(), fmt))
     except ValueError as exc:
         raise DataError(f"unparseable timestamp {text!r} for format {fmt!r}: {exc}") from None
 
 
 def _parse_plain_seconds(text: str) -> datetime:
-    """``parse_with_format(text, "%Y-%m-%d %H:%M:%S")``, its fast path tried
-    on ``text`` as it is, with no strip, format compare or call first."""
-    if len(text) == 19 and text[4::3] == "-- ::":   # _plain_shape, inlined
+    """``text`` read with the format ``%Y-%m-%d %H:%M:%S``.
+
+    Fast path: a stripped ``text`` of that shape (``2024-09-02 10:00:00``,
+    ``_plain_shape``) is read as UTC by ``datetime.fromisoformat``, which
+    gives what ``strptime`` gives there. The ``+00:00`` offset makes the
+    result aware, in ``timezone.utc`` itself and in whole seconds, so it is
+    normalized as it is. Any other text, and a field out of range on the fast
+    path, falls back to ``_strptime``, so every error carries its message."""
+    cleaned = text.strip()
+    if _plain_shape(cleaned):
         try:
-            return datetime.fromisoformat(text + "+00:00")
+            return datetime.fromisoformat(cleaned + "+00:00")
         except ValueError:
             pass
-    return parse_with_format(text, _PLAIN_SECONDS)
+    return _strptime(text, _PLAIN_SECONDS)
 
 
 def format_parser(fmt: str) -> Callable[[str], datetime]:
-    """``parse_with_format`` with ``fmt`` fixed, picked once for a column of
-    cells: each text gives the same datetime, or the same ``DataError``."""
-    return _parse_plain_seconds if fmt == _PLAIN_SECONDS else partial(parse_with_format, fmt=fmt)
+    """The parser of ``fmt``, picked once for a column of cells: the plain
+    format's fast path or ``strptime``, with no format compare per cell."""
+    return _parse_plain_seconds if fmt == _PLAIN_SECONDS else partial(_strptime, fmt=fmt)
 
 
 def format_iso(dt: datetime) -> str:

@@ -149,6 +149,19 @@ class TestEvents:
         with pytest.raises(SchemaError, match="undeclared"):
             log.add_event(EventInstance("e1", "login", T0))
 
+    def test_id_must_be_a_string(self):
+        # The writer encodes each id as a JSON string, as the reader requires.
+        log = simple_log()
+        for bad in (7, 0, None, b"e1", ("e1",)):
+            with pytest.raises(SchemaError) as err:
+                log.add_event(EventInstance(bad, "view page", T0))
+            assert str(err.value) == f"event id must be a string: {bad!r}"
+            with pytest.raises(SchemaError) as err:
+                log.add_object(ObjectInstance(bad, "User"))
+            assert str(err.value) == f"object id must be a string: {bad!r}"
+        assert not log.events and set(log.objects) == set(simple_log().objects)
+        write_ocel_json(log, io.StringIO())
+
     def test_time_must_be_a_datetime(self):
         log = simple_log()
         for bad in ("2024-09-02", 5, date(2024, 9, 2), None):

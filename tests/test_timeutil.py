@@ -153,7 +153,9 @@ def _parser_outcome(parse, text: str):
 def test_format_parser_gives_what_parse_with_format_gives(fmt):
     parse = format_parser(fmt)
     for text in PARSER_CASES:
-        assert _parser_outcome(parse, text) == _parser_outcome(lambda t: parse_with_format(t, fmt), text), text
+        got = _parser_outcome(parse, text)
+        assert got == _parser_outcome(lambda t: parse_with_format(t, fmt), text), text
+        assert got == _parser_outcome(lambda t: reference_parse(t, fmt), text), text
 
 
 # Any text of the plain shape's length with its separators at their places.
