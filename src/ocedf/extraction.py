@@ -32,7 +32,7 @@ from .ocel import (
     ObjectInstance,
     ObjectTypeDef,
     OcedLog,
-    _store_sorted,
+    _shared_sorted,
 )
 from .specmodel import E2ORule, EventRule, O2ORule, ObjectRule, ProjectSpec
 from .timeutil import format_parser, parse_iso
@@ -314,7 +314,7 @@ class _Pipeline:
         sorted, in place, hand their dict to the log and count them."""
         rels, self._rels, shared = self._rels, {}, {}   # each distinct sorted tuple, kept once
         for key, pairs in rels.items():
-            _store_sorted(rels, key, [*pairs], shared)
+            rels[key] = _shared_sorted([*pairs], shared)
         if phase == 2:
             self.log._o2o_by_source = rels
             self.report.counts["o2o"] = sum(map(len, rels.values()))

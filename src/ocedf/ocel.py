@@ -14,10 +14,10 @@ import re
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from functools import cache
 from itertools import chain, compress, islice, starmap
-from operator import attrgetter, eq, le, lt
+from operator import attrgetter, eq, itemgetter, le, lt
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -160,16 +160,14 @@ def _insert(by_key: dict[str, tuple], key: str, other: str, qualifier: str, kind
     by_key[key] = rels[:i] + (pair,) + rels[i:]
 
 
-def _store_sorted(by_key: dict[str, tuple], key: str, rels: list, shared: dict[tuple, tuple]) -> None:
-    """Store ``rels``, all of ``key``'s pairs, checked as ``relate_*`` checks
-    them, as ``by_key[key]``, sorted: the equal tuple in ``shared``, or a new
-    one entered there. The reader and ``extract`` store relations so, one
-    tuple per distinct pair, so equal pairs and equal tuples are one object
-    per log; ``relate_*`` adds tuples of its own (``_insert``), and which
-    tuples are shared is not part of the API."""
-    rels.sort()
-    rels = tuple(rels)
-    by_key[key] = shared.setdefault(rels, rels)
+def _shared_sorted(pairs: list, shared: dict[tuple, tuple]) -> tuple:
+    """``pairs``, one key's, checked as ``relate_*`` checks them, as a sorted
+    tuple: the equal one in ``shared``, or a new one entered there, so equal
+    tuples are one object per log. ``relate_*`` adds tuples of its own
+    (``_insert``); which tuples are shared is not part of the API."""
+    pairs.sort()
+    pairs = tuple(pairs)
+    return shared.setdefault(pairs, pairs)
 
 
 def _pruned(by_key: dict[str, tuple], keys, ends) -> dict[str, tuple]:
@@ -684,20 +682,39 @@ def _add_records(log: OcedLog, objects: Iterable, events: Iterable) -> OcedLog:
     """``log`` with the ``objects`` and ``events`` entries added in the order
     both readers share: each object, then the O2O relations of those that
     hold any, then each event added and related in turn; the first defect in
-    that order raises. A record with any defect is replayed through
-    ``relate_*``, so its first defect has the message and JSON path that
-    relation by relation would give."""
+    that order raises. A record's relations are one stored tuple
+    (``_Pairs.stored``), and a record with any defect is replayed through
+    ``relate_*`` for the message and JSON path of its first defect. A plain
+    event (a new non-empty string id, a declared type, ``"attributes": []``,
+    a list of relationships, a time ``fromisoformat`` reads in UTC and whole
+    ms) is stored here as ``add_event`` stores it; any other entry, or a
+    ``KeyError``, ``TypeError`` or ``ValueError`` reading it, goes to ``_add_event_entry``."""
     related = [(i, entry) for i, entry in enumerate(objects) if _add_object_entry(log, i, entry)]
-    pairs, shared = _Pairs(log._objects), {}   # each stored tuple of pairs
+    pairs = _Pairs(log._objects)
     for i, entry in related:
         source = log._objects[entry["id"]].id
-        built = pairs.of(entry["relationships"])
+        built = pairs.stored(entry["relationships"])
         if built is None or (source, "") in built:   # self O2O, unqualified
             _replay_relations("objects", i, entry, log.relate_objects)
         else:
-            _store_sorted(log._o2o_by_source, source, built, shared)
+            log._o2o_by_source[source] = built
+    stored, types, fromiso, utc = log._events, log._event_types, datetime.fromisoformat, timezone.utc
     for i, entry in enumerate(events):
-        _add_event_entry(log, i, entry, pairs, shared)
+        try:
+            eid, tdef, rels = entry["id"], types[entry["type"]], entry["relationships"]
+            when = fromiso(entry["time"])
+            plain = (type(eid) is str and eid and eid not in stored and entry["attributes"] == []
+                     and type(rels) is list and when.tzinfo is utc and not when.microsecond % 1000)
+        except (KeyError, TypeError, ValueError):
+            plain = False
+        if plain:   # tuple.__new__ skips the NamedTuple's Python-level __new__
+            stored[eid] = tuple.__new__(EventInstance, (eid, tdef.name, when, ()))
+        else:
+            rels, eid = _add_event_entry(log, i, entry), entry["id"]
+        if rels and (built := pairs.stored(rels)) is not None:
+            log._e2o_by_event[eid] = built
+        elif rels:
+            _replay_relations("events", i, entry, log.relate_event_object)
     return log
 
 
@@ -737,10 +754,10 @@ def _add_object_entry(log: OcedLog, i: int, entry: Any) -> list:
     return rels
 
 
-def _add_event_entry(log: OcedLog, i: int, entry: Any, pairs: _Pairs, shared: dict) -> None:
-    """Check the shape of ``events[i]``, parse its time once, add its event,
-    typed by the declared type's own string, and store its E2O relations; a
-    JSON path is built only to raise."""
+def _add_event_entry(log: OcedLog, i: int, entry: Any) -> list:
+    """Check the shape of ``events[i]``, parse its time once and add its
+    event, unrelated, typed by the declared type's own string; return its
+    relationships. A JSON path is built only to raise."""
     if not isinstance(entry, dict) or not isinstance(eid := entry.get("id"), str) \
             or not isinstance(etype := entry.get("type"), str):
         raise OcelDocumentError("event entry must carry a string 'id' and 'type'", f"events[{i}]")
@@ -764,21 +781,11 @@ def _add_event_entry(log: OcedLog, i: int, entry: Any, pairs: _Pairs, shared: di
         attrs = tuple(values)
     if not isinstance(rels, list):
         raise OcelDocumentError("'relationships' must be a list", f"events[{i}].relationships")
-    if not attrs and tdef is not None and eid and eid not in log._events:
-        # a plain event, stored as add_event would store it, as parse_iso gave a
-        # normalized time; tuple.__new__ skips the NamedTuple's Python-level __new__
-        log._events[eid] = tuple.__new__(EventInstance, (eid, tdef.name, when, ()))
-    else:
-        try:
-            log.add_event(EventInstance(eid, etype if tdef is None else tdef.name, when, attrs or ()))
-        except SchemaError as exc:
-            raise OcelDocumentError(str(exc), f"events[{i}]") from None
-    if rels:
-        built = pairs.of(rels)
-        if built is None:
-            _replay_relations("events", i, entry, log.relate_event_object)
-        else:
-            _store_sorted(log._e2o_by_event, eid, built, shared)
+    try:
+        log.add_event(EventInstance(eid, etype if tdef is None else tdef.name, when, attrs or ()))
+    except SchemaError as exc:
+        raise OcelDocumentError(str(exc), f"events[{i}]") from None
+    return rels
 
 
 class _Pairs(dict):
@@ -787,7 +794,7 @@ class _Pairs(dict):
     otherwise the lookup raises ``KeyError`` or ``TypeError``."""
 
     def __init__(self, objects: Mapping[str, ObjectInstance]):
-        self.objects = objects
+        self.objects, self.object_qualifier, self.shared = objects, itemgetter("objectId", "qualifier"), {}
 
     def __missing__(self, key: tuple[str, str]) -> tuple[str, str]:
         target, qualifier = key
@@ -796,13 +803,23 @@ class _Pairs(dict):
         pair = self[key] = (self.objects[target].id, qualifier)
         return pair
 
-    def of(self, rels: list) -> list | None:
-        """The stored pairs of a record's relationships, or None if one is malformed, unknown or repeated."""
+    def stored(self, rels: list) -> tuple | None:
+        """The sorted tuple of a record's pairs in ``shared`` (``_shared_sorted``),
+        or None if one is malformed, unknown or repeated. The writer sorts a
+        record's pairs, so a pair set met before is one lookup of its
+        ``(objectId, qualifier)`` values, and a hit is right: ``shared`` holds
+        checked (str, str) pairs of stored objects with no repeats, and no JSON
+        value but a ``str`` equals a ``str``. Else each pair is looked up (``__missing__``)."""
+        try:
+            if hit := self.shared.get(tuple(map(self.object_qualifier, rels))):
+                return hit
+        except (KeyError, TypeError):   # a qualifier left out, a value no dict key can be
+            pass
         try:
             built = [self[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
         except (KeyError, TypeError):
             return None
-        return built if len(set(built)) == len(built) else None
+        return _shared_sorted(built, self.shared) if len(set(built)) == len(built) else None
 
 
 def _replay_relations(key: str, i: int, entry: dict, relate) -> None:

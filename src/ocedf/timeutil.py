@@ -44,10 +44,13 @@ def parse_iso(text: str) -> datetime:
     datetime is returned, since normalizing it would return it too. Any other
     text, a failure of that parse included, is stripped, a ``Z``/``z`` suffix
     read as ``+00:00``, parsed by the same ``fromisoformat`` and normalized
-    by ``to_utc_ms``, so every result and error is what that path gives."""
+    by ``to_utc_ms``, so every result and error is what that path gives. A
+    ``text`` that is not a ``str`` raises ``DataError``."""
     try:
         dt = datetime.fromisoformat(text)
-    except (TypeError, ValueError):
+    except TypeError:   # the argument is no str
+        raise DataError(f"timestamp {text!r} is not a string") from None
+    except ValueError:
         pass
     else:
         if dt.tzinfo is timezone.utc and not dt.microsecond % 1000:

@@ -14,6 +14,7 @@ instance the log stores under its id, and a derived log's events dict is in
 its event order.
 """
 
+import io
 import random
 from datetime import timedelta
 
@@ -33,10 +34,12 @@ from ocedf import (
     extract,
     filter_log,
     parse_spec,
+    read_ocel_json,
     roll_up,
     unfold_events,
+    write_ocel_json,
 )
-from ocedf.ocel import relabel
+from ocedf.ocel import _in_event_order, relabel
 from randlog import BASE, QUALIFIERS, random_log
 
 
@@ -242,3 +245,23 @@ def test_an_extracted_log_sorts_rows_out_of_time_order():
     assert [e.id for e in log.events.values()] == [f"rows:{i}" for i in range(len(times))]
     _assert_in_time_then_id_order(log)
     assert [e.id for e in log.events_in_order()][:4] == ["rows:3", "rows:9", "rows:1", "rows:11"]
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (0, 2), (1, 3)],
+                         ids=["tied times", "later time first", "ids and times"])
+def test_a_read_log_sorts_event_lines_out_of_order(first, second):
+    """Text in the writer's layout with two event lines swapped reads to
+    events stored out of (time, id) order, which ``events_in_order`` sorts."""
+    log = OcedLog((), [EventTypeDef("a")])
+    for eid, minute in (("a", 0), ("b", 0), ("c", 1), ("d", 2), ("e", 3)):
+        log.add_event(EventInstance(eid, "a", BASE + timedelta(minutes=minute)))
+    out = io.StringIO()
+    write_ocel_json(log, out)
+    lines = out.getvalue().split("\n")
+    at = lines.index('"events": [') + 1   # no line is the last event's, which has no comma
+    lines[at + first], lines[at + second] = lines[at + second], lines[at + first]
+    read = read_ocel_json(io.StringIO("\n".join(lines)))
+    assert not _in_event_order(list(read.events.values()))
+    assert read.structurally_equal(log)
+    _assert_in_time_then_id_order(read)
+    assert [e.id for e in read.events_in_order()] == ["a", "b", "c", "d", "e"]

@@ -583,6 +583,13 @@ def test_reader_matches_reference_on_edited_relationships(data):
     assert_reads_as_reference(json.loads(json.dumps(doc)))   # ids in new strings, as read
 
 
+def _edited_doc(edit):
+    """BASE_DOCUMENT with ``edit`` applied."""
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    edit(doc)
+    return doc
+
+
 def _relationships(*rels, record=("events", 0)):
     """BASE_DOCUMENT with ``rels`` as the relationships of ``record``."""
     doc = copy.deepcopy(BASE_DOCUMENT)
@@ -643,6 +650,34 @@ RECORD_DEFECTS.update({
     "warm: self O2O without qualifier": (_warm({"objectId": "o2"}, record=("objects", 1)),
                                          "objects[1].relationships[0]",
                                          "requires a non-empty qualifier"),
+})
+
+
+# Records near o1's O2O tuple ((o2, ""), (o2, "r")), stored before any event:
+# its pairs in another order, or with a repeat or an unknown object added,
+# miss the one lookup and are checked pair by pair; its very pairs found by
+# the lookup for o2 itself still meet the check of an unqualified self O2O.
+EARLIER = [{"objectId": "o2", "qualifier": ""}, {"objectId": "o2", "qualifier": "r"}]
+RECORD_DEFECTS.update({
+    "warm: an earlier tuple's pairs in another order, repeated": (
+        _warm(*EARLIER[::-1], EARLIER[1]), "events[1].relationships[2]", "duplicate e2o relation"),
+    "warm: an earlier tuple's pairs plus a repeat": (
+        _warm(*EARLIER, EARLIER[0]), "events[1].relationships[2]", "duplicate e2o relation"),
+    "warm: an earlier O2O tuple, then an unknown object": (
+        _warm(*EARLIER, {"objectId": "nope", "qualifier": ""}),
+        "events[1].relationships[2]", "unknown object 'nope'"),
+    "warm: an earlier O2O tuple as its own object's, unqualified": (
+        _warm(*EARLIER, record=("objects", 1)), "objects[1].relationships[0]",
+        "requires a non-empty qualifier"),
+})
+
+# A time that is not a string, of an event and of an object attribute.
+RECORD_DEFECTS.update({
+    "event time not a string": (_edited_doc(_set(["events", 0, "time"], 5)), "events[0]",
+                                ": event 'e1': timestamp 5 is not a string$"),
+    "object attribute time not a string": (
+        _edited_doc(_set(["objects", 0, "attributes", 0, "time"], None)), "objects[0].attributes[0]",
+        ": timestamp None is not a string$"),
 })
 
 
@@ -766,13 +801,13 @@ class TestGcPause:
         through ``ocel_from_dict``; the collector is off for each stored
         record's relations too."""
         seen = []
-        store = ocel._store_sorted
+        stored = ocel._Pairs.stored
 
-        def spy(by_key, key, rels, shared):
+        def spy(pairs, rels):
             seen.append(gc.isenabled())
-            store(by_key, key, rels, shared)
+            return stored(pairs, rels)
 
-        monkeypatch.setattr(ocel, "_store_sorted", spy)
+        monkeypatch.setattr(ocel._Pairs, "stored", spy)
         monkeypatch.setattr(ocel, "ocel_from_dict", None)
         log = read_ocel_json(io.StringIO(_text(awkward_log())))
         assert log.structurally_equal(awkward_log())
@@ -829,6 +864,26 @@ def test_read_of_a_random_log_shares_its_pairs(seed):
     read = read_ocel_json(io.StringIO(_text(log)))
     assert read.structurally_equal(log)
     assert _pairs_shared(read)
+
+
+def test_a_record_repeating_earlier_pairs_stores_their_tuple(monkeypatch):
+    """A record whose pairs, in the writer's order, are an earlier record's
+    stores that record's very tuple, found by one lookup: only the first
+    record of each pair set sorts and shares a tuple (``_shared_sorted``)."""
+    doc = _warm(*EARLIER)   # e2 holds o1's O2O pairs
+    plain = {**doc["events"][0], "attributes": []}
+    doc["events"] += [{**plain, "id": "e3"}, {**plain, "id": "e4", "relationships": EARLIER}]
+    sorts = []
+    shared_sorted = ocel._shared_sorted
+    monkeypatch.setattr(ocel, "_shared_sorted", lambda *args: sorts.append(args) or shared_sorted(*args))
+    for text in (_layout(doc), json.dumps(doc)):
+        sorts.clear()
+        log = read_ocel_json(io.StringIO(text))
+        assert len(sorts) == 2   # o1's pairs, with a qualifier left out, and e1's
+        o1, e2o = log._o2o_by_source["o1"], log._e2o_by_event
+        assert o1 == (("o2", ""), ("o2", "r")) and e2o["e2"] is o1 and e2o["e4"] is o1
+        assert e2o["e3"] is e2o["e1"] == (("o1", "q"),)
+        assert log.events["e3"].attribute_values == () and log.events["e4"].type is log.events["e1"].type
 
 
 # -- the record-at-a-time read of the writer's layout against the whole parse ------
@@ -896,7 +951,8 @@ def _edit(text, data):
     """``text`` with one edit drawn from ``data``: a line deleted, duplicated
     or swapped with another, a character changed or removed, whitespace added
     inside or after the document, a BOM, CRLF line ends, a cut, a duplicate
-    key in a record, or a record split over two lines."""
+    key in a record, a record split over two lines, a record's relationships
+    reordered, or an empty qualifier's key dropped from one."""
     lines = text.split("\n")   # not splitlines(): a raw U+2028 inside a string is no line break
     records = [i for i, line in enumerate(lines) if line.startswith('{"')]
     # half the time a record's line; integers() would favour the first lines
@@ -904,8 +960,11 @@ def _edit(text, data):
     at = data.draw(st.sampled_from(range(len(text) + 1)))
     edit = data.draw(st.sampled_from(["delete line", "duplicate line", "swap lines", "change",
                                       "remove", "whitespace", "trailing whitespace", "BOM", "CRLF",
-                                      "cut", "duplicate key", "split record"]))
-    if edit in ("duplicate key", "split record") and not records:
+                                      "cut", "duplicate key", "split record",
+                                      "reorder relationships", "drop empty qualifier"]))
+    related = [i for i in records if '"relationships": [{' in lines[i]]
+    if edit in ("duplicate key", "split record") and not records \
+            or edit in ("reorder relationships", "drop empty qualifier") and not related:
         edit = "cut"
     if edit == "delete line":
         del lines[data.draw(line)]
@@ -943,9 +1002,23 @@ def _edit(text, data):
         else:
             end = lines[i].rindex("}")
             lines[i] = f'{lines[i][:end]}, "{key}": {value}' + lines[i][end:]
-    else:
+    elif edit == "split record":
         i = data.draw(st.sampled_from(records))
         lines[i] = lines[i].replace(', "', ',\n"', 1)
+    else:   # the rest of the line kept, so the frame still holds
+        i = data.draw(st.sampled_from(related))
+        head, _, rest = lines[i].partition('"relationships": ')
+        try:
+            rels, end = json.JSONDecoder().raw_decode(rest)
+        except ValueError:   # a record line an earlier edit broke
+            return text[:at]
+        if edit == "reorder relationships":
+            rels = data.draw(st.permutations(rels))
+        else:
+            empty = [rel for rel in rels if isinstance(rel, dict) and rel.get("qualifier") == ""]
+            if empty:
+                del data.draw(st.sampled_from(empty))["qualifier"]
+        lines[i] = head + '"relationships": ' + json.dumps(rels, ensure_ascii=False) + rest[end:]
     return "\n".join(lines)
 
 
@@ -959,7 +1032,13 @@ def test_writer_layout_reads_as_parsed_whole(data):
     text = _text(log)
     assert ocel._read_writer_layout(io.StringIO(text)) is not None
     assert_reads_as_parsed_whole(text)
-    assert_reads_as_parsed_whole(_edited(text, data))
+    edited = _edited(text, data)
+    assert_reads_as_parsed_whole(edited)
+    try:
+        doc = json.loads(edited)
+    except ValueError:
+        return
+    assert_reads_as_reference(doc)   # the reader relation by relation, of the same document
 
 
 @pytest.mark.parametrize("fixture", ["case_study", "conformant"])

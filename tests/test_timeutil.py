@@ -177,8 +177,10 @@ def test_format_parser_matches_strptime_on_the_plain_shape(text):
 
 
 def reference_parse_iso(text: str) -> datetime:
-    """``parse_iso`` without its fast path: strip, read a ``Z``/``z`` suffix
-    as ``+00:00``, parse, normalize."""
+    """``parse_iso`` without its fast path: reject a value that is not a
+    ``str``, strip, read a ``Z``/``z`` suffix as ``+00:00``, parse, normalize."""
+    if not isinstance(text, str):
+        raise DataError(f"timestamp {text!r} is not a string")
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
@@ -235,6 +237,14 @@ def test_parse_iso_matches_the_path_without_its_fast_path(text):
     assert got == _iso_outcome(reference_parse_iso, text)
     if isinstance(got, datetime):
         assert got.tzinfo is timezone.utc and to_utc_ms(got) is got
+
+
+@pytest.mark.parametrize("value", [None, 5, 1.5, ["2024-09-02"], b"2024-09-02T10:00:00+00:00",
+                                   datetime(2024, 9, 2, tzinfo=timezone.utc)])
+def test_parse_iso_names_a_value_that_is_not_a_string(value):
+    with pytest.raises(DataError) as err:
+        parse_iso(value)
+    assert str(err.value) == f"timestamp {value!r} is not a string"
 
 
 @pytest.mark.parametrize("text, fast", [
