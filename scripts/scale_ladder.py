@@ -32,14 +32,15 @@ seconds, the GC's seconds and collections while it ran (through
 ended, and the stage's event count; the ladder keeps the run of median
 seconds and every run's seconds (``seconds_runs``). For ``load``,
 ``extract``, ``read`` and ``analyze`` one more child runs the stage under
-``tracemalloc``, started as the stage begins, and records its peak. Once
-its stage is measured, the ``read`` child also times a bare ``json.loads``
-of the file's text, with the GC paused as the read pauses it, and records
-the read's seconds over it (``read_over_json_loads``). One cold read cannot
-resolve a read that is 10-20% faster, so that child then reads the same
-file ``WARM_READS`` times more and records the fastest of those warm reads
-(``warm_read_seconds``) and its seconds over the ``json.loads``
-(``warm_read_over_json_loads``).
+``tracemalloc``, started as the stage begins, and records its peak. One
+cold read cannot resolve a read that is 10-20% faster, so once its stage
+is measured the ``read`` child reads the same file ``WARM_READS`` times
+more and records the fastest of those warm reads (``warm_read_seconds``).
+Before each warm read it times a bare ``json.loads`` of the file's text,
+with the GC paused as the read pauses it; the fastest of those loads
+(``json_loads_seconds``) divides both the cold and the warm read
+(``read_over_json_loads``, ``warm_read_over_json_loads``), so one slow
+load does not move either ratio.
 
 The host's speed drifts between runs taken minutes apart, so each child
 also records its stage's seconds scaled by ``benchmark/probe.py``
@@ -54,8 +55,10 @@ two labelled runs by their scaled seconds.
 The ladder adds seconds and peak RSS per event (the events of the course)
 and, for each stage, its seconds per event at the largest course over those
 at the smallest. The run, labelled ``--label`` with the measured checkout's
-git commit and the Python version, replaces the run of the same label in
-``--out`` and keeps the others, so one file holds a before and an after.
+git commit, whether its tracked files differ from that commit (``dirty``;
+both null for a tree outside a git checkout, such as a ``git archive``)
+and the Python version, replaces the run of the same label in ``--out``
+and keeps the others, so one file holds a before and an after.
 """
 
 from __future__ import annotations
@@ -169,18 +172,19 @@ def run_stage(stage: str, course: Path, log_path: Path, trace_memory: bool) -> d
     result["scaled_seconds"] = probe.scale(seconds, probe_before, probe.probe())
     if stage == "read" and not trace_memory:
         text = log_path.read_text(encoding="utf-8")
-        gc.disable()
-        started = perf_counter()
-        json.loads(text)
-        result["json_loads_seconds"] = perf_counter() - started
-        gc.enable()
-        result["read_over_json_loads"] = seconds / result["json_loads_seconds"]
-        warm = []
-        for _ in range(WARM_READS):
+        loads, warm = [], []
+        for _ in range(WARM_READS):   # a bare json.loads and a warm read in turn
+            gc.disable()
+            started = perf_counter()
+            json.loads(text)
+            loads.append(perf_counter() - started)
+            gc.enable()
             started = perf_counter()
             warm_log = ocel.read_ocel_json(log_path)
             warm.append(perf_counter() - started)
             del warm_log   # freed outside the timed read
+        result["json_loads_seconds"] = min(loads)
+        result["read_over_json_loads"] = seconds / result["json_loads_seconds"]
         result["warm_read_seconds"] = min(warm)
         result["warm_read_over_json_loads"] = result["warm_read_seconds"] / result["json_loads_seconds"]
     if "log" in state:
@@ -272,11 +276,12 @@ def run_ladder(students: list[int], seed: int, srcs: list[Path], labels: list[st
     runs = []
     for i, (src, label) in enumerate(zip(srcs, labels)):
         courses = [entries[i] for entries in per_course]
+        status = _git(src, "status", "--porcelain", "--untracked-files=no")
         smallest, largest = courses[0], courses[-1]
         runs.append({
             "label": label,
             "commit": _git(src, "rev-parse", "HEAD"),
-            "dirty": bool(_git(src, "status", "--porcelain", "--untracked-files=no")),
+            "dirty": None if status is None else bool(status),
             "python": platform.python_version(),
             "machine": {"cpus": os.cpu_count(), "platform": platform.platform()},
             "seed": seed,

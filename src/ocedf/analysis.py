@@ -118,13 +118,12 @@ def filter_log(log: OcedLog,
 
     lo, hi = (None if t is None else as_utc(t) for t in time_window or (None, None))
 
-    def keep_event(e) -> bool:
-        return ((keep_event_types is None or e.type in keep_event_types)
-                and (lo is None or e.time >= lo) and (hi is None or e.time <= hi))
-
-    objects = {oid: o for oid, o in log.objects.items()
-               if keep_object_types is None or o.type in keep_object_types}
-    events = {e.id: e for e in log.events_in_order() if keep_event(e)}
+    objects = log.objects if keep_object_types is None else {
+        oid: o for oid, o in log.objects.items() if o.type in keep_object_types}
+    # the cached (time, id) order, which the log never mutates; no call per event
+    events = {e.id: e for e in log._event_order()
+              if (keep_event_types is None or e.type in keep_event_types)
+              and (lo is None or e.time >= lo) and (hi is None or e.time <= hi)}
     return log._derived(objects, events)
 
 
@@ -264,22 +263,26 @@ def unfold_events(log: OcedLog, event_type: str, by_object_type: str,
     _check_declared([event_type], event_defs, "event type")
     _check_declared([by_object_type], {td.name for td in log.object_type_defs}, "object type")
 
+    objects, by_event = log.objects, log._e2o_by_event
+    named = {}   # object id -> its label, or None without a string name: each worked out once
     labels = {}
-    for event in log.events_in_order():
+    for event in log._event_order():
         if event.type != event_type:
             continue
-        related = [o for o in log.objects_of_event(event.id) if o.type == by_object_type]
+        related = {oid for oid, _ in by_event.get(event.id, ()) if objects[oid].type == by_object_type}
         if not related:
             continue
         if len(related) > 1:
             raise SchemaError(
                 f"event {event.id!r} relates to {len(related)} objects of type "
                 f"{by_object_type!r}; unfolding needs at most one")
-        name = related[0].latest_value(name_attribute)
-        if not isinstance(name, str) or not name:
-            raise SchemaError(
-                f"object {related[0].id!r} has no string value for attribute {name_attribute!r}")
-        labels[event.id] = f"{event_type} {name}"
+        oid, = related
+        if oid not in named:
+            name = objects[oid].latest_value(name_attribute)
+            named[oid] = f"{event_type} {name}" if isinstance(name, str) and name else None
+        if named[oid] is None:
+            raise SchemaError(f"object {oid!r} has no string value for attribute {name_attribute!r}")
+        labels[event.id] = named[oid]
 
     out_defs = _with_labels(
         event_defs.values(), set(labels.values()), event_defs[event_type].attribute_defs,

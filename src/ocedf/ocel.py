@@ -267,6 +267,11 @@ class OcedLog:
     collection, and the tuple by the next, as it never does a ``NamedTuple``;
     ``E2ORelation``/``O2ORelation`` are built only by ``e2o``/``o2o``.
 
+    A derived log (``relabel``, ``_derived``) checks only what its change
+    could make fail: an instance moved to a type of the very same attribute
+    defs is stored as it is, and so is a kept event's E2O tuple when no
+    object is dropped.
+
     The event order (the stored events by time, then id) and the object
     traces (per object, its distinct stored events in that order) are built
     on first use and rebound to None by the methods that change them. A
@@ -443,14 +448,16 @@ class OcedLog:
                  event_types: Mapping[str, EventTypeDef] | None = None) -> "OcedLog":
         """A log over valid ``objects`` and ``events`` of this log (dicts it
         takes over, maybe this log's own), checking nothing. When no id is
-        dropped it shares this log's relation dicts; otherwise it keeps the
-        relations between its instances, sharing their tuples. The event
-        order and the traces hold the stored instances, so it takes this
-        log's two only with this log's own events dict; any other ``events``
-        must be in (time, id) order, which then is its order. Each dict it
-        shares with this log sets ``_shared`` on both, so the first change
-        to either copies them (``_own``); two threads deriving at once set
-        the same flag, so a finished log stays safe to share."""
+        dropped it shares this log's relation dicts. When only events are
+        dropped it shares the O2O dict and keeps the E2O tuples of the kept
+        events as they are, since every object they name is kept. Otherwise
+        it keeps the relations between its instances, sharing their tuples.
+        The event order and the traces hold the stored instances, so it
+        takes this log's two only with this log's own events dict; any other
+        ``events`` must be in (time, id) order, which then is its order.
+        Each dict it shares with this log sets ``_shared`` on both, so the
+        first change to either copies them (``_own``); two threads deriving
+        at once set the same flag, so a finished log stays safe to share."""
         out = OcedLog.__new__(OcedLog)
         out._object_types = dict(self._object_types if object_types is None else object_types)
         out._event_types = dict(self._event_types if event_types is None else event_types)
@@ -459,8 +466,13 @@ class OcedLog:
             out._order, out._traces = self._order, self._traces
         else:
             out._order, out._traces = tuple(events.values()), None
-        if objects.keys() == self._objects.keys() and events.keys() == self._events.keys():
-            out._e2o_by_event, out._o2o_by_source = self._e2o_by_event, self._o2o_by_source
+        every_object = objects is self._objects or objects.keys() == self._objects.keys()
+        if every_object:
+            by_event = self._e2o_by_event
+            out._e2o_by_event = (
+                by_event if events is self._events or events.keys() == self._events.keys()
+                else {eid: rels for eid in events if (rels := by_event.get(eid))})
+            out._o2o_by_source = self._o2o_by_source
             out._shared = True
         else:
             out._e2o_by_event = _pruned(self._e2o_by_event, events, objects)
@@ -497,12 +509,16 @@ def relabel(log: OcedLog,
             added_values: Mapping[str, Iterable[AttributeValue]] | None = None) -> OcedLog:
     """``log`` with new type definitions (None keeps them), instances moved
     to the types ``object_labels``/``event_labels`` give by id, and
-    ``added_values`` appended to objects by id. An instance that moves, gains
-    values or whose type definition changed is checked as ``add_*`` checks
-    it and takes its definition's own name string; the rest is shared, and a
-    side left unchanged is the input's own dict (events only when it is in
-    (time, id) order already, as a read log's is). Objects keep their order;
-    events are in (time, id) order."""
+    ``added_values`` appended to objects by id. An instance whose type
+    definition is the one it had is shared. One that gains no values and
+    moves to a declared type whose attribute defs equal its old type's
+    (same names, kinds and order) cannot fail a check, so it is stored as it
+    is, under the definition's own name string. Any other instance that
+    moves, gains values or whose type definition changed is checked as
+    ``add_*`` checks it and takes its definition's own name string. A side
+    left unchanged is the input's own dict (events only when it is in
+    (time, id) order already, as a read log's is). Objects keep their
+    order; events are in (time, id) order."""
     otypes = log._object_types if object_types is None else _checked_defs(object_types, "object type")
     etypes = log._event_types if event_types is None else _checked_defs(event_types, "event type")
     if otypes is log._object_types and not object_labels and not added_values:
@@ -512,23 +528,29 @@ def relabel(log: OcedLog,
                              object_labels or {}, added_values or {}, _stored_object)
     if etypes is log._event_types and not event_labels:
         in_order = tuple(log._events.values()) == log._event_order()
-        events = log._events if in_order else {e.id: e for e in log.events_in_order()}
+        events = log._events if in_order else {e.id: e for e in log._event_order()}
     else:
-        events = _relabeled(log.events_in_order(), log._event_types, etypes, event_labels or {}, {},
+        events = _relabeled(log._event_order(), log._event_types, etypes, event_labels or {}, {},
                             _stored_event)
     return log._derived(objects, events, otypes, etypes)
 
 
 def _relabeled(instances, old_types, new_types, labels, added, stored) -> dict:
-    out = {}
+    """``instances`` by id, each under the type ``labels`` gives it (``relabel``)."""
+    out, new = {}, tuple.__new__
     for inst in instances:
         label = labels.get(inst.id, inst.type)
-        extra = tuple(added.get(inst.id, ()))
-        new = new_types.get(label)
-        if label != inst.type or extra or new is not old_types[inst.type]:
-            moved = inst._replace(type=label if new is None else new.name,
-                                  attribute_values=inst.attribute_values + extra)
-            inst = stored(moved, new)
+        extra = tuple(added.get(inst.id, ())) if added else ()
+        tdef = new_types.get(label)
+        if extra or tdef is not old_types[inst.type]:
+            if (not extra and tdef is not None
+                    and tdef.attribute_defs == old_types[inst.type].attribute_defs):
+                # tuple.__new__ skips the NamedTuple's __new__
+                inst = new(type(inst), (inst[0], tdef.name, *inst[2:]))
+            else:
+                moved = inst._replace(type=label if tdef is None else tdef.name,
+                                      attribute_values=inst.attribute_values + extra)
+                inst = stored(moved, tdef)
         out[inst.id] = inst
     return out
 

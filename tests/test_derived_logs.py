@@ -24,8 +24,10 @@ from ocedf import (
     ObjectInstance,
     ObjectTypeDef,
     OcedLog,
+    SchemaError,
     drill_down,
     filter_log,
+    ocel,
     read_ocel_json,
     roll_up,
     unfold_events,
@@ -113,6 +115,113 @@ def test_derived_logs_match_the_rebuild(seed):
 
 
 
+def _reshaped(rng, shape, defs):
+    """``defs`` as they are, in reverse order, or with one attribute's kind changed."""
+    if shape == "equal" or not defs:
+        return defs
+    if shape == "reordered":
+        return defs[::-1]
+    i = rng.randrange(len(defs))
+    return (*defs[:i], AttributeDef(defs[i].name, "integer" if defs[i].kind != "integer" else "string"),
+            *defs[i + 1:])
+
+
+def _declaring(log, object_defs=(), event_defs=(), e2o=None):
+    """``log`` rebuilt with more declared types, and with ``e2o`` if given."""
+    return ref._rebuild([*log.object_type_defs, *object_defs], [*log.event_type_defs, *event_defs],
+                        log.objects.values(), log.events_in_order(),
+                        log.e2o if e2o is None else e2o, log.o2o)
+
+
+def _values_kept(derived, log, instances):
+    """Whether each of ``derived``'s instances holds ``log``'s own values tuple."""
+    mine, theirs = getattr(derived, instances), getattr(log, instances)
+    return all(inst.attribute_values is theirs[key].attribute_values for key, inst in mine.items())
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       shape=st.sampled_from(["equal", "reordered", "one kind"]))
+@settings(max_examples=90, deadline=None)
+def test_moves_to_declared_types_match_the_rebuild(seed, shape):
+    """Drill-down, roll-up and unfold into declared types whose attribute
+    defs equal the old type's, list them in another order, or differ in one
+    kind: the same log as the rebuild, or the same error. When the defs are
+    equal, a move cannot fail a check, and each moved instance keeps the
+    input's own values tuple."""
+    rng = random.Random(seed)
+    log = random_log(rng, max_events=80, max_objects=40, with_user_hierarchy=True)
+    user_defs = next(td for td in log.object_type_defs if td.name == "User").attribute_defs
+
+    # drill-down into a declared Student
+    twin = _declaring(log, [ObjectTypeDef("Student", _reshaped(rng, shape, user_defs))])
+    drilled = assert_same(drill_down, ref.drill_down, twin, "User")
+    if shape == "equal":
+        assert drilled is not None and _values_kept(drilled, twin, "objects")
+
+    # roll-up of one role into a declared Pupil
+    drilled = drill_down(log, "User")
+    role = rng.choice(sorted({td.name for td in drilled.object_type_defs} & {"Student", "Teacher"}))
+    role_defs = next(td for td in drilled.object_type_defs if td.name == role).attribute_defs
+    twin = _declaring(drilled, [ObjectTypeDef("Pupil", _reshaped(rng, shape, role_defs))])
+    rolled = assert_same(roll_up, ref.roll_up, twin, {role}, "Pupil")
+    if shape == "equal":
+        assert rolled is not None and _values_kept(rolled, twin, "objects")
+
+    # unfold by role into declared "<event type> Student" and "<event type> Teacher",
+    # each event related to one User at most, so that no unfolding is ambiguous
+    user_of = {}
+    for rel in sorted(log.e2o):
+        if log.objects[rel.object_id].type == "User":
+            user_of.setdefault(rel.event_id, rel.object_id)
+    e2o = [rel for rel in log.e2o if user_of.get(rel.event_id, rel.object_id) == rel.object_id
+           or log.objects[rel.object_id].type != "User"]
+    etype = rng.choice(log.event_type_defs)
+    twin = _declaring(log, event_defs=[EventTypeDef(f"{etype.name} {label}",
+                                                    _reshaped(rng, shape, etype.attribute_defs))
+                                       for label in ("Student", "Teacher")], e2o=e2o)
+    unfolded = assert_same(unfold_events, ref.unfold_events, twin, etype.name, "User", "role")
+    if shape == "equal":
+        assert unfolded is not None and _values_kept(unfolded, twin, "events")
+
+
+def test_only_a_move_that_could_fail_is_checked(monkeypatch):
+    """A move to a type of equal attribute defs skips ``_stored_object`` and
+    ``_stored_event``; a move to reordered defs or defs of another kind, or
+    one that gains values, goes through them."""
+    user = (AttributeDef("role", "string"), AttributeDef("name", "string"))
+    log = OcedLog([ObjectTypeDef("User", user), ObjectTypeDef("Guest"), ObjectTypeDef("Pupil", user[::-1]),
+                   ObjectTypeDef("Tutor", (user[0], AttributeDef("name", "integer")))],
+                  [EventTypeDef("view", (AttributeDef("page", "string"),))])
+    log.add_object(ObjectInstance("u1", "User", (AttributeValue("role", BASE, "Student"),
+                                                 AttributeValue("name", BASE, "ann"))))
+    log.add_object(ObjectInstance("u2", "User", (AttributeValue("role", BASE, "Teacher"),)))
+    log.add_object(ObjectInstance("g1", "Guest"))
+    log.add_event(EventInstance("e1", "view", BASE, (("page", "p1"),)))
+    log.add_event(EventInstance("e2", "view", BASE + timedelta(hours=1)))
+    log.relate_event_object("e1", "u1")
+    log.relate_event_object("e2", "u2")
+    drilled = drill_down(log, "User")
+
+    checked = []
+    for name in ("_stored_object", "_stored_event"):
+        stored = getattr(ocel, name)
+        monkeypatch.setattr(ocel, name, lambda inst, tdef, stored=stored:
+                            checked.append(inst.id) or stored(inst, tdef))
+
+    def checks(operation, *args):
+        checked.clear()
+        _, error = _outcome(operation, *args)
+        return sorted(checked), error
+
+    assert checks(drill_down, log, "User") == ([], None)
+    assert checks(roll_up, drilled, {"Student", "Teacher"}, "User") == ([], None)
+    assert checks(unfold_events, log, "view", "User", "role") == ([], None)
+    assert checks(roll_up, drilled, {"Student"}, "Pupil") == (["u1"], None)
+    assert checks(roll_up, drilled, {"Student"}, "Tutor") == (["u1"], (SchemaError,
+        "object 'u1' attribute 'name': value 'ann' does not match declared kind 'integer'"))
+    assert checks(roll_up, log, {"Guest"}, "Member") == (["g1"], None)   # gains its role
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None)
 def test_relabelling_objects_only_shares_every_event(seed):
@@ -162,13 +271,20 @@ def _build_onto(log, first):
                 log.relate_event_object(eid, oid, "probe")
 
 
+def _drop_the_first_event_type(log):
+    """A filter by event type that drops events and keeps every object."""
+    return filter_log(log, keep_event_types={td.name for td in log.event_type_defs[1:]})
+
+
 _OPERATIONS = pytest.mark.parametrize("operation", [
     lambda log: drill_down(log, "User"),
     lambda log: roll_up(drill_down(log, "User"), {"Student", "Teacher"}, "User"),
     lambda log: unfold_events(log, "ET0", "User", "role"),
     lambda log: filter_log(log),
     lambda log: filter_log(log, keep_object_types={"User"}),
-], ids=["drill_down", "roll_up", "unfold_events", "filter_log", "filter_log_subset"])
+    _drop_the_first_event_type,   # shares the O2O dict
+], ids=["drill_down", "roll_up", "unfold_events", "filter_log", "filter_log_subset",
+        "filter_log_event_types"])
 
 
 def _derive(operation):
@@ -204,6 +320,16 @@ def test_building_onto_the_input_leaves_its_derived_log_alone(operation):
         _build_onto(log, first)
         assert _snapshot(derived) == before, first
         assert "isolation-probe" not in derived.events and "isolation-probe" not in derived.objects
+
+
+def test_filtering_events_only_keeps_the_inputs_relations():
+    """A filter that drops events and keeps every object holds its input's
+    O2O dict and each kept event's very E2O tuple, until either log changes."""
+    log, derived = _derive(_drop_the_first_event_type)
+    assert len(derived.events) < len(log.events) and derived.objects.keys() == log.objects.keys()
+    assert derived._o2o_by_source is log._o2o_by_source
+    assert derived._e2o_by_event.keys() == {eid for eid in derived.events if log._e2o_by_event.get(eid)}
+    assert all(rels is log._e2o_by_event[eid] for eid, rels in derived._e2o_by_event.items())
 
 
 def test_relabelling_objects_only_shares_the_read_logs_dicts():

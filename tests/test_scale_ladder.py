@@ -78,11 +78,9 @@ def test_two_trees_take_turns_and_each_gets_its_run(tmp_path):
     assert not work.exists()
 
 
-def test_children_alternate_between_trees(tmp_path, monkeypatch):
-    """Each stage's timed children take turns across the trees, the order
-    reversed on every other turn; each tree writes and reads its own file."""
-    calls = []
-
+def _fake_child(calls):
+    """A stand-in for ``_child`` that records each stage child's
+    (stage, tree name, traced, log) in ``calls`` and measures nothing."""
     def fake_child(args, src):
         opts = dict(zip(args[::2], args[1::2]))
         if "--build" in opts:
@@ -93,8 +91,25 @@ def test_children_alternate_between_trees(tmp_path, monkeypatch):
             Path(opts["--log"]).write_text(src.name)
         return {"stage": opts["--stage"], "seconds": 1.0, "peak_rss_mb": 1.0, "events": 2,
                 "tracemalloc_peak_mb": 1.0}
+    return fake_child
 
-    monkeypatch.setattr(scale_ladder, "_child", fake_child)
+
+def test_a_tree_outside_a_checkout_is_marked_unknown(tmp_path, monkeypatch):
+    """A tree git cannot read, such as a ``git archive`` of a commit, gets a
+    null commit and a null ``dirty``: the run never checked it."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))   # no checkout above it counts
+    monkeypatch.setattr(scale_ladder, "_child", _fake_child([]))
+    plain = tmp_path / "archive" / "src"
+    plain.mkdir(parents=True)
+    run, = scale_ladder.run_ladder([20], 3, [plain], ["archived"], tmp_path / "work")
+    assert (run["commit"], run["dirty"]) == (None, None)
+
+
+def test_children_alternate_between_trees(tmp_path, monkeypatch):
+    """Each stage's timed children take turns across the trees, the order
+    reversed on every other turn; each tree writes and reads its own file."""
+    calls = []
+    monkeypatch.setattr(scale_ladder, "_child", _fake_child(calls))
     srcs = [tmp_path / "a", tmp_path / "bb"]
     first, second = scale_ladder.run_ladder([20], 3, srcs, ["first", "second"], tmp_path / "work")
     assert (first["label"], second["label"]) == ("first", "second")
