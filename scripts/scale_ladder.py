@@ -49,8 +49,11 @@ work takes its reference time, from one probe as the child starts and one
 once the stage is measured. The first runs before ``ocedf`` is imported
 and the stages before the child's own are run, which reuse the memory it
 takes and frees: it raises ``rss_before_mb`` of ``load`` and ``read`` from
-about 24 to 27 MB, but no stage's peak RSS at 400 students or more. Compare
-two labelled runs by their scaled seconds.
+about 24 to 27 MB, but no stage's peak RSS at 400 students or more. Within
+one interleaved run (several ``--src`` trees), compare the trees by their
+raw seconds: their children took turns under the same host, while the two
+probes of one child can be far apart, so scaled seconds may invert the raw
+order. Compare scaled seconds only across separate runs.
 
 The ladder adds seconds and peak RSS per event (the events of the course)
 and, for each stage, its seconds per event at the largest course over those

@@ -7,10 +7,13 @@ events, then event-to-object relations. An object mapped to a subtype is
 stored under its hierarchy root, with the discriminator attribute carrying
 the subtype label (single-table inheritance). Each rule runs over all of
 its table's rows in turn (``_Pipeline._run_*_rule``), counted in the
-``ExtractionReport``; ``_Cells`` resolves object-id cells, and
-``_Pipeline._end_phase`` stores each phase's relations as ``relate_*``
-would have. With ``--log-level info`` each rule logs one line with its row
-counts, seconds and rows per second.
+``ExtractionReport``; ``_Cells`` resolves object-id cells, ``_Activities``
+activity cells, and ``_Pipeline._end_phase`` stores each phase's relations
+as ``relate_*`` would have. An event rule with no attribute columns and the
+plain time format stores ``EVENT_BLOCK_ROWS`` rows per step
+(``_Pipeline._store_blocks``) and hands the first block that fails a check
+to its row loop. With ``--log-level info`` each rule logs one line with its
+row counts, seconds and rows per second.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import csv
 import logging
 import time as _time
 from dataclasses import dataclass, field
+from datetime import datetime
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, SchemaError
 from .ocel import (
@@ -35,7 +39,7 @@ from .ocel import (
     _shared_sorted,
 )
 from .specmodel import E2ORule, EventRule, O2ORule, ObjectRule, ProjectSpec
-from .timeutil import format_parser, parse_iso
+from .timeutil import block_parser, format_parser, parse_iso
 
 log = logging.getLogger("ocedf.extraction")
 
@@ -43,6 +47,10 @@ log = logging.getLogger("ocedf.extraction")
 # A column is held in tuples of this many cells, 504 bytes each: under
 # CPython's 512-byte limit for small objects, so no block grows with the table.
 CHUNK_ROWS = 56
+
+# An event rule with no attributes and the plain time format stores this many
+# rows per step, so the lists of a block stay a few KB whatever the table.
+EVENT_BLOCK_ROWS = 8 * CHUNK_ROWS
 
 
 @dataclass
@@ -229,6 +237,23 @@ class _Cells(dict):
         return rel
 
 
+class _Activities(dict):
+    """Activity cells, each to the matrix row the stripped cell names (the
+    matrix's own string), or to the stripped cell if it names none. ``rows``
+    maps each matrix row to itself. Event rules read it through ``map`` over
+    ``__getitem__`` a block at a time, as ``_Cells`` is read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, activities: Iterable[str]):
+        super().__init__()
+        self.rows = {a: a for a in activities}
+
+    def __missing__(self, cell: str) -> str:
+        activity = self[cell] = self.rows.get(stripped := cell.strip(), stripped)
+        return activity
+
+
 class _Pipeline:
     def __init__(self, spec: ProjectSpec, sources: Mapping[str, SourceTable], on_dangling: str):
         if on_dangling not in ("skip", "fail"):
@@ -382,44 +407,79 @@ class _Pipeline:
         ``format_parser``, which gives what ``parse_with_format`` gives, so it
         is normalized; and its attributes are the rule's, each declared a
         string on every type the rule gives, with stripped string values. So
-        the stored instance is the one ``_stored_event`` would return."""
+        the stored instance is the one ``_stored_event`` would return.
+
+        A rule with no attribute columns and a format with a block parser
+        (the plain one) stores ``EVENT_BLOCK_ROWS`` rows per step
+        (``_store_blocks``). The first block that fails a check is read again
+        by the row loop, from its first row on, so every error names the row
+        and says what the row loop says."""
         activity_col, id_col, time_col = rule.activity_column, rule.id_column, rule.time_column
         _require_columns(index, table,
                          [time_col, activity_col or "", id_col or "", *rule.attribute_columns.values()])
         attr_names = tuple(rule.attribute_columns)
-        matrix_rows = {a: a for a in self.spec.xmatrix.activities}   # each to the matrix's own string
-        activity_of: dict[str, str] = {}   # activity cell -> its matrix row, or the cell stripped
+        activity_of = _Activities(self.spec.xmatrix.activities)
+        matrix_rows = activity_of.rows
         if fixed := matrix_rows.get(rule.activity, rule.activity):   # each row reads it, resolved
             activity_cells, activity_of[fixed] = repeat(fixed), fixed
         else:
             activity_cells = table.column(activity_col)
-        ids = table.column(id_col) if id_col else self._synthesized_ids(rule, table)
+        ids = map(str.strip, table.column(id_col)) if id_col else iter(self._synthesized_ids(rule, table))
+        times = map(str.strip, table.column(time_col))
+        start, parse_block = 0, block_parser(rule.time_format)   # start: the row loop's first row
+        if parse_block and not attr_names:
+            start, activity_cells, ids, times = self._store_blocks(activity_of, activity_cells, ids, times,
+                                                                   parse_block)
         parse_time, events = format_parser(rule.time_format), self.log._events
         for i, (cell, eid, raw_time, attr_cells) in enumerate(zip(
-                activity_cells, ids, table.column(time_col), table.cells(rule.attribute_columns.values()))):
-            try:
-                activity = activity_of[cell]
-            except KeyError:
-                activity = activity_of[cell] = matrix_rows.get(stripped := cell.strip(), stripped)
+                activity_cells, ids, times, table.cells(rule.attribute_columns.values())), start):
+            activity = activity_of[cell]
             if not activity:
                 raise DataError(f"mappings[{index}] row {i}: empty activity")
             if activity not in matrix_rows:
                 raise DataError(
                     f"mappings[{index}] row {i}: activity {activity!r} is not an extraction matrix row")
-            if id_col:
-                eid = eid.strip()
             if not eid:
                 raise DataError(f"mappings[{index}] row {i}: empty event id")
             if eid in events:
                 raise DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
             try:
-                when = parse_time(raw_time.strip())
+                when = parse_time(raw_time)
             except DataError as exc:
                 raise DataError(f"mappings[{index}] row {i}: {exc}") from None
             attrs = attr_names and tuple(   # no attributes: (), with no generator per row
                 (attr, raw) for attr, value in zip(attr_names, attr_cells) if (raw := value.strip()))
             # tuple.__new__ skips the NamedTuple's Python-level __new__, as the reader does
             events[eid] = tuple.__new__(EventInstance, (eid, activity, when, attrs))
+
+    def _store_blocks(self, activity_of: _Activities, activity_cells: Iterator[str], ids: Iterator[str],
+                      times: Iterator[str], parse_block: Callable[[list[str]], list[datetime] | None],
+                      ) -> tuple[int, Iterator[str], Iterator[str], Iterator[str]]:
+        """Store the events of a rule with no attributes ``EVENT_BLOCK_ROWS``
+        rows at a time, each block with ``map`` and ``zip`` over its cells and
+        no Python step per row; ``ids`` and ``times`` are stripped cells. A
+        block is stored only once all of it passes the row loop's checks:
+        each activity a non-empty matrix row, each id non-empty, unique in
+        the block and not yet stored, and ``parse_block`` reading every time.
+        The events are the row loop's: the same id, activity and time
+        objects, with ``()`` for attributes. Returns the first row not stored
+        and each column's cells from that row on: those of the block that
+        failed, if any, chained to the rest."""
+        valid, events = activity_of.rows.keys() - {""}, self.log._events   # the non-empty matrix rows
+        start = 0
+        while block_times := [*islice(times, EVENT_BLOCK_ROWS)]:
+            n = len(block_times)
+            cells, block_ids = [*islice(activity_cells, n)], [*islice(ids, n)]
+            activities = [*map(activity_of.__getitem__, cells)]
+            fresh = set(block_ids)
+            whens = (valid.issuperset(activities) and len(fresh) == n and "" not in fresh
+                     and events.keys().isdisjoint(fresh) and parse_block(block_times))
+            if not whens:
+                return start, chain(cells, activity_cells), chain(block_ids, ids), chain(block_times, times)
+            events.update(zip(block_ids, map(tuple.__new__, repeat(EventInstance),
+                                             zip(block_ids, activities, whens, repeat(())))))
+            start += n
+        return start, activity_cells, ids, times
 
     def _run_o2o_rule(self, index: int, rule: O2ORule, table: SourceTable, run: RuleRun) -> None:
         """Collect the rule's pairs in their source object's set, which finds

@@ -291,6 +291,7 @@ class OcedLog:
         self._e2o_by_event: dict[str, tuple[tuple[str, str], ...]] = {}
         self._o2o_by_source: dict[str, tuple[tuple[str, str], ...]] = {}
         self._order: tuple[EventInstance, ...] | None = None
+        self._ordered = False   # with ``_order`` built: whether it is the events dict's own order
         self._traces: dict[str, tuple[EventInstance, ...]] | None = None
         self._shared = False
 
@@ -391,12 +392,14 @@ class OcedLog:
     def _event_order(self) -> tuple[EventInstance, ...]:
         """The stored events by (time, id), built once per change of the
         events. Events stored in that order already, as the reader stores
-        a written log's, are the order as they are; others are sorted by id
-        and then stably by time. Neither builds a key tuple per event, which
-        the cyclic GC would have to walk."""
+        a written log's, are the order as they are, and ``_ordered`` records
+        that they were; others are sorted by id and then stably by time.
+        Neither builds a key tuple per event, which the cyclic GC would have
+        to walk."""
         if self._order is None:
             order = list(self._events.values())
-            if not _in_event_order(order):
+            self._ordered = _in_event_order(order)
+            if not self._ordered:
                 order.sort(key=attrgetter("id"))
                 order.sort(key=attrgetter("time"))
             self._order = tuple(order)
@@ -463,9 +466,9 @@ class OcedLog:
         out._event_types = dict(self._event_types if event_types is None else event_types)
         out._objects, out._events = objects, events
         if events is self._events:
-            out._order, out._traces = self._order, self._traces
+            out._order, out._ordered, out._traces = self._order, self._ordered, self._traces
         else:
-            out._order, out._traces = tuple(events.values()), None
+            out._order, out._ordered, out._traces = tuple(events.values()), True, None
         every_object = objects is self._objects or objects.keys() == self._objects.keys()
         if every_object:
             by_event = self._e2o_by_event
@@ -527,8 +530,8 @@ def relabel(log: OcedLog,
         objects = _relabeled(log._objects.values(), log._object_types, otypes,
                              object_labels or {}, added_values or {}, _stored_object)
     if etypes is log._event_types and not event_labels:
-        in_order = tuple(log._events.values()) == log._event_order()
-        events = log._events if in_order else {e.id: e for e in log._event_order()}
+        order = log._event_order()
+        events = log._events if log._ordered else {e.id: e for e in order}
     else:
         events = _relabeled(log._event_order(), log._event_types, etypes, event_labels or {}, {},
                             _stored_event)
@@ -629,19 +632,23 @@ def ocel_to_dict(log: OcedLog) -> dict:
     return json.loads("".join(_document_chunks(log)))
 
 
+# write_ocel_json hands its destination this many pieces of text per write.
+_PIECES_PER_WRITE = 512
+
+
 def write_ocel_json(log: OcedLog, destination: str | Path | IO[str]) -> None:
     """Serialize to an OCEL 2.0 JSON document (UTF-8, canonical ordering), one
     line per top-level key and per type, object and event record, so a diff
-    of two logs shows whole records. Each line is written as it is built, so
-    the whole document is never held in memory. A path is replaced only once
-    the document is complete (``fileio.open_atomic``); an open file is
-    written directly."""
+    of two logs shows whole records. Lines are built as they are written,
+    ``_PIECES_PER_WRITE`` of them joined into one ``write``, so the whole
+    document is never held in memory and the file gets one call per block
+    of lines, not per line. A path is replaced only once the document is
+    complete (``fileio.open_atomic``); an open file, anything with a
+    ``write`` method, is written directly."""
     chunks = _document_chunks(log)
-    if hasattr(destination, "write"):
-        destination.writelines(chunks)
-    else:
-        with open_atomic(destination) as fh:
-            fh.writelines(chunks)
+    with nullcontext(destination) if hasattr(destination, "write") else open_atomic(destination) as fh:
+        for block in iter(lambda: "".join(islice(chunks, _PIECES_PER_WRITE)), ""):   # no piece is empty
+            fh.write(block)
 
 
 def _json_time(raw: Any, path: str) -> datetime:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 from functools import partial
+from itertools import repeat
+from operator import add
 from typing import Callable
 
 from .errors import DataError
@@ -112,6 +114,34 @@ def format_parser(fmt: str) -> Callable[[str], datetime]:
     """The parser of ``fmt``, picked once for a column of cells: the plain
     format's fast path or ``strptime``, with no format compare per cell."""
     return _parse_plain_seconds if fmt == _PLAIN_SECONDS else partial(_strptime, fmt=fmt)
+
+
+def _plain_block(texts: list[str]) -> list[datetime] | None:
+    """What ``_parse_plain_seconds`` gives for each of ``texts``, stripped
+    cells, when every one takes its fast path; otherwise None, and the caller
+    reads the cells one by one for their results and errors.
+
+    The shape is checked over the texts joined by newlines, with no call per
+    text: the join holds only its own k - 1 newlines, each 19 characters
+    after the last, so no text holds one and each has 19 characters; the
+    separators are at their places in every text (``_plain_shape``). Then
+    ``fromisoformat`` reads the six fields as ASCII digits in range, or
+    raises ``ValueError``, which gives None."""
+    k, joined = len(texts), "\n".join(texts)
+    if not (len(joined) == 20 * k - 1 and joined.count("\n") == k - 1
+            and joined[19::20] == "\n" * (k - 1)
+            and all(joined[i::20] == sep * k for i, sep in zip(range(4, 19, 3), "-- ::"))):
+        return None
+    try:
+        return [*map(datetime.fromisoformat, map(add, texts, repeat("+00:00")))]
+    except ValueError:
+        return None
+
+
+def block_parser(fmt: str) -> Callable[[list[str]], list[datetime] | None] | None:
+    """The parser of ``fmt`` for a block of stripped cells at once, if the
+    format has one (the plain format, ``_plain_block``); otherwise None."""
+    return _plain_block if fmt == _PLAIN_SECONDS else None
 
 
 def format_iso(dt: datetime) -> str:

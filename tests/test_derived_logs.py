@@ -423,3 +423,22 @@ def test_relabelling_keeps_conforming_values_as_they_are():
     assert score.value == 3.0 and isinstance(score.value, float)
     assert score.time is log.objects["g1"].attribute_values[0].time
     assert (role.name, role.value) == ("role", "Guest")
+
+
+def test_relabel_walks_the_events_once_to_find_them_in_order():
+    """Whether a log's events dict is its (time, id) order is found out once,
+    with the order; drill-down and roll-up then read that answer."""
+    walks = []
+
+    class Walked(dict):
+        def values(self):
+            walks.append(1)
+            return super().values()
+
+    log = random_log(random.Random(7), max_events=80, max_objects=40, with_user_hierarchy=True)
+    read = read_ocel_json(io.StringIO(_json(log)))
+    read._events = Walked(read._events)
+    drilled = drill_down(read, "User")
+    roles = {td.name for td in drilled.object_type_defs} & {"Student", "Teacher"}
+    rolled = roll_up(drilled, roles, "User")
+    assert rolled._events is read._events and len(walks) == 1

@@ -5,6 +5,7 @@ import io
 import os
 import tracemalloc
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,10 @@ from ocedf import (
     synthesize_event_id,
     write_ocel_json,
 )
-from ocedf import ocel
+from ocedf import extraction, ocel
 from ocedf.extraction import CHUNK_ROWS
 from ocedf.specmodel import E2ORule, O2ORule
+from ocedf.timeutil import format_parser
 from conftest import FIXTURES, load_fixture
 from reference_extraction import reference_extract
 
@@ -921,3 +923,124 @@ def test_extract_matches_the_reference_runners(case):
                 other, _ = pair
                 assert type(pair) is tuple and other is log.objects[other].id
                 assert shared.setdefault(pair, pair) is pair
+
+
+# -- event rules stored a block of rows at a time --------------------------------
+
+# Cells that send a block to the row loop, or that the block path must read as
+# the row loop does. Some read (padded, other shapes, non-ASCII digits, which
+# strptime reads); others raise there (out of range, broken by a newline).
+BLOCK_TIME_DEFECTS = [" 2024-09-03 08:30:00 ", "2024-9-2 8:08:00", "2024-09-02\t10:00:00",
+                      "２０２４-09-02 10:00:00", "2024-09-02 10:00:0٣", "2024-02-30 00:00:00",
+                      "2024-09-02 24:00:00", "2024-09-02\n10:00:00",
+                      "2024-09-02 10:00:00\n2024-09-02 10:00:00", "2024-09-02T10:00:00",
+                      "2024-09-02 10:00:00.5", "", "yesterday"]
+BLOCK_ACTION_DEFECTS = ["", " ", "login", " view page ", "view  page"]
+BLOCK_ID_DEFECTS = ["", " ", "rows:0", "rows:5"]   # "rows:N" is a synthesized id
+SYNTHESIZING_EVENT_RULES = [   # a spec has at most one per table
+    {"kind": "event", "source_table": "rows", "activity_column": "action", "time_column": "ts"},
+    {"kind": "event", "source_table": "rows", "activity": "view page", "time_column": "ts"},
+]
+ID_COLUMN_EVENT_RULES = [
+    {"kind": "event", "source_table": "rows", "activity_column": "action", "id_column": "eid",
+     "time_column": "ts"},
+    {"kind": "event", "source_table": "rows", "activity": "submit assignment", "id_column": "eid",
+     "time_column": "ts"},
+    {"kind": "event", "source_table": "rows", "activity_column": "action", "id_column": "eid",
+     "time_column": "ts", "attributes": {"who": "a"}},
+]
+
+
+@st.composite
+def event_block_cases(draw):
+    """(mappings, sources, block rows): one or two event rules over a table of
+    up to 20 rows, read ``block rows`` at a time, in the plain format or
+    another. The rows are clean but for a few defects at drawn places, so a
+    defect often sits in a later block. Event ids come from a column or are
+    synthesized, and the activity from a column or the rule."""
+    fmt = draw(st.sampled_from([PLAIN, PLAIN, "%Y-%m-%dT%H:%M:%S"]))
+    times, actions = GOOD_TIMES[fmt][:2], ["view page", "submit assignment"]
+    n = draw(st.integers(0, 20))
+    rows = [[draw(st.sampled_from(times)), draw(st.sampled_from(actions)), f"e{i + 1}", "Ann"]
+            for i in range(n)]
+    for column, pool in ((0, BLOCK_TIME_DEFECTS), (1, BLOCK_ACTION_DEFECTS), (2, BLOCK_ID_DEFECTS)):
+        for _ in range(draw(st.integers(0, 2)) if n else 0):
+            row = draw(st.integers(0, n - 1))
+            earlier = rows[max(row - draw(st.integers(1, 3)), 0)][2]   # repeated, maybe padded
+            rows[row][column] = draw(st.sampled_from(pool + [earlier, f" {earlier}"] * (column == 2)))
+    rules = draw(st.lists(st.sampled_from(SYNTHESIZING_EVENT_RULES), max_size=1))
+    rules += draw(st.lists(st.sampled_from(ID_COLUMN_EVENT_RULES), min_size=1 - len(rules), max_size=1))
+    rules = draw(st.permutations(rules))
+    mappings = [{**rule, "time_format": fmt} for rule in rules]
+    sources = {"rows": _table_of("rows", ["ts", "action", "eid", "a"], rows, draw(st.booleans()))}
+    return mappings, sources, draw(st.sampled_from([1, 2, 3, 7]))
+
+
+@given(case=event_block_cases())
+@settings(max_examples=300, deadline=None)
+def test_event_blocks_match_the_reference_runners(case):
+    mappings, sources, block_rows = case
+    spec = parse_spec(tiny_spec_doc(mappings))
+    with mock.patch.object(extraction, "EVENT_BLOCK_ROWS", block_rows):
+        got, log = _outcome(extract, spec, sources, "skip")
+    assert got == _outcome(reference_extract, spec, sources, "skip")[0]
+    if log is not None:
+        for event in log.events.values():
+            assert ocel._stored_event(event, log._event_types[event.type]) is event
+
+
+def _plain_rows(n):
+    """``n`` rows in the plain format, every fifth time cell padded."""
+    return [[f"{' ' * (i % 5 == 0)}2024-09-{2 + i // 1440:02d} {i // 60 % 24:02d}:{i % 60:02d}:00",
+             ("view page", "submit assignment")[i % 2], f"e{i}"] for i in range(n)]
+
+
+@pytest.fixture
+def row_loop_reads(monkeypatch):
+    """The time cells the event rules' row loop parses, in order, recorded
+    by a spy on its parser."""
+    parsed = []
+
+    def spying(fmt):
+        parse = format_parser(fmt)
+        return lambda text: parsed.append(text) or parse(text)
+
+    monkeypatch.setattr(extraction, "format_parser", spying)
+    return parsed
+
+
+@pytest.mark.parametrize("rule", [
+    {"activity_column": "action"},
+    {"activity_column": "action", "id_column": "eid"},
+    {"activity": "view page", "id_column": "eid"},
+])
+def test_a_clean_plain_table_never_enters_the_row_loop(rule, row_loop_reads):
+    n = 3 * extraction.EVENT_BLOCK_ROWS + 5
+    sources = {"rows": table("rows", ["ts", "action", "eid"], _plain_rows(n))}
+    spec = parse_spec(tiny_spec_doc(
+        [{"kind": "event", "source_table": "rows", "time_column": "ts", "time_format": PLAIN, **rule}]))
+    got, log = _outcome(extract, spec, sources, "skip")
+    assert row_loop_reads == [] and len(log.events) == n
+    assert got == _outcome(reference_extract, spec, sources, "skip")[0]
+
+
+@pytest.mark.parametrize("cell, error", [
+    ("2024-9-2 8:08:00", None),
+    ("2024-02-30 00:00:00", "mappings[0] row {row}: unparseable timestamp '2024-02-30 00:00:00'"),
+])
+def test_the_row_loop_takes_over_at_the_first_block_that_fails(cell, error, row_loop_reads):
+    block = extraction.EVENT_BLOCK_ROWS
+    rows, row = _plain_rows(3 * block + 5), 2 * block + 3
+    rows[row][0] = cell
+    sources = {"rows": table("rows", ["ts", "action", "eid"], rows)}
+    mappings = [{"kind": "event", "source_table": "rows", "activity_column": "action", "id_column": "eid",
+                 "time_column": "ts", "time_format": PLAIN}]
+    spec = parse_spec(tiny_spec_doc(mappings))
+    got = _outcome(extract, spec, sources, "skip")[0]
+    assert got == _outcome(reference_extract, spec, sources, "skip")[0]
+    read = [r[0].strip() for r in rows[2 * block:]]   # from the failed block's first row on
+    if error is None:
+        assert row_loop_reads == read
+    else:
+        assert got[0] is DataError and got[1].startswith(error.format(row=row))
+        assert row_loop_reads == read[:row + 1 - 2 * block]

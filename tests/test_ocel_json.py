@@ -247,6 +247,22 @@ class TestLayout:
         assert len(lines) == len(records) + 10
 
 
+    def test_a_handle_gets_the_text_in_blocks_of_lines(self, case_study):
+        _, log, _ = case_study
+        writes = []
+
+        class Recording:   # a handle with nothing but write
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        write_ocel_json(log, Recording())
+        text = "".join(writes)
+        assert text == ref.write_streamed_text(log)
+        pieces = text.count("\n")   # as many as the writer's pieces: "{", a key, a record, a "]", the "}"
+        assert len(writes) == -(-pieces // ocel._PIECES_PER_WRITE) and len(writes) * 100 < pieces
+
+
 class TestAtomicOutput:
     def _old_file(self, tmp_path):
         path = tmp_path / "log.json"

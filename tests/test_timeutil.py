@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocedf import DataError, timeutil
-from ocedf.timeutil import format_parser, parse_iso, parse_with_format, to_utc_ms
+from ocedf.timeutil import block_parser, format_parser, parse_iso, parse_with_format, to_utc_ms
 from reference_extraction import parse_with_format as reference_parse
 from test_extraction import BAD_TIMES, GOOD_TIMES
 
@@ -171,6 +171,41 @@ def test_format_parser_matches_strptime_on_the_plain_shape(text):
     got = _parser_outcome(format_parser(PLAIN), text)
     assert got == _parser_outcome(lambda t: parse_with_format(t, PLAIN), text)
     assert got == _parser_outcome(lambda t: reference_parse(t, PLAIN), text)
+
+
+# -- the plain format's block parser against its fast path, text by text --------
+
+# Stripped texts that fromisoformat reads but that are not of the plain shape
+# (the first four have its length), and texts that hold a newline, which the
+# block parser's join must not hide.
+OTHER_ISO_SHAPES = ["2024-W36-1 10:00:00", "2024-09-02 100000.0", "2024-09-02 10:00.00", "20240902 10:00:00.5",
+                    "2024-09-02T10:00:00", "2024-09-02 10:00", "2024-09-02 10:00:00.123", "2024-09-02 10",
+                    "20240902T100000", "2024-09-02", "2024-09-02\n10:00:00", "2024-09-02 10:00:0",
+                    "2024-09-02 10:00:00\n2024-09-02 10:00:00", "2024-09-02 10:00:00\n", ""]
+PLAIN_SHAPES = st.lists(SHAPE_CHARS, min_size=14, max_size=14).map(
+    lambda c: "".join(c[:4]) + "-" + "".join(c[4:6]) + "-" + "".join(c[6:8]) + " " + "".join(c[8:10])
+    + ":" + "".join(c[10:12]) + ":" + "".join(c[12:]))
+
+
+def _takes_the_fast_path(text: str) -> bool:
+    try:
+        datetime.fromisoformat(text + "+00:00")
+    except ValueError:
+        return False
+    return timeutil._plain_shape(text)
+
+
+@given(texts=st.lists(st.sampled_from(["2024-09-02 10:00:00", "2024-02-29 23:59:59", *OTHER_ISO_SHAPES])
+                      | PLAIN_SHAPES, min_size=1, max_size=8))
+@settings(max_examples=600, deadline=None)
+def test_block_parser_reads_a_block_only_when_each_text_takes_the_fast_path(texts):
+    got = block_parser(PLAIN)(texts)
+    if not all(map(_takes_the_fast_path, texts)):
+        assert got is None
+    else:
+        assert [(dt, dt.tzinfo) for dt in got] == [_parser_outcome(format_parser(PLAIN), t) for t in texts]
+    for fmt in OTHER_FORMATS:
+        assert block_parser(fmt) is None
 
 
 # -- parse_iso's fast path against the path it skips ----------------------------
