@@ -9,11 +9,11 @@ the subtype label (single-table inheritance). Each rule runs over all of
 its table's rows in turn (``_Pipeline._run_*_rule``), counted in the
 ``ExtractionReport``; ``_Cells`` resolves object-id cells, ``_Activities``
 activity cells, and ``_Pipeline._end_phase`` stores each phase's relations
-as ``relate_*`` would have. An event rule with no attribute columns and the
-plain time format stores ``EVENT_BLOCK_ROWS`` rows per step
-(``_Pipeline._store_blocks``) and hands the first block that fails a check
-to its row loop. With ``--log-level info`` each rule logs one line with its
-row counts, seconds and rows per second.
+as ``relate_*`` would have. An event rule stores ``EVENT_BLOCK_ROWS`` rows
+per step; a block that fails a check is read again row by row only to raise
+the error of its first failing row (``_Pipeline._defect``). With
+``--log-level info`` each rule logs one line with its row counts, seconds
+and rows per second.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import csv
 import logging
 import time as _time
 from dataclasses import dataclass, field
-from datetime import datetime
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, SchemaError
 from .ocel import (
@@ -39,7 +38,7 @@ from .ocel import (
     _shared_sorted,
 )
 from .specmodel import E2ORule, EventRule, O2ORule, ObjectRule, ProjectSpec
-from .timeutil import block_parser, format_parser, parse_iso
+from .timeutil import parse_block, parse_iso, parse_with_format
 
 log = logging.getLogger("ocedf.extraction")
 
@@ -48,8 +47,8 @@ log = logging.getLogger("ocedf.extraction")
 # CPython's 512-byte limit for small objects, so no block grows with the table.
 CHUNK_ROWS = 56
 
-# An event rule with no attributes and the plain time format stores this many
-# rows per step, so the lists of a block stay a few KB whatever the table.
+# An event rule stores this many rows per step, so the lists of a block stay a
+# few KB whatever the table.
 EVENT_BLOCK_ROWS = 8 * CHUNK_ROWS
 
 
@@ -59,8 +58,7 @@ class SourceTable:
     ``header[j]`` as the file spells them, in tuples of ``CHUNK_ROWS`` rows
     (the last may be shorter). ``row_count`` is kept apart, since a table
     without columns (a blank header line) may still have rows. ``column``
-    reads one column; ``rows`` builds each record as a dict on every access,
-    which the pipeline never does."""
+    reads one column and ``cells`` several; no record is built per row."""
 
     name: str
     header: list[str]
@@ -93,11 +91,6 @@ class SourceTable:
         each row if ``names`` is empty."""
         columns = [*map(self.column, names)]
         return zip(*columns) if columns else repeat((), self.row_count)
-
-    @property
-    def rows(self) -> list[dict[str, str]]:
-        """Each row as a dict from column name to its cell, built anew."""
-        return [dict(zip(self.header, cells)) for cells in self.cells(self.header)]
 
 
 @dataclass
@@ -402,84 +395,70 @@ class _Pipeline:
 
     def _run_event_rule(self, index: int, rule: EventRule, table: SourceTable, run: RuleRun) -> None:
         """Check each row's event as ``add_event`` would and store it in the
-        log's events dict: its activity is a matrix row, so its type is
-        declared; its id is non-empty and new; its time comes from
-        ``format_parser``, which gives what ``parse_with_format`` gives, so it
-        is normalized; and its attributes are the rule's, each declared a
-        string on every type the rule gives, with stripped string values. So
-        the stored instance is the one ``_stored_event`` would return.
-
-        A rule with no attribute columns and a format with a block parser
-        (the plain one) stores ``EVENT_BLOCK_ROWS`` rows per step
-        (``_store_blocks``). The first block that fails a check is read again
-        by the row loop, from its first row on, so every error names the row
-        and says what the row loop says."""
+        log's events dict, ``EVENT_BLOCK_ROWS`` rows per step with ``map`` and
+        ``zip`` over the block's cells. A block is stored only once all of it
+        passes: each activity is a non-empty matrix row, so its type is
+        declared; each id is non-empty, unique in the block and not yet
+        stored; and ``parse_block`` reads every time as ``parse_with_format``
+        does, so it is normalized. The attributes are the rule's, each
+        declared a string on every type the rule gives, with stripped string
+        values. So each stored instance is the one ``_stored_event`` would
+        return. A block that fails a check raises the error of its first
+        failing row (``_defect``)."""
         activity_col, id_col, time_col = rule.activity_column, rule.id_column, rule.time_column
         _require_columns(index, table,
                          [time_col, activity_col or "", id_col or "", *rule.attribute_columns.values()])
         attr_names = tuple(rule.attribute_columns)
         activity_of = _Activities(self.spec.xmatrix.activities)
-        matrix_rows = activity_of.rows
-        if fixed := matrix_rows.get(rule.activity, rule.activity):   # each row reads it, resolved
+        if fixed := activity_of.rows.get(rule.activity, rule.activity):   # each row reads it, resolved
             activity_cells, activity_of[fixed] = repeat(fixed), fixed
         else:
             activity_cells = table.column(activity_col)
         ids = map(str.strip, table.column(id_col)) if id_col else iter(self._synthesized_ids(rule, table))
         times = map(str.strip, table.column(time_col))
-        start, parse_block = 0, block_parser(rule.time_format)   # start: the row loop's first row
-        if parse_block and not attr_names:
-            start, activity_cells, ids, times = self._store_blocks(activity_of, activity_cells, ids, times,
-                                                                   parse_block)
-        parse_time, events = format_parser(rule.time_format), self.log._events
-        for i, (cell, eid, raw_time, attr_cells) in enumerate(zip(
-                activity_cells, ids, times, table.cells(rule.attribute_columns.values())), start):
-            activity = activity_of[cell]
-            if not activity:
-                raise DataError(f"mappings[{index}] row {i}: empty activity")
-            if activity not in matrix_rows:
-                raise DataError(
-                    f"mappings[{index}] row {i}: activity {activity!r} is not an extraction matrix row")
-            if not eid:
-                raise DataError(f"mappings[{index}] row {i}: empty event id")
-            if eid in events:
-                raise DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
-            try:
-                when = parse_time(raw_time)
-            except DataError as exc:
-                raise DataError(f"mappings[{index}] row {i}: {exc}") from None
-            attrs = attr_names and tuple(   # no attributes: (), with no generator per row
-                (attr, raw) for attr, value in zip(attr_names, attr_cells) if (raw := value.strip()))
-            # tuple.__new__ skips the NamedTuple's Python-level __new__, as the reader does
-            events[eid] = tuple.__new__(EventInstance, (eid, activity, when, attrs))
-
-    def _store_blocks(self, activity_of: _Activities, activity_cells: Iterator[str], ids: Iterator[str],
-                      times: Iterator[str], parse_block: Callable[[list[str]], list[datetime] | None],
-                      ) -> tuple[int, Iterator[str], Iterator[str], Iterator[str]]:
-        """Store the events of a rule with no attributes ``EVENT_BLOCK_ROWS``
-        rows at a time, each block with ``map`` and ``zip`` over its cells and
-        no Python step per row; ``ids`` and ``times`` are stripped cells. A
-        block is stored only once all of it passes the row loop's checks:
-        each activity a non-empty matrix row, each id non-empty, unique in
-        the block and not yet stored, and ``parse_block`` reading every time.
-        The events are the row loop's: the same id, activity and time
-        objects, with ``()`` for attributes. Returns the first row not stored
-        and each column's cells from that row on: those of the block that
-        failed, if any, chained to the rest."""
-        valid, events = activity_of.rows.keys() - {""}, self.log._events   # the non-empty matrix rows
-        start = 0
+        attrs = (tuple((attr, raw) for attr, value in zip(attr_names, cells) if (raw := value.strip()))
+                 for cells in table.cells(rule.attribute_columns.values())) if attr_names else repeat(())
+        valid, events, fmt = activity_of.rows.keys() - {""}, self.log._events, rule.time_format
+        start = 0   # the block's first row
         while block_times := [*islice(times, EVENT_BLOCK_ROWS)]:
             n = len(block_times)
-            cells, block_ids = [*islice(activity_cells, n)], [*islice(ids, n)]
-            activities = [*map(activity_of.__getitem__, cells)]
+            activities = [*map(activity_of.__getitem__, islice(activity_cells, n))]
+            block_ids = [*islice(ids, n)]
             fresh = set(block_ids)
-            whens = (valid.issuperset(activities) and len(fresh) == n and "" not in fresh
-                     and events.keys().isdisjoint(fresh) and parse_block(block_times))
+            try:
+                whens = (valid.issuperset(activities) and len(fresh) == n and "" not in fresh
+                         and events.keys().isdisjoint(fresh) and parse_block(block_times, fmt))
+            except DataError:
+                whens = None
             if not whens:
-                return start, chain(cells, activity_cells), chain(block_ids, ids), chain(block_times, times)
+                raise self._defect(index, start, activities, block_ids, block_times, fmt)
+            # tuple.__new__ skips the NamedTuple's Python-level __new__, as the reader does
             events.update(zip(block_ids, map(tuple.__new__, repeat(EventInstance),
-                                             zip(block_ids, activities, whens, repeat(())))))
+                                             zip(block_ids, activities, whens, islice(attrs, n)))))
             start += n
-        return start, activity_cells, ids, times
+
+    def _defect(self, index: int, start: int, activities: list[str], ids: list[str], times: list[str],
+                fmt: str) -> DataError:
+        """The error of the first of a block's rows that fails a check, the
+        block's rows read one by one from row ``start``: the message a row
+        loop over the table would raise there."""
+        valid, events, seen = self.spec.xmatrix.activities, self.log._events, set()
+        for i, activity, eid, raw_time in zip(count(start), activities, ids, times):
+            if not activity:
+                return DataError(f"mappings[{index}] row {i}: empty activity")
+            if activity not in valid:
+                return DataError(
+                    f"mappings[{index}] row {i}: activity {activity!r} is not an extraction matrix row")
+            if not eid:
+                return DataError(f"mappings[{index}] row {i}: empty event id")
+            if eid in events or eid in seen:
+                return DataError(f"mappings[{index}] row {i}: duplicate event id {eid!r}")
+            seen.add(eid)
+            try:
+                parse_with_format(raw_time, fmt)
+            except DataError as exc:
+                return DataError(f"mappings[{index}] row {i}: {exc}")
+        raise AssertionError("a failing block has no failing row")
 
     def _run_o2o_rule(self, index: int, rule: O2ORule, table: SourceTable, run: RuleRun) -> None:
         """Collect the rule's pairs in their source object's set, which finds

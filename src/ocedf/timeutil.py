@@ -7,14 +7,12 @@ to millisecond precision. Naive inputs are assumed to be UTC.
 from __future__ import annotations
 
 from datetime import datetime, timezone
-from functools import partial
 from itertools import repeat
 from operator import add
-from typing import Callable
 
 from .errors import DataError
 
-# The format most sources use, and its one shape parsed without strptime (_plain_shape).
+# The format most sources use, and its one shape parsed without strptime (_plain_block).
 _PLAIN_SECONDS = "%Y-%m-%d %H:%M:%S"
 
 
@@ -66,70 +64,37 @@ def parse_iso(text: str) -> datetime:
         raise DataError(f"unparseable timestamp {text!r}: {exc}") from None
 
 
-def _plain_shape(text: str) -> bool:
-    """Whether ``text`` has 19 characters with the plain format's separators
-    at their places (``text[4::3]``). ``datetime.fromisoformat`` then reads
-    it only with ASCII digits in the six fields, as ``YYYY-MM-DD HH:MM:SS``,
-    which is what ``strptime`` reads there; any other text it rejects."""
-    return len(text) == 19 and text[4::3] == "-- ::"
-
-
 def parse_with_format(text: str, fmt: str) -> datetime:
     """Parse with a strftime pattern; naive results are assumed UTC.
 
-    ``format_parser(fmt)(text)``: with ``fmt`` ``%Y-%m-%d %H:%M:%S`` the
-    plain-shape fast path is tried first (``_parse_plain_seconds``), and any
-    other text or format goes to ``strptime`` (``_strptime``)."""
-    return format_parser(fmt)(text)
-
-
-def _strptime(text: str, fmt: str) -> datetime:
-    """``text``, stripped, read by ``strptime`` with ``fmt`` and normalized;
-    an error names ``text`` as given."""
+    With ``fmt`` ``%Y-%m-%d %H:%M:%S`` a stripped ``text`` of its plain shape
+    (``2024-09-02 10:00:00``) is read by ``_plain_block``, which gives what
+    ``strptime`` gives there. Any other text or format, and a field out of
+    range there, goes to ``strptime``, so every error carries its message."""
+    cleaned = text.strip()
+    if fmt == _PLAIN_SECONDS and (whens := _plain_block([cleaned])):
+        return whens[0]
     try:
-        return to_utc_ms(datetime.strptime(text.strip(), fmt))
+        return to_utc_ms(datetime.strptime(cleaned, fmt))
     except ValueError as exc:
         raise DataError(f"unparseable timestamp {text!r} for format {fmt!r}: {exc}") from None
 
 
-def _parse_plain_seconds(text: str) -> datetime:
-    """``text`` read with the format ``%Y-%m-%d %H:%M:%S``.
-
-    Fast path: a stripped ``text`` of that shape (``2024-09-02 10:00:00``,
-    ``_plain_shape``) is read as UTC by ``datetime.fromisoformat``, which
-    gives what ``strptime`` gives there. The ``+00:00`` offset makes the
-    result aware, in ``timezone.utc`` itself and in whole seconds, so it is
-    normalized as it is. Any other text, and a field out of range on the fast
-    path, falls back to ``_strptime``, so every error carries its message."""
-    cleaned = text.strip()
-    if _plain_shape(cleaned):
-        try:
-            return datetime.fromisoformat(cleaned + "+00:00")
-        except ValueError:
-            pass
-    return _strptime(text, _PLAIN_SECONDS)
-
-
-def format_parser(fmt: str) -> Callable[[str], datetime]:
-    """The parser of ``fmt``, picked once for a column of cells: the plain
-    format's fast path or ``strptime``, with no format compare per cell."""
-    return _parse_plain_seconds if fmt == _PLAIN_SECONDS else partial(_strptime, fmt=fmt)
-
-
 def _plain_block(texts: list[str]) -> list[datetime] | None:
-    """What ``_parse_plain_seconds`` gives for each of ``texts``, stripped
-    cells, when every one takes its fast path; otherwise None, and the caller
-    reads the cells one by one for their results and errors.
+    """Each of ``texts`` read as UTC by ``datetime.fromisoformat``, when each
+    has the plain shape: 19 characters with the plain format's separators at
+    their places. Otherwise None.
 
     The shape is checked over the texts joined by newlines, with no call per
     text: the join holds only its own k - 1 newlines, each 19 characters
     after the last, so no text holds one and each has 19 characters; the
-    separators are at their places in every text (``_plain_shape``). Then
-    ``fromisoformat`` reads the six fields as ASCII digits in range, or
-    raises ``ValueError``, which gives None."""
+    separators are at their places in every text. Then ``fromisoformat``
+    reads the six fields as ASCII digits in range, as ``YYYY-MM-DD
+    HH:MM:SS``, or raises ``ValueError``, which gives None. The ``+00:00``
+    offset makes each result aware, in ``timezone.utc`` itself and in whole
+    seconds, so it is normalized as it is."""
     k, joined = len(texts), "\n".join(texts)
-    if not (len(joined) == 20 * k - 1 and joined.count("\n") == k - 1
-            and joined[19::20] == "\n" * (k - 1)
+    if not (len(joined) == 20 * k - 1 and joined.count("\n") == k - 1 and joined[19::20] == "\n" * (k - 1)
             and all(joined[i::20] == sep * k for i, sep in zip(range(4, 19, 3), "-- ::"))):
         return None
     try:
@@ -138,10 +103,14 @@ def _plain_block(texts: list[str]) -> list[datetime] | None:
         return None
 
 
-def block_parser(fmt: str) -> Callable[[list[str]], list[datetime] | None] | None:
-    """The parser of ``fmt`` for a block of stripped cells at once, if the
-    format has one (the plain format, ``_plain_block``); otherwise None."""
-    return _plain_block if fmt == _PLAIN_SECONDS else None
+def parse_block(texts: list[str], fmt: str) -> list[datetime]:
+    """``[parse_with_format(t, fmt) for t in texts]``, raising the first
+    failing text's error. A block of the plain format whose texts all have
+    the plain shape is read by ``_plain_block`` at once, with no call per
+    text; any other block is read text by text."""
+    if fmt == _PLAIN_SECONDS and (whens := _plain_block(texts)) is not None:
+        return whens
+    return [*map(parse_with_format, texts, repeat(fmt))]
 
 
 def format_iso(dt: datetime) -> str:

@@ -26,6 +26,11 @@ def parse_with_format(text: str, fmt: str) -> datetime:
         raise DataError(f"unparseable timestamp {text!r} for format {fmt!r}: {exc}") from None
 
 
+def table_rows(table: extraction.SourceTable) -> list[dict[str, str]]:
+    """Each row of ``table`` as a dict from column name to its cell."""
+    return [dict(zip(table.header, cells)) for cells in table.cells(table.header)]
+
+
 def _cell(row: dict[str, str], column: str) -> str:
     return row.get(column, "").strip()
 
@@ -67,8 +72,8 @@ class _ReferencePipeline(extraction._Pipeline):
                           *rule.attribute_columns.values()])
         stored = schema.root_of(rule.object_type)
         discriminator = schema.discriminators.get(stored)
-        run.rows_in = len(table.rows)
-        for i, row in enumerate(table.rows):
+        run.rows_in = table.row_count
+        for i, row in enumerate(table_rows(table)):
             oid = _cell(row, rule.id_column)
             if not oid:
                 raise DataError(f"mappings[{index}] row {i}: empty object id")
@@ -109,8 +114,8 @@ class _ReferencePipeline(extraction._Pipeline):
                          [rule.time_column, rule.activity_column or "", rule.id_column or "",
                           *rule.attribute_columns.values()])
         activities = set(self.spec.xmatrix.activities)
-        run.rows_in = len(table.rows)
-        for i, row in enumerate(table.rows):
+        run.rows_in = table.row_count
+        for i, row in enumerate(table_rows(table)):
             activity = rule.activity or _cell(row, rule.activity_column)
             if not activity:
                 raise DataError(f"mappings[{index}] row {i}: empty activity")
@@ -137,8 +142,8 @@ class _ReferencePipeline(extraction._Pipeline):
     def _run_o2o_rule(self, index: int, rule: O2ORule, run: RuleRun) -> None:
         table = self._table(index, rule)
         _require_columns(index, table, [rule.source_id_column, rule.target_id_column])
-        run.rows_in = len(table.rows)
-        for i, row in enumerate(table.rows):
+        run.rows_in = table.row_count
+        for i, row in enumerate(table_rows(table)):
             src = _cell(row, rule.source_id_column)
             tgt = _cell(row, rule.target_id_column)
             if not src or not tgt:
@@ -160,8 +165,8 @@ class _ReferencePipeline(extraction._Pipeline):
     def _run_e2o_rule(self, index: int, rule: E2ORule, run: RuleRun) -> None:
         table = self._table(index, rule)
         _require_columns(index, table, [rule.object_id_column, rule.event_id_column or ""])
-        run.rows_in = len(table.rows)
-        for i, row in enumerate(table.rows):
+        run.rows_in = table.row_count
+        for i, row in enumerate(table_rows(table)):
             oid = _cell(row, rule.object_id_column)
             if not oid:
                 run.skip(i, "empty object id")

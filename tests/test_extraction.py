@@ -24,12 +24,11 @@ from ocedf import (
     synthesize_event_id,
     write_ocel_json,
 )
-from ocedf import extraction, ocel
+from ocedf import extraction, ocel, timeutil
 from ocedf.extraction import CHUNK_ROWS
 from ocedf.specmodel import E2ORule, O2ORule
-from ocedf.timeutil import format_parser
 from conftest import FIXTURES, load_fixture
-from reference_extraction import reference_extract
+from reference_extraction import reference_extract, table_rows
 
 
 def tiny_spec_doc(mappings):
@@ -96,7 +95,7 @@ class TestLoadSource:
         p = tmp_path / "t.csv"
         p.write_text("a,b\n", encoding="utf-8")
         t = load_source(p, "t")
-        assert t.header == ["a", "b"] and t.rows == []
+        assert t.header == ["a", "b"] and table_rows(t) == []
 
     def test_header_trimmed(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -129,18 +128,18 @@ class TestLoadSource:
     def test_fixture_views_row_count_matches_wc(self):
         path = FIXTURES / "case_study" / "sources" / "views.csv"
         expected = sum(1 for _ in path.open(encoding="utf-8")) - 1
-        assert len(load_source(path, "views").rows) == expected
+        assert len(table_rows(load_source(path, "views"))) == expected
         assert expected > 5000
 
     def test_quoted_fields(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text('a,b\n"x,1",y\n', encoding="utf-8")
-        assert load_source(p, "t").rows == [{"a": "x,1", "b": "y"}]
+        assert table_rows(load_source(p, "t")) == [{"a": "x,1", "b": "y"}]
 
     def test_equal_cells_are_one_object(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,c\n x ,y,\n x ,x,y\nx, x ,\n", encoding="utf-8")
-        rows = load_source(p, "t").rows
+        rows = table_rows(load_source(p, "t"))
         assert rows == [{"a": " x ", "b": "y", "c": ""}, {"a": " x ", "b": "x", "c": "y"},
                         {"a": "x", "b": " x ", "c": ""}]
         assert rows[0]["a"] is rows[1]["a"] is rows[2]["b"]   # across rows and columns
@@ -178,7 +177,7 @@ class TestLoadSource:
 
         loaded, columns = _held_by(lambda: load_source(p, "t"))
         rows, as_dicts = _held_by(dict_rows)
-        assert loaded.rows == rows
+        assert table_rows(loaded) == rows
         assert columns < 0.5 * as_dicts
 
     def test_columns_cross_chunks(self, tmp_path):
@@ -204,7 +203,7 @@ class TestLoadSource:
         p.write_text("\n\n\n", encoding="utf-8")
         t = load_source(p, "t")
         assert (t.header, t.chunks, t.row_count) == ([], (), 2)
-        assert t.rows == [{}, {}]
+        assert table_rows(t) == [{}, {}]
         assert list(t.column("a")) == ["", ""]
 
     def test_from_rows_rejects_a_ragged_row(self):
@@ -284,7 +283,7 @@ def test_load_source_columns_are_the_reader_rows_transposed(tmp_path_factory, dr
     assert t.header == [h.strip() for h in read_header]
     assert t.row_count == len(read_rows) == len(rows)
     assert [list(t.column(h)) for h in t.header] == [[row[j] for row in read_rows] for j in range(len(header))]
-    assert t.rows == [dict(zip(t.header, row)) for row in read_rows]
+    assert table_rows(t) == [dict(zip(t.header, row)) for row in read_rows]
     assert SourceTable.from_rows("drawn", t.header, read_rows) == t
     first = {}
     for column in t.chunks:
@@ -961,8 +960,8 @@ def event_block_cases(draw):
     fmt = draw(st.sampled_from([PLAIN, PLAIN, "%Y-%m-%dT%H:%M:%S"]))
     times, actions = GOOD_TIMES[fmt][:2], ["view page", "submit assignment"]
     n = draw(st.integers(0, 20))
-    rows = [[draw(st.sampled_from(times)), draw(st.sampled_from(actions)), f"e{i + 1}", "Ann"]
-            for i in range(n)]
+    rows = [[draw(st.sampled_from(times)), draw(st.sampled_from(actions)), f"e{i + 1}",
+             draw(st.sampled_from(["Ann", " Ann ", "", "  "]))] for i in range(n)]
     for column, pool in ((0, BLOCK_TIME_DEFECTS), (1, BLOCK_ACTION_DEFECTS), (2, BLOCK_ID_DEFECTS)):
         for _ in range(draw(st.integers(0, 2)) if n else 0):
             row = draw(st.integers(0, n - 1))
@@ -989,48 +988,60 @@ def test_event_blocks_match_the_reference_runners(case):
             assert ocel._stored_event(event, log._event_types[event.type]) is event
 
 
-def _plain_rows(n):
-    """``n`` rows in the plain format, every fifth time cell padded."""
-    return [[f"{' ' * (i % 5 == 0)}2024-09-{2 + i // 1440:02d} {i // 60 % 24:02d}:{i % 60:02d}:00",
+def _plain_rows(n, sep=" "):
+    """``n`` rows in the plain format, or with ``sep`` between date and time,
+    every fifth time cell padded."""
+    return [[f"{' ' * (i % 5 == 0)}2024-09-{2 + i // 1440:02d}{sep}{i // 60 % 24:02d}:{i % 60:02d}:00",
              ("view page", "submit assignment")[i % 2], f"e{i}"] for i in range(n)]
 
 
 @pytest.fixture
-def row_loop_reads(monkeypatch):
-    """The time cells the event rules' row loop parses, in order, recorded
-    by a spy on its parser."""
-    parsed = []
-
-    def spying(fmt):
-        parse = format_parser(fmt)
-        return lambda text: parsed.append(text) or parse(text)
-
-    monkeypatch.setattr(extraction, "format_parser", spying)
-    return parsed
+def cell_reads(monkeypatch):
+    """The time cells parsed one at a time by ``parse_block``, in order, and
+    the first row of each block handed to the defect locator, recorded by
+    spies on ``parse_with_format`` and ``_Pipeline._defect``."""
+    reads, defects = [], []
+    parse, defect = timeutil.parse_with_format, extraction._Pipeline._defect
+    monkeypatch.setattr(timeutil, "parse_with_format", lambda text, fmt: reads.append(text) or parse(text, fmt))
+    monkeypatch.setattr(extraction._Pipeline, "_defect",
+                        lambda self, index, start, *block: defects.append(start) or defect(self, index, start, *block))
+    return reads, defects
 
 
 @pytest.mark.parametrize("rule", [
     {"activity_column": "action"},
     {"activity_column": "action", "id_column": "eid"},
     {"activity": "view page", "id_column": "eid"},
+    {"activity_column": "action", "id_column": "eid", "attributes": {"what": "action", "id": "eid"}},
+    {"activity_column": "action", "time_format": "%Y-%m-%dT%H:%M:%S"},
 ])
-def test_a_clean_plain_table_never_enters_the_row_loop(rule, row_loop_reads):
+def test_a_clean_plain_table_never_enters_the_row_loop(rule, cell_reads):
+    """No block of a clean table reaches the defect locator. In the plain
+    format no cell is parsed one at a time either; in another, each once."""
     n = 3 * extraction.EVENT_BLOCK_ROWS + 5
-    sources = {"rows": table("rows", ["ts", "action", "eid"], _plain_rows(n))}
-    spec = parse_spec(tiny_spec_doc(
-        [{"kind": "event", "source_table": "rows", "time_column": "ts", "time_format": PLAIN, **rule}]))
+    rule = {"kind": "event", "source_table": "rows", "time_column": "ts", "time_format": PLAIN, **rule}
+    rows = _plain_rows(n, " " if rule["time_format"] == PLAIN else "T")
+    sources = {"rows": table("rows", ["ts", "action", "eid"], rows)}
+    spec = parse_spec(tiny_spec_doc([rule]))
     got, log = _outcome(extract, spec, sources, "skip")
-    assert row_loop_reads == [] and len(log.events) == n
+    reads, defects = cell_reads
+    assert defects == [] and len(log.events) == n
+    assert reads == ([] if rule["time_format"] == PLAIN else [r[0].strip() for r in rows])
     assert got == _outcome(reference_extract, spec, sources, "skip")[0]
 
 
-@pytest.mark.parametrize("cell, error", [
-    ("2024-9-2 8:08:00", None),
-    ("2024-02-30 00:00:00", "mappings[0] row {row}: unparseable timestamp '2024-02-30 00:00:00'"),
+@pytest.mark.parametrize("cell, row, error", [
+    pytest.param("2024-9-2 8:08:00", 3, None, id="valid"),
+    pytest.param("2024-02-30 00:00:00", 2 * extraction.EVENT_BLOCK_ROWS + 3,
+                 "mappings[0] row {row}: unparseable timestamp '2024-02-30 00:00:00' for format "
+                 "'%Y-%m-%d %H:%M:%S': ", id="unparseable"),
 ])
-def test_the_row_loop_takes_over_at_the_first_block_that_fails(cell, error, row_loop_reads):
+def test_an_off_shape_cell_costs_only_its_block(cell, row, error, cell_reads):
+    """A valid cell off the plain shape sends its own block, and no other,
+    cell by cell through ``parse_with_format``; an unparseable one makes its
+    block raise the error of its row, found by the defect locator."""
     block = extraction.EVENT_BLOCK_ROWS
-    rows, row = _plain_rows(3 * block + 5), 2 * block + 3
+    rows = _plain_rows(3 * block + 5)
     rows[row][0] = cell
     sources = {"rows": table("rows", ["ts", "action", "eid"], rows)}
     mappings = [{"kind": "event", "source_table": "rows", "activity_column": "action", "id_column": "eid",
@@ -1038,9 +1049,10 @@ def test_the_row_loop_takes_over_at_the_first_block_that_fails(cell, error, row_
     spec = parse_spec(tiny_spec_doc(mappings))
     got = _outcome(extract, spec, sources, "skip")[0]
     assert got == _outcome(reference_extract, spec, sources, "skip")[0]
-    read = [r[0].strip() for r in rows[2 * block:]]   # from the failed block's first row on
+    first = row - row % block   # the cell's block
+    reads, defects = cell_reads
     if error is None:
-        assert row_loop_reads == read
+        assert reads == [r[0].strip() for r in rows[first:first + block]] and defects == []
     else:
         assert got[0] is DataError and got[1].startswith(error.format(row=row))
-        assert row_loop_reads == read[:row + 1 - 2 * block]
+        assert reads == [r[0].strip() for r in rows[first:row + 1]] and defects == [first]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocedf import DataError, timeutil
-from ocedf.timeutil import block_parser, format_parser, parse_iso, parse_with_format, to_utc_ms
+from ocedf.timeutil import parse_block, parse_iso, parse_with_format, to_utc_ms
 from reference_extraction import parse_with_format as reference_parse
 from test_extraction import BAD_TIMES, GOOD_TIMES
 
@@ -123,12 +123,16 @@ def test_parse_with_format_matches_strptime(text, fmt):
     ("2024-09-02T10:00:00", "%Y-%m-%dT%H:%M:%S", False, True),
 ])
 def test_fast_path_taken_only_for_the_plain_shape(text, fmt, fast, slow):
-    with mock.patch.object(timeutil, "datetime", wraps=datetime) as spy:
-        _parse_outcome(parse_with_format, text, fmt)
-    assert (spy.fromisoformat.called, spy.strptime.called) == (fast, slow)
+    """``fromisoformat`` runs only for text of the plain shape, and
+    ``strptime`` only for other text or when that parse fails, whether the
+    text comes alone or as a block of one."""
+    for parse in (parse_with_format, lambda t, f: parse_block([t], f)):
+        with mock.patch.object(timeutil, "datetime", wraps=datetime) as spy:
+            _parse_outcome(parse, text, fmt)
+        assert (spy.fromisoformat.called, spy.strptime.called) == (fast, slow)
 
 
-# -- the per-format parser against parse_with_format ----------------------------
+# -- parse_block against parse_with_format, text by text ------------------------
 
 PARSER_CASES = sorted({
     *(t for ts in GOOD_TIMES.values() for t in ts), *BAD_TIMES,
@@ -139,73 +143,54 @@ PARSER_CASES = sorted({
     "0000-01-01 00:00:00", "2024-09-02 10:60:00", "2024-W36-1 10:00:00", "2024-09-02T10:00:00",
     "20240902 10:00:00.5", "2024-09-02 10:00:0.", "2024-09-02 +1:00:00", "2024-09-02 10:00:00.5",
 })
-
-
-def _parser_outcome(parse, text: str):
-    try:
-        dt = parse(text)
-    except DataError as exc:
-        return str(exc)
-    return dt, dt.tzinfo
-
-
-@pytest.mark.parametrize("fmt", [*GOOD_TIMES, *OTHER_FORMATS])
-def test_format_parser_gives_what_parse_with_format_gives(fmt):
-    parse = format_parser(fmt)
-    for text in PARSER_CASES:
-        got = _parser_outcome(parse, text)
-        assert got == _parser_outcome(lambda t: parse_with_format(t, fmt), text), text
-        assert got == _parser_outcome(lambda t: reference_parse(t, fmt), text), text
-
-
 # Any text of the plain shape's length with its separators at their places.
 SHAPE_CHARS = st.sampled_from("0123456789" * 4 + "WTZ+-:., \t\u0661\uff10")
-
-
-@given(text=st.lists(SHAPE_CHARS, min_size=14, max_size=14).map(
+PLAIN_SHAPES = st.lists(SHAPE_CHARS, min_size=14, max_size=14).map(
     lambda c: "".join(c[:4]) + "-" + "".join(c[4:6]) + "-" + "".join(c[6:8]) + " " + "".join(c[8:10])
-    + ":" + "".join(c[10:12]) + ":" + "".join(c[12:])) | timestamps())
-@example(text="2024-W36-1 10:00:00")
-@settings(max_examples=600, deadline=None)
-def test_format_parser_matches_strptime_on_the_plain_shape(text):
-    got = _parser_outcome(format_parser(PLAIN), text)
-    assert got == _parser_outcome(lambda t: parse_with_format(t, PLAIN), text)
-    assert got == _parser_outcome(lambda t: reference_parse(t, PLAIN), text)
-
-
-# -- the plain format's block parser against its fast path, text by text --------
-
-# Stripped texts that fromisoformat reads but that are not of the plain shape
-# (the first four have its length), and texts that hold a newline, which the
-# block parser's join must not hide.
+    + ":" + "".join(c[10:12]) + ":" + "".join(c[12:]))
+# Texts that fromisoformat reads but that are not of the plain shape (the
+# first four have its length), and texts that hold a newline, which the
+# plain block's join must not hide.
 OTHER_ISO_SHAPES = ["2024-W36-1 10:00:00", "2024-09-02 100000.0", "2024-09-02 10:00.00", "20240902 10:00:00.5",
                     "2024-09-02T10:00:00", "2024-09-02 10:00", "2024-09-02 10:00:00.123", "2024-09-02 10",
                     "20240902T100000", "2024-09-02", "2024-09-02\n10:00:00", "2024-09-02 10:00:0",
                     "2024-09-02 10:00:00\n2024-09-02 10:00:00", "2024-09-02 10:00:00\n", ""]
-PLAIN_SHAPES = st.lists(SHAPE_CHARS, min_size=14, max_size=14).map(
-    lambda c: "".join(c[:4]) + "-" + "".join(c[4:6]) + "-" + "".join(c[6:8]) + " " + "".join(c[8:10])
-    + ":" + "".join(c[10:12]) + ":" + "".join(c[12:]))
+BLOCK_TEXTS = st.sampled_from(["2024-09-02 10:00:00", "2024-02-29 23:59:59", *OTHER_ISO_SHAPES]) \
+    | PLAIN_SHAPES | timestamps()
 
 
-def _takes_the_fast_path(text: str) -> bool:
+def _outcomes(parse, texts: list[str]):
+    """Each text's datetime with its tzinfo, or the error's message."""
     try:
-        datetime.fromisoformat(text + "+00:00")
-    except ValueError:
-        return False
-    return timeutil._plain_shape(text)
+        return [(dt, dt.tzinfo) for dt in parse(texts)]
+    except DataError as exc:
+        return str(exc)
 
 
-@given(texts=st.lists(st.sampled_from(["2024-09-02 10:00:00", "2024-02-29 23:59:59", *OTHER_ISO_SHAPES])
-                      | PLAIN_SHAPES, min_size=1, max_size=8))
-@settings(max_examples=600, deadline=None)
-def test_block_parser_reads_a_block_only_when_each_text_takes_the_fast_path(texts):
-    got = block_parser(PLAIN)(texts)
-    if not all(map(_takes_the_fast_path, texts)):
-        assert got is None
-    else:
-        assert [(dt, dt.tzinfo) for dt in got] == [_parser_outcome(format_parser(PLAIN), t) for t in texts]
-    for fmt in OTHER_FORMATS:
-        assert block_parser(fmt) is None
+def _assert_parse_block_agrees(texts: list[str], fmt: str) -> None:
+    """``parse_block`` reads each text as ``parse_with_format`` and the
+    strptime reference read it, or raises the first failing text's error."""
+    got = _outcomes(lambda ts: parse_block(ts, fmt), texts)
+    assert got == _outcomes(lambda ts: [parse_with_format(t, fmt) for t in ts], texts), texts
+    assert got == _outcomes(lambda ts: [reference_parse(t, fmt) for t in ts], texts), texts
+
+
+@pytest.mark.parametrize("fmt", [*GOOD_TIMES, *OTHER_FORMATS])
+def test_parse_block_gives_what_parse_with_format_gives(fmt):
+    """Each case alone, the cases the format reads as one block, as they are
+    and stripped, and all the cases, which raise the first bad one's error."""
+    read = [t for t in PARSER_CASES if isinstance(_outcomes(lambda ts: [reference_parse(t, fmt)], [t]), list)]
+    for texts in (*([t] for t in PARSER_CASES), read, [t.strip() for t in read], PARSER_CASES):
+        _assert_parse_block_agrees(texts, fmt)
+
+
+@given(texts=st.lists(BLOCK_TEXTS, max_size=8), fmt=st.sampled_from([PLAIN, PLAIN, PLAIN, *OTHER_FORMATS]))
+@example(texts=["2024-W36-1 10:00:00"], fmt=PLAIN)
+@example(texts=["2024-09-02 10:00:00", "2024-02-29 23:59:59"], fmt=PLAIN)
+@example(texts=["2024-09-02 10:00:00", "2024-9-2 8:08:00", "2024-09-02 10:00:00\n"], fmt=PLAIN)
+@settings(max_examples=800, deadline=None)
+def test_parse_block_matches_parse_with_format_on_drawn_blocks(texts, fmt):
+    _assert_parse_block_agrees(texts, fmt)
 
 
 # -- parse_iso's fast path against the path it skips ----------------------------
