@@ -51,6 +51,10 @@ CHUNK_ROWS = 56
 # few KB whatever the table.
 EVENT_BLOCK_ROWS = 8 * CHUNK_ROWS
 
+# Extract collects an event's E2O pairs in a tuple up to this many, which
+# suits the few that most events hold, and in a set beyond.
+WIDE_EVENT = 32
+
 
 @dataclass
 class SourceTable:
@@ -257,7 +261,8 @@ class _Pipeline:
         self.report = ExtractionReport()
         self.log = OcedLog(self._object_type_defs(), self._event_type_defs())
         self._ids: dict[str, list[str]] = {}   # source table -> its synthesized event ids
-        # the phase's relations: source id -> a set of pairs (O2O), or event id -> a tuple (E2O)
+        # the phase's relations: source id -> a set of pairs (O2O), or event id -> a tuple,
+        # or a set past WIDE_EVENT pairs (E2O)
         self._rels: dict[str, set[tuple[str, str]] | tuple[tuple[str, str], ...]] = {}
         self._cells_of: dict[str, _Cells] = {}   # qualifier -> its cells
 
@@ -314,7 +319,6 @@ class _Pipeline:
 
     def run(self) -> tuple[OcedLog, ExtractionReport]:
         started = _time.perf_counter()
-        oced_log = self.log
         for phase, kinds in ((1, ObjectRule), (2, (O2ORule, EventRule)), (3, E2ORule)):
             log.info("extraction phase %d", phase)
             phase_started = _time.perf_counter()
@@ -323,9 +327,9 @@ class _Pipeline:
                     self._run_rule(index, phase, rule)
             self._end_phase(phase)
             self.report.phase_seconds[phase] = _time.perf_counter() - phase_started
-        self.report.counts.update(object=len(oced_log.objects), event=len(oced_log.events))
+        self.report.counts.update(object=len(self.log.objects), event=len(self.log.events))
         self.report.elapsed_seconds = _time.perf_counter() - started
-        return oced_log, self.report
+        return self.log, self.report
 
     def _end_phase(self, phase: int) -> None:
         """Store each key's relations that ``phase`` checked row by row,
@@ -361,7 +365,7 @@ class _Pipeline:
         attr_names = tuple(rule.attribute_columns)
         stored = schema.root_of(rule.object_type)
         discriminator = schema.discriminators.get(stored)
-        labels = table.column(subtype_col) if subtype_col else \
+        labels = map(str.strip, table.column(subtype_col)) if subtype_col else \
             repeat("" if rule.object_type == stored else rule.object_type)
         epoch = self.spec.extraction_epoch
         objects, add_object = self.log.objects, self.log.add_object
@@ -371,8 +375,6 @@ class _Pipeline:
             oid = oid.strip()
             if not oid:
                 raise DataError(f"mappings[{index}] row {i}: empty object id")
-            if subtype_col:
-                label = label.strip()
             existing = objects.get(oid)
             if existing is not None:
                 if existing.type != stored:
@@ -484,15 +486,17 @@ class _Pipeline:
             rels.add(rel)
 
     def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
-        """Grow each event's tuple of pairs, unsorted until the phase ends; a
-        pair already in it is a duplicate. Rows with an empty object-id cell,
-        often most of a wide table's, are skipped by ``run.skip`` at the first,
-        which enters the reason at its place; the rest are counted in a local
-        and added once."""
+        """Collect each event's pairs, unsorted until the phase ends: in a
+        tuple, grown by one, while it holds fewer than ``WIDE_EVENT``, and in
+        a set after that, so a row of a wide event neither rescans nor copies
+        the pairs before it. A pair already collected is a duplicate. Rows
+        with an empty object-id cell, often most of a wide table's, are
+        skipped by ``run.skip`` at the first, which enters the reason at its
+        place; the rest are counted in a local and added once."""
         object_col, event_col = rule.object_id_column, rule.event_id_column
         _require_columns(index, table, [object_col, event_col or ""])
         resolve = self._cells(index, rule.qualifier).__getitem__
-        ids = table.column(event_col) if event_col else self._synthesized_ids(rule, table)
+        ids = map(str.strip, table.column(event_col)) if event_col else self._synthesized_ids(rule, table)
         events, by_event = self.log.events, self._rels
         empty = 0
         for i, (rel, eid) in enumerate(zip(map(resolve, table.column(object_col)), ids)):
@@ -501,8 +505,6 @@ class _Pipeline:
                     run.skip(i, "empty object id")
                 empty += 1
                 continue
-            if event_col:
-                eid = eid.strip()
             if not eid:
                 run.skip(i, "empty event id")
                 continue
@@ -518,7 +520,12 @@ class _Pipeline:
             if rel in rels:
                 run.skip(i, "duplicate e2o relation")
                 continue
-            by_event[eid] = rels + (rel,)
+            if len(rels) < WIDE_EVENT:
+                by_event[eid] = rels + (rel,)
+            elif type(rels) is set:
+                rels.add(rel)
+            else:
+                by_event[eid] = {*rels, rel}
         if empty > 1:
             run.rows_skipped += empty - 1
             run.skipped["empty object id"][0] += empty - 1

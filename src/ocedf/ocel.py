@@ -222,19 +222,16 @@ def _stored_object(obj: ObjectInstance, tdef: ObjectTypeDef | None) -> ObjectIns
 def _stored_event(event: EventInstance, tdef: EventTypeDef | None) -> EventInstance:
     """The event to store for ``event`` under its type (None if undeclared): its
     time normalized by ``to_utc_ms``, its values a tuple of (name, value) tuples,
-    each conformed to its kind. Pairs, and ``event``, with nothing to change are kept:
-    an event with no values and a normalized time is returned as it is, at once.
-    Two callers rely on that to store a checked event without this call: the
-    reader for an event with no values, and extract's event rule for each of
-    its events, whose checks cover this call's."""
+    each conformed to its kind. Pairs, and ``event``, with nothing to change are
+    kept, so an event with a normalized time and a tuple of conformed pairs,
+    such as one with no values, is returned as it is. The reader's plain
+    events and extract's events are stored without this call by checks that
+    cover it; it returns each of them as it is."""
     if tdef is None:
         raise SchemaError(f"event {event.id!r}: undeclared event type {event.type!r}")
     if not isinstance(event.time, datetime):
         raise SchemaError(f"event {event.id!r}: time {event.time!r} is not a datetime")
-    when, values = to_utc_ms(event.time), event.attribute_values
-    if when is event.time and type(values) is tuple and not values:
-        return event
-    seen, out, values = set(), None, tuple(values)
+    when, seen, out, values = to_utc_ms(event.time), set(), None, tuple(event.attribute_values)
     for i, entry in enumerate(values):
         name, value = pair = tuple(entry)
         kind = tdef._kinds.get(name)
@@ -255,10 +252,10 @@ def _stored_event(event: EventInstance, tdef: EventTypeDef | None) -> EventInsta
 class OcedLog:
     """Typed objects with timestamped attribute values, typed events with
     untimed ones, and qualified E2O and O2O relations. ``add_*``/``relate_*``
-    normalize and check each immutable instance once, as they store it; the
-    reader and extract's event rule store an event they have checked as
-    ``add_event`` checks it without the call (``_stored_event``). The
-    finished log is used as a read-only value.
+    normalize and check each immutable instance once, as they store it. The
+    reader's plain events and extract's events are stored without
+    ``add_event`` or ``_stored_event``, by checks of their own that cover
+    that call's. The finished log is used as a read-only value.
 
     A relation is a plain ``(other id, qualifier)`` pair in a sorted,
     non-empty tuple under its event (E2O) or source object (O2O): the order
@@ -612,7 +609,7 @@ def _document_chunks(log: OcedLog) -> Iterator[str]:
     sections = (("objectTypes", map(encode, _type_records(log.object_type_defs))),
                 ("eventTypes", map(encode, _type_records(log.event_type_defs))),
                 ("objects", record_lines(objects, log._o2o_by_source, _object_attributes, False)),
-                ("events", record_lines(log.events_in_order(), log._e2o_by_event, _event_attributes, True)))
+                ("events", record_lines(log._event_order(), log._e2o_by_event, _event_attributes, True)))
     yield "{"
     for i, (key, lines) in enumerate(sections):
         yield f'{"," if i else ""}\n"{key}": ['
@@ -786,34 +783,32 @@ def _add_object_entry(log: OcedLog, i: int, entry: Any) -> list:
 def _add_event_entry(log: OcedLog, i: int, entry: Any) -> list:
     """Check the shape of ``events[i]``, parse its time once and add its
     event, unrelated, typed by the declared type's own string; return its
-    relationships. A JSON path is built only to raise."""
+    relationships."""
+    path = f"events[{i}]"
     if not isinstance(entry, dict) or not isinstance(eid := entry.get("id"), str) \
             or not isinstance(etype := entry.get("type"), str):
-        raise OcelDocumentError("event entry must carry a string 'id' and 'type'", f"events[{i}]")
+        raise OcelDocumentError("event entry must carry a string 'id' and 'type'", path)
     try:
         when = parse_iso(entry.get("time", ""))
     except Exception as exc:
-        raise OcelDocumentError(f"event {eid!r}: {exc}", f"events[{i}]") from None
-    attrs, rels = entry.get("attributes", []), entry.get("relationships", [])
-    if not isinstance(attrs, list):
-        raise OcelDocumentError("'attributes' must be a list", f"events[{i}].attributes")
+        raise OcelDocumentError(f"event {eid!r}: {exc}", path) from None
+    attrs = _list_at(entry, "attributes", path)
     tdef = log._event_types.get(etype)   # None: add_event rejects the type below
     if attrs:
         kinds = getattr(tdef, "_kinds", {})
         values = []
         for j, a in enumerate(attrs):
-            apath = f"events[{i}].attributes[{j}]"
+            apath = f"{path}.attributes[{j}]"
             if not isinstance(a, dict) or not isinstance(a.get("name"), str) or "value" not in a:
                 raise OcelDocumentError("event attribute entries need a string 'name' and 'value'",
                                         apath)
             values.append((a["name"], _json_value(a["value"], kinds.get(a["name"]), apath)))
         attrs = tuple(values)
-    if not isinstance(rels, list):
-        raise OcelDocumentError("'relationships' must be a list", f"events[{i}].relationships")
+    rels = _list_at(entry, "relationships", path)
     try:
         log.add_event(EventInstance(eid, etype if tdef is None else tdef.name, when, attrs or ()))
     except SchemaError as exc:
-        raise OcelDocumentError(str(exc), f"events[{i}]") from None
+        raise OcelDocumentError(str(exc), path) from None
     return rels
 
 

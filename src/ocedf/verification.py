@@ -152,9 +152,11 @@ def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSch
     """Tally per-event object counts for every extraction-matrix column and
     check each event's counts against its row's effective ranges.
 
-    Events are read in storage order and grouped by signature, so counting
-    and checking cost once per signature, and each further event one tuple
-    of its objects' classes, built from its stored pairs, and one lookup.
+    Events are read once, in storage order, and grouped by signature, so
+    counting and checking cost once per signature, and each further event
+    one tuple of its objects' classes, built from its stored pairs, and one
+    lookup. A signature starts with its event type, so the event types that
+    are not matrix rows (``extra_event_types``) come from the signatures.
     The classes come in object id order, so two events whose classes differ
     only in order have separate signatures with equal counts. Only the
     events with violations are sorted, by (time, id), so violations are in
@@ -163,10 +165,6 @@ def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSch
     columns = xmatrix.columns
     families = {c: root for c in columns if (root := schema.root_of(c)) != c or schema.subtypes_of(c)}
     label_attr = {t: schema.discriminators.get(schema.root_of(t)) for t in schema.object_types}
-
-    extra = tuple(sorted({e.type for e in log.events.values()} - set(xmatrix.activities)))
-    rows = tuple(xmatrix.activities) + extra
-    cells = {(r, c): CellStats() for r in rows for c in columns}
 
     # per object: its column class, worked out once per (stored type, label)
     classes: dict[str, tuple[str, ...] | str] = {}
@@ -201,6 +199,9 @@ def derive_matrix(log: OcedLog, xmatrix: ExtractionMatrix, schema: ConceptualSch
     violations = [Violation(event.id, event.type, column, n, expected)
                   for event, tally in flagged for column, n, expected in tally.violated]
 
+    extra = tuple(sorted({signature[0] for signature in tallies} - set(xmatrix.activities)))
+    rows = tuple(xmatrix.activities) + extra
+    cells = {(r, c): CellStats() for r in rows for c in columns}
     unmapped: dict[str, set[str]] = {}
     for (event_type, *event_classes), tally in tallies.items():
         for cls in event_classes:

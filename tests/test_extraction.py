@@ -1056,3 +1056,88 @@ def test_an_off_shape_cell_costs_only_its_block(cell, row, error, cell_reads):
     else:
         assert got[0] is DataError and got[1].startswith(error.format(row=row))
         assert reads == [r[0].strip() for r in rows[first:row + 1]] and defects == [first]
+
+
+# -- wide events: an event related to many objects ---------------------------------
+
+WIDE_LINKS_RULES = [
+    {"kind": "e2o", "source_table": "links", "event_id_column": "eid", "object_id_column": "uid",
+     "qualifier": "reader"},
+    {"kind": "e2o", "source_table": "more", "event_id_column": "eid", "object_id_column": "uid",
+     "qualifier": "reader"},   # the same pairs again: duplicates across rules
+    {"kind": "e2o", "source_table": "more", "event_id_column": "eid", "object_id_column": "uid",
+     "qualifier": "other"},
+]
+
+
+def _one_event_spec(e2o_rules):
+    """The spec of one object rule over ``users``, one event rule over
+    ``ev`` (activity ``view page``, ids in ``eid``) and ``e2o_rules``."""
+    return parse_spec(tiny_spec_doc([
+        OBJECT_RULES[0],
+        {"kind": "event", "source_table": "ev", "activity": "view page", "id_column": "eid",
+         "time_column": "ts", "time_format": PLAIN},
+        *e2o_rules]))
+
+
+@st.composite
+def wide_event_cases(draw):
+    """(spec, sources, policy): event ``a1`` related to ``width`` objects,
+    drawn around the width where extract's pairs of an event turn from a
+    tuple into a set, and ``a2`` to a few. Duplicate rows, some padded, come
+    first, just before and after the switch and last, and from a second rule;
+    dangling and empty rows are mixed in."""
+    wide = extraction.WIDE_EVENT
+    width = draw(st.sampled_from([1, wide - 1, wide, wide + 1, 200]))
+    pad = lambda cell: draw(st.sampled_from([cell, f" {cell} "]))
+    links = [["a1", f"u{k}"] for k in range(width)]
+    places = [p for p in (1, wide - 1, wide, wide + 1, width) if p <= width]
+    for place in sorted(draw(st.lists(st.sampled_from(places), unique=True)), reverse=True):
+        eid, uid = links[draw(st.integers(0, place - 1))]   # a pair collected before ``place``
+        links.insert(place, [pad(eid), pad(uid)])
+    links += draw(st.lists(st.sampled_from([["a2", "u0"], ["a2", "u1"], [" a2", "u1 "]]), max_size=4))
+    stray = [["a1", "ghost"], ["nope", "u0"], ["", "u0"], ["a1", ""], ["a1", " "]]
+    for row in draw(st.lists(st.sampled_from(stray), max_size=3)):
+        links.insert(draw(st.integers(0, len(links))), row)
+    more = draw(st.lists(st.sampled_from(links), max_size=8))
+    users = [[f"u{k}", "Ann", "Student"] for k in range(max(width, 2))]
+    sources = {
+        "users": table("users", ["uid", "name", "role"], users),
+        "ev": table("ev", ["eid", "ts"], [["a1", "2024-09-02 10:00:00"], ["a2", "2024-09-02 11:00:00"]]),
+        "links": table("links", ["eid", "uid"], links),
+        "more": table("more", ["eid", "uid"], more),
+    }
+    rules = [WIDE_LINKS_RULES[0], *draw(st.lists(st.sampled_from(WIDE_LINKS_RULES[1:]), unique_by=id))]
+    return _one_event_spec(rules), sources, draw(st.sampled_from(["skip", "fail"]))
+
+
+@given(case=wide_event_cases())
+@settings(max_examples=150, deadline=None)
+def test_wide_events_match_the_reference_runners(case):
+    spec, sources, policy = case
+    got, log = _outcome(extract, spec, sources, policy)
+    assert got == _outcome(reference_extract, spec, sources, policy)[0]
+    if log is not None:
+        assert all(type(rels) is tuple for rels in log._e2o_by_event.values())
+
+
+def test_an_event_costs_in_proportion_to_its_relations():
+    """The E2O rule's seconds grow about linearly with one event's rows: a
+    rescan or copy of the event's pairs per row would make 8x the rows cost
+    about 64x the seconds."""
+    spec = _one_event_spec(WIDE_LINKS_RULES[:1])
+
+    def e2o_seconds(n):
+        sources = {
+            "users": table("users", ["uid", "name", "role"], [[f"u{k}", "", ""] for k in range(n)]),
+            "ev": table("ev", ["eid", "ts"], [["a1", "2024-09-02 10:00:00"]]),
+            "links": table("links", ["eid", "uid"], [["a1", f"u{k}"] for k in range(n)]),
+        }
+        runs = []
+        for _ in range(3):
+            log, report = extract(spec, sources)
+            assert len(log._e2o_by_event["a1"]) == n
+            runs.append(report.rule_runs[-1].seconds)
+        return min(runs)
+
+    assert e2o_seconds(32_000) < 24 * e2o_seconds(4_000)
