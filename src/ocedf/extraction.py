@@ -7,13 +7,12 @@ events, then event-to-object relations. An object mapped to a subtype is
 stored under its hierarchy root, with the discriminator attribute carrying
 the subtype label (single-table inheritance). Each rule runs over all of
 its table's rows in turn (``_Pipeline._run_*_rule``), counted in the
-``ExtractionReport``; ``_Cells`` resolves object-id cells, ``_Activities``
-activity cells, and ``_Pipeline._end_phase`` stores each phase's relations
-as ``relate_*`` would have. An event rule stores ``EVENT_BLOCK_ROWS`` rows
-per step; a block that fails a check is read again row by row only to raise
-the error of its first failing row (``_Pipeline._defect``). With
-``--log-level info`` each rule logs one line with its row counts, seconds
-and rows per second.
+``ExtractionReport``; ``_Cells`` resolves object-id cells, and
+``_Pipeline._end_phase`` stores each phase's relations as ``relate_*`` would
+have. An event rule stores ``EVENT_BLOCK_ROWS`` rows per step; a block that
+fails a check is read again row by row only to raise the error of its first
+failing row (``_Pipeline._defect``). With ``--log-level info`` each rule
+logs one line with its row counts, seconds and rows per second.
 """
 
 from __future__ import annotations
@@ -234,23 +233,6 @@ class _Cells(dict):
         return rel
 
 
-class _Activities(dict):
-    """Activity cells, each to the matrix row the stripped cell names (the
-    matrix's own string), or to the stripped cell if it names none. ``rows``
-    maps each matrix row to itself. Event rules read it through ``map`` over
-    ``__getitem__`` a block at a time, as ``_Cells`` is read."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, activities: Iterable[str]):
-        super().__init__()
-        self.rows = {a: a for a in activities}
-
-    def __missing__(self, cell: str) -> str:
-        activity = self[cell] = self.rows.get(stripped := cell.strip(), stripped)
-        return activity
-
-
 class _Pipeline:
     def __init__(self, spec: ProjectSpec, sources: Mapping[str, SourceTable], on_dangling: str):
         if on_dangling not in ("skip", "fail"):
@@ -398,7 +380,9 @@ class _Pipeline:
     def _run_event_rule(self, index: int, rule: EventRule, table: SourceTable, run: RuleRun) -> None:
         """Check each row's event as ``add_event`` would and store it in the
         log's events dict, ``EVENT_BLOCK_ROWS`` rows per step with ``map`` and
-        ``zip`` over the block's cells. A block is stored only once all of it
+        ``zip`` over the block's cells. Each stripped activity cell that names
+        a matrix row is read as the matrix's own string (``rows``), so every
+        stored type is that string. A block is stored only once all of it
         passes: each activity is a non-empty matrix row, so its type is
         declared; each id is non-empty, unique in the block and not yet
         stored; and ``parse_block`` reads every time as ``parse_with_format``
@@ -411,20 +395,17 @@ class _Pipeline:
         _require_columns(index, table,
                          [time_col, activity_col or "", id_col or "", *rule.attribute_columns.values()])
         attr_names = tuple(rule.attribute_columns)
-        activity_of = _Activities(self.spec.xmatrix.activities)
-        if fixed := activity_of.rows.get(rule.activity, rule.activity):   # each row reads it, resolved
-            activity_cells, activity_of[fixed] = repeat(fixed), fixed
-        else:
-            activity_cells = table.column(activity_col)
+        rows = {a: a for a in self.spec.xmatrix.activities}   # a matrix row to its own string
+        activity_cells = repeat(rule.activity) if rule.activity else map(str.strip, table.column(activity_col))
         ids = map(str.strip, table.column(id_col)) if id_col else iter(self._synthesized_ids(rule, table))
         times = map(str.strip, table.column(time_col))
         attrs = (tuple((attr, raw) for attr, value in zip(attr_names, cells) if (raw := value.strip()))
                  for cells in table.cells(rule.attribute_columns.values())) if attr_names else repeat(())
-        valid, events, fmt = activity_of.rows.keys() - {""}, self.log._events, rule.time_format
+        valid, events, fmt = rows.keys() - {""}, self.log._events, rule.time_format
         start = 0   # the block's first row
         while block_times := [*islice(times, EVENT_BLOCK_ROWS)]:
             n = len(block_times)
-            activities = [*map(activity_of.__getitem__, islice(activity_cells, n))]
+            activities = [*map(rows.get, block := [*islice(activity_cells, n)], block)]
             block_ids = [*islice(ids, n)]
             fresh = set(block_ids)
             try:

@@ -189,6 +189,17 @@ def _in_event_order(events: list[EventInstance]) -> bool:
     return all(map(lt, map(ids, compress(events, tied)), map(ids, compress(islice(events, 1, None), tied))))
 
 
+def _check_new_id(key: Any, stored: Mapping[str, Any], kind: str) -> None:
+    """Raise ``SchemaError`` unless ``key`` is a non-empty string that names
+    none of the ``stored`` instances of its ``kind``."""
+    if not isinstance(key, str):   # the writer encodes each id as a JSON string
+        raise SchemaError(f"{kind} id must be a string: {key!r}")
+    if not key:
+        raise SchemaError(f"empty {kind} id")
+    if key in stored:
+        raise SchemaError(f"duplicate {kind} id: {key!r}")
+
+
 def _stored_object(obj: ObjectInstance, tdef: ObjectTypeDef | None) -> ObjectInstance:
     """The object to store for ``obj`` under its type (None if undeclared): its
     values a tuple, each time normalized by ``to_utc_ms`` and each value
@@ -319,22 +330,12 @@ class OcedLog:
 
     def add_object(self, obj: ObjectInstance) -> None:
         self._own()
-        if not isinstance(obj.id, str):   # the writer encodes each id as a JSON string
-            raise SchemaError(f"object id must be a string: {obj.id!r}")
-        if not obj.id:
-            raise SchemaError("empty object id")
-        if obj.id in self._objects:
-            raise SchemaError(f"duplicate object id: {obj.id!r}")
+        _check_new_id(obj.id, self._objects, "object")
         self._objects[obj.id] = _stored_object(obj, self._object_types.get(obj.type))
 
     def add_event(self, event: EventInstance) -> None:
         self._own()
-        if not isinstance(event.id, str):   # the writer encodes each id as a JSON string
-            raise SchemaError(f"event id must be a string: {event.id!r}")
-        if not event.id:
-            raise SchemaError("empty event id")
-        if event.id in self._events:
-            raise SchemaError(f"duplicate event id: {event.id!r}")
+        _check_new_id(event.id, self._events, "event")
         self._events[event.id] = _stored_event(event, self._event_types.get(event.type))
         self._order = self._traces = None
 
@@ -885,11 +886,12 @@ def _read_writer_layout(lines: Iterable[str]) -> OcedLog | None:
     holds no raw line break, so every one in the frame is structural, and the
     C scanner of ``json.loads`` parses each record's line.
 
-    A mismatch with the frame, or text the scanner or the decoder rejects,
-    gives None. A record defect raises only once the rest of the frame is
-    read, its records dropped unbuilt, and holds to the end: a later break,
-    such as a syntax error or a repeated top-level key (``json.loads`` keeps
-    the last), gives None too."""
+    A mismatch with the frame, text the scanner or the decoder rejects, or a
+    record defect gives None. The caller then parses the text whole, which
+    raises a record defect with the same message and JSON path, as both build
+    the log through ``_add_records``, unless a later break, such as a syntax
+    error or a repeated top-level key (``json.loads`` keeps the last), makes
+    it another error or none."""
     scan_once = json.JSONDecoder().scan_once   # per read: no two threads share its key memo
     lines = iter(lines)
 
@@ -920,17 +922,10 @@ def _read_writer_layout(lines: Iterable[str]) -> OcedLog | None:
         expect("{\n")
         object_types = list(records("objectTypes", "],\n"))
         event_types = list(records("eventTypes", "],\n"))
-        objects, events = records("objects", "],\n"), records("events", "]\n")
-        try:
-            log = _add_records(_typed_log(object_types, event_types), objects, events)
-        except (OcelDocumentError, SchemaError):
-            for _ in chain(objects, events):   # the rest of the frame, read but not built
-                pass
-            if closes():
-                raise
-            return None
+        log = _add_records(_typed_log(object_types, event_types),
+                           records("objects", "],\n"), records("events", "]\n"))
         return log if closes() else None
-    except (ValueError, RecursionError):   # UnicodeDecodeError too
+    except (ValueError, RecursionError, OcelDocumentError, SchemaError):   # UnicodeDecodeError too
         return None
 
 
@@ -938,10 +933,11 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     """Parse an OCEL 2.0 JSON document from a path or open file.
 
     Text in ``write_ocel_json``'s layout from a path or a seekable file is
-    read in one pass (``_read_writer_layout``); any other text is read again
-    whole from where the read began, and a file that cannot seek is read
-    whole first. The log, or the error with its message and JSON path, is
-    the same either way. A path is opened once, with universal newlines as
+    read in one pass (``_read_writer_layout``); any other text, and such text
+    with a defect, is read again whole from where the read began, and a file
+    that cannot seek is read whole first. So every error, with its message
+    and JSON path, comes from the whole parse, and the log is the same
+    either way. A path is opened once, with universal newlines as
     in ``Path.read_text``. Text that is not UTF-8 raises ``OcelDocumentError``
     at the position a whole read gives; any other failure to read, such as
     a closed file, propagates unchanged.

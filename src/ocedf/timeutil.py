@@ -39,22 +39,12 @@ def as_utc(dt: datetime) -> datetime:
 def parse_iso(text: str) -> datetime:
     """Parse an ISO-8601 timestamp; a trailing ``Z`` is accepted for UTC.
 
-    Fast path: when ``datetime.fromisoformat`` reads ``text`` as it is, in
-    UTC and whole milliseconds (as ``format_iso`` writes it), that very
-    datetime is returned, since normalizing it would return it too. Any other
-    text, a failure of that parse included, is stripped, a ``Z``/``z`` suffix
-    read as ``+00:00``, parsed by the same ``fromisoformat`` and normalized
-    by ``to_utc_ms``, so every result and error is what that path gives. A
-    ``text`` that is not a ``str`` raises ``DataError``."""
-    try:
-        dt = datetime.fromisoformat(text)
-    except TypeError:   # the argument is no str
-        raise DataError(f"timestamp {text!r} is not a string") from None
-    except ValueError:
-        pass
-    else:
-        if dt.tzinfo is timezone.utc and not dt.microsecond % 1000:
-            return dt
+    ``text`` is stripped, a ``Z``/``z`` suffix read as ``+00:00``, parsed by
+    ``datetime.fromisoformat`` and normalized by ``to_utc_ms``, which returns
+    a time already in UTC and whole milliseconds (as ``format_iso`` writes
+    it) as it is. A ``text`` that is not a ``str`` raises ``DataError``."""
+    if not isinstance(text, str):
+        raise DataError(f"timestamp {text!r} is not a string")
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"

@@ -971,6 +971,9 @@ def event_block_cases(draw):
     rules += draw(st.lists(st.sampled_from(ID_COLUMN_EVENT_RULES), min_size=1 - len(rules), max_size=1))
     rules = draw(st.permutations(rules))
     mappings = [{**rule, "time_format": fmt} for rule in rules]
+    for mapping in mappings:   # a fixed activity equal to its matrix row, not that string itself
+        if "activity" in mapping:
+            mapping["activity"] = _fresh(mapping["activity"])
     sources = {"rows": _table_of("rows", ["ts", "action", "eid", "a"], rows, draw(st.booleans()))}
     return mappings, sources, draw(st.sampled_from([1, 2, 3, 7]))
 
@@ -986,6 +989,8 @@ def test_event_blocks_match_the_reference_runners(case):
     if log is not None:
         for event in log.events.values():
             assert ocel._stored_event(event, log._event_types[event.type]) is event
+            # the matrix's own string, for a padded or copied cell and a fixed activity alike
+            assert any(event.type is activity for activity in spec.xmatrix.activities)
 
 
 def _plain_rows(n, sep=" "):

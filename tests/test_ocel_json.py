@@ -1071,26 +1071,31 @@ def test_fixtures_read_as_parsed_whole(fixture, request):
     (_set(["events", 0, "type"], "undeclared"), "events[0]"),
     (_set(["events", 0, "relationships", 0, "objectId"], "nope"), "events[0].relationships[0]"),
 ], ids=["object", "O2O", "event", "E2O"])
-def test_a_defect_in_the_writer_layout_is_built_once(edit, path, monkeypatch):
-    """A record defect in text of the writer's layout raises from the one
-    pass that builds the log: the text is never parsed whole."""
+def test_a_defect_in_the_writer_layout_is_raised_by_the_whole_parse(edit, path, monkeypatch):
+    """A record defect in text of the writer's layout ends the one pass
+    (``_read_writer_layout`` gives None), and the whole parse raises it with
+    the message and path ``ocel_from_dict`` gives; both builds run with the
+    GC paused, and the caller's GC state is restored."""
     doc = copy.deepcopy(BASE_DOCUMENT)
     edit(doc)
-    builds = []
+    text = _layout(doc)
+    with pytest.raises(OcelDocumentError) as want:
+        ocel_from_dict(ocel._load_document(text))
+    assert want.value.path == path
     add_records = ocel._add_records
+    for source in (io.StringIO(text), _Unseekable(text)):
+        builds = []
 
-    def spy(*args):
-        builds.append(gc.isenabled())
-        return add_records(*args)
+        def spy(*args):
+            builds.append(gc.isenabled())
+            return add_records(*args)
 
-    monkeypatch.setattr(ocel, "_add_records", spy)
-    monkeypatch.setattr(ocel, "_load_document", None)
-    monkeypatch.setattr(ocel, "ocel_from_dict", None)
-    with pytest.raises(OcelDocumentError) as err:
-        read_ocel_json(io.StringIO(_layout(doc)))
-    assert err.value.path == path
-    assert builds == [False]
-    assert gc.isenabled()
+        monkeypatch.setattr(ocel, "_add_records", spy)
+        with pytest.raises(OcelDocumentError) as err:
+            read_ocel_json(source)
+        assert (str(err.value), err.value.path) == (str(want.value), path)
+        assert builds == [False, False]
+        assert gc.isenabled()
 
 
 def _undeclared_first(section):

@@ -1,6 +1,6 @@
 """``to_utc_ms`` against the two-step normalization it replaced,
 ``parse_with_format`` against ``strptime`` alone, and ``parse_iso`` against
-its path without the fast path."""
+a reference written out here."""
 
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -193,12 +193,12 @@ def test_parse_block_matches_parse_with_format_on_drawn_blocks(texts, fmt):
     _assert_parse_block_agrees(texts, fmt)
 
 
-# -- parse_iso's fast path against the path it skips ----------------------------
+# -- parse_iso against its reference ------------------------------------------
 
 
 def reference_parse_iso(text: str) -> datetime:
-    """``parse_iso`` without its fast path: reject a value that is not a
-    ``str``, strip, read a ``Z``/``z`` suffix as ``+00:00``, parse, normalize."""
+    """The reference for ``parse_iso``: reject a value that is not a ``str``,
+    strip, read a ``Z``/``z`` suffix as ``+00:00``, parse, normalize."""
     if not isinstance(text, str):
         raise DataError(f"timestamp {text!r} is not a string")
     cleaned = text.strip()
@@ -265,21 +265,6 @@ def test_parse_iso_names_a_value_that_is_not_a_string(value):
     with pytest.raises(DataError) as err:
         parse_iso(value)
     assert str(err.value) == f"timestamp {value!r} is not a string"
-
-
-@pytest.mark.parametrize("text, fast", [
-    ("2024-09-02T10:00:00.123+00:00", True),
-    ("2024-09-02T10:00:00Z", True),
-    ("2024-09-02T10:00:00.123456+00:00", False),   # sub-millisecond digits
-    ("2024-09-02T12:00:00+02:00", False),
-    ("2024-09-02T10:00:00", False),                 # naive
-    (" 2024-09-02T10:00:00+00:00", False),
-    ("2024-09-02T10:00:00z", False),
-])
-def test_parse_iso_fast_path_only_for_a_normalized_time(text, fast):
-    with mock.patch.object(timeutil, "to_utc_ms", wraps=to_utc_ms) as spy:
-        parse_iso(text)
-    assert spy.called is not fast
 
 
 @pytest.mark.parametrize("text, want", [
