@@ -3,13 +3,16 @@
 
     python3 scripts/scale_ladder.py [--students 400 2000 10000] [--seed 3]
         [--src DIR [DIR ...]] [--label NAME [NAME ...]] [--out BENCH_scale.json]
-        [--work DIR]
+        [--work DIR] [--wide]
 
-Each course is built once by ``benchmark/course.py`` with the given seed.
-Then ``load_source`` (every table of the course), ``extract``,
-``write_ocel_json``, ``read_ocel_json``, ``verify`` (``derive_matrix``
-and ``check``, as ``ocedf verify`` runs them) and ``analyze`` (the
-sequence of ``analyze_pass`` in ``benchmark/run.py``: drill-down, roll-up,
+Each course is built once from ``benchmark/course.py``'s parameters with
+the given seed. With ``--wide`` its exam is graded for the whole cohort at
+once (``exam_batches=[students]``, where the benchmark's course has batches
+of 60), so one event is related to every student. Then ``load_source``
+(every table of the course), ``extract``, ``write_ocel_json``,
+``read_ocel_json``, ``verify`` (``derive_matrix`` and ``check``, as
+``ocedf verify`` runs them) and ``analyze`` (the sequence of
+``analyze_pass`` in ``benchmark/run.py``: drill-down, roll-up,
 filter, unfold, two DFGs and their DOT, flatten and stats) each run in a
 child process of their own, one child at a time, started with
 ``subprocess.run``. A child runs the stages before its own untimed, so the
@@ -55,18 +58,23 @@ raw seconds: their children took turns under the same host, while the two
 probes of one child can be far apart, so scaled seconds may invert the raw
 order. Compare scaled seconds only across separate runs.
 
+The ``extract`` child also records the report's seconds of each of the
+three phases (``phase_seconds``, keyed by phase number).
+
 The ladder adds seconds and peak RSS per event (the events of the course)
 and, for each stage, its seconds per event at the largest course over those
 at the smallest. The run, labelled ``--label`` with the measured checkout's
 git commit, whether its tracked files differ from that commit (``dirty``;
-both null for a tree outside a git checkout, such as a ``git archive``)
-and the Python version, replaces the run of the same label in ``--out``
-and keeps the others, so one file holds a before and an after.
+both null for a tree outside a git checkout, such as a ``git archive``),
+whether the course was wide (``wide``) and the Python version, replaces
+the run of the same label in ``--out`` and keeps the others, so one file
+holds a before and an after.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import json
@@ -142,7 +150,7 @@ def run_stage(stage: str, course: Path, log_path: Path, trace_memory: bool) -> d
     spec = specmodel.parse_spec(course / "spec.json")
     steps = {
         "load": lambda state: {"sources": load(spec)},
-        "extract": lambda state: {"log": extraction.extract(spec, state.pop("sources"))[0]},
+        "extract": lambda state: dict(zip(("log", "extraction"), extraction.extract(spec, state.pop("sources")))),
         "write": lambda state: ocel.write_ocel_json(state["log"], log_path),
         "read": lambda state: {"log": ocel.read_ocel_json(log_path)},
         "verify": lambda state: {"report": verification.check(
@@ -190,17 +198,24 @@ def run_stage(stage: str, course: Path, log_path: Path, trace_memory: bool) -> d
         result["read_over_json_loads"] = seconds / result["json_loads_seconds"]
         result["warm_read_seconds"] = min(warm)
         result["warm_read_over_json_loads"] = result["warm_read_seconds"] / result["json_loads_seconds"]
+    if stage == "extract":
+        result["phase_seconds"] = {str(p): s for p, s in state["extraction"].phase_seconds.items()}
     if "log" in state:
         result["events"] = len(state["log"].events)
     return result
 
 
-def build_course(out_dir: Path, students: int, seed: int) -> dict:
-    """Build the course and count its source rows."""
+def build_course(out_dir: Path, students: int, seed: int, wide: bool = False) -> dict:
+    """Build the course and count its source rows. A wide course grades
+    the whole cohort's exam at once: one event related to every student."""
     sys.path.insert(0, str(ROOT / "benchmark"))
     import course   # noqa: E402  (benchmark/course.py)
 
-    course.build(out_dir, students, seed)
+    params = course.course_params(students, seed)
+    if wide:
+        params["exam_batches"] = [students]
+    with contextlib.redirect_stdout(sys.stderr):   # the generator's row count would end the child's stdout
+        course.generate_fixtures.build_course(out_dir, **params)
     rows = 0
     for table in (out_dir / "sources").glob("*.csv"):
         with table.open(newline="", encoding="utf-8") as fh:
@@ -228,13 +243,14 @@ def _git(src: Path, *args: str) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def measure_course(students: int, seed: int, srcs: list[Path], work: Path) -> list[dict]:
+def measure_course(students: int, seed: int, srcs: list[Path], work: Path, wide: bool) -> list[dict]:
     """Build one course, then measure each stage on it for each tree in
     ``srcs``, one child at a time, the trees taking turns; one entry per tree."""
     course = work / f"course-{students}-seed{seed}"
     shutil.rmtree(course, ignore_errors=True)
     started = perf_counter()
-    built = _child(["--build", str(course), "--students", str(students), "--seed", str(seed)], srcs[0])
+    built = _child(["--build", str(course), "--students", str(students), "--seed", str(seed),
+                    *["--wide"] * wide], srcs[0])
     build_seconds = perf_counter() - started
     entries = [{"students": students, "build_seconds": build_seconds, **built, "stages": {}} for _ in srcs]
     logs = [course / f"tree{i}-{LOG_NAME}" for i in range(len(srcs))]
@@ -270,10 +286,10 @@ def measure_course(students: int, seed: int, srcs: list[Path], work: Path) -> li
 
 
 def run_ladder(students: list[int], seed: int, srcs: list[Path], labels: list[str],
-               work: Path) -> list[dict]:
+               work: Path, wide: bool = False) -> list[dict]:
     """One labelled run per tree in ``srcs``, measured course by course."""
     work.mkdir(parents=True, exist_ok=True)
-    per_course = [measure_course(n, seed, srcs, work) for n in sorted(students)]
+    per_course = [measure_course(n, seed, srcs, work, wide) for n in sorted(students)]
     if not any(work.iterdir()):
         work.rmdir()
     runs = []
@@ -288,6 +304,7 @@ def run_ladder(students: list[int], seed: int, srcs: list[Path], labels: list[st
             "python": platform.python_version(),
             "machine": {"cpus": os.cpu_count(), "platform": platform.platform()},
             "seed": seed,
+            "wide": wide,
             "courses": courses,
             "per_event_growth": {
                 "from_to": [smallest["students"], largest["students"]],
@@ -315,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
     parser.add_argument("--work", type=Path, default=ROOT / ".scale_work",
                         help="where courses are built; each is removed once measured")
+    parser.add_argument("--wide", action="store_true",
+                        help="grade the whole cohort's exam in one event, related to every student")
     # child modes
     parser.add_argument("--build", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--stage", choices=STAGES, help=argparse.SUPPRESS)
@@ -323,14 +342,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace-memory", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.build:
-        print(json.dumps(build_course(args.build, args.students[0], args.seed)))
+        print(json.dumps(build_course(args.build, args.students[0], args.seed, args.wide)))
         return 0
     if args.stage:
         print(json.dumps(run_stage(args.stage, args.course, args.log, args.trace_memory)))
         return 0
     if len(args.label) != len(args.src) or len(set(args.label)) != len(args.label):
         parser.error("give one distinct --label per --src")
-    runs = run_ladder(args.students, args.seed, [src.resolve() for src in args.src], args.label, args.work)
+    runs = run_ladder(args.students, args.seed, [src.resolve() for src in args.src], args.label, args.work,
+                      args.wide)
     for run in runs:
         write_run(args.out, run)
         print(f"{run['label']}:")
@@ -338,6 +358,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{entry['students']} students, {entry['events']} events: " + ", ".join(
                 f"{stage} {m['seconds']:.3f} s ({m['seconds_per_event'] * 1e6:.1f} µs/event, "
                 f"{m['scaled_seconds']:.3f} s scaled)" for stage, m in entry["stages"].items()))
+            phases = entry["stages"]["extract"]["phase_seconds"]
+            print("  extract by phase: " + ", ".join(f"{phase} {s:.3f} s" for phase, s in phases.items()))
             read = entry["stages"]["read"]
             print(f"  read over a bare json.loads: {read['read_over_json_loads']:.2f}x cold, "
                   f"{read['warm_read_over_json_loads']:.2f}x warm")

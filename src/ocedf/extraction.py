@@ -11,8 +11,13 @@ its table's rows in turn (``_Pipeline._run_*_rule``), counted in the
 ``_Pipeline._end_phase`` stores each phase's relations as ``relate_*`` would
 have. An event rule stores ``EVENT_BLOCK_ROWS`` rows per step; a block that
 fails a check is read again row by row only to raise the error of its first
-failing row (``_Pipeline._defect``). With ``--log-level info`` each rule
-logs one line with its row counts, seconds and rows per second.
+failing row (``_Pipeline._defect``). E2O rules that phase 3 runs one after
+another over one table with synthesized event ids form a run (``_run_key``),
+stored by column when bulk checks prove that the row loop would skip no row
+but for an empty object cell; otherwise each of its rules goes through the
+row loop, nothing stored before (``_Pipeline._run_e2o_run``). With
+``--log-level info`` each rule logs one line with its row counts, seconds
+and rows per second.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import csv
 import logging
 import time as _time
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat
+from itertools import chain, combinations, compress, count, groupby, islice, repeat
+from operator import is_
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -233,6 +239,13 @@ class _Cells(dict):
         return rel
 
 
+def _run_key(indexed_rule: tuple[int, E2ORule]) -> int | str:
+    """What E2O rules of one run share: their table, if their event ids are
+    synthesized. A rule with an event-id column is a run of its own."""
+    index, rule = indexed_rule
+    return index if rule.event_id_column else rule.source_table
+
+
 class _Pipeline:
     def __init__(self, spec: ProjectSpec, sources: Mapping[str, SourceTable], on_dangling: str):
         if on_dangling not in ("skip", "fail"):
@@ -304,8 +317,12 @@ class _Pipeline:
         for phase, kinds in ((1, ObjectRule), (2, (O2ORule, EventRule)), (3, E2ORule)):
             log.info("extraction phase %d", phase)
             phase_started = _time.perf_counter()
-            for index, rule in enumerate(self.spec.mappings):
-                if isinstance(rule, kinds):
+            rules = [(index, rule) for index, rule in enumerate(self.spec.mappings) if isinstance(rule, kinds)]
+            if phase == 3:
+                for _, run in groupby(rules, _run_key):
+                    self._run_e2o_run([*run])
+            else:
+                for index, rule in rules:
                     self._run_rule(index, phase, rule)
             self._end_phase(phase)
             self.report.phase_seconds[phase] = _time.perf_counter() - phase_started
@@ -332,11 +349,15 @@ class _Pipeline:
         run = RuleRun(index, phase, rule.kind, rule.source_table, rows_in=table.row_count)
         started = _time.perf_counter()
         getattr(self, f"_run_{rule.kind}_rule")(index, rule, table, run)
-        run.seconds = seconds = _time.perf_counter() - started
+        self._record(run, _time.perf_counter() - started)
+
+    def _record(self, run: RuleRun, seconds: float) -> None:
+        """Count a rule's loaded rows, enter its run in the report and log one line."""
+        run.seconds = seconds
         run.rows_loaded = run.rows_in - run.rows_skipped   # a row neither loaded nor skipped raised
         self.report.rule_runs.append(run)
         log.info("rule %d (%s, table %s): %d rows in, %d loaded, %d skipped, %.3f s, %.0f rows/s",
-                 index, run.kind, run.source_table, run.rows_in, run.rows_loaded,
+                 run.rule_index, run.kind, run.source_table, run.rows_in, run.rows_loaded,
                  run.rows_skipped, seconds, run.rows_in / seconds if seconds > 0 else 0)
 
     def _run_object_rule(self, index: int, rule: ObjectRule, table: SourceTable, run: RuleRun) -> None:
@@ -465,6 +486,67 @@ class _Pipeline:
                 run.skip(i, "duplicate o2o relation")
                 continue
             rels.add(rel)
+
+    def _run_e2o_run(self, rules: list[tuple[int, E2ORule]]) -> None:
+        """Collect the pairs of a run of E2O rules (``_run_key``) by column
+        if bulk checks prove that the row loop would skip no row but for an
+        empty object cell and raise nothing, and otherwise run each rule
+        through ``_run_rule``.
+
+        Each rule's object column is resolved once, by ``map`` over its
+        ``_Cells``. The checks, at C level with no Python step per row, are:
+        no resolved object dangles; each synthesized id is the id of its
+        stored event, that very string; no pair is collected yet for these
+        events; and no row gives one pair twice, which only rules of one
+        qualifier can. A row's pairs are then its resolved cells without the
+        empty ones, and one ``update`` collects every row's, so the order in
+        which the rules ran cannot show. Nothing is stored before the checks
+        pass, so a run that fails one, or a rule with an event-id column,
+        gives exactly what the row loop gives.
+
+        Each rule still gets its own ``RuleRun``, log line and timing, in
+        rule order: its seconds are its own column's resolving, check and
+        counts, plus an equal share of the joint checks and the store. A run
+        that falls back counts its failed checks in the phase's seconds only."""
+        started = _time.perf_counter()
+        runs = None if rules[0][1].event_id_column else self._column_runs(rules)
+        if runs is None:
+            for index, rule in rules:
+                self._run_rule(index, 3, rule)
+            return
+        joint = (_time.perf_counter() - started - sum(run.seconds for run in runs)) / len(runs)
+        for run in runs:
+            self._record(run, run.seconds + joint)
+
+    def _column_runs(self, rules: list[tuple[int, E2ORule]]) -> list[RuleRun] | None:
+        """The run's rule runs, each with its own seconds, once its pairs are
+        collected; None, with nothing collected, if a check fails."""
+        table = self._table(*rules[0])
+        columns, runs, of_qualifier = [], [], {}
+        for index, rule in rules:
+            started = _time.perf_counter()
+            if not isinstance(rule.qualifier, str) or rule.object_id_column not in table.header:
+                return None   # the row loop raises the rule's error in its turn
+            column = [*map(self._cells(index, rule.qualifier).__getitem__, table.column(rule.object_id_column))]
+            if any(type(rel) is str and rel for rel in {*column}):
+                return None   # a dangling object
+            run = RuleRun(index, 3, rule.kind, rule.source_table, rows_in=table.row_count)
+            if empty := column.count(""):
+                run.rows_skipped, run.skipped["empty object id"] = empty, [empty, column.index("")]
+            columns.append(column)
+            of_qualifier.setdefault(rule.qualifier, []).append(column)
+            runs.append(run)
+            run.seconds = _time.perf_counter() - started
+        ids, events = self._synthesized_ids(rules[0][1], table), self.log._events
+        # a pair is one tuple per qualifier, so a row repeats one where two of its columns hold it
+        if not (all(map(is_, map(getattr, map(events.get, ids), repeat("id"), repeat(None)), ids))
+                and self._rels.keys().isdisjoint(ids)
+                and not any(any(compress(a, map(is_, a, b)))
+                            for same in of_qualifier.values() for a, b in combinations(same, 2))):
+            return None
+        pairs = [*map(tuple, map(filter, repeat(None), zip(*columns)))]
+        self._rels.update(compress(zip(ids, pairs), pairs))
+        return runs
 
     def _run_e2o_rule(self, index: int, rule: E2ORule, table: SourceTable, run: RuleRun) -> None:
         """Collect each event's pairs, unsorted until the phase ends: in a

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import errno
 import io
+import logging
 import os
 import tracemalloc
 from datetime import datetime, timezone
@@ -907,13 +908,19 @@ def test_extract_matches_the_reference_runners(case):
     spec = parse_spec(tiny_spec_doc(mappings))
     got, log = _outcome(extract, spec, sources, policy)
     assert got == _outcome(reference_extract, spec, sources, policy)[0]
-    if log is None:
-        return
-    for event in log.events.values():   # stored as add_event would store it
+    if log is not None:
+        _assert_stored_and_shared(log)
+
+
+def _assert_stored_and_shared(log):
+    """Each event is stored as ``add_event`` would store it, each relation's
+    key is its owner's own id string, and equal pairs, O2O or E2O, are one
+    tuple, each sorted tuple of pairs holding its other end's own id."""
+    for event in log.events.values():
         assert type(event) is EventInstance and type(event.attribute_values) is tuple
         assert all(type(pair) is tuple and len(pair) == 2 for pair in event.attribute_values)
         assert ocel._stored_event(event, log._event_types[event.type]) is event
-    shared = {}   # each stored pair to the first tuple holding it: equal pairs, O2O or E2O, are one
+    shared = {}   # each stored pair to the first tuple holding it
     for by_key, owners in ((log._e2o_by_event, log.events), (log._o2o_by_source, log.objects)):
         for key, rels in by_key.items():
             assert key is owners[key].id
@@ -938,7 +945,7 @@ BLOCK_ACTION_DEFECTS = ["", " ", "login", " view page ", "view  page"]
 BLOCK_ID_DEFECTS = ["", " ", "rows:0", "rows:5"]   # "rows:N" is a synthesized id
 SYNTHESIZING_EVENT_RULES = [   # a spec has at most one per table
     {"kind": "event", "source_table": "rows", "activity_column": "action", "time_column": "ts"},
-    {"kind": "event", "source_table": "rows", "activity": "view page", "time_column": "ts"},
+    {"kind": "event", "source_table": "rows", "activity": "view page", "time_column": "ts", "time_format": PLAIN},
 ]
 ID_COLUMN_EVENT_RULES = [
     {"kind": "event", "source_table": "rows", "activity_column": "action", "id_column": "eid",
@@ -1146,3 +1153,152 @@ def test_an_event_costs_in_proportion_to_its_relations():
         return min(runs)
 
     assert e2o_seconds(32_000) < 24 * e2o_seconds(4_000)
+
+
+# -- E2O runs: rules over one table with synthesized ids, stored by column --------
+
+RUN_RULES = [   # over "rows", whose event ids are synthesized: "rows:N" is row N's event
+    {"kind": "e2o", "source_table": "rows", "object_id_column": column, "qualifier": qualifier}
+    for column in ("a", "b", "c") for qualifier in ("actor", "course", "")
+]
+NAMING_RULES = [   # over "links", naming "rows:N" events by their ids
+    {"kind": "e2o", "source_table": "links", "event_id_column": "eid", "object_id_column": "a",
+     "qualifier": qualifier} for qualifier in ("actor", "")
+]
+RUN_CELLS = ["u1", "u2", "c1", " u1 ", "u2 ", "", "  "]
+
+
+@st.composite
+def column_run_cases(draw):
+    """(mappings, sources, policy): a run of 1-4 E2O rules over ``rows``,
+    their qualifiers shared or distinct, with rules over ``links`` naming
+    ``rows:N`` events before and after it, and maybe a later rule over
+    ``rows`` that is not next to the run. Cells are empty, blank, padded or
+    dangling; one row may name an object in two columns. ``rows`` may have
+    its own event rule, and ``links`` one whose explicit ids are ``rows:N``
+    when ``rows`` has none."""
+    cells = RUN_CELLS + ["ghost"] * draw(st.booleans())
+    rows = draw(st.lists(st.lists(st.sampled_from(cells), min_size=3, max_size=3), max_size=6))
+    if rows and draw(st.booleans()):   # one object named in two columns of one row
+        row = draw(st.sampled_from(rows))
+        row[1] = draw(st.sampled_from([row[0], f" {row[0]}"]))
+    own, named = draw(st.booleans()), draw(st.booleans())
+    eids = draw(st.permutations([f"rows:{i}" for i in range(len(rows))] + ["e9"]))
+    eids = eids if draw(st.booleans()) else eids[:draw(st.integers(0, len(eids)))]   # all or some
+    links = [[draw(st.sampled_from([eid, f" {eid}"])), draw(st.sampled_from(cells))] for eid in eids]
+    if links and (own or not named):   # repeated pairs, where no event rule reads these ids
+        links += draw(st.lists(st.sampled_from(links), max_size=2))
+    sources = {
+        "users": table("users", ["uid", "name", "role"], [["u1", "Ann", "Student"], ["u2", "Bo", ""]]),
+        "courses": table("courses", ["cid", "name"], [["c1", "Modeling"]]),
+        "rows": _table_of("rows", ["a", "b", "c", "ts"], [[*row, "2024-09-02 10:00:00"] for row in rows],
+                          draw(st.booleans())),
+        "links": table("links", ["eid", "a", "ts"], [[*row, "2024-09-02 11:00:00"] for row in links]),
+    }
+    event_rules = [{"kind": "event", "source_table": "rows", "activity": "view page", "time_column": "ts",
+                    "time_format": PLAIN}] * own
+    if named and not own:   # explicit ids "rows:N": events the run's synthesized ids name
+        event_rules.append({"kind": "event", "source_table": "links", "activity": "view page",
+                            "id_column": "eid", "time_column": "ts", "time_format": PLAIN})
+    others = lambda: draw(st.lists(st.sampled_from(NAMING_RULES), max_size=2))
+    run = draw(st.lists(st.sampled_from(RUN_RULES), min_size=1, max_size=4))
+    middle = draw(st.lists(st.sampled_from(NAMING_RULES), max_size=1))
+    later = draw(st.lists(st.sampled_from(RUN_RULES), max_size=1))
+    mappings = [OBJECT_RULES[0], OBJECT_RULES[2], *event_rules, *others(), *run, *middle, *later, *others()]
+    return mappings, sources, draw(st.sampled_from(["skip", "fail"]))
+
+
+@given(case=column_run_cases())
+@settings(max_examples=300, deadline=None)
+def test_column_runs_match_the_reference_runners(case):
+    mappings, sources, policy = case
+    spec = parse_spec(tiny_spec_doc(mappings))
+    got, log = _outcome(extract, spec, sources, policy)
+    assert got == _outcome(reference_extract, spec, sources, policy)[0]
+    if log is not None:
+        _assert_stored_and_shared(log)
+
+
+@pytest.fixture
+def row_loop_rules(monkeypatch):
+    """The index of each rule that ``extract`` sends through the E2O row
+    loop, in order, recorded by a spy on ``_Pipeline._run_e2o_rule``."""
+    indexes, row_loop = [], extraction._Pipeline._run_e2o_rule
+    monkeypatch.setattr(extraction._Pipeline, "_run_e2o_rule",
+                        lambda self, index, *args: indexes.append(index) or row_loop(self, index, *args))
+    return indexes
+
+
+LMS_RULES = [   # the user, page, file, folder and course columns of an LMS log
+    {"kind": "e2o", "source_table": "rows", "object_id_column": column, "qualifier": qualifier}
+    for column, qualifier in (("user", "viewer"), ("page", "viewed"), ("file", "viewed"),
+                              ("folder", "viewed"), ("course", "course"))
+]
+
+
+def _lms_case(defect=None):
+    """(spec, sources) of an LMS log over more than 3 x ``CHUNK_ROWS`` rows,
+    each row viewing one of a page, file or folder, some ids padded, and two
+    rules over ``more``; ``defect`` puts one fault in the ``rows`` run."""
+    n = 3 * CHUNK_ROWS + 5
+    objects = [[f"u{k}", "", ""] for k in range(8)]
+    rows = [[f"u{i % 5}", "", "", "", " c1" if i % 7 else "c1", "2024-09-02 10:00:00"] for i in range(n)]
+    for i, row in enumerate(rows):
+        row[1 + i % 3] = f"u{5 + i % 3}" if i % 4 else f" u{5 + i % 3} "
+    links = []
+    if defect == "dangling":
+        rows[2 * CHUNK_ROWS][3] = "ghost"
+    elif defect == "duplicate":   # one object viewed as page and file in one row
+        rows[CHUNK_ROWS][1:3] = ["u5", "u5 "]
+    elif defect == "collected":   # row 3's viewer, related before the run
+        links = [["rows:3", "u3"]]
+    sources = {
+        "users": table("users", ["uid", "name", "role"], objects),
+        "courses": table("courses", ["cid", "name"], [["c1", "Modeling"]]),
+        "rows": table("rows", ["user", "page", "file", "folder", "course", "ts"], rows),
+        "links": table("links", ["eid", "uid"], links),
+        "more": table("more", ["uid", "ts"], [["u1", "2024-09-02 11:00:00"], ["", "2024-09-02 12:00:00"]]),
+    }
+    spec = parse_spec(tiny_spec_doc([
+        OBJECT_RULES[0], OBJECT_RULES[2],
+        {"kind": "event", "source_table": "rows", "activity": "view page", "time_column": "ts", "time_format": PLAIN},
+        {"kind": "event", "source_table": "more", "activity": "view page", "time_column": "ts", "time_format": PLAIN},
+        {"kind": "e2o", "source_table": "links", "event_id_column": "eid", "object_id_column": "uid",
+         "qualifier": "viewer"},
+        *LMS_RULES,
+        {"kind": "e2o", "source_table": "more", "object_id_column": "uid", "qualifier": "viewer"},
+        {"kind": "e2o", "source_table": "more", "object_id_column": "uid", "qualifier": ""},
+    ]))
+    return spec, sources
+
+
+def test_a_clean_run_never_enters_the_row_loop(row_loop_rules, caplog):
+    """A clean run of five rules is stored by column, and still gives each
+    rule its own report entry, ``info`` line and timing, in rule order."""
+    spec, sources = _lms_case()
+    got, log = _outcome(extract, spec, sources, "skip")
+    assert row_loop_rules == [4]   # only the rule with an event-id column
+    assert got == _outcome(reference_extract, spec, sources, "skip")[0]
+    _assert_stored_and_shared(log)
+    caplog.set_level(logging.INFO, logger="ocedf.extraction")
+    report = extract(spec, sources)[1].to_dict()
+    assert [r["rule"] for r in report["rules"]] == [t["rule"] for t in report["timings"]["rules"]] == [*range(12)]
+    assert all(t["seconds"] > 0 for t in report["timings"]["rules"][5:])
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rule ")]
+    assert [line.split(" (")[0] for line in lines] == [f"rule {i}" for i in range(12)]
+
+
+@pytest.mark.parametrize("policy", ["skip", "fail"])
+@pytest.mark.parametrize("defect", ["dangling", "duplicate", "collected"])
+def test_a_faulty_run_goes_to_the_row_loop_alone(defect, policy, row_loop_rules):
+    """One dangling cell, duplicate pair or pair collected before sends
+    every rule of its run, and no other run, through the row loop, which
+    gives the reference's report or error."""
+    spec, sources = _lms_case(defect)
+    got = _outcome(extract, spec, sources, policy)[0]
+    assert got == _outcome(reference_extract, spec, sources, policy)[0]
+    if defect == "dangling" and policy == "fail":
+        assert got == (DataError, "mappings[8] row 112: e2o references unknown object 'ghost'")
+        assert row_loop_rules == [4, 5, 6, 7, 8]
+    else:
+        assert row_loop_rules == [4, 5, 6, 7, 8, 9]

@@ -1,5 +1,6 @@
 """Smoke tests of ``scripts/scale_ladder.py`` on a course of 20 students."""
 
+import csv
 import importlib.util
 import json
 import subprocess
@@ -12,7 +13,7 @@ _spec = importlib.util.spec_from_file_location("scale_ladder", SCRIPT)
 scale_ladder = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scale_ladder)
 
-RUN_KEYS = {"label", "commit", "dirty", "python", "machine", "seed", "courses", "per_event_growth"}
+RUN_KEYS = {"label", "commit", "dirty", "python", "machine", "seed", "wide", "courses", "per_event_growth"}
 COURSE_KEYS = {"students", "build_seconds", "events", "source_rows", "ocel_json_bytes", "stages"}
 STAGE_KEYS = {"seconds", "seconds_runs", "scaled_seconds", "seconds_per_event", "gc_seconds",
               "gc_collections", "rss_before_mb", "peak_rss_mb", "peak_rss_bytes_per_event"}
@@ -25,7 +26,7 @@ def test_ladder_writes_every_key(tmp_path):
                    check=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
     run, = json.loads(out.read_text(encoding="utf-8"))["runs"]
     assert set(run) == RUN_KEYS
-    assert (run["label"], run["seed"], run["python"]) == ("smoke", 3, sys.version.split()[0])
+    assert (run["label"], run["seed"], run["python"], run["wide"]) == ("smoke", 3, sys.version.split()[0], False)
     course, = run["courses"]
     assert set(course) == COURSE_KEYS and course["students"] == 20
     assert course["events"] > 0 and course["source_rows"] > 0 and course["ocel_json_bytes"] > 0
@@ -34,12 +35,16 @@ def test_ladder_writes_every_key(tmp_path):
         traced = {"tracemalloc_peak_mb"} if stage in scale_ladder.TRACED_STAGES else set()
         loads = {"json_loads_seconds", "read_over_json_loads", "warm_read_seconds",
                  "warm_read_over_json_loads"} if stage == "read" else set()
-        assert set(measured) == STAGE_KEYS | traced | loads, stage
+        phases = {"phase_seconds"} if stage == "extract" else set()
+        assert set(measured) == STAGE_KEYS | traced | loads | phases, stage
         assert measured["seconds"] > 0 and measured["peak_rss_mb"] >= measured["rss_before_mb"] > 0
         assert measured["scaled_seconds"] > 0
         assert measured["seconds_per_event"] == measured["seconds"] / course["events"]
         runs = measured["seconds_runs"]
         assert len(runs) == scale_ladder.TIMING_RUNS and measured["seconds"] == sorted(runs)[len(runs) // 2]
+    extract = course["stages"]["extract"]   # the median run's seconds of each phase
+    assert list(extract["phase_seconds"]) == ["1", "2", "3"]
+    assert 0 < sum(extract["phase_seconds"].values()) < extract["seconds"]
     read = course["stages"]["read"]
     assert read["json_loads_seconds"] > 0
     assert read["read_over_json_loads"] == read["seconds"] / read["json_loads_seconds"]
@@ -63,11 +68,11 @@ def test_two_trees_take_turns_and_each_gets_its_run(tmp_path):
     out, work = tmp_path / "BENCH_scale.json", tmp_path / "work"
     src = str(SCRIPT.parent.parent / "src")
     subprocess.run([sys.executable, str(SCRIPT), "--students", "20", "--seed", "3", "--src", src, src,
-                    "--label", "before-smoke", "after-smoke", "--out", str(out), "--work", str(work)],
+                    "--label", "before-smoke", "after-smoke", "--out", str(out), "--work", str(work), "--wide"],
                    check=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
     before, after = json.loads(out.read_text(encoding="utf-8"))["runs"]
     assert (before["label"], after["label"]) == ("before-smoke", "after-smoke")
-    assert set(before) == set(after) == RUN_KEYS
+    assert set(before) == set(after) == RUN_KEYS and before["wide"] is after["wide"] is True
     (course_before,), (course_after,) = before["courses"], after["courses"]
     for key in ("students", "build_seconds", "source_rows", "events", "ocel_json_bytes"):
         assert course_before[key] == course_after[key], key   # one course, the same code
@@ -76,6 +81,22 @@ def test_two_trees_take_turns_and_each_gets_its_run(tmp_path):
         for measured in course["stages"].values():
             assert len(measured["seconds_runs"]) == scale_ladder.TIMING_RUNS
     assert not work.exists()
+
+
+def test_a_wide_course_grades_the_exam_in_one_event(tmp_path):
+    """``--wide`` changes only the exam batches: one exam-grade event for
+    the whole cohort, where the benchmark's course has one per 60 students."""
+    def exam_grading(wide):
+        out = tmp_path / f"wide-{wide}"
+        scale_ladder.build_course(out, 130, 3, wide)
+        read = lambda name: list(csv.reader((out / "sources" / name).open(encoding="utf-8")))[1:]
+        others = {p.name: p.read_bytes() for p in (out / "sources").glob("*.csv") if "exam_grade" not in p.name}
+        return read("exam_grades.csv"), read("exam_grade_students.csv"), others
+
+    (batches, graded, others), (wide_batches, wide_graded, wide_others) = map(exam_grading, (False, True))
+    assert len(batches) == 3 and len(wide_batches) == 1 and others == wide_others
+    assert sorted(s for _, s in graded) == sorted(s for _, s in wide_graded) and len(wide_graded) == 130
+    assert {e for e, _ in wide_graded} == {wide_batches[0][0]}
 
 
 def _fake_child(calls):
