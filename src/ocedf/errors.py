@@ -14,27 +14,27 @@ class SchemaError(OcedfError):
     """
 
 
-class SpecError(OcedfError):
+class _LocatedError(OcedfError):
+    """An error at ``path`` inside a document, which prefixes the message."""
+
+    def __init__(self, message: str, path: str = ""):
+        self.path = path
+        super().__init__(f"{path}: {message}" if path else message)
+
+
+class SpecError(_LocatedError):
     """A project spec document is malformed or fails cross-validation.
 
     ``path`` points at the offending location inside the document,
     e.g. ``extraction_matrix.rows['view file'].User``.
     """
 
-    def __init__(self, message: str, path: str = ""):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
 
-
-class OcelDocumentError(OcedfError):
+class OcelDocumentError(_LocatedError):
     """An OCEL JSON document cannot be parsed into a valid log.
 
     ``path`` is the JSON path of the offending entry, e.g. ``events[3]``.
     """
-
-    def __init__(self, message: str, path: str = ""):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
 
 
 class DataError(OcedfError):

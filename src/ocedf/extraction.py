@@ -200,6 +200,8 @@ def load_source(path: str | Path, table_name: str) -> SourceTable:
         raise DataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
     return SourceTable(table_name, header, tuple(map(tuple, chunks)), row_count)
 
 
@@ -552,21 +554,16 @@ class _Pipeline:
         """Collect each event's pairs, unsorted until the phase ends: in a
         tuple, grown by one, while it holds fewer than ``WIDE_EVENT``, and in
         a set after that, so a row of a wide event neither rescans nor copies
-        the pairs before it. A pair already collected is a duplicate. Rows
-        with an empty object-id cell, often most of a wide table's, are
-        skipped by ``run.skip`` at the first, which enters the reason at its
-        place; the rest are counted in a local and added once."""
+        the pairs before it. A pair already collected is a duplicate. A row
+        with an empty object-id cell is skipped as ``"empty object id"``."""
         object_col, event_col = rule.object_id_column, rule.event_id_column
         _require_columns(index, table, [object_col, event_col or ""])
         resolve = self._cells(index, rule.qualifier).__getitem__
         ids = map(str.strip, table.column(event_col)) if event_col else self._synthesized_ids(rule, table)
         events, by_event = self.log.events, self._rels
-        empty = 0
         for i, (rel, eid) in enumerate(zip(map(resolve, table.column(object_col)), ids)):
             if not rel:
-                if not empty:
-                    run.skip(i, "empty object id")
-                empty += 1
+                run.skip(i, "empty object id")
                 continue
             if not eid:
                 run.skip(i, "empty event id")
@@ -589,9 +586,6 @@ class _Pipeline:
                 rels.add(rel)
             else:
                 by_event[eid] = {*rels, rel}
-        if empty > 1:
-            run.rows_skipped += empty - 1
-            run.skipped["empty object id"][0] += empty - 1
 
 
 def extract(spec: ProjectSpec, sources: Mapping[str, SourceTable],

@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-import re
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -874,8 +873,8 @@ def _load_document(text: str | bytes) -> Any:
         raise OcelDocumentError("malformed JSON: nested too deeply") from None
 
 
-def _read_writer_layout(lines: Iterable[str]) -> OcedLog | None:
-    """The log of the text of ``lines``, each with its ``\\n``, if it has
+def _read_writer_layout(fh: IO[str]) -> OcedLog | None:
+    """The log of the text of the file ``fh``, from its position, if it has
     ``write_ocel_json``'s layout, built as each line is read, each record
     dropped once stored, so neither the text nor its parsed document is ever
     held whole; otherwise None.
@@ -893,7 +892,7 @@ def _read_writer_layout(lines: Iterable[str]) -> OcedLog | None:
     error or a repeated top-level key (``json.loads`` keeps the last), makes
     it another error or none."""
     scan_once = json.JSONDecoder().scan_once   # per read: no two threads share its key memo
-    lines = iter(lines)
+    lines = iter(fh)
 
     def expect(line: str) -> None:
         if next(lines, None) != line:
@@ -934,8 +933,8 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
 
     Text in ``write_ocel_json``'s layout from a path or a seekable file is
     read in one pass (``_read_writer_layout``); any other text, and such text
-    with a defect, is read again whole from where the read began, and a file
-    that cannot seek is read whole first. So every error, with its message
+    with a defect, is read again whole from where the read began. A file that
+    cannot seek is read and parsed whole. So every error, with its message
     and JSON path, comes from the whole parse, and the log is the same
     either way. A path is opened once, with universal newlines as
     in ``Path.read_text``. Text that is not UTF-8 raises ``OcelDocumentError``
@@ -956,13 +955,7 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
                 if log := _read_writer_layout(fh):
                     return log
                 fh.seek(start)
-                text = fh.read()
-            else:
-                text = fh.read()
-                # "." matches all but "\n", so each match is one line with its "\n"
-                lines = map(re.Match.group, re.finditer(".*\n?", text)) if isinstance(text, str) else ()
-                if log := _read_writer_layout(lines):
-                    return log
+            text = fh.read()
         doc = _load_document(text)
         del text   # the document alone builds the log
         return ocel_from_dict(doc)

@@ -55,17 +55,11 @@ def parse_iso(text: str) -> datetime:
 
 
 def parse_with_format(text: str, fmt: str) -> datetime:
-    """Parse with a strftime pattern; naive results are assumed UTC.
-
-    With ``fmt`` ``%Y-%m-%d %H:%M:%S`` a stripped ``text`` of its plain shape
-    (``2024-09-02 10:00:00``) is read by ``_plain_block``, which gives what
-    ``strptime`` gives there. Any other text or format, and a field out of
-    range there, goes to ``strptime``, so every error carries its message."""
-    cleaned = text.strip()
-    if fmt == _PLAIN_SECONDS and (whens := _plain_block([cleaned])):
-        return whens[0]
+    """Parse the stripped ``text`` with a strftime pattern by ``strptime``;
+    naive results are assumed UTC. A block of cells is read by
+    ``parse_block``, which skips ``strptime`` for the plain format."""
     try:
-        return to_utc_ms(datetime.strptime(cleaned, fmt))
+        return to_utc_ms(datetime.strptime(text.strip(), fmt))
     except ValueError as exc:
         raise DataError(f"unparseable timestamp {text!r} for format {fmt!r}: {exc}") from None
 

@@ -140,6 +140,17 @@ class TestExitCodes:
         assert err.startswith(f"error: {users}: not UTF-8 text: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_malformed_source_csv_is_a_data_error(self, tmp_path, capsys):
+        sources = tmp_path / "sources"
+        shutil.copytree(CONF_SOURCES, sources)
+        courses = sources / "courses.csv"
+        courses.write_text("course_id,name\ncrs-bpm," + "x" * 131_073 + "\n", encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run(["extract", "--spec", CONF_SPEC, "--source-dir", str(sources), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {courses}: malformed CSV at line 2: field larger than field limit (131072)\n"
+        assert not out.exists()
+
     def test_negative_edge_threshold(self, tmp_path):
         assert run(["dfg", "--log", "x.json", "--object-types", "User",
                     "--min-edge-freq", "-1", "--out", str(tmp_path / "o.dot")]) == 1

@@ -222,7 +222,10 @@ class TestLoadSource:
         # a ragged row raises before text past the reader's first 8 KiB is decoded
         (b"a,b\nx\n" + (b"y," + b"z" * 300 + b"\n") * 40 + b"\xff,x\n",
          "{p}: ragged row at data row 0: expected 2 cells, found 1"),
-    ], ids=["ragged", "repeated-header", "empty", "not-utf8", "missing", "ragged-before-not-utf8"])
+        (b"a,b\nx,y\nx," + b"z" * 131_073 + b"\n",
+         "{p}: malformed CSV at line 3: field larger than field limit (131072)"),
+    ], ids=["ragged", "repeated-header", "empty", "not-utf8", "missing", "ragged-before-not-utf8",
+            "malformed-csv"])
     def test_error_messages(self, tmp_path, content, message):
         p = tmp_path / "t.csv"
         if content is not None:
