@@ -59,7 +59,11 @@ probes of one child can be far apart, so scaled seconds may invert the raw
 order. Compare scaled seconds only across separate runs.
 
 The ``extract`` child also records the report's seconds of each of the
-three phases (``phase_seconds``, keyed by phase number).
+three phases (``phase_seconds``, keyed by phase number), and the
+``analyze`` child the seconds of each of its operations (``op_seconds``,
+keyed by operation: ``discover_dfg_unfolded`` is the DFG of the unfolded
+log, whose traces it builds, and ``discover_dfg_log`` the DFG of the read
+log, over the four types).
 
 The ladder adds seconds and peak RSS per event (the events of the course)
 and, for each stage, its seconds per event at the largest course over those
@@ -138,14 +142,23 @@ def run_stage(stage: str, course: Path, log_path: Path, trace_memory: bool) -> d
         return sources
 
     def analyze(log):
-        drilled = analysis.drill_down(log, "User")
-        rolled = analysis.roll_up(drilled, {"Student", "Teacher"}, "User")
-        pages = analysis.filter_log(rolled, keep_event_types={"view page"})
-        unfolded = analysis.unfold_events(pages, "view page", "Page", "code")
-        dfg = analysis.discover_dfg(unfolded, {"User", "Course"})
-        return (drilled, rolled, pages, unfolded, dfg, analysis.to_dot(dfg, 5),
-                analysis.discover_dfg(log, {"User", "Course", "File", "Page"}),
-                analysis.flatten(log, "User"), analysis.stats(log))
+        op_seconds = {}
+
+        def timed(name, op, *args, **kwargs):
+            started = perf_counter()
+            out = op(*args, **kwargs)
+            op_seconds[name] = perf_counter() - started
+            return out
+
+        drilled = timed("drill_down", analysis.drill_down, log, "User")
+        rolled = timed("roll_up", analysis.roll_up, drilled, {"Student", "Teacher"}, "User")
+        pages = timed("filter_log", analysis.filter_log, rolled, keep_event_types={"view page"})
+        unfolded = timed("unfold_events", analysis.unfold_events, pages, "view page", "Page", "code")
+        dfg = timed("discover_dfg_unfolded", analysis.discover_dfg, unfolded, {"User", "Course"})
+        outputs = (drilled, rolled, pages, unfolded, dfg, timed("to_dot", analysis.to_dot, dfg, 5),
+                   timed("discover_dfg_log", analysis.discover_dfg, log, {"User", "Course", "File", "Page"}),
+                   timed("flatten", analysis.flatten, log, "User"), timed("stats", analysis.stats, log))
+        return {"outputs": outputs, "op_seconds": op_seconds}   # outputs kept alive to the end
 
     spec = specmodel.parse_spec(course / "spec.json")
     steps = {
@@ -155,7 +168,7 @@ def run_stage(stage: str, course: Path, log_path: Path, trace_memory: bool) -> d
         "read": lambda state: {"log": ocel.read_ocel_json(log_path)},
         "verify": lambda state: {"report": verification.check(
             verification.derive_matrix(state["log"], spec.xmatrix, spec.schema), spec.xmatrix)},
-        "analyze": lambda state: {"outputs": analyze(state["log"])},   # kept alive to the end
+        "analyze": lambda state: analyze(state["log"]),
     }
     state: dict = {}
     if STAGES.index(stage) <= STAGES.index("write"):
@@ -200,6 +213,8 @@ def run_stage(stage: str, course: Path, log_path: Path, trace_memory: bool) -> d
         result["warm_read_over_json_loads"] = result["warm_read_seconds"] / result["json_loads_seconds"]
     if stage == "extract":
         result["phase_seconds"] = {str(p): s for p, s in state["extraction"].phase_seconds.items()}
+    if stage == "analyze":
+        result["op_seconds"] = state["op_seconds"]
     if "log" in state:
         result["events"] = len(state["log"].events)
     return result
@@ -360,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{m['scaled_seconds']:.3f} s scaled)" for stage, m in entry["stages"].items()))
             phases = entry["stages"]["extract"]["phase_seconds"]
             print("  extract by phase: " + ", ".join(f"{phase} {s:.3f} s" for phase, s in phases.items()))
+            ops = entry["stages"]["analyze"]["op_seconds"]
+            print("  analyze by operation: " + ", ".join(f"{op} {s:.3f} s" for op, s in ops.items()))
             read = entry["stages"]["read"]
             print(f"  read over a bare json.loads: {read['read_over_json_loads']:.2f}x cold, "
                   f"{read['warm_read_over_json_loads']:.2f}x warm")

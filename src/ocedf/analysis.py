@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import SchemaError
@@ -148,14 +148,15 @@ def stats(log: OcedLog, discriminator_attr: str = "role") -> str:
     discriminator attribute are additionally bucketed by its latest value,
     e.g. ``User: 24 distinct (Student: 23, Teacher: 1)``.
     """
-    object_counts = Counter(obj.type for obj in log.objects.values())
-    event_counts = Counter(event.type for event in log.events.values())
+    traces, type_of = log._object_traces(), attrgetter("type")
+    object_counts = Counter(map(type_of, log.objects.values()))
+    event_counts = Counter(map(type_of, log.events.values()))
     related = defaultdict(Counter)   # event type -> object type -> distinct objects
     labels = defaultdict(Counter)    # (event type, object type) -> label -> objects
     for oid, obj in log.objects.items():
         label = obj.latest_value(discriminator_attr)
         labelled = isinstance(label, str) and label
-        for etype in {event.type for event in log.events_of_object(oid)}:
+        for etype in set(map(type_of, traces.get(oid, ()))):
             related[etype][obj.type] += 1
             if labelled:
                 labels[etype, obj.type][label] += 1
@@ -264,12 +265,13 @@ def unfold_events(log: OcedLog, event_type: str, by_object_type: str,
     _check_declared([by_object_type], {td.name for td in log.object_type_defs}, "object type")
 
     objects, by_event = log.objects, log._e2o_by_event
+    of_type = {oid for oid, obj in objects.items() if obj.type == by_object_type}
     named = {}   # object id -> its label, or None without a string name: each worked out once
     labels = {}
     for event in log._event_order():
         if event.type != event_type:
             continue
-        related = {oid for oid, _ in by_event.get(event.id, ()) if objects[oid].type == by_object_type}
+        related = of_type.intersection(map(itemgetter(0), by_event.get(event.id, ())))
         if not related:
             continue
         if len(related) > 1:
@@ -295,21 +297,38 @@ def discover_dfg(log: OcedLog, object_types: Iterable[str]) -> Dfg:
 
     Every object contributes one edge per adjacent pair of its
     time-ordered trace; the first and last event types of non-empty
-    traces feed the start/end frequencies.
+    traces feed the start/end frequencies. Each of a type's four dicts
+    keeps its keys in first-seen order: the objects in the log's order,
+    each trace by (time, event id).
     """
     requested = sorted(set(object_types))
     _check_declared(requested, {td.name for td in log.object_type_defs}, "object type")
 
-    # per type: node, edge, start and end counts, each in first-seen order
-    counts = {t: (Counter(), Counter(), Counter(), Counter()) for t in requested}
-    for obj in log.objects.values():
-        if obj.type in counts and (trace := [e.type for e in log.events_of_object(obj.id)]):
-            nodes, edges, starts, ends = counts[obj.type]
-            nodes.update(trace)
-            edges.update(zip(trace, trace[1:]))
-            starts[trace[0]] += 1
-            ends[trace[-1]] += 1
-    return Dfg({t: TypeDfg(*map(dict, c)) for t, c in counts.items()})
+    # per type, each adjacent pair of every object's walk: None, its trace's types, None
+    walks = {t: Counter() for t in requested}
+    traces, type_of = log._object_traces(), attrgetter("type")
+    for oid, obj in log.objects.items():
+        if (pairs := walks.get(obj.type)) is not None and (trace := traces.get(oid)):
+            walk = [None, *map(type_of, trace), None]
+            pairs.update(zip(walk, walk[1:]))
+    return Dfg({t: _type_dfg(pairs) for t, pairs in walks.items()})
+
+
+def _type_dfg(pairs: Counter) -> TypeDfg:
+    """A type's graph from the counts of its walks' pairs: ``(None, a)`` starts
+    at ``a``, ``(a, None)`` ends there, any other pair is an edge, and each
+    trace entry starts exactly one pair."""
+    dfg = TypeDfg()
+    for (a, b), n in pairs.items():
+        if a is None:
+            dfg.start_frequencies[b] = n
+            continue
+        dfg.nodes[a] = dfg.nodes.get(a, 0) + n
+        if b is None:
+            dfg.end_frequencies[a] = n
+        else:
+            dfg.edges[a, b] = n
+    return dfg
 
 
 def to_dot(dfg: Dfg, min_edge_frequency: int = 0) -> str:

@@ -283,9 +283,9 @@ class OcedLog:
     traces (per object, its distinct stored events in that order) are built
     on first use and rebound to None by the methods that change them. A
     derived log takes its input's two only with its input's own events dict
-    (``_derived``). Every per-object walk goes through ``events_of_object``,
-    but ``analysis.flatten`` hands the trace tuples of ``_object_traces``
-    over as they are: the log rebinds its traces and never mutates one. Two
+    (``_derived``). ``analysis.flatten``, ``discover_dfg`` and ``stats`` read
+    the trace tuples of ``_object_traces`` as they are, and ``flatten`` hands
+    them over: the log rebinds its traces and never mutates one. Two
     threads making that first query at once compute equal values, so a
     finished log is safe to share across threads."""
 

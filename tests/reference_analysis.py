@@ -1,7 +1,9 @@
 """The log rebuild that drill-down, roll-up, unfold and filter used before
 derived logs shared their input's instances: every object, event and
 relation goes through ``add_*``/``relate_*`` again. Also ``flatten`` as it
-was before it handed over the stored traces: one ``FlatRow`` per trace entry.
+was before it handed over the stored traces: one ``FlatRow`` per trace entry;
+and ``discover_dfg`` and ``stats`` as they were before they read the stored
+trace tuples: one ``events_of_object`` copy per object.
 
 Kept as the reference for the differential tests in ``test_derived_logs.py``
 and ``test_analysis.py``.
@@ -9,11 +11,12 @@ and ``test_analysis.py``.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from datetime import datetime, timezone
 from typing import Iterable
 
-from ocedf import (AttributeDef, AttributeValue, EventTypeDef, FlatRow, ObjectTypeDef, OcedLog,
-                   SchemaError)
+from ocedf import (AttributeDef, AttributeValue, Dfg, EventTypeDef, FlatRow, ObjectTypeDef, OcedLog,
+                   SchemaError, TypeDfg)
 
 _ROLLUP_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -242,3 +245,57 @@ def unfold_events(log: OcedLog, event_type: str, by_object_type: str,
 
     return _rebuild(log.object_type_defs, out_defs, log.objects.values(),
                     relabeled, log.e2o, log.o2o)
+
+
+def discover_dfg(log: OcedLog, object_types: Iterable[str]) -> Dfg:
+    """Directly-follows graph per object type.
+
+    Every object contributes one edge per adjacent pair of its
+    time-ordered trace; the first and last event types of non-empty
+    traces feed the start/end frequencies.
+    """
+    requested = sorted(set(object_types))
+    _check_declared(requested, {td.name for td in log.object_type_defs}, "object type")
+
+    # per type: node, edge, start and end counts, each in first-seen order
+    counts = {t: (Counter(), Counter(), Counter(), Counter()) for t in requested}
+    for obj in log.objects.values():
+        if obj.type in counts and (trace := [e.type for e in log.events_of_object(obj.id)]):
+            nodes, edges, starts, ends = counts[obj.type]
+            nodes.update(trace)
+            edges.update(zip(trace, trace[1:]))
+            starts[trace[0]] += 1
+            ends[trace[-1]] += 1
+    return Dfg({t: TypeDfg(*map(dict, c)) for t, c in counts.items()})
+
+
+def stats(log: OcedLog, discriminator_attr: str = "role") -> str:
+    """Human-readable object/event tallies.
+
+    Lists object counts per type and, per event type, the event count and
+    the number of distinct related objects per type. Objects carrying the
+    discriminator attribute are additionally bucketed by its latest value,
+    e.g. ``User: 24 distinct (Student: 23, Teacher: 1)``.
+    """
+    object_counts = Counter(obj.type for obj in log.objects.values())
+    event_counts = Counter(event.type for event in log.events.values())
+    related = defaultdict(Counter)   # event type -> object type -> distinct objects
+    labels = defaultdict(Counter)    # (event type, object type) -> label -> objects
+    for oid, obj in log.objects.items():
+        label = obj.latest_value(discriminator_attr)
+        labelled = isinstance(label, str) and label
+        for etype in {event.type for event in log.events_of_object(oid)}:
+            related[etype][obj.type] += 1
+            if labelled:
+                labels[etype, obj.type][label] += 1
+
+    lines = [f"objects: {len(log.objects)} total"]
+    lines += [f"  {otype}: {n}" for otype, n in sorted(object_counts.items())]
+    lines.append(f"events: {len(log.events)} total")
+    for etype, n in sorted(event_counts.items()):
+        lines.append(f"  {etype}: {n}")
+        for otype, distinct in sorted(related.get(etype, {}).items()):
+            bucket = labels.get((etype, otype))
+            suffix = f" ({', '.join(f'{k}: {v}' for k, v in sorted(bucket.items()))})" if bucket else ""
+            lines.append(f"    {otype}: {distinct} distinct{suffix}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -26,11 +27,12 @@ from ocedf import (
     flatten,
     read_ocel_json,
     roll_up,
+    stats,
     to_dot,
     unfold_events,
     write_ocel_json,
 )
-from randlog import random_log
+from randlog import QUALIFIERS, random_log
 
 T0 = datetime(2024, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
 
@@ -495,3 +497,81 @@ def test_page_navigation_loop_structure(case_study):
         assert edges[(f"view page {a}", f"view page {b}")] >= 100
     for a, b in [("A1P5", "A1P6"), ("A1P6", "L1P1"), ("L1P1", "A1P5")]:
         assert edges[(f"view page {a}", f"view page {b}")] >= 1
+
+
+def _widened(log, rng):
+    """``log`` rebuilt with one more object type, ``Idle``, that has no
+    objects; one event related to one object under a second qualifier; and
+    one new object whose trace is a single event."""
+    out = ref._rebuild([*log.object_type_defs, ObjectTypeDef("Idle")], log.event_type_defs,
+                       log.objects.values(), log.events_in_order(), log.e2o, log.o2o)
+    if out.e2o:
+        rel = rng.choice(sorted(out.e2o))
+        qualifier = next(q for q in QUALIFIERS if not out.has_e2o(rel.event_id, rel.object_id, q))
+        out.relate_event_object(rel.event_id, rel.object_id, qualifier)
+    if out.events:
+        out.add_object(ObjectInstance("solo", rng.choice(log.object_type_defs).name, ()))
+        out.relate_event_object(rng.choice(sorted(out.events)), "solo", "")
+    return out
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args), None
+    except SchemaError as exc:
+        return None, str(exc)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), hierarchy=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_trace_walks_match_the_per_object_copies(seed, hierarchy):
+    """``discover_dfg``, ``stats`` and ``unfold_events`` against the code that
+    copied each object's trace through ``events_of_object``: every dict of
+    every graph in the same order, the same text and the same errors."""
+    rng = random.Random(seed)
+    log = _widened(random_log(rng, max_events=120, max_objects=60, with_user_hierarchy=hierarchy), rng)
+    types = [td.name for td in log.object_type_defs]
+    for requested in (types, rng.sample(types, rng.randint(0, len(types))), ["Idle"]):
+        got, want = discover_dfg(log, requested), ref.discover_dfg(log, requested)
+        assert list(got.per_type) == list(want.per_type)
+        for t, graph in got.per_type.items():
+            for name in ("nodes", "edges", "start_frequencies", "end_frequencies"):
+                assert list(getattr(graph, name).items()) == list(getattr(want.per_type[t], name).items())
+    for attr in ("role", "name", "a0"):
+        assert stats(log, attr) == ref.stats(log, attr)
+
+    event_types = [td.name for td in log.event_type_defs]
+    related = Counter((rel.event_id, rel.object_id) for rel in log.e2o)
+    pairs = [(log.events[eid].type, log.objects[oid].type) for (eid, oid), n in related.items() if n > 1]
+    pairs += [(rng.choice(event_types), rng.choice(types)) for _ in range(3)]
+    for event_type, object_type in pairs:
+        attr = rng.choice(["role", "name", "a0", "a1"])
+        got, got_error = _outcome(unfold_events, log, event_type, object_type, attr)
+        want, want_error = _outcome(ref.unfold_events, log, event_type, object_type, attr)
+        assert got_error == want_error
+        assert got_error is not None or got.structurally_equal(want)
+
+
+def test_dfg_and_stats_read_the_stored_traces(monkeypatch):
+    """Neither copies a trace through ``events_of_object``, and the two
+    together build the log's traces once."""
+    log = random_log(random.Random(5), max_events=80, max_objects=30, with_user_hierarchy=True)
+    copies, builds = [], []
+    events_of_object, object_traces = OcedLog.events_of_object, OcedLog._object_traces
+
+    def copy_spy(self, object_id):
+        copies.append(object_id)
+        return events_of_object(self, object_id)
+
+    def build_spy(self):
+        if self._traces is None:
+            builds.append(self)
+        return object_traces(self)
+
+    monkeypatch.setattr(OcedLog, "events_of_object", copy_spy)
+    monkeypatch.setattr(OcedLog, "_object_traces", build_spy)
+    types = [td.name for td in log.object_type_defs]
+    discover_dfg(log, types)
+    stats(log)
+    discover_dfg(log, types[:1])
+    assert copies == [] and builds == [log]

@@ -590,8 +590,8 @@ class TestDanglingPolicy:
           "e2o references unknown object": [1, 2]}),
     ])
     def test_skip_reasons_listed_in_first_row_order(self, links, expected):
-        """Empty object-id cells are counted apart from the other reasons and
-        still listed at their first row's place among them."""
+        """Empty object-id cells are skipped row by row, as the other reasons
+        are, and listed at their first row's place among them."""
         mappings = list(BASE_MAPPINGS) + [
             {"kind": "e2o", "source_table": "links", "event_id_column": "eid",
              "object_id_column": "uid", "qualifier": "reader"},

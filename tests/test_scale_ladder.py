@@ -36,7 +36,8 @@ def test_ladder_writes_every_key(tmp_path):
         loads = {"json_loads_seconds", "read_over_json_loads", "warm_read_seconds",
                  "warm_read_over_json_loads"} if stage == "read" else set()
         phases = {"phase_seconds"} if stage == "extract" else set()
-        assert set(measured) == STAGE_KEYS | traced | loads | phases, stage
+        ops = {"op_seconds"} if stage == "analyze" else set()
+        assert set(measured) == STAGE_KEYS | traced | loads | phases | ops, stage
         assert measured["seconds"] > 0 and measured["peak_rss_mb"] >= measured["rss_before_mb"] > 0
         assert measured["scaled_seconds"] > 0
         assert measured["seconds_per_event"] == measured["seconds"] / course["events"]
@@ -45,6 +46,12 @@ def test_ladder_writes_every_key(tmp_path):
     extract = course["stages"]["extract"]   # the median run's seconds of each phase
     assert list(extract["phase_seconds"]) == ["1", "2", "3"]
     assert 0 < sum(extract["phase_seconds"].values()) < extract["seconds"]
+    analyze = course["stages"]["analyze"]   # the median run's seconds of each operation
+    assert list(analyze["op_seconds"]) == ["drill_down", "roll_up", "filter_log", "unfold_events",
+                                           "discover_dfg_unfolded", "to_dot", "discover_dfg_log",
+                                           "flatten", "stats"]
+    assert all(s > 0 for s in analyze["op_seconds"].values())
+    assert sum(analyze["op_seconds"].values()) < analyze["seconds"]
     read = course["stages"]["read"]
     assert read["json_loads_seconds"] > 0
     assert read["read_over_json_loads"] == read["seconds"] / read["json_loads_seconds"]
