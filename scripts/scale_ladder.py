@@ -67,12 +67,13 @@ log, over the four types).
 
 The ladder adds seconds and peak RSS per event (the events of the course)
 and, for each stage, its seconds per event at the largest course over those
-at the smallest. The run, labelled ``--label`` with the measured checkout's
-git commit, whether its tracked files differ from that commit (``dirty``;
-both null for a tree outside a git checkout, such as a ``git archive``),
-whether the course was wide (``wide``) and the Python version, replaces
-the run of the same label in ``--out`` and keeps the others, so one file
-holds a before and an after.
+at the smallest (``per_event_growth``), and the same ratio for each of the
+analyze child's operations (``analyze_op_growth``). The run, labelled
+``--label`` with the measured checkout's git commit, whether its tracked
+files differ from that commit (``dirty``; both null for a tree outside a
+git checkout, such as a ``git archive``), whether the course was wide
+(``wide``) and the Python version, replaces the run of the same label in
+``--out`` and keeps the others, so one file holds a before and an after.
 """
 
 from __future__ import annotations
@@ -326,6 +327,10 @@ def run_ladder(students: list[int], seed: int, srcs: list[Path], labels: list[st
                 **{stage: largest["stages"][stage]["seconds_per_event"]
                    / smallest["stages"][stage]["seconds_per_event"] for stage in STAGES},
             },
+            "analyze_op_growth": {
+                op: (seconds / largest["events"])
+                / (smallest["stages"]["analyze"]["op_seconds"][op] / smallest["events"])
+                for op, seconds in largest["stages"]["analyze"]["op_seconds"].items()},
         })
     return runs
 
@@ -383,6 +388,8 @@ def main(argv: list[str] | None = None) -> int:
         growth = run["per_event_growth"]
         print(f"per-event cost, {growth['from_to'][1]} over {growth['from_to'][0]} students: " + ", ".join(
             f"{stage} {growth[stage]:.2f}x" for stage in STAGES))
+        print("  analyze by operation: " + ", ".join(
+            f"{op} {ratio:.2f}x" for op, ratio in run["analyze_op_growth"].items()))
     return 0
 
 

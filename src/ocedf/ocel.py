@@ -2,8 +2,9 @@
 type definitions, instances and relations; ``OcedLog`` and ``relabel``; the
 writer (``write_ocel_json``, ``ocel_to_dict``); and the reader
 (``read_ocel_json``, ``ocel_from_dict``), which reads the writer's layout
-one line at a time (``_read_writer_layout``) and builds every record
-through one loop (``_add_records``)."""
+one line at a time (``_read_writer_layout``), scanning each distinct
+relationship entry's text once per read (``_Pairs.split``), and builds
+every record through one loop (``_add_records``)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
-from itertools import chain, compress, islice, starmap
+from itertools import chain, compress, islice, repeat, starmap
 from operator import attrgetter, eq, itemgetter, le, lt
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple
@@ -701,10 +702,10 @@ def ocel_from_dict(doc: Any) -> OcedLog:
     log = _typed_log(doc["objectTypes"], doc["eventTypes"])
     if not isinstance(doc["objects"], list) or not isinstance(doc["events"], list):
         raise OcelDocumentError("'objects' and 'events' must be lists")
-    return _add_records(log, doc["objects"], doc["events"])
+    return _add_records(log, doc["objects"], zip(doc["events"], repeat(None)), _Pairs(log._objects))
 
 
-def _add_records(log: OcedLog, objects: Iterable, events: Iterable) -> OcedLog:
+def _add_records(log: OcedLog, objects: Iterable, events: Iterable, pairs: _Pairs) -> OcedLog:
     """``log`` with the ``objects`` and ``events`` entries added in the order
     both readers share: each object, then the O2O relations of those that
     hold any, then each event added and related in turn; the first defect in
@@ -714,9 +715,16 @@ def _add_records(log: OcedLog, objects: Iterable, events: Iterable) -> OcedLog:
     event (a new non-empty string id, a declared type, ``"attributes": []``,
     a list of relationships, a time ``fromisoformat`` reads in UTC and whole
     ms) is stored here as ``add_event`` stores it; any other entry, or a
-    ``KeyError``, ``TypeError`` or ``ValueError`` reading it, goes to ``_add_event_entry``."""
+    ``KeyError``, ``TypeError`` or ``ValueError`` reading it, goes to ``_add_event_entry``.
+
+    ``events`` gives ``(entry, built)`` pairs. ``built`` is None, and the
+    entry's relationships are read as above, except for an event line that
+    the read of the writer's layout split (``_Pairs.split``): then the entry
+    holds no ``"relationships"`` key and ``built`` is the stored tuple of
+    the line's relationships, checked already, and stored as it is. So a
+    record never carries a stored tuple: ``ocel_from_dict`` passes each
+    entry with None, and a tuple in it is not a list."""
     related = [(i, entry) for i, entry in enumerate(objects) if _add_object_entry(log, i, entry)]
-    pairs = _Pairs(log._objects)
     for i, entry in related:
         source = log._objects[entry["id"]].id
         built = pairs.stored(entry["relationships"])
@@ -725,10 +733,10 @@ def _add_records(log: OcedLog, objects: Iterable, events: Iterable) -> OcedLog:
         else:
             log._o2o_by_source[source] = built
     stored, types, fromiso, utc = log._events, log._event_types, datetime.fromisoformat, timezone.utc
-    for i, entry in enumerate(events):
+    for i, (entry, built) in enumerate(events):
         try:
-            eid, tdef, rels = entry["id"], types[entry["type"]], entry["relationships"]
-            when = fromiso(entry["time"])
+            eid, tdef, when = entry["id"], types[entry["type"]], fromiso(entry["time"])
+            rels = entry["relationships"] if built is None else []   # a line's tuple, stored below
             plain = (type(eid) is str and eid and eid not in stored and entry["attributes"] == []
                      and type(rels) is list and when.tzinfo is utc and not when.microsecond % 1000)
         except (KeyError, TypeError, ValueError):
@@ -737,10 +745,10 @@ def _add_records(log: OcedLog, objects: Iterable, events: Iterable) -> OcedLog:
             stored[eid] = tuple.__new__(EventInstance, (eid, tdef.name, when, ()))
         else:
             rels, eid = _add_event_entry(log, i, entry), entry["id"]
-        if rels and (built := pairs.stored(rels)) is not None:
-            log._e2o_by_event[eid] = built
-        elif rels:
+        if rels and (built := pairs.stored(rels)) is None:
             _replay_relations("events", i, entry, log.relate_event_object)
+        if built:
+            log._e2o_by_event[eid] = built
     return log
 
 
@@ -812,19 +820,37 @@ def _add_event_entry(log: OcedLog, i: int, entry: Any) -> list:
     return rels
 
 
+# Where an event line of the writer's layout is cut (``_Pairs.split``).
+_ENTRIES_OPEN = ', "relationships": [{'
+
+
 class _Pairs(dict):
     """Per read: (objectId, qualifier) -> its stored pair, entered on first
     lookup if both parts are strings and the id names a stored object;
-    otherwise the lookup raises ``KeyError`` or ``TypeError``."""
+    otherwise the lookup raises ``KeyError`` or ``TypeError``. The read of
+    the writer's layout also looks up the text of a relationship entry, its
+    braces left out: it is entered on first lookup as the stored pair of the
+    entry that the text, wrapped in braces, scans to, when the scan ends at
+    the text's end. A ``str`` key never equals a pair's ``tuple`` key, and
+    every object is stored before any entry text is looked up, so a text met
+    before maps to its pair with no scan."""
 
-    def __init__(self, objects: Mapping[str, ObjectInstance]):
+    def __init__(self, objects: Mapping[str, ObjectInstance], scan_once=None):
         self.objects, self.object_qualifier, self.shared = objects, itemgetter("objectId", "qualifier"), {}
+        self.scan_once = scan_once
 
-    def __missing__(self, key: tuple[str, str]) -> tuple[str, str]:
-        target, qualifier = key
-        if not isinstance(target, str) or not isinstance(qualifier, str):
-            raise TypeError("objectId and qualifier must be strings")
-        pair = self[key] = (self.objects[target].id, qualifier)
+    def __missing__(self, key: tuple[str, str] | str) -> tuple[str, str]:
+        if type(key) is str:
+            rel, end = self.scan_once(f"{{{key}}}", 0)
+            if end != len(key) + 2:
+                raise ValueError("not one relationship entry")
+            pair = self[rel["objectId"], rel.get("qualifier", "")]
+        else:
+            target, qualifier = key
+            if not isinstance(target, str) or not isinstance(qualifier, str):
+                raise TypeError("objectId and qualifier must be strings")
+            pair = (self.objects[target].id, qualifier)
+        self[key] = pair
         return pair
 
     def stored(self, rels: list) -> tuple | None:
@@ -843,7 +869,46 @@ class _Pairs(dict):
             built = [self[rel["objectId"], rel.get("qualifier", "")] for rel in rels]
         except (KeyError, TypeError):
             return None
+        return self.shared_sorted(built)
+
+    def shared_sorted(self, built: list) -> tuple | None:
+        """``built``, stored pairs, as ``_shared_sorted`` gives them, or None if one repeats."""
         return _shared_sorted(built, self.shared) if len(set(built)) == len(built) else None
+
+    def split(self, line: str) -> tuple | None:
+        """``(head, built, tail)`` of an event line of the writer's layout,
+        or None. The line is cut at its first ``, "relationships": [{`` and
+        at its last ``}]}``: ``head`` is what the text before the first cut
+        scans to with a ``}`` added; ``built`` is the stored tuple of the
+        entries in between, whose texts the ``}, {`` between two entries
+        separate, each looked up by its text (``__missing__``); ``tail`` is
+        the text after the ``}]}``, which ``records`` checks as it checks the
+        tail of a line scanned whole.
+
+        It is sound by construction. It splits a line only when the head
+        scans to its very end to a non-empty object with no
+        ``"relationships"`` key, each entry text met for the first time
+        scans, wrapped in braces, to its own end, and no pair repeats. The
+        line up to its tail is then one JSON object, the head's members and
+        then ``"relationships"`` with those entries, since a JSON value ends
+        where its own text ends, whatever follows it; the head must not be
+        empty, as ``{, "relationships"`` is no JSON, though ``{}`` is. So
+        ``scan_once`` of the whole line would give that record and tail,
+        and ``stored`` that tuple. A line whose entries were all met before
+        scans only its head; any other line is scanned whole, as before."""
+        cut, close = line.find(_ENTRIES_OPEN), line.rfind("}]}")
+        if not 0 < cut < close:
+            return None
+        try:
+            head, end = self.scan_once(line[:cut] + "}", 0)
+            # not map(): out of it, a StopIteration of the scan would end the list early
+            built = [self[text] for text in line[cut + len(_ENTRIES_OPEN):close].split("}, {")]
+        except (StopIteration, ValueError, KeyError, TypeError):
+            return None
+        if end != cut + 1 or not head or "relationships" in head:
+            return None
+        built = self.shared.get(tuple(built)) or self.shared_sorted(built)
+        return None if built is None else (head, built, line[close + 3:])
 
 
 def _replay_relations(key: str, i: int, entry: dict, relate) -> None:
@@ -883,7 +948,12 @@ def _read_writer_layout(fh: IO[str]) -> OcedLog | None:
     in order, for each record (``,`` after all but the last) and for ``],``
     (``]`` after the events), then ``}`` and JSON whitespace. A JSON string
     holds no raw line break, so every one in the frame is structural, and the
-    C scanner of ``json.loads`` parses each record's line.
+    C scanner of ``json.loads`` parses each record's line. An event line is
+    first offered to ``_Pairs.split``, which scans its head, up to its
+    relationships, and looks each relationship entry up by its text, so an
+    entry text is scanned once per read and a line whose entries were all
+    met before scans only its head; a line it cannot prove reads as
+    ``scan_once`` reads it whole is scanned whole, as every other line is.
 
     A mismatch with the frame, text the scanner or the decoder rejects, or a
     record defect gives None. The caller then parses the text whole, which
@@ -898,18 +968,26 @@ def _read_writer_layout(fh: IO[str]) -> OcedLog | None:
         if next(lines, None) != line:
             raise ValueError("not in the writer's layout")
 
-    def records(key: str, closing: str) -> Iterator[Any]:
+    def records(key: str, closing: str, pairs: _Pairs | None = None) -> Iterator[Any]:
+        """The records of section ``key``, one a line. With ``pairs``, each
+        comes as ``(record, built)`` for ``_add_records``: a line that
+        ``pairs.split`` splits gives its head and stored tuple, any other
+        line its record scanned whole and None."""
         expect(f'"{key}": [\n')
         line, tail = next(lines, ""), ",\n"
         if line == closing:   # an empty section
             return
         while tail == ",\n":
-            try:
-                record, end = scan_once(line, 0)
-            except StopIteration:   # no value at the line's start; out of a generator a RuntimeError
-                raise ValueError(f"no JSON value in {line[:40]!r}") from None
-            yield record
-            tail, line = line[end:], next(lines, "")
+            if split := pairs is not None and pairs.split(line):
+                record, built, tail = split
+            else:
+                try:
+                    record, end = scan_once(line, 0)
+                except StopIteration:   # no value at the line's start; out of a generator a RuntimeError
+                    raise ValueError(f"no JSON value in {line[:40]!r}") from None
+                built, tail = None, line[end:]
+            yield record if pairs is None else (record, built)
+            line = next(lines, "")
         if tail != "\n" or line != closing:
             raise ValueError("not in the writer's layout")
 
@@ -921,8 +999,9 @@ def _read_writer_layout(fh: IO[str]) -> OcedLog | None:
         expect("{\n")
         object_types = list(records("objectTypes", "],\n"))
         event_types = list(records("eventTypes", "],\n"))
-        log = _add_records(_typed_log(object_types, event_types),
-                           records("objects", "],\n"), records("events", "]\n"))
+        log = _typed_log(object_types, event_types)
+        pairs = _Pairs(log._objects, scan_once)
+        log = _add_records(log, records("objects", "],\n"), records("events", "]\n", pairs), pairs)
         return log if closes() else None
     except (ValueError, RecursionError, OcelDocumentError, SchemaError):   # UnicodeDecodeError too
         return None
@@ -932,7 +1011,8 @@ def read_ocel_json(source: str | Path | IO[str]) -> OcedLog:
     """Parse an OCEL 2.0 JSON document from a path or open file.
 
     Text in ``write_ocel_json``'s layout from a path or a seekable file is
-    read in one pass (``_read_writer_layout``); any other text, and such text
+    read in one pass (``_read_writer_layout``), each distinct relationship
+    entry's text scanned once; any other text, and such text
     with a defect, is read again whole from where the read began. A file that
     cannot seek is read and parsed whole. So every error, with its message
     and JSON path, comes from the whole parse, and the log is the same

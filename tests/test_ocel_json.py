@@ -815,19 +815,25 @@ class TestGcPause:
     def test_paused_while_the_writer_layout_is_stored(self, monkeypatch):
         """Text in the writer's layout is built as it is scanned, never
         through ``ocel_from_dict``; the collector is off for each stored
-        record's relations too."""
+        record's relations too: a source's O2O ones (``_Pairs.stored``) and
+        an event line's E2O ones (``_Pairs.split``, which each event line
+        goes through)."""
         seen = []
-        stored = ocel._Pairs.stored
 
-        def spy(pairs, rels):
-            seen.append(gc.isenabled())
-            return stored(pairs, rels)
+        def spy(method):
+            def call(pairs, arg):
+                out = method(pairs, arg)
+                seen.append((method.__name__, gc.isenabled(), out is not None))
+                return out
+            return call
 
-        monkeypatch.setattr(ocel._Pairs, "stored", spy)
+        for name in ("stored", "split"):
+            monkeypatch.setattr(ocel._Pairs, name, spy(getattr(ocel._Pairs, name)))
         monkeypatch.setattr(ocel, "ocel_from_dict", None)
         log = read_ocel_json(io.StringIO(_text(awkward_log())))
         assert log.structurally_equal(awkward_log())
-        assert seen == [False] * 4   # two sources' O2O, then two events' E2O
+        # two sources' O2O, then the events e0 and é1 with E2O and e2 with none
+        assert seen == [("stored", False, True)] * 2 + [("split", False, True)] * 2 + [("split", False, False)]
         assert gc.isenabled()
 
 
@@ -1055,6 +1061,175 @@ def test_writer_layout_reads_as_parsed_whole(data):
     except ValueError:
         return
     assert_reads_as_reference(doc)   # the reader relation by relation, of the same document
+
+
+def _quoted(value) -> str:
+    return json.dumps(value, ensure_ascii=False)
+
+
+# Object id suffixes that hold the text ``_Pairs.split`` cuts at.
+_ID_SUFFIXES = st.sampled_from(["}, {", '"', "\\", '}, {"objectId": "', '"}]}', ', "relationships": [{'])
+
+
+def _edit_entries(text, data):
+    """``text`` with one edit of the relationship entries of a record line
+    drawn from ``data``: an object id or an event id renamed to hold the
+    text a line is cut at, an entry with an extra key or without its
+    qualifier, a key after the relationships (a second ``"relationships"``
+    too), a ``"relationships"`` key in the head, an entry repeated, the
+    entries reordered, an entry met in an earlier line naming an unknown
+    object, the head closed early or emptied, or text after the record."""
+    lines = text.split("\n")
+    related = [i for i, line in enumerate(lines) if '"relationships": [{' in line]
+    edit = data.draw(st.sampled_from(["rename object", "rename event", "extra key", "drop qualifier",
+                                      "key after", "relationships in head", "repeat entry",
+                                      "reorder entries", "unknown object", "head closed early",
+                                      "empty head", "text after"]))
+    if not related:
+        return text
+    i = data.draw(st.sampled_from(related))
+    line = lines[i]
+    if edit in ("rename object", "rename event"):
+        try:
+            record = json.loads(line.removesuffix(","))
+        except ValueError:   # a line an earlier edit broke
+            return text
+        if edit == "rename event":
+            old, new = _quoted(record["id"]), _quoted(record["id"] + data.draw(_ID_SUFFIXES))
+            lines[i] = line.replace(f'{{"id": {old}, ', f'{{"id": {new}, ', 1)
+            return "\n".join(lines)
+        # an object the line names, renamed in its own record and in every entry naming it
+        rels = record.get("relationships")   # an earlier edit may have made it no list
+        oids = [rel["objectId"] for rel in rels
+                if isinstance(rel, dict) and isinstance(rel.get("objectId"), str)] if type(rels) is list else []
+        if not oids:
+            return text
+        oid = data.draw(st.sampled_from(oids))
+        old, new = _quoted(oid), _quoted(oid + data.draw(_ID_SUFFIXES))
+        return text.replace(f'{{"id": {old}, ', f'{{"id": {new}, ').replace(
+            f'{{"objectId": {old}, "qualifier"', f'{{"objectId": {new}, "qualifier"')
+    if edit == "head closed early":
+        lines[i] = line.replace(', "relationships": [{', '}, "relationships": [{', 1)
+    elif edit == "empty head":
+        lines[i] = "{" + line[line.index(', "relationships": [{'):]
+    elif edit == "text after":
+        end = line.rindex("}") + 1
+        lines[i] = line[:end] + data.draw(st.sampled_from(["x", " ", "]}", "}"])) + line[end:]
+    else:
+        cut = line.rindex('"relationships": [{')
+        head, rest = line[:cut], line[cut + len('"relationships": '):]
+        try:
+            rels, end = json.JSONDecoder().raw_decode(rest)
+        except ValueError:   # a line an earlier edit broke
+            return text
+        if not all(isinstance(rel, dict) for rel in rels):
+            return text
+        j = data.draw(st.sampled_from(range(len(rels))))
+        value = data.draw(st.sampled_from(["1", '"}]}"', "[]", '[{"objectId": "nope"}]', _quoted(rels[::-1])]))
+        if edit == "extra key":
+            extra = {"extra": json.loads(value)}
+            rels[j] = {**extra, **rels[j]} if data.draw(st.booleans()) else {**rels[j], **extra}
+        elif edit == "drop qualifier":
+            rels[j].pop("qualifier", None)
+        elif edit == "repeat entry":
+            rels.insert(data.draw(st.sampled_from(range(len(rels) + 1))), rels[j])
+        elif edit == "reorder entries":
+            rels = data.draw(st.permutations(rels))
+        elif edit == "unknown object":   # an entry whose text an earlier line holds, if any
+            texts = [_quoted(rel) for rel in rels]
+            known = [k for k, t in enumerate(texts) if any(t in lines[h] for h in related if h < i)]
+            j = data.draw(st.sampled_from(known or [j]))
+            unknown = rels[j]["objectId"] + data.draw(st.sampled_from(["?", " ", "\u2028"]))
+            rels[j] = {**rels[j], "objectId": unknown}
+        elif edit == "relationships in head":
+            head = '{"relationships": ' + value + ", " + head[1:]
+        key = data.draw(st.sampled_from(["x", "relationships"])) if edit == "key after" else None
+        after = f', "{key}": {value}' if key else ""
+        lines[i] = head + '"relationships": ' + _quoted(rels) + after + rest[end:]
+    return "\n".join(lines)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_entry_edits_read_as_parsed_whole(data):
+    """A line whose relationship entries are resolved by their text
+    (``_Pairs.split``) gives the log, sharing, error message and JSON path
+    of the whole parse after each entry-level edit of the writer's layout,
+    and half the time a second one."""
+    if data.draw(st.booleans()):
+        log = random_log(random.Random(data.draw(st.integers(0, 10_000))), max_events=12, max_objects=6)
+    else:
+        log = data.draw(awkward_logs())
+    text = _edit_entries(_text(log), data)
+    if data.draw(st.booleans()):
+        text = _edit_entries(text, data)
+    assert_reads_as_parsed_whole(text)
+
+
+_SPLIT_LINE = '{"id": "e1", "type": "E", "time": "2024-09-02T10:00:00.000+00:00", "attributes": [], ' \
+              '"relationships": [{"objectId": "o1", "qualifier": "q"}, {"objectId": "o2", "qualifier": ""}]}'
+
+
+@pytest.mark.parametrize("line, splits", [
+    (_SPLIT_LINE, True),
+    (_SPLIT_LINE.replace('"q"}, {"objectId": "o2", "qualifier": ""}', '"q"}'), True),
+    (_SPLIT_LINE.replace('"o1", "qualifier": "q"}, {"objectId": "o2"',
+                         '"o2", "qualifier": "q"}, {"objectId": "o1"'), True),   # sorted as relate_* sorts
+    (_SPLIT_LINE.replace('"o2", "qualifier": ""', '"o2"'), True),   # no qualifier: the empty one
+    (_SPLIT_LINE.replace('"o2", "qualifier": ""', '"o2", "qualifier": "", "x": [1]'), True),
+    (_SPLIT_LINE.replace('"o2", "qualifier": ""', '"o1", "qualifier": "q"'), False),   # repeated
+    (_SPLIT_LINE.replace(', "relationships"', '}, "relationships"', 1), False),   # the head ends early
+    (_SPLIT_LINE.replace('{"id": "e1", "type": "E", "time": "2024-09-02T10:00:00.000+00:00", '
+                         '"attributes": []', "{"), False),   # an empty head
+    (_SPLIT_LINE.replace('"attributes": []', '"attributes": [], "relationships": 5'), False),
+    (_SPLIT_LINE.replace('"o2", "qualifier": ""', '"o2", "qualifier": "}, {"'), False),   # cut in a string
+    (_SPLIT_LINE.replace('"q"}, {"objectId": "o2"', '"q"} , 5, {"objectId": "o2"'), False),   # three values
+    (_SPLIT_LINE.replace('"o2", "qualifier": ""', '"o2", "qualifier": x'), False),   # not JSON
+    (_SPLIT_LINE.replace('"o2", "qualifier": ""', '"o3", "qualifier": ""'), False),   # unknown object
+    (_SPLIT_LINE.replace("}]}", '}], "relationships": []}'), False),
+    (_SPLIT_LINE + "x", True),   # text after the record: its tail, which the frame rejects
+], ids=["sorted", "one entry", "out of order", "no qualifier", "extra key", "repeated entry",
+        "head ends early", "empty head", "relationships in head", "qualifier holds the cut",
+        "text not one entry",
+        "entry not JSON", "unknown object", "relationships twice", "text after"])
+def test_a_line_is_split_only_when_it_reads_as_scanned_whole(line, splits):
+    """``_Pairs.split`` of an event line gives the record and relations that
+    ``scan_once`` of the whole line and ``_Pairs.stored`` give, with the
+    tail left after the record, or None; and the text in the writer's
+    layout around it reads as parsed whole."""
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    doc["events"] = []
+    text = _layout(doc).replace('"events": [\n]', f'"events": [\n{line}\n]')
+    log = ocel_from_dict(doc)
+    scan_once = json.JSONDecoder().scan_once
+    pairs = ocel._Pairs(log._objects, scan_once)
+    split = pairs.split(line + "\n")
+    assert (split is not None) is splits
+    if splits:
+        head, built, tail = split
+        record, end = scan_once(line, 0)
+        assert head == {k: v for k, v in record.items() if k != "relationships"}
+        assert built == pairs.stored(record["relationships"]) and tail == line[end:] + "\n"
+        assert (ocel._read_writer_layout(io.StringIO(text)) is not None) is (tail == "\n")
+    assert_reads_as_parsed_whole(text)
+
+
+@pytest.mark.parametrize("value", [({"objectId": "o2", "qualifier": "r"},), (("o2", "r"),), (),
+                                   {"objectId": "o2"}, "[]"],
+                         ids=["tuple of entries", "tuple of stored pairs", "empty tuple", "dict", "str"])
+@pytest.mark.parametrize("key", ["objects", "events"])
+def test_relationships_must_be_a_list(key, value):
+    """``ocel_from_dict`` takes a dict built by any caller, not only by
+    ``json.loads``: relationships held in a tuple, or in anything else but a
+    list, are rejected at their path, in a plain event too. The read of the
+    writer's layout hands a line's stored tuple to ``_add_records`` beside
+    its record, never in it, so no tuple in a record is taken as checked."""
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    doc[key][0]["relationships"] = value
+    doc[key][0]["attributes"] = []   # a plain event
+    with pytest.raises(OcelDocumentError, match="'relationships' must be a list") as err:
+        ocel_from_dict(doc)
+    assert err.value.path == f"{key}[0].relationships"
 
 
 @pytest.mark.parametrize("fixture", ["case_study", "conformant"])

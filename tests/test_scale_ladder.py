@@ -13,7 +13,8 @@ _spec = importlib.util.spec_from_file_location("scale_ladder", SCRIPT)
 scale_ladder = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scale_ladder)
 
-RUN_KEYS = {"label", "commit", "dirty", "python", "machine", "seed", "wide", "courses", "per_event_growth"}
+RUN_KEYS = {"label", "commit", "dirty", "python", "machine", "seed", "wide", "courses", "per_event_growth",
+            "analyze_op_growth"}
 COURSE_KEYS = {"students", "build_seconds", "events", "source_rows", "ocel_json_bytes", "stages"}
 STAGE_KEYS = {"seconds", "seconds_runs", "scaled_seconds", "seconds_per_event", "gc_seconds",
               "gc_collections", "rss_before_mb", "peak_rss_mb", "peak_rss_bytes_per_event"}
@@ -60,6 +61,7 @@ def test_ladder_writes_every_key(tmp_path):
     assert {"verify", "analyze"} <= set(course["stages"])
     assert "analyze" in scale_ladder.TRACED_STAGES
     assert run["per_event_growth"] == {"from_to": [20, 20], **dict.fromkeys(scale_ladder.STAGES, 1.0)}
+    assert run["analyze_op_growth"] == dict.fromkeys(analyze["op_seconds"], 1.0)
     assert not work.exists()   # each course is removed once measured
 
 
@@ -117,8 +119,9 @@ def _fake_child(calls):
         if opts["--stage"] == "write":
             Path(opts["--log"]).parent.mkdir(parents=True, exist_ok=True)
             Path(opts["--log"]).write_text(src.name)
+        ops = {"op_seconds": {"stats": 0.5}} if opts["--stage"] == "analyze" else {}
         return {"stage": opts["--stage"], "seconds": 1.0, "peak_rss_mb": 1.0, "events": 2,
-                "tracemalloc_peak_mb": 1.0}
+                "tracemalloc_peak_mb": 1.0, **ops}
     return fake_child
 
 
